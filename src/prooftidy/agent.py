@@ -38,7 +38,7 @@ from .prompts import (
     render,
 )
 from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
-from .tokenizer import proof_length, remove_comments, segment, split_declaration
+from .tokenizer import proof_length, segment, statement_text
 
 REDUCTION_LEVELS = ("high", "medium", "low")
 
@@ -264,11 +264,9 @@ def plan(proof: str, retrieved: list[dict], history: list[str], llm,
 
 def _normalized_statement(text: str) -> str | None:
     try:
-        cleaned = remove_comments(text)
-        offset = split_declaration(cleaned)
+        return " ".join(statement_text(text).split())
     except MalformedDeclaration:
         return None
-    return " ".join(cleaned[:offset].split())
 
 
 def statement_preserved(original: str, candidate: str) -> bool:

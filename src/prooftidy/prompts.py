@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from importlib import resources
 from string import Template
 
-TEMPLATE_VERSION = "1"
-
 _FENCE_RE_CACHE: dict[str, re.Pattern] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _load(name: str) -> Template:
     text = resources.files("prooftidy.templates").joinpath(f"{name}.txt").read_text(
         encoding="utf-8"
@@ -52,11 +52,6 @@ def extract_json_payload(text: str):
         return json.loads(block)
     except json.JSONDecodeError:
         return None
-
-
-def number_lines(text: str) -> str:
-    return "\n".join(f"{i}: {line}"
-                     for i, line in enumerate(text.splitlines(), start=1))
 
 
 def format_strategies(entries: list[dict]) -> str:

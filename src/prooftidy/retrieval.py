@@ -4,7 +4,12 @@ One bank serves three retrieval rules: plain similarity top-k for the
 length objective, rerank-by-compile-metadata for the compile-time objective,
 and compatibility filtering for a target toolchain. Rules compose:
 filtering first (soundness), reranking second (benefit within the sound
-set). The index is exact — a flat scan is plenty at bank scale.
+set). The index is exact — a flat scan is plenty at bank scale. A query
+is one matrix-vector product; ``np.partition`` finds the k-th largest
+similarity, every strategy scoring at least that much survives (so a tie
+group straddling the cut stays whole), and one ``np.lexsort`` on
+(-similarity, id rank) orders the survivors. Only the k returned entries
+become Python objects.
 
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
@@ -12,7 +17,7 @@ function; actual model training is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -21,7 +26,6 @@ import numpy as np
 from .bank import Bank, Strategy
 from .embeddings import EmbeddingProvider
 from .errors import DegenerateVector, EmptyIndex, InvalidTemperature, UnknownVersion
-from .tokenizer import ProofSpan
 
 
 class ObjectiveMode(str, Enum):
@@ -54,12 +58,11 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class RankedStrategy:
-    """A retrieved strategy with its score, rank, and target location."""
+    """A retrieved strategy with its score and 1-based rank."""
 
     strategy_id: str
     similarity: float
     rank: int
-    target_span: ProofSpan | None = None
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -97,6 +100,11 @@ class StrategyIndex:
             self._matrix = matrix / norms
         else:
             self._matrix = np.zeros((0, 0))
+        # Position of each id in ascending id order: the tie-break key.
+        # An object array sorts with Python's own string comparison.
+        order = np.argsort(np.array(self._ids, dtype=object), kind="stable")
+        self._id_rank = np.empty(len(self._ids), dtype=np.intp)
+        self._id_rank[order] = np.arange(len(self._ids))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -118,14 +126,19 @@ class StrategyIndex:
         if norm == 0.0:
             raise DegenerateVector("query is an all-zero vector")
         sims = self._matrix @ (q / norm)
-        order = sorted(range(len(self._ids)),
-                       key=lambda i: (-sims[i], self._ids[i]))
-        top = order[:k]
+        n = len(sims)
+        if k < n:
+            kth = np.partition(sims, n - k)[n - k]
+            candidates = np.flatnonzero(sims >= kth)
+        else:
+            candidates = np.arange(n)
+        order = np.lexsort((self._id_rank[candidates], -sims[candidates]))
+        top = candidates[order[:k]]
         return [
             RankedStrategy(strategy_id=self._ids[i],
                            similarity=float(sims[i]),
                            rank=rank)
-            for rank, i in enumerate(top, start=1)
+            for rank, i in enumerate(top.tolist(), start=1)
         ]
 
 
@@ -133,8 +146,19 @@ def top_k(index: StrategyIndex, query: np.ndarray, k: int) -> list[RankedStrateg
     return index.top_k(query, k)
 
 
-def _reranked(pool: Sequence[RankedStrategy]) -> list[RankedStrategy]:
-    return [replace(r, rank=i) for i, r in enumerate(pool, start=1)]
+def _renumbered(pool: Sequence[RankedStrategy]) -> list[RankedStrategy]:
+    return [RankedStrategy(r.strategy_id, r.similarity, rank)
+            for rank, r in enumerate(pool, start=1)]
+
+
+def _by_compile_reduction(pool: Sequence[RankedStrategy],
+                          bank: Bank) -> list[RankedStrategy]:
+    def key(r: RankedStrategy):
+        strategy = bank.strategies.get(r.strategy_id)
+        metadata = strategy.median_compile_reduction if strategy else None
+        return (1, 0.0) if metadata is None else (0, -metadata)
+
+    return sorted(pool, key=key)
 
 
 def rerank_by_compile_reduction(
@@ -145,23 +169,22 @@ def rerank_by_compile_reduction(
     Strategies without compile metadata go last; ties keep the incoming
     (similarity) order — the sort is stable.
     """
-    def key(r: RankedStrategy):
-        strategy = bank.strategies.get(r.strategy_id)
-        metadata = strategy.median_compile_reduction if strategy else None
-        return (1, 0.0) if metadata is None else (0, -metadata)
+    return _renumbered(_by_compile_reduction(pool, bank))
 
-    return _reranked(sorted(pool, key=key))
+
+def _compatible(pool: Sequence[RankedStrategy], version: str,
+                bank: Bank) -> list[RankedStrategy]:
+    if version not in bank.registry:
+        raise UnknownVersion(f"toolchain version {version!r} is not registered")
+    return [r for r in pool
+            if version in bank.strategies[r.strategy_id].compatibility_set]
 
 
 def filter_by_version(
     pool: Sequence[RankedStrategy], version: str, bank: Bank
 ) -> list[RankedStrategy]:
     """Keep only strategies whose compatibility set contains ``version``."""
-    if version not in bank.registry:
-        raise UnknownVersion(f"toolchain version {version!r} is not registered")
-    kept = [r for r in pool
-            if version in bank.strategies[r.strategy_id].compatibility_set]
-    return _reranked(kept)
+    return _renumbered(_compatible(pool, version, bank))
 
 
 def retrieve(
@@ -174,18 +197,17 @@ def retrieve(
 
     length: top_k(k). compile_time: top_k(pool) → rerank → truncate.
     version: top_k(pool) → filter → truncate. compile_time with a target
-    version: top_k(pool) → filter → rerank → truncate.
+    version: top_k(pool) → filter → rerank → truncate. Ranks are numbered
+    once, on the truncated list.
     """
     if objective.mode == ObjectiveMode.LENGTH:
         return index.top_k(query, objective.k)
     pool = index.top_k(query, objective.pool_size)
-    if objective.mode == ObjectiveMode.VERSION:
-        pool = filter_by_version(pool, objective.target_version, bank)
-    elif objective.mode == ObjectiveMode.COMPILE_TIME:
-        if objective.target_version is not None:
-            pool = filter_by_version(pool, objective.target_version, bank)
-        pool = rerank_by_compile_reduction(pool, bank)
-    return _reranked(pool[:objective.k])
+    if objective.target_version is not None:
+        pool = _compatible(pool, objective.target_version, bank)
+    if objective.mode == ObjectiveMode.COMPILE_TIME:
+        pool = _by_compile_reduction(pool, bank)
+    return _renumbered(pool[:objective.k])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ TOKEN_JOIN_CHARS = ".'"
 #: Returned by :func:`proof_length` when the input cannot be measured.
 LENGTH_FAILURE_SENTINEL = 10 ** 9
 
-_DECL_KEYWORD_RE = re.compile(r"\b(theorem|lemma|example)\b")
+_DECL_KEYWORDS = ("theorem", "lemma", "example")
+_DECL_KEYWORD_RE = re.compile(r"\b(" + "|".join(_DECL_KEYWORDS) + r")\b")
 
 _OPEN_BRACKETS = "([{⟨"
 _CLOSE_BRACKETS = ")]}⟩"
@@ -135,6 +136,112 @@ def split_declaration(statement_and_proof: str) -> int:
             return i + 2
         i += 1
     raise MalformedDeclaration("no top-level ':=' after declaration header")
+
+
+_BINDER_KEYWORDS = ("let", "have", "letI", "haveI")
+_WORD_RE = re.compile(r"[\w.']+")
+_CHAR_LITERAL_RE = re.compile(
+    r"'(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|.)|[^\\'\n])'")
+
+
+def _string_end(text: str, i: int) -> int:
+    """Offset just past the string literal opening at ``text[i]``."""
+    i += 1
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+        elif text[i] == '"':
+            return i + 1
+        else:
+            i += 1
+    return len(text)
+
+
+def _block_comment_end(text: str, i: int) -> int:
+    """Offset just past the nested ``/- -/`` comment opening at ``text[i]``."""
+    depth = 0
+    while i < len(text):
+        if text.startswith("/-", i):
+            depth += 1
+            i += 2
+        elif text.startswith("-/", i):
+            depth -= 1
+            i += 2
+            if depth == 0:
+                return i
+        else:
+            i += 1
+    return len(text)
+
+
+def statement_text(source: str) -> str:
+    """The declaration through the ``:=`` that ends its statement, without
+    comments.
+
+    The statement guard's scanner. :func:`split_declaration` and
+    :func:`remove_comments` must keep the published metric's quirks; this
+    scanner must not accept a different theorem. String and char literals
+    and ``«»``-quoted names are opaque, whole words are matched (``h'`` is
+    a name, ``'"'`` a char), comments are dropped, and each depth-0
+    ``let``/``have`` binder after the header consumes its own ``:=``.
+
+    Raises:
+        MalformedDeclaration: no header keyword, or no ``:=`` ending the
+            statement.
+    """
+    kept: list[str] = []
+    kept_from = 0
+    header = False
+    depth = 0
+    binders = 0
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if source.startswith("--", i) or source.startswith("/-", i):
+            kept.append(source[kept_from:i])
+            if ch == "/":
+                i = _block_comment_end(source, i)
+            else:
+                newline = source.find("\n", i)
+                i = n if newline < 0 else newline
+            kept_from = i
+            continue
+        if ch == '"':
+            i = _string_end(source, i)
+            continue
+        if ch == "'":
+            literal = _CHAR_LITERAL_RE.match(source, i)
+            if literal:
+                i = literal.end()
+                continue
+        elif ch == "«":
+            close = source.find("»", i)
+            i = n if close < 0 else close + 1
+            continue
+        elif ch.isalnum() or ch == "_":
+            word = _WORD_RE.match(source, i).group()
+            if not header:
+                header = word in _DECL_KEYWORDS
+            elif depth == 0 and word in _BINDER_KEYWORDS:
+                binders += 1
+            i += len(word)
+            continue
+        elif ch in _OPEN_BRACKETS:
+            depth += 1
+        elif ch in _CLOSE_BRACKETS:
+            depth -= 1
+        elif header and depth == 0 and source.startswith(":=", i):
+            if binders == 0:
+                kept.append(source[kept_from:i + 2])
+                return "".join(kept)
+            binders -= 1
+            i += 2
+            continue
+        i += 1
+    if not header:
+        raise MalformedDeclaration("no theorem/lemma/example header found")
+    raise MalformedDeclaration("no ':=' ending the statement")
 
 
 def lex(proof_text: str) -> TokenizedProof:

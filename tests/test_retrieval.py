@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prooftidy.bank import Bank, ToolchainRegistry
 from prooftidy.embeddings import MockEmbedder
@@ -30,6 +32,8 @@ from prooftidy.retrieval import (
     top_k,
 )
 from test_bank import REGISTRY, make_strategy
+
+VERSIONS = list(REGISTRY.versions)
 
 
 def brute_force_loss(queries, positives, temperature, margin):
@@ -303,6 +307,90 @@ def test_objective_spec_validation():
         ObjectiveSpec(mode=ObjectiveMode.VERSION)
     with pytest.raises(ValueError):
         ObjectiveSpec(k=10, pool_size=5)
+
+
+# --- brute-force property ------------------------------------------------------
+
+EXACT_DIM = 16
+
+
+@st.composite
+def exact_vectors(draw):
+    """1, 4 or 16 entries of ±1 times a power of two.
+
+    Unit rows then hold ±1, ±1/2 or ±1/4, so every product and partial sum
+    of a cosine is exact: no summation order can move a similarity, and
+    equal directions tie exactly.
+    """
+    nonzero = draw(st.sampled_from([1, 4, 16]))
+    start = draw(st.integers(0, EXACT_DIM - nonzero))
+    signs = draw(st.integers(0, 2 ** nonzero - 1))
+    vector = np.zeros(EXACT_DIM)
+    vector[start:start + nonzero] = [-1.0 if signs >> j & 1 else 1.0
+                                     for j in range(nonzero)]
+    return vector * draw(st.sampled_from([0.25, 1.0, 8.0]))
+
+
+def brute_force_retrieve(ids, vectors, strategies, query, objective):
+    """The retrieval rules as a Python sort on (-cosine, id)."""
+    order = sorted(range(len(ids)),
+                   key=lambda i: (-cosine(query, vectors[i]), ids[i]))
+    if objective.mode == ObjectiveMode.LENGTH:
+        chosen = order[:objective.k]
+    else:
+        chosen = order[:objective.pool_size]
+        if objective.target_version is not None:
+            chosen = [i for i in chosen if objective.target_version
+                      in strategies[i].compatibility_set]
+        if objective.mode == ObjectiveMode.COMPILE_TIME:
+            def reduction(i):
+                median = strategies[i].median_compile_reduction
+                return (1, 0.0) if median is None else (0, -median)
+            chosen.sort(key=reduction)
+        chosen = chosen[:objective.k]
+    return [RankedStrategy(ids[i], cosine(query, vectors[i]), rank)
+            for rank, i in enumerate(chosen, start=1)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_k_and_retrieve_match_brute_force(data):
+    # A few distinct directions shared by many strategies make many exact
+    # ties; unique ids in drawn order are inserted out of id order.
+    directions = data.draw(st.lists(exact_vectors(), min_size=1, max_size=5))
+    n = data.draw(st.integers(1, 30))
+    ids = data.draw(st.lists(st.text("abz019", min_size=1, max_size=3),
+                             min_size=n, max_size=n, unique=True))
+    picks = data.draw(st.lists(st.integers(0, len(directions) - 1),
+                               min_size=n, max_size=n))
+    medians = data.draw(st.lists(st.sampled_from([None, -0.5, 0.0, 0.25]),
+                                 min_size=n, max_size=n))
+    compatible = data.draw(st.lists(st.frozensets(st.sampled_from(VERSIONS)),
+                                    min_size=n, max_size=n))
+    vectors = [directions[p] for p in picks]
+    strategies = [make_strategy(0, id=sid, median_compile_reduction=median,
+                                compatibility_set=versions)
+                  for sid, median, versions in zip(ids, medians, compatible)]
+    bank = make_bank_with(strategies)
+    index = make_index(vectors, ids=ids)
+    query = data.draw(exact_vectors())
+    k = data.draw(st.integers(1, n + 3))
+    pool_size = data.draw(st.integers(k, n + 5))
+    version = data.draw(st.sampled_from(VERSIONS))
+    mode, target = data.draw(st.sampled_from([
+        (ObjectiveMode.LENGTH, None),
+        (ObjectiveMode.COMPILE_TIME, None),
+        (ObjectiveMode.VERSION, version),
+        (ObjectiveMode.COMPILE_TIME, version),
+    ]))
+    objective = ObjectiveSpec(mode=mode, target_version=target,
+                              pool_size=pool_size, k=k)
+    length = ObjectiveSpec(k=k, pool_size=pool_size)
+
+    assert index.top_k(query, k) == brute_force_retrieve(
+        ids, vectors, strategies, query, length)
+    assert retrieve(index, bank, query, objective) == brute_force_retrieve(
+        ids, vectors, strategies, query, objective)
 
 
 # --- contrastive loss -----------------------------------------------------------
