@@ -1,0 +1,77 @@
+"""Layer microbenchmarks for the token metric.
+
+Run from the repository root; tier-1 ``testpaths`` do not collect them:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_tokenizer.py
+
+Times ``remove_comments``, ``lex`` and ``proof_length`` on research-style
+proofs of about 2, 8 and 16 kB. A proof is one ``theorem`` header and a
+seeded ``by`` block of tactic lines with line comments, nested block
+comments and a few string literals; ``lex`` gets the proof with its
+comments already removed, as ``proof_length`` hands it on.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+
+import pytest
+
+from prooftidy.tokenizer import lex, proof_length, remove_comments, split_declaration
+
+SIZES_KB = (2, 8, 16)
+NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
+         "abs_sub_lt_iff", "h_bound", "pow_two")
+
+
+def _line(rng: random.Random, j: int) -> str:
+    name = lambda: rng.choice(NAMES)  # noqa: E731
+    roll = rng.random()
+    if roll < 0.1:
+        return f"  -- step {j}: rewrite with {name()} before closing"
+    if roll < 0.15:
+        return f"  /- note {j}: {name()} /- nested -/ holds here\n     too -/"
+    if roll < 0.18:
+        return f'  trace "goal {j} -- kept /- as text"'
+    return rng.choice((
+        f"  have h{j} : a * b ≤ a * b + {j} := by positivity",
+        f"  simp only [{name()}, {name()}] at h{j % 7}",
+        f"  rw [{name()}, ← {name()}]",
+        f"  obtain ⟨w{j}, hw{j}⟩ := h{j % 5}",
+        f"  nlinarith [{name()} (a - b), {name()} c]",
+        f"  calc a * c ≤ b * c + {j} := {name()} h0",
+        "  refine ⟨_, fun x => ?_⟩ <;> omega",
+    ))
+
+
+@functools.cache
+def proof(kb: int) -> str:
+    rng = random.Random(kb)
+    lines = ["theorem bench (a b c : ℕ) (h0 : 0 < a) : a * c ≤ b * c + a := by"]
+    size = len(lines[0])
+    while size < kb * 1024:
+        lines.append(_line(rng, len(lines)))
+        size += len(lines[-1]) + 1
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_remove_comments(benchmark, kb):
+    text = proof(kb)
+    result = benchmark(remove_comments, text)
+    assert "-- step" not in result and "note" not in result
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_lex(benchmark, kb):
+    cleaned = remove_comments(proof(kb))
+    body = cleaned[split_declaration(cleaned):]
+    result = benchmark(lex, body)
+    assert result.total > 0
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_proof_length(benchmark, kb):
+    result = benchmark(proof_length, proof(kb))
+    assert 0 < result < 10 ** 9

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bank import Bank
+from .bank import REDUCTION_LEVELS, Bank
 from .compiler import CompileRequest, CompileResult, Diagnostic, Verdict
 from .errors import (
     EmptyIndex,
@@ -39,8 +39,6 @@ from .prompts import (
 )
 from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
 from .tokenizer import proof_length, segment, statement_text
-
-REDUCTION_LEVELS = ("high", "medium", "low")
 
 
 class Termination(str, Enum):
@@ -422,6 +420,9 @@ def run_session(
     current = proof
     current_length = initial_length
     history: list[str] = []
+    # Span text -> its retrieval. Every query of a session sees the same
+    # index and objective, so a span text is embedded and retrieved once.
+    retrieved: dict[str, list[RankedStrategy]] = {}
     adopted_any = False
     termination: Termination
     writer.add("session_start", {
@@ -441,13 +442,18 @@ def run_session(
                 break
 
             spans = segment(current, list(config.chunk_sizes))
-            vectors = embedder.embed([s.text for s in spans])
+            fresh = list(dict.fromkeys(
+                s.text for s in spans if s.text not in retrieved))
+            if fresh:
+                for text, vector in zip(fresh, embedder.embed(fresh)):
+                    try:
+                        retrieved[text] = retrieve(index, bank, vector,
+                                                   config.objective)
+                    except EmptyIndex:
+                        retrieved[text] = []
             hits: list[tuple[RankedStrategy, object]] = []
-            for span, vector in zip(spans, vectors):
-                try:
-                    results = retrieve(index, bank, vector, config.objective)
-                except EmptyIndex:
-                    results = []
+            for span in spans:
+                results = retrieved[span.text]
                 if not results and config.objective.mode == ObjectiveMode.VERSION:
                     writer.add("warning", {
                         "message": "version filter left no strategies for a "

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -443,8 +443,3 @@ def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:
 def pair_id_for(statement: str, long_proof: str, short_proof: str) -> str:
     return content_id("pair", statement, long_proof, short_proof)
 
-
-def with_recomputed_metadata(strategy: Strategy, bank: Bank) -> Strategy:
-    median, compat = expected_metadata(strategy, bank)
-    return replace(strategy, median_compile_reduction=median,
-                   compatibility_set=compat)

@@ -6,8 +6,8 @@ that is removed afterwards. The mock backend replays scripted results from
 a fixture file, keyed by source-content hash or consumed in order, which
 makes the whole agent loop testable offline and byte-deterministic.
 
-Profiling and heartbeat counting are serialized behind a measurement lock;
-plain checks may run concurrently up to a configured limit.
+Plain checks may run concurrently up to a configured limit. Profiling and
+heartbeat counting run alone: one at a time, and with no check running.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import subprocess
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -195,6 +196,7 @@ class LeanCompiler:
     ):
         self.registry = registry
         self.keep_scratch = keep_scratch
+        self._max_concurrent = max_concurrent
         self._check_slots = threading.Semaphore(max_concurrent)
         self._measurement_lock = threading.Lock()
 
@@ -209,8 +211,27 @@ class LeanCompiler:
         return root
 
     def check(self, req: CompileRequest) -> CompileResult:
-        with self._check_slots:
+        # A check takes its slot under the measurement lock, so it queues
+        # behind a measurement instead of starving it of slots.
+        with self._measurement_lock:
+            self._check_slots.acquire()
+        try:
             return self._run(req)
+        finally:
+            self._check_slots.release()
+
+    @contextmanager
+    def _alone(self):
+        """Run a measurement with no other measurement or check beside it:
+        hold the measurement lock and every check slot."""
+        with self._measurement_lock:
+            for _ in range(self._max_concurrent):
+                self._check_slots.acquire()
+            try:
+                yield
+            finally:
+                for _ in range(self._max_concurrent):
+                    self._check_slots.release()
 
     def _run(self, req: CompileRequest) -> CompileResult:
         root = self._resolve_root(req.toolchain_version)
@@ -266,7 +287,7 @@ class LeanCompiler:
                 runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
         """Serialized repeated profiling; samples back mean/std reporting."""
         req = replace(req, want_profile=True)
-        with self._measurement_lock:
+        with self._alone():
             walls: list[float] = []
             elaborations: list[float] = []
             imports: list[float] = []
@@ -292,7 +313,7 @@ class LeanCompiler:
                          req: CompileRequest) -> CompileResult:
         wrapped = replace(req, source=heartbeat_wrapper(decl_source),
                           want_heartbeats=True)
-        with self._measurement_lock:
+        with self._alone():
             return self._run(wrapped)
 
     def cross_version_matrix(

@@ -8,8 +8,9 @@ set). The index is exact — a flat scan is plenty at bank scale. A query
 is one matrix-vector product; ``np.partition`` finds the k-th largest
 similarity, every strategy scoring at least that much survives (so a tie
 group straddling the cut stays whole), and one ``np.lexsort`` on
-(-similarity, id rank) orders the survivors. Only the k returned entries
-become Python objects.
+(-similarity, id rank) orders the survivors. The objective rules filter
+and reorder those row numbers; only the k returned entries become Python
+objects.
 
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bank import Bank, Strategy
+from .bank import Bank
 from .embeddings import EmbeddingProvider
 from .errors import DegenerateVector, EmptyIndex, InvalidTemperature, UnknownVersion
 
@@ -115,8 +116,9 @@ class StrategyIndex:
         vectors = embedder.embed([s.when_to_apply for s in strategies])
         return cls([s.id for s in strategies], vectors, embedder=embedder)
 
-    def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
-        """The k most similar strategies, descending; ties by id ascending."""
+    def top_rows(self, query: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+        """Rows of the k most similar strategies, descending, ties by id
+        ascending; and the similarity of every row."""
         if len(self._ids) == 0:
             raise EmptyIndex("cannot search an empty index")
         if k <= 0:
@@ -133,32 +135,41 @@ class StrategyIndex:
         else:
             candidates = np.arange(n)
         order = np.lexsort((self._id_rank[candidates], -sims[candidates]))
-        top = candidates[order[:k]]
-        return [
-            RankedStrategy(strategy_id=self._ids[i],
-                           similarity=float(sims[i]),
-                           rank=rank)
-            for rank, i in enumerate(top.tolist(), start=1)
-        ]
+        return candidates[order[:k]].tolist(), sims
+
+    def _ranked(self, rows: Sequence[int], sims: np.ndarray) -> list[RankedStrategy]:
+        """``RankedStrategy`` entries for ``rows``, ranked in the given order."""
+        return [RankedStrategy(strategy_id=self._ids[i],
+                               similarity=float(sims[i]),
+                               rank=rank)
+                for rank, i in enumerate(rows, start=1)]
+
+    def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
+        """The k most similar strategies, descending; ties by id ascending."""
+        return self._ranked(*self.top_rows(query, k))
 
 
-def top_k(index: StrategyIndex, query: np.ndarray, k: int) -> list[RankedStrategy]:
-    return index.top_k(query, k)
+def _compatible_with(version: str, bank: Bank):
+    """The version rule: a predicate on strategy ids."""
+    if version not in bank.registry:
+        raise UnknownVersion(f"toolchain version {version!r} is not registered")
+    return lambda strategy_id: (
+        version in bank.strategies[strategy_id].compatibility_set)
+
+
+def _compile_reduction_key(bank: Bank):
+    """The compile-time rule: a sort key on strategy ids, best first."""
+    def key(strategy_id: str):
+        strategy = bank.strategies.get(strategy_id)
+        metadata = strategy.median_compile_reduction if strategy else None
+        return (1, 0.0) if metadata is None else (0, -metadata)
+
+    return key
 
 
 def _renumbered(pool: Sequence[RankedStrategy]) -> list[RankedStrategy]:
     return [RankedStrategy(r.strategy_id, r.similarity, rank)
             for rank, r in enumerate(pool, start=1)]
-
-
-def _by_compile_reduction(pool: Sequence[RankedStrategy],
-                          bank: Bank) -> list[RankedStrategy]:
-    def key(r: RankedStrategy):
-        strategy = bank.strategies.get(r.strategy_id)
-        metadata = strategy.median_compile_reduction if strategy else None
-        return (1, 0.0) if metadata is None else (0, -metadata)
-
-    return sorted(pool, key=key)
 
 
 def rerank_by_compile_reduction(
@@ -169,22 +180,16 @@ def rerank_by_compile_reduction(
     Strategies without compile metadata go last; ties keep the incoming
     (similarity) order — the sort is stable.
     """
-    return _renumbered(_by_compile_reduction(pool, bank))
-
-
-def _compatible(pool: Sequence[RankedStrategy], version: str,
-                bank: Bank) -> list[RankedStrategy]:
-    if version not in bank.registry:
-        raise UnknownVersion(f"toolchain version {version!r} is not registered")
-    return [r for r in pool
-            if version in bank.strategies[r.strategy_id].compatibility_set]
+    key = _compile_reduction_key(bank)
+    return _renumbered(sorted(pool, key=lambda r: key(r.strategy_id)))
 
 
 def filter_by_version(
     pool: Sequence[RankedStrategy], version: str, bank: Bank
 ) -> list[RankedStrategy]:
     """Keep only strategies whose compatibility set contains ``version``."""
-    return _renumbered(_compatible(pool, version, bank))
+    keep = _compatible_with(version, bank)
+    return _renumbered([r for r in pool if keep(r.strategy_id)])
 
 
 def retrieve(
@@ -197,17 +202,20 @@ def retrieve(
 
     length: top_k(k). compile_time: top_k(pool) → rerank → truncate.
     version: top_k(pool) → filter → truncate. compile_time with a target
-    version: top_k(pool) → filter → rerank → truncate. Ranks are numbered
-    once, on the truncated list.
+    version: top_k(pool) → filter → rerank → truncate. The pool stays as
+    row numbers; only the returned entries become ``RankedStrategy``.
     """
     if objective.mode == ObjectiveMode.LENGTH:
         return index.top_k(query, objective.k)
-    pool = index.top_k(query, objective.pool_size)
+    rows, sims = index.top_rows(query, objective.pool_size)
+    ids = index._ids
     if objective.target_version is not None:
-        pool = _compatible(pool, objective.target_version, bank)
+        keep = _compatible_with(objective.target_version, bank)
+        rows = [i for i in rows if keep(ids[i])]
     if objective.mode == ObjectiveMode.COMPILE_TIME:
-        pool = _by_compile_reduction(pool, bank)
-    return _renumbered(pool[:objective.k])
+        key = _compile_reduction_key(bank)
+        rows = sorted(rows, key=lambda i: key(ids[i]))
+    return index._ranked(rows[:objective.k], sims)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,25 @@ class ProofSpan:
     text: str
 
 
+_COMMENT_OR_STRING_RE = re.compile(r'"|/-|--')
+_BLOCK_MARK_RE = re.compile(r"/-|-/")
+# A string literal from its opening quote through the closing one; an
+# escape takes the next character, and an unclosed literal runs on to the
+# end of input.
+_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+
+
+def _block_comment_end(text: str, i: int) -> int | None:
+    """Offset just past the nested ``/- -/`` comment opening at ``text[i]``,
+    or None when it never closes."""
+    depth = 0
+    for mark in _BLOCK_MARK_RE.finditer(text, i):
+        depth += 1 if mark.group() == "/-" else -1
+        if depth == 0:
+            return mark.end()
+    return None
+
+
 def remove_comments(source: str) -> str:
     """Strip Lean 4 comments, leaving everything else byte-identical.
 
@@ -69,44 +88,22 @@ def remove_comments(source: str) -> str:
     out: list[str] = []
     i = 0
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == '"':
-            # String literal: copy verbatim through the closing quote.
-            out.append(ch)
-            i += 1
-            while i < n:
-                out.append(source[i])
-                if source[i] == "\\" and i + 1 < n:
-                    out.append(source[i + 1])
-                    i += 2
-                    continue
-                if source[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            continue
-        if source.startswith("/-", i):
-            depth = 1
-            i += 2
-            while i < n and depth > 0:
-                if source.startswith("/-", i):
-                    depth += 1
-                    i += 2
-                elif source.startswith("-/", i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            if depth > 0:
+    while (m := _COMMENT_OR_STRING_RE.search(source, i)) is not None:
+        start = m.start()
+        out.append(source[i:start])
+        mark = m.group()
+        if mark == '"':
+            i = _STRING_RE.match(source, start).end()
+            out.append(source[start:i])
+        elif mark == "--":
+            newline = source.find("\n", start)
+            i = n if newline < 0 else newline
+        else:
+            end = _block_comment_end(source, start)
+            if end is None:
                 log.warning("unterminated block comment; stripped to end of input")
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        out.append(ch)
-        i += 1
+            i = n if end is None else end
+    out.append(source[i:])
     return "".join(out)
 
 
@@ -144,36 +141,6 @@ _CHAR_LITERAL_RE = re.compile(
     r"'(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|.)|[^\\'\n])'")
 
 
-def _string_end(text: str, i: int) -> int:
-    """Offset just past the string literal opening at ``text[i]``."""
-    i += 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-        elif text[i] == '"':
-            return i + 1
-        else:
-            i += 1
-    return len(text)
-
-
-def _block_comment_end(text: str, i: int) -> int:
-    """Offset just past the nested ``/- -/`` comment opening at ``text[i]``."""
-    depth = 0
-    while i < len(text):
-        if text.startswith("/-", i):
-            depth += 1
-            i += 2
-        elif text.startswith("-/", i):
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return i
-        else:
-            i += 1
-    return len(text)
-
-
 def statement_text(source: str) -> str:
     """The declaration through the ``:=`` that ends its statement, without
     comments.
@@ -201,14 +168,15 @@ def statement_text(source: str) -> str:
         if source.startswith("--", i) or source.startswith("/-", i):
             kept.append(source[kept_from:i])
             if ch == "/":
-                i = _block_comment_end(source, i)
+                end = _block_comment_end(source, i)
+                i = n if end is None else end
             else:
                 newline = source.find("\n", i)
                 i = n if newline < 0 else newline
             kept_from = i
             continue
         if ch == '"':
-            i = _string_end(source, i)
+            i = _STRING_RE.match(source, i).end()
             continue
         if ch == "'":
             literal = _CHAR_LITERAL_RE.match(source, i)
@@ -247,7 +215,7 @@ def statement_text(source: str) -> str:
 def lex(proof_text: str) -> TokenizedProof:
     """Tokenize proof text with the reference character classes.
 
-    A token grows over alphanumerics and ``._'``; every other non-space
+    A token grows over alphanumerics and ``.'``; every other non-space
     character is emitted alone; spaced operator sequences from
     ``LEAN_OPERATORS`` are then re-joined in order. Comments are assumed
     already removed. Total function: never raises.

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from prooftidy.compiler import (
     CompileRequest,
+    CompileResult,
     Diagnostic,
+    LeanCompiler,
     MockCompiler,
     MockScript,
     Verdict,
@@ -21,6 +25,8 @@ from prooftidy.compiler import (
     split_profile_times,
 )
 from prooftidy.errors import HeartbeatParseError, ProfileParseError, ScriptExhausted
+
+from test_bank import REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -220,3 +226,48 @@ def test_mock_script_rejects_unknown_format(tmp_path):
 def test_request_validates_timeout():
     with pytest.raises(ValueError):
         CompileRequest(source="x", toolchain_version="v", timeout=0)
+
+
+# --- real backend, with its toolchain run stubbed -------------------------------
+
+def test_measurements_run_with_no_check_beside_them():
+    compiler = LeanCompiler(REGISTRY, max_concurrent=3)
+    lock = threading.Lock()
+    running: list[str] = []
+    overlaps: list[list[str]] = []
+
+    def fake_run(req):
+        kind = ("profile" if req.want_profile
+                else "heartbeats" if req.want_heartbeats else "check")
+        with lock:
+            running.append(kind)
+            if len(running) > 1 and any(k != "check" for k in running):
+                overlaps.append(list(running))
+        time.sleep(0.002)
+        with lock:
+            running.remove(kind)
+        return CompileResult(Verdict.SUCCESS, wall_time_total=1.0,
+                             import_time=0.5, elaboration_time=0.5,
+                             heartbeats=7)
+
+    compiler._run = fake_run
+    stop = threading.Event()
+
+    def keep_checking():
+        while not stop.is_set():
+            compiler.check(request("theorem t : True := trivial"))
+
+    checkers = [threading.Thread(target=keep_checking) for _ in range(4)]
+    for thread in checkers:
+        thread.start()
+    try:
+        time.sleep(0.01)
+        for _ in range(3):
+            assert compiler.profile(request("x"), runs=3).wall_samples == (1.0,) * 3
+            assert compiler.count_heartbeats("x", request("x")).heartbeats == 7
+    finally:
+        stop.set()
+        for thread in checkers:
+            thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in checkers)
+    assert overlaps == []

@@ -29,7 +29,6 @@ from prooftidy.retrieval import (
     filter_by_version,
     rerank_by_compile_reduction,
     retrieve,
-    top_k,
 )
 from test_bank import REGISTRY, make_strategy
 
@@ -511,6 +510,6 @@ def test_index_build_finds_exact_when_to_apply(tmp_path):
     embedder = MockEmbedder(dimension=16, seed=1)
     index = StrategyIndex.build(bank, embedder)
     (query,) = embedder.embed(["pattern number 3"])
-    result = top_k(index, query, 1)
+    result = index.top_k(query, 1)
     assert result[0].strategy_id == "s0003"
     assert result[0].similarity == pytest.approx(1.0)

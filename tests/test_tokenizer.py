@@ -174,6 +174,38 @@ def test_length_matches_reference_on_corpus():
         assert got == want, f"{case['id']}: {got} != {want}"
 
 
+# Pieces that steer the metric's scanners: quotes and escapes, comment
+# markers, brackets, the split point, join characters, line ends, headers.
+FIDELITY_PIECES = list(' "\\/-\n:=()⟨⟩«»\'_.\r\tℕé²') + [
+    "theorem ", "lemma ", "example ", ":=", "--", "/-", "-/", '\\"', "\\\n",
+    "\\\\", "a", "x1",
+]
+_fidelity_text = st.lists(st.sampled_from(FIDELITY_PIECES), max_size=30).map("".join)
+
+
+@given(_fidelity_text, st.sampled_from(["theorem", "lemma", "example", "def"]),
+       _fidelity_text, _fidelity_text)
+@settings(max_examples=500, deadline=None)
+def test_length_matches_reference_on_scanner_heavy_text(prefix, keyword,
+                                                         statement, body):
+    text = f"{prefix}{keyword} t {statement} := {body}"
+    assert proof_length(text) == reference_proof_length(text)
+
+
+def test_lex_token_class_is_isalnum_or_join_chars():
+    # Every non-surrogate code point but the space and str.splitlines breaks.
+    chars = [ch for ch in map(chr, range(0x110000))
+             if ch not in " \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+             and not "\ud800" <= ch <= "\udfff"]
+    expected: list[str] = []
+    for ch in chars:
+        if ch.isalnum() or ch in ".'":
+            expected.append("a" + ch)
+        else:
+            expected += ["a", ch]
+    assert lex(" ".join("a" + ch for ch in chars)).lines == [expected]
+
+
 def test_corpus_exercises_sentinel_and_comments():
     corpus = [case["text"] for case in load_corpus()]
     assert len(corpus) >= 200
