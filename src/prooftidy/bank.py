@@ -152,9 +152,6 @@ class ToolchainRegistry:
             raise UnknownVersion("registry is empty")
         return self.entries[0][0]
 
-    def non_native_versions(self) -> tuple[str, ...]:
-        return self.versions[1:]
-
     def root_for(self, version: str) -> Path:
         for v, root in self.entries:
             if v == version:

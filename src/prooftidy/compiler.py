@@ -185,30 +185,17 @@ def parse_heartbeats(output: str) -> int:
     return int(m.group(1))
 
 
-class LeanCompiler:
-    """Real toolchain backend driving ``lake env lean`` in scratch files."""
+class _CompilerCore:
+    """Checks, measurements and the version matrix, shared by every
+    backend; a backend provides ``_run(req)``, one compile of one request."""
 
-    def __init__(
-        self,
-        registry: ToolchainRegistry,
-        keep_scratch: bool = False,
-        max_concurrent: int = 4,
-    ):
-        self.registry = registry
-        self.keep_scratch = keep_scratch
+    def __init__(self, max_concurrent: int = 4):
         self._max_concurrent = max_concurrent
         self._check_slots = threading.Semaphore(max_concurrent)
         self._measurement_lock = threading.Lock()
 
-    @property
-    def default_version(self) -> str:
-        return self.registry.native_version
-
-    def _resolve_root(self, version: str) -> Path:
-        root = self.registry.root_for(version)
-        if not root.is_dir():
-            raise ToolchainMissing(f"environment root {root} does not exist")
-        return root
+    def _run(self, req: CompileRequest) -> CompileResult:
+        raise NotImplementedError
 
     def check(self, req: CompileRequest) -> CompileResult:
         # A check takes its slot under the measurement lock, so it queues
@@ -232,6 +219,79 @@ class LeanCompiler:
             finally:
                 for _ in range(self._max_concurrent):
                     self._check_slots.release()
+
+    def profile(self, req: CompileRequest,
+                runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
+        """Serialized repeated profiling; samples back mean/std reporting.
+        The first run that does not succeed is returned as is."""
+        req = replace(req, want_profile=True)
+        with self._alone():
+            walls: list[float] = []
+            elaborations: list[float] = []
+            imports: list[float] = []
+            last: CompileResult | None = None
+            for _ in range(runs):
+                result = self._run(req)
+                if result.verdict != Verdict.SUCCESS:
+                    return result
+                walls.append(result.wall_time_total)
+                elaborations.append(result.elaboration_time)
+                imports.append(result.import_time)
+                last = result
+            return replace(
+                last,
+                wall_time_total=sum(walls) / len(walls),
+                import_time=sum(imports) / len(imports),
+                elaboration_time=sum(elaborations) / len(elaborations),
+                wall_samples=tuple(walls),
+                elaboration_samples=tuple(elaborations),
+            )
+
+    def count_heartbeats(self, req: CompileRequest) -> CompileResult:
+        """Compile ``req.source`` under the heartbeat directives."""
+        wrapped = replace(req, source=heartbeat_wrapper(req.source),
+                          want_heartbeats=True)
+        with self._alone():
+            return self._run(wrapped)
+
+    def cross_version_matrix(
+        self, source: str, versions: Sequence[str],
+        timeout: float = DEFAULT_TIMEOUT,
+    ) -> dict[str, Verdict]:
+        """One check per version; a broken environment never aborts the rest."""
+        matrix: dict[str, Verdict] = {}
+        for version in versions:
+            req = CompileRequest(source=source, toolchain_version=version,
+                                 timeout=timeout)
+            try:
+                matrix[version] = self.check(req).verdict
+            except (ProoftidyError, OSError):
+                matrix[version] = Verdict.ENVIRONMENT_ERROR
+        return matrix
+
+
+class LeanCompiler(_CompilerCore):
+    """Real toolchain backend driving ``lake env lean`` in scratch files."""
+
+    def __init__(
+        self,
+        registry: ToolchainRegistry,
+        keep_scratch: bool = False,
+        max_concurrent: int = 4,
+    ):
+        super().__init__(max_concurrent)
+        self.registry = registry
+        self.keep_scratch = keep_scratch
+
+    @property
+    def default_version(self) -> str:
+        return self.registry.native_version
+
+    def _resolve_root(self, version: str) -> Path:
+        root = self.registry.root_for(version)
+        if not root.is_dir():
+            raise ToolchainMissing(f"environment root {root} does not exist")
+        return root
 
     def _run(self, req: CompileRequest) -> CompileResult:
         root = self._resolve_root(req.toolchain_version)
@@ -282,54 +342,6 @@ class LeanCompiler:
             elaboration_time=elaboration_time,
             heartbeats=heartbeats,
         )
-
-    def profile(self, req: CompileRequest,
-                runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
-        """Serialized repeated profiling; samples back mean/std reporting."""
-        req = replace(req, want_profile=True)
-        with self._alone():
-            walls: list[float] = []
-            elaborations: list[float] = []
-            imports: list[float] = []
-            last: CompileResult | None = None
-            for _ in range(runs):
-                result = self._run(req)
-                if result.verdict != Verdict.SUCCESS:
-                    return result
-                walls.append(result.wall_time_total)
-                elaborations.append(result.elaboration_time)
-                imports.append(result.import_time)
-                last = result
-            return replace(
-                last,
-                wall_time_total=sum(walls) / len(walls),
-                import_time=sum(imports) / len(imports),
-                elaboration_time=sum(elaborations) / len(elaborations),
-                wall_samples=tuple(walls),
-                elaboration_samples=tuple(elaborations),
-            )
-
-    def count_heartbeats(self, decl_source: str,
-                         req: CompileRequest) -> CompileResult:
-        wrapped = replace(req, source=heartbeat_wrapper(decl_source),
-                          want_heartbeats=True)
-        with self._alone():
-            return self._run(wrapped)
-
-    def cross_version_matrix(
-        self, source: str, versions: Sequence[str],
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> dict[str, Verdict]:
-        """One check per version; a broken environment never aborts the rest."""
-        matrix: dict[str, Verdict] = {}
-        for version in versions:
-            req = CompileRequest(source=source, toolchain_version=version,
-                                 timeout=timeout)
-            try:
-                matrix[version] = self.check(req).verdict
-            except (ProoftidyError, OSError):
-                matrix[version] = Verdict.ENVIRONMENT_ERROR
-        return matrix
 
 
 # --- scripted mock ------------------------------------------------------------
@@ -395,15 +407,18 @@ class MockScript:
         )
 
 
-class MockCompiler:
+class MockCompiler(_CompilerCore):
     """Deterministic scripted stand-in for the Lean toolchain.
 
     Hash-keyed entries replay as pure functions of the source; the ordered
     ``sequence`` serves requests with no hash entry. A request beyond the
     script raises ScriptExhausted — fixtures must cover their scenario.
+    Heartbeat requests are keyed on the wrapped source, the bytes the real
+    backend compiles.
     """
 
     def __init__(self, script: MockScript):
+        super().__init__()
         self.script = script
         self._cursor = 0
         self.calls: list[tuple[str, str]] = []  # (version, source hash)
@@ -412,8 +427,9 @@ class MockCompiler:
     def default_version(self) -> str:
         return self.script.default_version
 
-    def _lookup(self, source: str, version: str) -> CompileResult:
-        digest = source_hash(source)
+    def _run(self, req: CompileRequest) -> CompileResult:
+        version = req.toolchain_version
+        digest = source_hash(req.source)
         self.calls.append((version, digest))
         versioned = self.script.by_version.get(version, {})
         if digest in versioned:
@@ -427,43 +443,3 @@ class MockCompiler:
         raise ScriptExhausted(
             f"no scripted result for source {digest} under {version}"
         )
-
-    def check(self, req: CompileRequest) -> CompileResult:
-        return self._lookup(req.source, req.toolchain_version)
-
-    def profile(self, req: CompileRequest,
-                runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
-        results = [self._lookup(req.source, req.toolchain_version)
-                   for _ in range(runs)]
-        bad = next((r for r in results if r.verdict != Verdict.SUCCESS), None)
-        if bad is not None:
-            return bad
-        walls = tuple(r.wall_time_total for r in results)
-        elaborations = tuple(r.elaboration_time for r in results)
-        return replace(
-            results[-1],
-            wall_time_total=sum(walls) / len(walls),
-            elaboration_time=sum(elaborations) / len(elaborations),
-            wall_samples=walls,
-            elaboration_samples=elaborations,
-        )
-
-    def count_heartbeats(self, decl_source: str,
-                         req: CompileRequest) -> CompileResult:
-        # The mock keys on the declaration itself; the wrapper text is a pure
-        # function tested separately.
-        return self._lookup(decl_source, req.toolchain_version)
-
-    def cross_version_matrix(
-        self, source: str, versions: Sequence[str],
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> dict[str, Verdict]:
-        matrix: dict[str, Verdict] = {}
-        for version in versions:
-            try:
-                req = CompileRequest(source=source, toolchain_version=version,
-                                     timeout=timeout)
-                matrix[version] = self.check(req).verdict
-            except (ProoftidyError, OSError):
-                matrix[version] = Verdict.ENVIRONMENT_ERROR
-        return matrix

@@ -102,26 +102,3 @@ class StatementMutation(ProoftidyError):
 class LLMTransportError(ProoftidyError):
     """LLM endpoint could not be reached or returned a transport error."""
 
-
-# --- bank pipeline ----------------------------------------------------------
-
-class RoutingError(ProoftidyError):
-    """Pair-construction routing failed (untokenizable proof)."""
-
-
-class NoValidProof(ProoftidyError):
-    """No candidate proof in the set compiled successfully."""
-
-
-class JudgeUnavailable(ProoftidyError):
-    """Judge transport failure; the item must be quarantined for retry."""
-
-
-class ManifestError(ProoftidyError):
-    """Pipeline manifest is corrupt or inconsistent with the work dir."""
-
-
-# --- metrics ----------------------------------------------------------------
-
-class InvalidBaseline(ProoftidyError):
-    """Relative reduction requested against a non-positive baseline."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -104,23 +103,3 @@ class ScriptedLLM:
             raise LLMTransportError(f"scripted {entry['error']} failure")
         return entry
 
-
-class RetryingLLM:
-    """Wrap any ChatLLM with bounded transport retries and backoff."""
-
-    def __init__(self, inner: ChatLLM, max_attempts: int = 3,
-                 backoff: float = 1.0):
-        self.inner = inner
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-
-    def complete(self, messages: list[Message]) -> str:
-        last: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return self.inner.complete(messages)
-            except LLMTransportError as exc:
-                last = exc
-                if attempt < self.max_attempts:
-                    time.sleep(self.backoff * attempt)
-        raise LLMTransportError(f"gave up after {self.max_attempts} attempts: {last}")

@@ -108,8 +108,9 @@ SCRIPT = [_plan(2, 5), _candidate(FAILING), {"error": "transport"},
           _plan(2, 4), _candidate(SHORTER), "```json\n[]\n```"]
 
 
-def _session(objective: ObjectiveSpec = ObjectiveSpec(), budget: int = 30,
-             toolchain_version: str | None = None):
+def _world():
+    """A three-strategy bank, its index over a counting embedder, and a
+    compiler that passes PROOF and SHORTER and fails FAILING."""
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i, when_to_apply=f"pattern {i}") for i in range(3))},
         pairs={}, registry=REGISTRY)
@@ -123,6 +124,12 @@ def _session(objective: ObjectiveSpec = ObjectiveSpec(), budget: int = 30,
         source_hash(FAILING): {"verdict": "failure",
                                "diagnostics": [[3, 2, "error", "unknown id"]]},
     }))
+    return bank, index, compiler, embedder
+
+
+def _session(objective: ObjectiveSpec = ObjectiveSpec(), budget: int = 30,
+             toolchain_version: str | None = None):
+    bank, index, compiler, embedder = _world()
     config = AgentConfig(budget=budget, target_length=1, max_debug_rounds=0,
                          objective=objective,
                          toolchain_version=toolchain_version)
@@ -173,3 +180,62 @@ def test_empty_version_filter_warns_once_per_span_every_round():
     # The whole-proof span repeats a window, and still warns.
     assert expected.count([1, 5]) == 4
     assert warned == expected
+
+
+EMPTY_PLAN = "```json\n[]\n```"
+MUTATED = "theorem t : 1 + 1 = 3 := by\n  norm_num\n  rfl"
+START = ["session_start", "retrieval", "plan_issued", "step_attempted"]
+ADOPTED = START + ["compile_result", "adoption", "termination"]
+# One skipped step, then a replan on the unchanged proof that comes back empty.
+REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
+
+
+@pytest.mark.parametrize(
+    "script, config, termination, final, calls, kinds, skipped", [
+        pytest.param([], {"target_length": 17}, Termination.CONVERGED,
+                     PROOF, 0, ["session_start", "termination"], [],
+                     id="converged"),
+        pytest.param([_plan(2, 5), _candidate(SHORTER)], {"target_length": 5},
+                     Termination.TARGET_REACHED, SHORTER, 2, ADOPTED, [],
+                     id="target_reached"),
+        pytest.param([_plan(2, 5), _candidate(FAILING), _candidate(SHORTER)],
+                     {"target_length": 5, "max_debug_rounds": 1},
+                     Termination.TARGET_REACHED, SHORTER, 3,
+                     START + ["compile_result", "debug_round"] + ADOPTED[4:],
+                     [], id="target_reached_after_debug"),
+        pytest.param([EMPTY_PLAN], {}, Termination.NO_VIABLE_PLAN, PROOF, 1,
+                     ["session_start", "retrieval", "plan_empty",
+                      "termination"], [], id="no_viable_plan"),
+        pytest.param([_plan(2, 5), _candidate(SHORTER)], {"budget": 1},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 1,
+                     START + ["termination"], [], id="budget_exhausted"),
+        pytest.param([_plan(2, 5), "no fenced block", EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, PROOF, 3,
+                     START + ["step_skipped"] + REPLANNED, ["StepFailed"],
+                     id="StepFailed"),
+        pytest.param([_plan(2, 5), _candidate(MUTATED), EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, PROOF, 3,
+                     START + ["step_skipped"] + REPLANNED,
+                     ["StatementMutation"], id="StatementMutation"),
+        pytest.param([_plan(2, 5), _candidate(FAILING), EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, PROOF, 3,
+                     START + ["compile_result", "step_skipped"] + REPLANNED,
+                     ["no compiling candidate"], id="no_compiling_candidate"),
+        pytest.param([_plan(2, 5), _candidate(PROOF), EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, PROOF, 3,
+                     START + ["compile_result", "step_skipped"] + REPLANNED,
+                     ["candidate not shorter"], id="candidate_not_shorter"),
+    ])
+def test_scripted_session(script, config, termination, final, calls, kinds,
+                          skipped):
+    bank, index, compiler, _ = _world()
+    config = AgentConfig(**{"target_length": 1, "max_debug_rounds": 0,
+                            **config})
+    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                         compiler)
+    assert result.termination == termination
+    assert result.final_proof == final
+    assert result.calls_used == calls
+    assert [e.kind for e in result.trace.events] == kinds
+    assert [e.detail["reason"]
+            for e in result.trace.of_kind("step_skipped")] == skipped

@@ -1,4 +1,5 @@
-"""Compiler port tests: parsers, heartbeat wrapper, scripted mock."""
+"""Compiler port tests: parsers, heartbeat wrapper, scripted mock, and the
+shared core's measurement rule."""
 
 from __future__ import annotations
 
@@ -164,10 +165,28 @@ def test_mock_profile_constant_times_zero_std():
     assert result.wall_samples == (2.0,) * 5
 
 
+def test_mock_profile_means_import_time_with_the_wall_time():
+    script = MockScript(sequence=[ok_entry(wall=2.0, import_time=0.5),
+                                  ok_entry(wall=3.0, import_time=1.5)])
+    result = MockCompiler(script).profile(request("x"), runs=2)
+    assert result.wall_time_total == pytest.approx(2.5)
+    assert result.import_time == pytest.approx(1.0)
+    assert result.import_time + result.elaboration_time == pytest.approx(
+        result.wall_time_total)
+
+
+def test_mock_profile_stops_at_a_failed_run():
+    compiler = MockCompiler(MockScript(
+        sequence=[fail_entry(1, 0, "boom"), ok_entry()]))
+    assert compiler.profile(request("x"), runs=2).verdict == Verdict.FAILURE
+    assert compiler.check(request("y")).verdict == Verdict.SUCCESS
+
+
 def test_mock_heartbeats_scripted():
     decl = "theorem t : True := trivial"
-    script = MockScript(by_hash={source_hash(decl): ok_entry(heartbeats=36300)})
-    result = MockCompiler(script).count_heartbeats(decl, request(decl))
+    script = MockScript(by_hash={
+        source_hash(heartbeat_wrapper(decl)): ok_entry(heartbeats=36300)})
+    result = MockCompiler(script).count_heartbeats(request(decl))
     assert result.heartbeats == 36300
 
 
@@ -228,10 +247,14 @@ def test_request_validates_timeout():
         CompileRequest(source="x", toolchain_version="v", timeout=0)
 
 
-# --- real backend, with its toolchain run stubbed -------------------------------
+# --- both backends, with their compile run stubbed -----------------------------
 
-def test_measurements_run_with_no_check_beside_them():
-    compiler = LeanCompiler(REGISTRY, max_concurrent=3)
+@pytest.mark.parametrize("make", [
+    lambda: LeanCompiler(REGISTRY, max_concurrent=3),
+    lambda: MockCompiler(MockScript()),
+], ids=["lean", "mock"])
+def test_measurements_run_with_no_check_beside_them(make):
+    compiler = make()
     lock = threading.Lock()
     running: list[str] = []
     overlaps: list[list[str]] = []
@@ -264,7 +287,7 @@ def test_measurements_run_with_no_check_beside_them():
         time.sleep(0.01)
         for _ in range(3):
             assert compiler.profile(request("x"), runs=3).wall_samples == (1.0,) * 3
-            assert compiler.count_heartbeats("x", request("x")).heartbeats == 7
+            assert compiler.count_heartbeats(request("x")).heartbeats == 7
     finally:
         stop.set()
         for thread in checkers:
