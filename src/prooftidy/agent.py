@@ -11,6 +11,12 @@ left to propose.
 The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. With scripted LLM and
 compiler mocks a session is byte-deterministic.
+
+Where each rule lives: retrieval rules in ``retrieval.retrieve``; the
+budget, the transport retry and the trace in ``_Ledger``; one step's
+refactor, compile and debug rounds, its acceptance and its one
+``step_skipped`` in ``run_session``'s ``attempt``; the target toolchain,
+the one every check compiles under, at the top of ``run_session``.
 """
 
 from __future__ import annotations
@@ -53,21 +59,24 @@ class AgentConfig:
     budget: int = 30                 # LLM calls
     target_length: int = 5           # stop once the proof is this short
     max_debug_rounds: int = 3        # repair attempts per failed step
-    k: int = 8                       # merged strategies passed to the planner
-    objective: ObjectiveSpec = ObjectiveSpec()
+    objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
     chunk_sizes: tuple[int, ...] = (5, 10, 20)
-    toolchain_version: str | None = None   # None: compiler's default
+    toolchain_version: str | None = None   # None: objective's, else compiler's
     compile_timeout: float = 300.0
 
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.target_length <= 0 or self.k <= 0:
-            raise ValueError("target_length and k must be positive")
+        if self.target_length <= 0:
+            raise ValueError("target_length must be positive")
         if self.max_debug_rounds < 0:
             raise ValueError("max_debug_rounds must be >= 0")
         if not self.chunk_sizes or any(s < 1 for s in self.chunk_sizes):
             raise ValueError("chunk_sizes must be non-empty, all >= 1")
+        if (self.toolchain_version and self.objective.target_version
+                and self.toolchain_version != self.objective.target_version):
+            raise ValueError("toolchain_version and objective.target_version "
+                             "name different toolchains")
 
 
 @dataclass(frozen=True)
@@ -154,37 +163,30 @@ class _OutOfBudget(Exception):
     """Internal: an LLM call was requested with no budget left."""
 
 
-class _BudgetedLLM:
-    """Counts every attempted LLM call; transport errors retry within budget."""
+class _Ledger:
+    """One session's LLM budget and trace. Counts every attempted call,
+    retries a transport error at once while budget remains, and stamps
+    each event with the calls used so far."""
 
-    def __init__(self, inner, limit: int, trace: "_TraceWriter"):
-        self.inner = inner
-        self.limit = limit
+    def __init__(self, llm, budget: int):
+        self._llm = llm
+        self.budget = budget
         self.used = 0
-        self._trace = trace
+        self.trace = SessionTrace()
 
     def complete(self, messages) -> str:
         while True:
-            if self.used >= self.limit:
+            if self.used >= self.budget:
                 raise _OutOfBudget()
             self.used += 1
             try:
-                return self.inner.complete(messages)
+                return self._llm.complete(messages)
             except LLMTransportError as exc:
-                self._trace.add("warning",
-                                {"message": f"llm transport retry: {exc}"})
-
-
-class _TraceWriter:
-    def __init__(self, trace: SessionTrace, budget: int):
-        self.trace = trace
-        self.budget = budget
-        self.billing: _BudgetedLLM | None = None
+                self.add("warning", {"message": f"llm transport retry: {exc}"})
 
     def add(self, kind: str, detail: dict) -> None:
-        used = self.billing.used if self.billing else 0
-        assert used <= self.budget, "LLM call counter exceeded the budget"
-        self.trace.events.append(TraceEvent(kind, detail, used))
+        assert self.used <= self.budget, "LLM call counter exceeded the budget"
+        self.trace.events.append(TraceEvent(kind, detail, self.used))
 
 
 @dataclass
@@ -321,9 +323,10 @@ def splice_error_markers(candidate: str,
     return "\n".join(lines)
 
 
-def debug(candidate: str, compile_result: CompileResult, step: PlanStep,
-          llm, prev_round_num: int = 1, original: str | None = None) -> str:
-    """One localized repair round from compiler feedback."""
+def debug(candidate: str, compile_result: CompileResult, original: str,
+          llm, prev_round_num: int = 1) -> str:
+    """One localized repair round from compiler feedback; the repaired
+    candidate must keep ``original``'s statement."""
     if compile_result.verdict == Verdict.TIMEOUT:
         marked = candidate
         errors_text = "compilation timed out"
@@ -340,7 +343,7 @@ def debug(candidate: str, compile_result: CompileResult, step: PlanStep,
         errors=errors_text,
     )
     raw = llm.complete([{"role": "user", "content": prompt}])
-    return _extract_candidate(raw, original if original is not None else candidate)
+    return _extract_candidate(raw, original)
 
 
 def _merge_retrievals(
@@ -397,17 +400,51 @@ def run_session(
     if embedder is None:
         raise ValueError("index must be built with StrategyIndex.build "
                          "(it carries the query embedder)")
-    version = config.toolchain_version or compiler.default_version
-    trace = SessionTrace()
-    writer = _TraceWriter(trace, config.budget)
-    billing = _BudgetedLLM(llm, config.budget, writer)
-    writer.billing = billing
+    # Every check compiles on the target toolchain: the one the config
+    # names, else the compiler's default.
+    version = (config.toolchain_version or config.objective.target_version
+               or compiler.default_version)
+    ledger = _Ledger(llm, config.budget)
 
     def compile_source(source: str) -> CompileResult:
         return compiler.check(CompileRequest(
             source=source, toolchain_version=version,
             timeout=config.compile_timeout,
         ))
+
+    def attempt(step: PlanStep, proof: str,
+                length: int) -> tuple[str, int, int] | None:
+        """Refactor, compile and debug one step. Returns the candidate,
+        its length and its debug rounds when it compiles and is shorter
+        than ``proof``; otherwise records the step's one ``step_skipped``
+        and returns None."""
+        rounds = 0
+        try:
+            candidate = refactor_step(proof, step, ledger, deps_context)
+            result = compile_source(candidate)
+            ledger.add("compile_result", {"verdict": result.verdict.value})
+            while not result.ok and rounds < config.max_debug_rounds:
+                rounds += 1
+                candidate = debug(candidate, result, proof, ledger, rounds)
+                ledger.add("debug_round", {"round": rounds})
+                result = compile_source(candidate)
+                ledger.add("compile_result", {"verdict": result.verdict.value})
+        except (StepFailed, StatementMutation) as exc:
+            skipped = {"reason": type(exc).__name__, "message": str(exc)}
+            if rounds:
+                skipped["debug_rounds"] = rounds
+        else:
+            if not result.ok:
+                skipped = {"reason": "no compiling candidate",
+                           "debug_rounds": rounds}
+            else:
+                candidate_length = proof_length(candidate)
+                if candidate_length < length:
+                    return candidate, candidate_length, rounds
+                skipped = {"reason": "candidate not shorter",
+                           "candidate_length": candidate_length}
+        ledger.add("step_skipped", skipped)
+        return None
 
     precheck = compile_source(proof)
     if not precheck.ok:
@@ -425,7 +462,7 @@ def run_session(
     retrieved: dict[str, list[RankedStrategy]] = {}
     adopted_any = False
     termination: Termination
-    writer.add("session_start", {
+    ledger.add("session_start", {
         "initial_length": initial_length,
         "toolchain_version": version,
         "objective": config.objective.mode.value,
@@ -433,7 +470,7 @@ def run_session(
 
     try:
         while True:
-            if billing.used >= config.budget:
+            if ledger.used >= config.budget:
                 termination = Termination.BUDGET_EXHAUSTED
                 break
             if current_length <= config.target_length:
@@ -455,109 +492,61 @@ def run_session(
             for span in spans:
                 results = retrieved[span.text]
                 if not results and config.objective.mode == ObjectiveMode.VERSION:
-                    writer.add("warning", {
+                    ledger.add("warning", {
                         "message": "version filter left no strategies for a "
                                    "segment; proceeding without retrieval",
                         "span": [span.line_start, span.line_end],
                     })
                 hits.extend((r, span) for r in results)
-            merged = _merge_retrievals(hits, config.k)
-            writer.add("retrieval", {
+            merged = _merge_retrievals(hits, config.objective.k)
+            ledger.add("retrieval", {
                 "strategy_ids": [r.strategy_id for r, _ in merged],
             })
 
             plan_result = plan(current, _strategy_entries(merged, bank),
-                               history, billing, deps_context)
+                               history, ledger, deps_context)
             for warning in plan_result.warnings:
-                writer.add("warning", {"message": warning})
+                ledger.add("warning", {"message": warning})
             if not plan_result.steps:
-                writer.add("plan_empty", {})
+                ledger.add("plan_empty", {})
                 termination = Termination.NO_VIABLE_PLAN
                 break
-            writer.add("plan_issued", {
+            ledger.add("plan_issued", {
                 "steps": [s.to_dict() for s in plan_result.steps],
             })
 
-            step_applied = False
             for step in plan_result.steps:
-                writer.add("step_attempted", {"step": step.to_dict()})
-                try:
-                    candidate = refactor_step(current, step, billing,
-                                              deps_context)
-                except (StepFailed, StatementMutation) as exc:
-                    writer.add("step_skipped",
-                               {"reason": type(exc).__name__,
-                                "message": str(exc)})
+                ledger.add("step_attempted", {"step": step.to_dict()})
+                adopted = attempt(step, current, current_length)
+                if adopted is None:
                     continue
-
-                result = compile_source(candidate)
-                writer.add("compile_result", {"verdict": result.verdict.value})
-                rounds = 0
-                failed_round = False
-                while (result.verdict != Verdict.SUCCESS
-                       and rounds < config.max_debug_rounds):
-                    rounds += 1
-                    try:
-                        candidate = debug(candidate, result, step, billing,
-                                          prev_round_num=rounds,
-                                          original=current)
-                    except (StepFailed, StatementMutation) as exc:
-                        writer.add("step_skipped",
-                                   {"reason": type(exc).__name__,
-                                    "message": str(exc),
-                                    "debug_rounds": rounds})
-                        failed_round = True
-                        break
-                    writer.add("debug_round", {"round": rounds})
-                    result = compile_source(candidate)
-                    writer.add("compile_result",
-                               {"verdict": result.verdict.value})
-                if failed_round:
-                    continue
-                if result.verdict != Verdict.SUCCESS:
-                    writer.add("step_skipped", {
-                        "reason": "no compiling candidate",
-                        "debug_rounds": rounds,
-                    })
-                    continue
-
-                candidate_length = proof_length(candidate)
-                if candidate_length < current_length:
-                    current = candidate
-                    current_length = candidate_length
-                    adopted_any = True
-                    history.append(
-                        f"({step.title} @ {step.line_start}-{step.line_end}, "
-                        f"Success)"
-                    )
-                    writer.add("adoption", {
-                        "step": step.to_dict(),
-                        "new_length": candidate_length,
-                        "debug_rounds": rounds,
-                    })
-                    step_applied = True
-                    break  # replan on the updated proof
-                writer.add("step_skipped", {
-                    "reason": "candidate not shorter",
-                    "candidate_length": candidate_length,
+                current, current_length, rounds = adopted
+                adopted_any = True
+                history.append(
+                    f"({step.title} @ {step.line_start}-{step.line_end}, "
+                    f"Success)"
+                )
+                ledger.add("adoption", {
+                    "step": step.to_dict(),
+                    "new_length": current_length,
+                    "debug_rounds": rounds,
                 })
-
-            if not step_applied:
+                break  # replan on the updated proof
+            else:
                 history.append(
                     f"(plan of {len(plan_result.steps)} steps, Failed)"
                 )
-                writer.add("plan_failed",
-                           {"steps": len(plan_result.steps)})
+                ledger.add("plan_failed", {"steps": len(plan_result.steps)})
     except _OutOfBudget:
         termination = Termination.BUDGET_EXHAUSTED
 
-    writer.add("termination", {"reason": termination.value})
+    ledger.add("termination", {"reason": termination.value})
     assert current_length <= initial_length
     return SessionResult(
         final_proof=current,
         initial_length=initial_length,
         final_length=current_length,
-        calls_used=billing.used,
+        calls_used=ledger.used,
         termination=termination,
-        trace=trace,
+        trace=ledger.trace,
     )

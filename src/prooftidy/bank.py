@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -260,23 +260,15 @@ def recheck(bank: Bank) -> list[Discrepancy]:
 
 # --- persistence ------------------------------------------------------------
 
-_STRATEGY_KEYS = {
-    "id", "title", "description", "when_to_apply", "application_guide",
-    "abstract_example", "potential_reduction", "median_compile_reduction",
-    "compatibility_set", "member_pair_ids",
-}
-_PAIR_KEYS = {
-    "id", "statement", "long_proof", "short_proof", "source_corpus",
-    "compile_reduction", "version_status", "grounded_spans",
-    "long_verified", "short_verified",
-}
+_STRATEGY_KEYS = frozenset(f.name for f in fields(Strategy))
+_PAIR_KEYS = frozenset(f.name for f in fields(ProofPair))
 _SCHEMA_FIELDS = (
     "title", "description", "when_to_apply", "application_guide",
     "abstract_example", "potential_reduction",
 )
 
 
-def _require_keys(record: dict, expected: set[str], line: int) -> None:
+def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
     for key in record:
         if key not in expected:
             raise SchemaError(f"unknown key {key!r}", field=key, line=line)

@@ -224,6 +224,8 @@ class _CompilerCore:
                 runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
         """Serialized repeated profiling; samples back mean/std reporting.
         The first run that does not succeed is returned as is."""
+        if runs < 1:
+            raise ValueError("runs must be >= 1")
         req = replace(req, want_profile=True)
         with self._alone():
             walls: list[float] = []

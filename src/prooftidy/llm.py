@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol
 
 from .errors import LLMTransportError, ScriptExhausted
@@ -16,11 +13,6 @@ Message = dict[str, str]  # {"role": ..., "content": ...}
 
 class ChatLLM(Protocol):
     def complete(self, messages: list[Message]) -> str: ...
-
-
-def prompt_hash(messages: list[Message]) -> str:
-    canonical = json.dumps(messages, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -69,30 +61,19 @@ class HttpChatLLM:
 
 
 class ScriptedLLM:
-    """Offline mock: ordered responses plus optional prompt-hash overrides.
+    """Offline mock: ordered responses.
 
     A response entry may be a plain string or ``{"error": "transport"}`` to
     simulate a transport failure (consumed like a normal entry).
     """
 
-    def __init__(self, responses: list | None = None,
-                 by_prompt_hash: dict[str, str] | None = None):
+    def __init__(self, responses: list | None = None):
         self.responses = list(responses or [])
-        self.by_prompt_hash = dict(by_prompt_hash or {})
         self.calls: list[list[Message]] = []
         self._cursor = 0
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedLLM":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(responses=data.get("responses", []),
-                   by_prompt_hash=data.get("by_prompt_hash", {}))
-
     def complete(self, messages: list[Message]) -> str:
         self.calls.append(messages)
-        key = prompt_hash(messages)
-        if key in self.by_prompt_hash:
-            return self.by_prompt_hash[key]
         if self._cursor >= len(self.responses):
             raise ScriptExhausted(
                 f"no scripted LLM response left (call {len(self.calls)})"

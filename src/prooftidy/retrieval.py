@@ -2,15 +2,15 @@
 
 One bank serves three retrieval rules: plain similarity top-k for the
 length objective, rerank-by-compile-metadata for the compile-time objective,
-and compatibility filtering for a target toolchain. Rules compose:
-filtering first (soundness), reranking second (benefit within the sound
-set). The index is exact — a flat scan is plenty at bank scale. A query
-is one matrix-vector product; ``np.partition`` finds the k-th largest
-similarity, every strategy scoring at least that much survives (so a tie
-group straddling the cut stays whole), and one ``np.lexsort`` on
-(-similarity, id rank) orders the survivors. The objective rules filter
-and reorder those row numbers; only the k returned entries become Python
-objects.
+and compatibility filtering for a target toolchain. Each rule lives in one
+place, ``retrieve``. Rules compose: filtering first (soundness), reranking
+second (benefit within the sound set). The index is exact — a flat scan is
+plenty at bank scale. A query is one matrix-vector product;
+``np.partition`` finds the k-th largest similarity, every strategy scoring
+at least that much survives (so a tie group straddling the cut stays
+whole), and one ``np.lexsort`` on (-similarity, id rank) orders the
+survivors. ``retrieve`` filters and reorders those row numbers; only the
+k returned entries become Python objects.
 
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
@@ -149,49 +149,6 @@ class StrategyIndex:
         return self._ranked(*self.top_rows(query, k))
 
 
-def _compatible_with(version: str, bank: Bank):
-    """The version rule: a predicate on strategy ids."""
-    if version not in bank.registry:
-        raise UnknownVersion(f"toolchain version {version!r} is not registered")
-    return lambda strategy_id: (
-        version in bank.strategies[strategy_id].compatibility_set)
-
-
-def _compile_reduction_key(bank: Bank):
-    """The compile-time rule: a sort key on strategy ids, best first."""
-    def key(strategy_id: str):
-        strategy = bank.strategies.get(strategy_id)
-        metadata = strategy.median_compile_reduction if strategy else None
-        return (1, 0.0) if metadata is None else (0, -metadata)
-
-    return key
-
-
-def _renumbered(pool: Sequence[RankedStrategy]) -> list[RankedStrategy]:
-    return [RankedStrategy(r.strategy_id, r.similarity, rank)
-            for rank, r in enumerate(pool, start=1)]
-
-
-def rerank_by_compile_reduction(
-    pool: Sequence[RankedStrategy], bank: Bank
-) -> list[RankedStrategy]:
-    """Reorder by annotated compile reduction, best first.
-
-    Strategies without compile metadata go last; ties keep the incoming
-    (similarity) order — the sort is stable.
-    """
-    key = _compile_reduction_key(bank)
-    return _renumbered(sorted(pool, key=lambda r: key(r.strategy_id)))
-
-
-def filter_by_version(
-    pool: Sequence[RankedStrategy], version: str, bank: Bank
-) -> list[RankedStrategy]:
-    """Keep only strategies whose compatibility set contains ``version``."""
-    keep = _compatible_with(version, bank)
-    return _renumbered([r for r in pool if keep(r.strategy_id)])
-
-
 def retrieve(
     index: StrategyIndex,
     bank: Bank,
@@ -200,21 +157,31 @@ def retrieve(
 ) -> list[RankedStrategy]:
     """Apply the retrieval rule selected by the objective.
 
-    length: top_k(k). compile_time: top_k(pool) → rerank → truncate.
-    version: top_k(pool) → filter → truncate. compile_time with a target
-    version: top_k(pool) → filter → rerank → truncate. The pool stays as
-    row numbers; only the returned entries become ``RankedStrategy``.
+    length: top_k(k). Otherwise the pool is top_rows(pool_size); a target
+    version keeps only the strategies whose compatibility set holds it,
+    and the compile-time objective then reorders the pool by annotated
+    compile reduction, best first, strategies without it last, ties in
+    similarity order (the sort is stable). The first k are returned,
+    ranked 1..k. The pool stays as row numbers; only the returned entries
+    become ``RankedStrategy``.
     """
     if objective.mode == ObjectiveMode.LENGTH:
         return index.top_k(query, objective.k)
     rows, sims = index.top_rows(query, objective.pool_size)
     ids = index._ids
-    if objective.target_version is not None:
-        keep = _compatible_with(objective.target_version, bank)
-        rows = [i for i in rows if keep(ids[i])]
+    version = objective.target_version
+    if version is not None:
+        if version not in bank.registry:
+            raise UnknownVersion(f"toolchain version {version!r} is not registered")
+        rows = [i for i in rows
+                if version in bank.strategies[ids[i]].compatibility_set]
     if objective.mode == ObjectiveMode.COMPILE_TIME:
-        key = _compile_reduction_key(bank)
-        rows = sorted(rows, key=lambda i: key(ids[i]))
+        def reduction(i: int):
+            strategy = bank.strategies.get(ids[i])
+            median = strategy.median_compile_reduction if strategy else None
+            return (1, 0.0) if median is None else (0, -median)
+
+        rows = sorted(rows, key=reduction)
     return index._ranked(rows[:objective.k], sims)
 
 

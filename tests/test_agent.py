@@ -6,15 +6,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prooftidy.agent import AgentConfig, Termination, run_session, statement_preserved
 from prooftidy.bank import Bank
-from prooftidy.compiler import MockCompiler, MockScript, source_hash
+from prooftidy.compiler import CompileRequest, MockCompiler, MockScript, source_hash
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import MalformedDeclaration
 from prooftidy.llm import ScriptedLLM
 from prooftidy.retrieval import ObjectiveMode, ObjectiveSpec, StrategyIndex
-from prooftidy.tokenizer import segment, statement_text
+from prooftidy.tokenizer import proof_length, segment, statement_text
 
 from test_bank import REGISTRY, make_strategy
 
@@ -78,6 +80,8 @@ PROOF = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
 FAILING = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
            "  exact bogus")
 SHORTER = "theorem t : 1 + 1 = 2 := by\n  norm_num\n  rfl"
+# Compiles on the compiler's default toolchain and fails on v4.22.0.
+NATIVE_ONLY = "theorem t : 1 + 1 = 2 := by\n  decide"
 
 
 class CountingEmbedder:
@@ -110,7 +114,8 @@ SCRIPT = [_plan(2, 5), _candidate(FAILING), {"error": "transport"},
 
 def _world():
     """A three-strategy bank, its index over a counting embedder, and a
-    compiler that passes PROOF and SHORTER and fails FAILING."""
+    compiler that passes PROOF and SHORTER, fails FAILING, and passes
+    NATIVE_ONLY on every toolchain but v4.22.0."""
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i, when_to_apply=f"pattern {i}") for i in range(3))},
         pairs={}, registry=REGISTRY)
@@ -118,12 +123,13 @@ def _world():
     index = StrategyIndex.build(bank, embedder)
     embedder.batches.clear()
     ok = {"verdict": "success"}
-    compiler = MockCompiler(MockScript(by_hash={
-        source_hash(PROOF): ok,
-        source_hash(SHORTER): ok,
-        source_hash(FAILING): {"verdict": "failure",
-                               "diagnostics": [[3, 2, "error", "unknown id"]]},
-    }))
+    failure = {"verdict": "failure",
+               "diagnostics": [[3, 2, "error", "unknown id"]]}
+    compiler = MockCompiler(MockScript(
+        by_hash={source_hash(PROOF): ok, source_hash(SHORTER): ok,
+                 source_hash(FAILING): failure, source_hash(NATIVE_ONLY): ok},
+        by_version={"v4.22.0": {source_hash(NATIVE_ONLY): failure}},
+    ))
     return bank, index, compiler, embedder
 
 
@@ -239,3 +245,97 @@ def test_scripted_session(script, config, termination, final, calls, kinds,
     assert [e.kind for e in result.trace.events] == kinds
     assert [e.detail["reason"]
             for e in result.trace.of_kind("step_skipped")] == skipped
+
+
+def test_checks_run_on_the_objectives_target_version():
+    # The objective alone names the target: a candidate that compiles only
+    # on the compiler's default toolchain must not be adopted.
+    bank, index, compiler, _ = _world()
+    objective = ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                              target_version="v4.22.0")
+    config = AgentConfig(target_length=1, max_debug_rounds=0,
+                         objective=objective)
+    script = [_plan(2, 5), _candidate(NATIVE_ONLY), EMPTY_PLAN]
+    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                         compiler)
+    assert result.final_proof == PROOF
+    assert [version for version, _ in compiler.calls] == ["v4.22.0"] * 2
+
+
+def test_config_rejects_two_target_versions():
+    objective = ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                              target_version="v4.22.0")
+    AgentConfig(objective=objective, toolchain_version="v4.22.0")
+    with pytest.raises(ValueError):
+        AgentConfig(objective=objective, toolchain_version="v4.16.0")
+
+
+# --- the five promises, as one property ---------------------------------------
+
+PLANS = st.builds(lambda a, n: _plan(a, a + n), st.integers(1, 5),
+                  st.integers(0, 2))
+CANDIDATES = st.sampled_from([_candidate(p) for p in
+                              (SHORTER, NATIVE_ONLY, FAILING, PROOF, MUTATED)])
+# Unparseable text, a transport failure, and a candidate outside any fence.
+NOISE = st.sampled_from(["no json here", {"error": "transport"}, SHORTER])
+STEPS = st.one_of(CANDIDATES, CANDIDATES, NOISE)
+# A plan reply then a step reply, each noise one time in three; or a plan,
+# a failing candidate and the reply to its first debug round.
+EXCHANGES = st.one_of(
+    st.tuples(st.one_of(PLANS, PLANS, NOISE), STEPS),
+    st.tuples(PLANS, st.just(_candidate(FAILING)), STEPS),
+)
+
+
+@st.composite
+def sessions(draw):
+    budget = draw(st.integers(0, 8))
+    # At least one reply per call the budget allows: the script never runs
+    # out, as every exchange holds two or three replies.
+    exchanges = draw(st.lists(EXCHANGES, min_size=(budget + 1) // 2,
+                              max_size=(budget + 1) // 2 + 2))
+    script = [reply for exchange in exchanges for reply in exchange]
+    target = draw(st.sampled_from([None, "v4.22.0"]))
+    modes = [ObjectiveSpec(), ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME)]
+    if target is not None:
+        modes.append(ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                                   target_version=target))
+    config = AgentConfig(budget=budget,
+                         target_length=draw(st.sampled_from([2, 5, 17])),
+                         max_debug_rounds=draw(st.integers(0, 2)),
+                         objective=draw(st.sampled_from(modes)),
+                         toolchain_version=target)
+    return script, config
+
+
+def _run(script, config):
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM(script)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    return result, llm, compiler
+
+
+@given(sessions())
+@settings(max_examples=200, deadline=None)
+def test_session_keeps_its_five_promises(drawn):
+    script, config = drawn
+    result, llm, compiler = _run(script, config)
+    target = config.toolchain_version or compiler.default_version
+    # 1. The final proof compiles on the target; so did every check.
+    _, _, replay, _ = _world()
+    assert replay.check(CompileRequest(result.final_proof, target)).ok
+    assert {version for version, _ in compiler.calls} == {target}
+    # 2. The theorem statement is unchanged.
+    assert statement_preserved(PROOF, result.final_proof)
+    # 3. Length never goes up, and each adoption shortens the proof.
+    assert result.initial_length == proof_length(PROOF)
+    assert result.final_length == proof_length(result.final_proof)
+    lengths = [result.initial_length] + [
+        e.detail["new_length"] for e in result.trace.of_kind("adoption")]
+    assert all(a > b for a, b in zip(lengths, lengths[1:]))
+    assert lengths[-1] == result.final_length
+    # 4. LLM calls, transport failures included, never pass the budget.
+    assert result.calls_used == len(llm.calls) <= config.budget
+    assert all(e.calls_used <= config.budget for e in result.trace.events)
+    # 5. A re-run is byte-identical.
+    assert _run(script, config)[0].to_json() == result.to_json()

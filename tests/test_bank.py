@@ -174,14 +174,25 @@ def test_unknown_version_rejected(tmp_path):
     assert err.value.field == "compatibility_set"
 
 
-def test_unknown_key_rejected(tmp_path):
+@pytest.mark.parametrize("filename, key", [
+    ("strategies.jsonl", "surprise"),
+    ("strategies.jsonl", "member_pair_ids"),
+    ("pairs.jsonl", "surprise"),
+    ("pairs.jsonl", "short_verified"),
+])
+def test_unknown_key_rejected(tmp_path, filename, key):
+    # An unknown key is added; a known one (each file's last field) dropped.
     save_bank(build_bank(1), tmp_path)
-    record = json.loads((tmp_path / "strategies.jsonl").read_text())
-    record["surprise"] = 1
-    (tmp_path / "strategies.jsonl").write_text(json.dumps(record) + "\n")
+    path = tmp_path / filename
+    record = json.loads(path.read_text())
+    if key in record:
+        del record[key]
+    else:
+        record[key] = 1
+    path.write_text(json.dumps(record) + "\n")
     with pytest.raises(SchemaError) as err:
         load_bank(tmp_path, REGISTRY)
-    assert err.value.field == "surprise"
+    assert err.value.field == key
 
 
 def test_empty_schema_field_rejected(tmp_path):

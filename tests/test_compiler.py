@@ -182,6 +182,14 @@ def test_mock_profile_stops_at_a_failed_run():
     assert compiler.check(request("y")).verdict == Verdict.SUCCESS
 
 
+@pytest.mark.parametrize("runs", [0, -1])
+def test_mock_profile_rejects_fewer_than_one_run(runs):
+    compiler = MockCompiler(MockScript(sequence=[ok_entry()]))
+    with pytest.raises(ValueError):
+        compiler.profile(request("x"), runs=runs)
+    assert compiler.calls == []
+
+
 def test_mock_heartbeats_scripted():
     decl = "theorem t : True := trivial"
     script = MockScript(by_hash={

@@ -26,8 +26,6 @@ from prooftidy.retrieval import (
     StrategyIndex,
     contrastive_loss,
     cosine,
-    filter_by_version,
-    rerank_by_compile_reduction,
     retrieve,
 )
 from test_bank import REGISTRY, make_strategy
@@ -139,11 +137,24 @@ def test_top_k_matches_exhaustive_sort():
             assert r.similarity == pytest.approx(w[0], abs=1e-12)
 
 
-# --- rerank / filter ----------------------------------------------------------
+# --- the compile-time rerank and the version filter, through retrieve ---------
 
-def ranked(ids_sims):
-    return [RankedStrategy(strategy_id=sid, similarity=sim, rank=i + 1)
-            for i, (sid, sim) in enumerate(ids_sims)]
+def retrieve_from(strategies, sims, objective):
+    """``retrieve`` over ``strategies``, in the given order, whose cosines
+    to the query are ``sims``."""
+    vectors = [[sim, math.sqrt(1.0 - sim * sim)] for sim in sims]
+    index = make_index(vectors, ids=[s.id for s in strategies])
+    return retrieve(index, make_bank_with(strategies), np.array([1.0, 0.0]),
+                    objective)
+
+
+def compile_time(n):
+    return ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, pool_size=n, k=n)
+
+
+def version(target, n):
+    return ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version=target,
+                         pool_size=n, k=n)
 
 
 def test_rerank_orders_by_metadata_descending():
@@ -152,9 +163,7 @@ def test_rerank_orders_by_metadata_descending():
         make_strategy(1, median_compile_reduction=0.5),
         make_strategy(2, median_compile_reduction=0.3),
     ]
-    bank = make_bank_with(strategies)
-    pool = ranked([("s0000", 0.9), ("s0001", 0.8), ("s0002", 0.7)])
-    result = rerank_by_compile_reduction(pool, bank)
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], compile_time(3))
     assert [r.strategy_id for r in result] == ["s0001", "s0002", "s0000"]
     assert [r.rank for r in result] == [1, 2, 3]
 
@@ -164,28 +173,23 @@ def test_rerank_places_absent_metadata_last():
         make_strategy(0, median_compile_reduction=None),
         make_strategy(1, median_compile_reduction=0.05),
     ]
-    bank = make_bank_with(strategies)
-    pool = ranked([("s0000", 0.9), ("s0001", 0.8)])
-    result = rerank_by_compile_reduction(pool, bank)
+    result = retrieve_from(strategies, [0.9, 0.8], compile_time(2))
     assert [r.strategy_id for r in result] == ["s0001", "s0000"]
 
 
 def test_rerank_is_stable_on_ties():
-    strategies = [make_strategy(i, median_compile_reduction=0.2) for i in range(3)]
-    bank = make_bank_with(strategies)
-    pool = ranked([("s0002", 0.9), ("s0000", 0.8), ("s0001", 0.7)])
-    result = rerank_by_compile_reduction(pool, bank)
+    strategies = [make_strategy(i, median_compile_reduction=0.2)
+                  for i in (2, 0, 1)]
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], compile_time(3))
     assert [r.strategy_id for r in result] == ["s0002", "s0000", "s0001"]
 
 
 def test_rerank_preserves_multiset():
     strategies = [make_strategy(i, median_compile_reduction=0.1 * i)
                   for i in range(5)]
-    bank = make_bank_with(strategies)
-    pool = ranked([(f"s{i:04d}", 0.5) for i in range(5)])
-    result = rerank_by_compile_reduction(pool, bank)
-    assert sorted(r.strategy_id for r in result) == sorted(r.strategy_id for r in pool)
-    assert sorted(r.similarity for r in result) == sorted(r.similarity for r in pool)
+    result = retrieve_from(strategies, [0.5] * 5, compile_time(5))
+    assert [r.strategy_id for r in result] == [f"s{i:04d}" for i in range(4, -1, -1)]
+    assert [r.similarity for r in result] == pytest.approx([0.5] * 5)
 
 
 def test_filter_keeps_compatible_in_order():
@@ -194,9 +198,7 @@ def test_filter_keeps_compatible_in_order():
         make_strategy(1, compatibility_set=frozenset()),
         make_strategy(2, compatibility_set=frozenset({"v4.16.0", "v4.22.0"})),
     ]
-    bank = make_bank_with(strategies)
-    pool = ranked([("s0000", 0.9), ("s0001", 0.8), ("s0002", 0.7)])
-    result = filter_by_version(pool, "v4.16.0", bank)
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.16.0", 3))
     assert [r.strategy_id for r in result] == ["s0000", "s0002"]
     assert [r.rank for r in result] == [1, 2]
 
@@ -204,23 +206,18 @@ def test_filter_keeps_compatible_in_order():
 def test_filter_all_compatible_is_identity_order():
     strategies = [make_strategy(i, compatibility_set=frozenset({"v4.22.0"}))
                   for i in range(3)]
-    bank = make_bank_with(strategies)
-    pool = ranked([(f"s{i:04d}", 0.9 - 0.1 * i) for i in range(3)])
-    result = filter_by_version(pool, "v4.22.0", bank)
-    assert [r.strategy_id for r in result] == [r.strategy_id for r in pool]
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.22.0", 3))
+    assert [r.strategy_id for r in result] == ["s0000", "s0001", "s0002"]
 
 
 def test_filter_none_compatible_is_empty():
     strategies = [make_strategy(0, compatibility_set=frozenset())]
-    bank = make_bank_with(strategies)
-    pool = ranked([("s0000", 0.9)])
-    assert filter_by_version(pool, "v4.14.0", bank) == []
+    assert retrieve_from(strategies, [0.9], version("v4.14.0", 1)) == []
 
 
 def test_filter_unknown_version():
-    bank = make_bank_with([make_strategy(0)])
     with pytest.raises(UnknownVersion):
-        filter_by_version(ranked([("s0000", 0.9)]), "v0.0.0", bank)
+        retrieve_from([make_strategy(0)], [0.9], version("v0.0.0", 1))
 
 
 # --- retrieve (objective composition) ------------------------------------------
@@ -238,26 +235,26 @@ def objective_fixture():
     bank = make_bank_with(strategies)
     index = make_index(vectors, ids=[s.id for s in strategies])
     query = rng.standard_normal(8)
-    return bank, index, query
+    return bank, index, query, vectors
 
 
 def test_retrieve_length_mode_is_top_k():
-    bank, index, query = objective_fixture()
+    bank, index, query, _ = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.LENGTH, k=3)
     assert retrieve(index, bank, query, spec) == index.top_k(query, 3)
 
 
 def test_retrieve_compile_mode_reranks_the_pool():
-    bank, index, query = objective_fixture()
+    bank, index, query, vectors = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, pool_size=10, k=3)
     got = retrieve(index, bank, query, spec)
-    pool = index.top_k(query, 10)
-    want = rerank_by_compile_reduction(pool, bank)[:3]
+    want = brute_force_retrieve(list(bank.strategies), vectors,
+                                list(bank.strategies.values()), query, spec)
     assert [r.strategy_id for r in got] == [r.strategy_id for r in want]
 
 
 def test_retrieve_version_mode_filters():
-    bank, index, query = objective_fixture()
+    bank, index, query, _ = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.16.0",
                          pool_size=10, k=5)
     got = retrieve(index, bank, query, spec)
@@ -277,20 +274,19 @@ def test_retrieve_version_mode_can_be_empty():
 
 
 def test_retrieve_composed_filter_then_rerank():
-    bank, index, query = objective_fixture()
+    bank, index, query, vectors = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME,
                          target_version="v4.16.0", pool_size=12, k=4)
     got = retrieve(index, bank, query, spec)
-    pool = index.top_k(query, 12)
-    filtered = filter_by_version(pool, "v4.16.0", bank)
-    want = rerank_by_compile_reduction(filtered, bank)[:4]
+    want = brute_force_retrieve(list(bank.strategies), vectors,
+                                list(bank.strategies.values()), query, spec)
     assert [r.strategy_id for r in got] == [r.strategy_id for r in want]
     for r in got:
         assert "v4.16.0" in bank.strategies[r.strategy_id].compatibility_set
 
 
 def test_retrieve_version_subset_of_length_at_same_pool():
-    bank, index, query = objective_fixture()
+    bank, index, query, _ = objective_fixture()
     pool_size = 10
     version = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.16.0",
                             pool_size=pool_size, k=pool_size)
