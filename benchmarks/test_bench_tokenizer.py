@@ -8,7 +8,11 @@ Times ``remove_comments``, ``lex`` and ``proof_length`` on research-style
 proofs of about 2, 8 and 16 kB. A proof is one ``theorem`` header and a
 seeded ``by`` block of tactic lines with line comments, nested block
 comments and a few string literals; ``lex`` gets the proof with its
-comments already removed, as ``proof_length`` hands it on.
+comments already removed, as ``proof_length`` hands it on. ``lex`` and
+``proof_length`` start each round with an empty line memo, so they give
+the cold figure. ``test_session_pattern`` is what a session asks of the
+memo: the length of one proof, then of four candidates that each change
+one of its lines, from an empty memo per round.
 """
 
 from __future__ import annotations
@@ -18,9 +22,16 @@ import random
 
 import pytest
 
-from prooftidy.tokenizer import lex, proof_length, remove_comments, split_declaration
+from prooftidy.tokenizer import (
+    _line_tokens,
+    lex,
+    proof_length,
+    remove_comments,
+    split_declaration,
+)
 
 SIZES_KB = (2, 8, 16)
+ROUNDS = 200
 NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
          "abs_sub_lt_iff", "h_bound", "pow_two")
 
@@ -67,11 +78,37 @@ def test_remove_comments(benchmark, kb):
 def test_lex(benchmark, kb):
     cleaned = remove_comments(proof(kb))
     body = cleaned[split_declaration(cleaned):]
-    result = benchmark(lex, body)
+    result = benchmark.pedantic(lex, (body,), setup=_line_tokens.cache_clear,
+                                rounds=ROUNDS)
     assert result.total > 0
 
 
 @pytest.mark.parametrize("kb", SIZES_KB)
 def test_proof_length(benchmark, kb):
-    result = benchmark(proof_length, proof(kb))
+    result = benchmark.pedantic(proof_length, (proof(kb),),
+                                setup=_line_tokens.cache_clear, rounds=ROUNDS)
     assert 0 < result < 10 ** 9
+
+
+def candidates(kb: int) -> list[str]:
+    """The proof, then four copies that each change one tactic line."""
+    lines = proof(kb).split("\n")
+    rng = random.Random(kb + 1)
+    texts = [proof(kb)]
+    for j in rng.sample(range(1, len(lines)), 4):
+        changed = list(lines)
+        changed[j] = "  simp only [mul_comm] at *"
+        texts.append("\n".join(changed))
+    return texts
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_session_pattern(benchmark, kb):
+    texts = candidates(kb)
+
+    def lengths():
+        return [proof_length(text) for text in texts]
+
+    result = benchmark.pedantic(lengths, setup=_line_tokens.cache_clear,
+                                rounds=ROUNDS)
+    assert all(0 < n < 10 ** 9 for n in result)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import statistics
 from dataclasses import dataclass, field, fields
@@ -310,6 +311,9 @@ def strategy_from_dict(
     median = record["median_compile_reduction"]
     if median is not None:
         median = float(median)
+        if not math.isfinite(median):
+            raise SchemaError("compile reduction must be finite",
+                              field="median_compile_reduction", line=line)
         if median > 1.0:
             raise SchemaError("compile reduction cannot exceed 1.0",
                               field="median_compile_reduction", line=line)

@@ -47,6 +47,10 @@ class EmptyIndex(ProoftidyError):
     """Search requested against an index with no entries."""
 
 
+class IndexBankMismatch(ProoftidyError):
+    """An index holds a strategy id that the bank it is queried with lacks."""
+
+
 class InvalidTemperature(ProoftidyError):
     """Contrastive loss called with a non-positive temperature."""
 

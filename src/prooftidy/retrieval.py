@@ -9,8 +9,12 @@ plenty at bank scale. A query is one matrix-vector product;
 ``np.partition`` finds the k-th largest similarity, every strategy scoring
 at least that much survives (so a tie group straddling the cut stays
 whole), and one ``np.lexsort`` on (-similarity, id rank) orders the
-survivors. ``retrieve`` filters and reorders those row numbers; only the
-k returned entries become Python objects.
+survivors. ``retrieve`` filters and reorders that row array with numpy
+operations on per-row columns of the bank: a boolean mask per registered
+version and a dense rank of the compile reduction. The columns are built
+on first use and memoised on the index for its most recent bank, matched
+by identity, so a bank must not be mutated while an index serves it. Only
+the k returned entries become Python objects.
 
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
@@ -18,15 +22,23 @@ function; actual model training is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bank import Bank
 from .embeddings import EmbeddingProvider
-from .errors import DegenerateVector, EmptyIndex, InvalidTemperature, UnknownVersion
+from .errors import (
+    DegenerateVector,
+    EmptyIndex,
+    IndexBankMismatch,
+    InvalidTemperature,
+    UnknownVersion,
+)
 
 
 class ObjectiveMode(str, Enum):
@@ -57,8 +69,7 @@ class ObjectiveSpec:
             raise ValueError("k must not exceed pool_size")
 
 
-@dataclass(frozen=True)
-class RankedStrategy:
+class RankedStrategy(NamedTuple):
     """A retrieved strategy with its score and 1-based rank."""
 
     strategy_id: str
@@ -77,6 +88,42 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         raise DegenerateVector("cosine similarity of an all-zero vector")
     return float(np.dot(u, v) / (nu * nv))
+
+
+class _BankColumns:
+    """One bank's per-row columns over an index's rows.
+
+    Construction checks that the bank holds every id of the index; each
+    column is built on its first use.
+    """
+
+    def __init__(self, ids: list[str], bank: Bank):
+        missing = [i for i in ids if i not in bank.strategies]
+        if missing:
+            raise IndexBankMismatch(
+                f"{len(missing)} indexed strategy ids are not in the bank, "
+                f"first {missing[0]!r}")
+        self.bank = bank
+        self._ids = ids
+
+    @cached_property
+    def compile_rank(self) -> np.ndarray:
+        """Dense rank of (no median, -median): best reduction 0, strategies
+        without one last."""
+        medians = [self.bank.strategies[i].median_compile_reduction
+                   for i in self._ids]
+        # Python floats: -0.0 and 0.0 share a level, as in a tuple sort key.
+        levels = sorted({-m for m in medians if m is not None})
+        rank_of = {level: rank for rank, level in enumerate(levels)}
+        return np.array([len(levels) if m is None else rank_of[-m]
+                         for m in medians], dtype=np.intp)
+
+    @cached_property
+    def compatible(self) -> dict[str, np.ndarray]:
+        """Per registered version, which rows are compatible with it."""
+        sets = [self.bank.strategies[i].compatibility_set for i in self._ids]
+        return {version: np.array([version in s for s in sets], dtype=bool)
+                for version in self.bank.registry.versions}
 
 
 class StrategyIndex:
@@ -106,6 +153,9 @@ class StrategyIndex:
         order = np.argsort(np.array(self._ids, dtype=object), kind="stable")
         self._id_rank = np.empty(len(self._ids), dtype=np.intp)
         self._id_rank[order] = np.arange(len(self._ids))
+        # One slot: concurrent queries may each build and store it; a
+        # reader keeps whichever slot it read.
+        self._columns: _BankColumns | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -116,7 +166,18 @@ class StrategyIndex:
         vectors = embedder.embed([s.when_to_apply for s in strategies])
         return cls([s.id for s in strategies], vectors, embedder=embedder)
 
-    def top_rows(self, query: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+    def _columns_for(self, bank: Bank) -> _BankColumns:
+        """``bank``'s per-row columns, memoised for the most recent bank.
+
+        Raises:
+            IndexBankMismatch: the bank lacks an indexed id.
+        """
+        columns = self._columns
+        if columns is None or columns.bank is not bank:
+            columns = self._columns = _BankColumns(self._ids, bank)
+        return columns
+
+    def top_rows(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the k most similar strategies, descending, ties by id
         ascending; and the similarity of every row."""
         if len(self._ids) == 0:
@@ -124,7 +185,8 @@ class StrategyIndex:
         if k <= 0:
             raise ValueError("k must be positive")
         q = np.asarray(query, dtype=np.float64)
-        norm = np.linalg.norm(q)
+        # np.linalg.norm of a 1-D float64 array is exactly sqrt(q @ q).
+        norm = math.sqrt(q @ q)
         if norm == 0.0:
             raise DegenerateVector("query is an all-zero vector")
         sims = self._matrix @ (q / norm)
@@ -135,14 +197,14 @@ class StrategyIndex:
         else:
             candidates = np.arange(n)
         order = np.lexsort((self._id_rank[candidates], -sims[candidates]))
-        return candidates[order[:k]].tolist(), sims
+        return candidates[order[:k]], sims
 
-    def _ranked(self, rows: Sequence[int], sims: np.ndarray) -> list[RankedStrategy]:
+    def _ranked(self, rows: np.ndarray, sims: np.ndarray) -> list[RankedStrategy]:
         """``RankedStrategy`` entries for ``rows``, ranked in the given order."""
-        return [RankedStrategy(strategy_id=self._ids[i],
-                               similarity=float(sims[i]),
-                               rank=rank)
-                for rank, i in enumerate(rows, start=1)]
+        ids = self._ids
+        return [RankedStrategy(ids[i], similarity, rank)
+                for rank, (i, similarity)
+                in enumerate(zip(rows.tolist(), sims[rows].tolist()), start=1)]
 
     def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
         """The k most similar strategies, descending; ties by id ascending."""
@@ -162,26 +224,27 @@ def retrieve(
     and the compile-time objective then reorders the pool by annotated
     compile reduction, best first, strategies without it last, ties in
     similarity order (the sort is stable). The first k are returned,
-    ranked 1..k. The pool stays as row numbers; only the returned entries
-    become ``RankedStrategy``.
+    ranked 1..k. The pool stays a row array, filtered by a version mask
+    and reordered by the rank column; only the returned entries become
+    ``RankedStrategy``.
+
+    Raises:
+        IndexBankMismatch: the bank lacks an indexed id, under any
+            objective.
+        UnknownVersion: the target version is not registered.
     """
+    columns = index._columns_for(bank)
     if objective.mode == ObjectiveMode.LENGTH:
         return index.top_k(query, objective.k)
     rows, sims = index.top_rows(query, objective.pool_size)
-    ids = index._ids
     version = objective.target_version
     if version is not None:
-        if version not in bank.registry:
+        compatible = columns.compatible.get(version)
+        if compatible is None:
             raise UnknownVersion(f"toolchain version {version!r} is not registered")
-        rows = [i for i in rows
-                if version in bank.strategies[ids[i]].compatibility_set]
+        rows = rows[compatible[rows]]
     if objective.mode == ObjectiveMode.COMPILE_TIME:
-        def reduction(i: int):
-            strategy = bank.strategies.get(ids[i])
-            median = strategy.median_compile_reduction if strategy else None
-            return (1, 0.0) if median is None else (0, -median)
-
-        rows = sorted(rows, key=reduction)
+        rows = rows[np.argsort(columns.compile_rank[rows], kind="stable")]
     return index._ranked(rows[:objective.k], sims)
 
 

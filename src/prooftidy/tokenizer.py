@@ -7,6 +7,7 @@ Fidelity to that metric outranks lexical elegance — do not "fix" these.
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 import re
@@ -212,6 +213,36 @@ def statement_text(source: str) -> str:
     raise MalformedDeclaration("no ':=' ending the statement")
 
 
+_SPACED_OPERATORS = tuple((" ".join(op), op) for op in LEAN_OPERATORS)
+
+
+@functools.lru_cache(maxsize=1024)
+def _line_tokens(line: str) -> tuple[str, ...]:
+    """One line's tokens: the character classes, then the operator re-join."""
+    tokens: list[str] = []
+    token = ""
+    for ch in line:
+        if ch == " ":
+            if token:
+                tokens.append(token)
+                token = ""
+        elif ch.isalnum() or ch in TOKEN_JOIN_CHARS:
+            token += ch
+        else:
+            if token:
+                tokens.append(token)
+                token = ""
+            tokens.append(ch)
+    if token:
+        tokens.append(token)
+    joined = " ".join(tokens)
+    for spaced, op in _SPACED_OPERATORS:
+        if spaced in joined:
+            joined = joined.replace(spaced, op)
+    # A blank line splits to one empty token, matching the reference count.
+    return tuple(joined.split(" "))
+
+
 def lex(proof_text: str) -> TokenizedProof:
     """Tokenize proof text with the reference character classes.
 
@@ -219,37 +250,17 @@ def lex(proof_text: str) -> TokenizedProof:
     character is emitted alone; spaced operator sequences from
     ``LEAN_OPERATORS`` are then re-joined in order. Comments are assumed
     already removed. Total function: never raises.
+
+    Lines are lexed by a pure function memoised on the line text (1024
+    entries): a session lexes many candidates that share most of their
+    lines with the current proof. Each call returns fresh lists.
     """
-    spaced = [" ".join(op) for op in LEAN_OPERATORS]
-    lines: list[list[str]] = []
-    for line in proof_text.splitlines():
-        tokens: list[str] = []
-        token = ""
-        for ch in line:
-            if ch == " ":
-                if token:
-                    tokens.append(token)
-                    token = ""
-            elif ch.isalnum() or ch in TOKEN_JOIN_CHARS:
-                token += ch
-            else:
-                if token:
-                    tokens.append(token)
-                    token = ""
-                tokens.append(ch)
-        if token:
-            tokens.append(token)
-        joined = " ".join(tokens)
-        for op, op_spaced in zip(LEAN_OPERATORS, spaced):
-            if op_spaced in joined:
-                joined = joined.replace(op_spaced, op)
-        # A blank line splits to one empty token, matching the reference count.
-        lines.append(joined.split(" "))
+    lines = [list(_line_tokens(line)) for line in proof_text.splitlines()]
     if lines and lines[-1] == [""]:
         # The reference joins lines with "\n" and re-splits, which swallows
         # exactly one trailing token-free line.
         lines.pop()
-    total = sum(len(tokens) for tokens in lines)
+    total = sum(map(len, lines))
     return TokenizedProof(lines=lines, total=total)
 
 

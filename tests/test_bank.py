@@ -215,6 +215,18 @@ def test_bad_reduction_level_rejected(tmp_path):
     assert err.value.field == "potential_reduction"
 
 
+@pytest.mark.parametrize("median", ["nan", "inf", "-inf"])
+def test_non_finite_compile_reduction_rejected(tmp_path, median):
+    # json writes these as NaN / Infinity / -Infinity, and reads them back.
+    save_bank(build_bank(1), tmp_path)
+    record = json.loads((tmp_path / "strategies.jsonl").read_text())
+    record["median_compile_reduction"] = float(median)
+    (tmp_path / "strategies.jsonl").write_text(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert err.value.field == "median_compile_reduction"
+
+
 def test_schema_error_reports_line(tmp_path):
     bank = build_bank(2)
     save_bank(bank, tmp_path)

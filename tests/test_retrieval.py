@@ -14,6 +14,7 @@ from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     DegenerateVector,
     EmptyIndex,
+    IndexBankMismatch,
     InvalidTemperature,
     ProviderContractViolation,
     UnknownVersion,
@@ -192,6 +193,19 @@ def test_rerank_preserves_multiset():
     assert [r.similarity for r in result] == pytest.approx([0.5] * 5)
 
 
+def test_rerank_keeps_similarity_order_in_a_wide_tie_group():
+    # Twenty rows on two levels: numpy's default sort is unstable at this
+    # size, and a median of -0.0 ties with 0.0.
+    medians = [0.25 if i % 2 else (0.0 if i % 4 else -0.0) for i in range(20)]
+    strategies = [make_strategy(i, median_compile_reduction=median)
+                  for i, median in enumerate(medians)]
+    result = retrieve_from(strategies, [0.99 - 0.01 * i for i in range(20)],
+                           compile_time(20))
+    assert [r.strategy_id for r in result] == (
+        [f"s{i:04d}" for i in range(1, 20, 2)]
+        + [f"s{i:04d}" for i in range(0, 20, 2)])
+
+
 def test_filter_keeps_compatible_in_order():
     strategies = [
         make_strategy(0, compatibility_set=frozenset({"v4.16.0"})),
@@ -297,6 +311,39 @@ def test_retrieve_version_subset_of_length_at_same_pool():
     assert got_version <= got_length
 
 
+@pytest.mark.parametrize("objective", [
+    ObjectiveSpec(k=2, pool_size=2),
+    compile_time(2),
+    version("v4.16.0", 2),
+], ids=["length", "compile_time", "version"])
+def test_retrieve_rejects_an_index_id_missing_from_the_bank(objective):
+    bank = make_bank_with([make_strategy(0)])
+    index = make_index([[1, 0], [0, 1]], ids=["s0000", "zzz"])
+    with pytest.raises(IndexBankMismatch, match="zzz"):
+        retrieve(index, bank, np.array([1.0, 0.0]), objective)
+
+
+def test_retrieve_follows_the_bank_it_is_given():
+    # One index queried with two banks in turn: the per-row columns
+    # memoised for one bank must not serve the other.
+    index = make_index([[1, 0], [0.8, 0.6]])
+    first = make_bank_with([
+        make_strategy(0, median_compile_reduction=0.1),
+        make_strategy(1, median_compile_reduction=0.5,
+                      compatibility_set=frozenset({"v4.22.0"})),
+    ])
+    second = make_bank_with([
+        make_strategy(0, median_compile_reduction=0.5,
+                      compatibility_set=frozenset({"v4.22.0"})),
+        make_strategy(1, median_compile_reduction=0.1),
+    ])
+    query = np.array([1.0, 0.0])
+    for bank, best in [(first, "s0001"), (second, "s0000"), (first, "s0001")]:
+        for objective in (compile_time(2), version("v4.22.0", 2)):
+            got = retrieve(index, bank, query, objective)
+            assert got[0].strategy_id == best
+
+
 def test_objective_spec_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec(mode=ObjectiveMode.VERSION)
@@ -358,7 +405,8 @@ def test_top_k_and_retrieve_match_brute_force(data):
                              min_size=n, max_size=n, unique=True))
     picks = data.draw(st.lists(st.integers(0, len(directions) - 1),
                                min_size=n, max_size=n))
-    medians = data.draw(st.lists(st.sampled_from([None, -0.5, 0.0, 0.25]),
+    medians = data.draw(st.lists(st.sampled_from([None, -0.5, -0.0, 0.0, 0.25,
+                                                  0.75]),
                                  min_size=n, max_size=n))
     compatible = data.draw(st.lists(st.frozensets(st.sampled_from(VERSIONS)),
                                     min_size=n, max_size=n))

@@ -15,6 +15,7 @@ from prooftidy.tokenizer import (
     LEAN_OPERATORS,
     LENGTH_FAILURE_SENTINEL,
     ProofSpan,
+    _line_tokens,
     jitter_boundaries,
     lex,
     proof_length,
@@ -190,6 +191,26 @@ def test_length_matches_reference_on_scanner_heavy_text(prefix, keyword,
                                                          statement, body):
     text = f"{prefix}{keyword} t {statement} := {body}"
     assert proof_length(text) == reference_proof_length(text)
+
+
+@given(st.lists(_fidelity_text, max_size=8), st.lists(_fidelity_text, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_lex_is_the_same_from_a_cold_or_a_warm_memo(lines, others):
+    text = "\n".join(lines)
+    _line_tokens.cache_clear()
+    cold = lex(text)
+    # Warm the memo with the same lines in other positions and neighbours.
+    lex("\n".join(others + lines[::-1] + [""]))
+    assert lex(text) == cold
+
+
+def test_lex_results_are_fresh_lists():
+    text = "x := y\n  simp\n"
+    first = lex(text)
+    first.lines[0].append("z")
+    first.lines[1].clear()
+    first.lines.append(["w"])
+    assert lex(text).lines == [["x", ":=", "y"], ["simp"]]
 
 
 def test_lex_token_class_is_isalnum_or_join_chars():
