@@ -4,15 +4,16 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_tokenizer.py
 
-Times ``remove_comments``, ``lex`` and ``proof_length`` on research-style
-proofs of about 2, 8 and 16 kB. A proof is one ``theorem`` header and a
+Times ``remove_comments``, ``lex``, ``proof_length`` and ``segment`` on
+research-style proofs of about 2, 8 and 16 kB. A proof is one ``theorem`` header and a
 seeded ``by`` block of tactic lines with line comments, nested block
 comments and a few string literals; ``lex`` gets the proof with its
 comments already removed, as ``proof_length`` hands it on. ``lex`` and
 ``proof_length`` start each round with an empty line memo, so they give
 the cold figure. ``test_session_pattern`` is what a session asks of the
 memo: the length of one proof, then of four candidates that each change
-one of its lines, from an empty memo per round.
+one of its lines, from an empty memo per round. ``segment`` cuts the
+proof into the session's default windows of 5, 10 and 20 lines.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from prooftidy.tokenizer import (
     lex,
     proof_length,
     remove_comments,
+    segment,
     split_declaration,
 )
 
@@ -112,3 +114,10 @@ def test_session_pattern(benchmark, kb):
     result = benchmark.pedantic(lengths, setup=_line_tokens.cache_clear,
                                 rounds=ROUNDS)
     assert all(0 < n < 10 ** 9 for n in result)
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_segment(benchmark, kb):
+    text = proof(kb)
+    result = benchmark(segment, text, [5, 10, 20])
+    assert result[-1].text == text

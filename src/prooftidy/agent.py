@@ -6,7 +6,9 @@ step sequence, execute steps with the refactorer, debug failed candidates a
 bounded number of rounds, and adopt a candidate only when it compiles and
 is strictly shorter. Adoption triggers replanning; the loop stops on budget
 exhaustion, on reaching the target length, or when the planner has nothing
-left to propose.
+left to propose. A fault outside the process (a missing toolchain, an
+exhausted script, an unreachable provider) ends the session with the best
+proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. With scripted LLM and
@@ -16,7 +18,9 @@ Where each rule lives: retrieval rules in ``retrieval.retrieve``; the
 budget, the transport retry and the trace in ``_Ledger``; one step's
 refactor, compile and debug rounds, its acceptance and its one
 ``step_skipped`` in ``run_session``'s ``attempt``; the target toolchain,
-the one every check compiles under, at the top of ``run_session``.
+the one every check compiles under, at the top of ``run_session``; the
+session's compile memo, one check per distinct source, in its
+``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,12 @@ from .errors import (
     LLMTransportError,
     MalformedDeclaration,
     PreconditionFailed,
+    ProviderContractViolation,
+    RetryableProviderError,
+    ScriptExhausted,
     StatementMutation,
     StepFailed,
+    ToolchainMissing,
 )
 from .prompts import (
     CORRECTIVE_SUFFIX,
@@ -52,6 +60,13 @@ class Termination(str, Enum):
     TARGET_REACHED = "target_reached"
     NO_VIABLE_PLAN = "no_viable_plan"
     CONVERGED = "converged"
+    ENVIRONMENT_ERROR = "environment_error"
+
+
+#: Faults from outside the process that a port may raise. Each ends the
+#: session with the best proof so far and an ``environment_error`` event.
+OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
+                  RetryableProviderError, ProviderContractViolation)
 
 
 @dataclass(frozen=True)
@@ -395,6 +410,9 @@ def run_session(
     The input proof must compile under the target toolchain; sessions are
     strictly sequential internally, but many sessions may run in parallel
     over a shared bank and index.
+
+    Raises:
+        PreconditionFailed: the input proof does not compile.
     """
     embedder = getattr(index, "embedder", None)
     if embedder is None:
@@ -405,12 +423,28 @@ def run_session(
     version = (config.toolchain_version or config.objective.target_version
                or compiler.default_version)
     ledger = _Ledger(llm, config.budget)
+    # Source text -> its check. Version and timeout are fixed for the
+    # session, so the source alone is the key; a check that raises is not
+    # kept, a timeout is.
+    compiled: dict[str, CompileResult] = {}
 
-    def compile_source(source: str) -> CompileResult:
-        return compiler.check(CompileRequest(
+    def compile_source(source: str) -> tuple[CompileResult, bool]:
+        """The check of ``source``, and whether the memo already held it."""
+        if source in compiled:
+            return compiled[source], True
+        result = compiled[source] = compiler.check(CompileRequest(
             source=source, toolchain_version=version,
             timeout=config.compile_timeout,
         ))
+        return result, False
+
+    def compile_candidate(candidate: str) -> CompileResult:
+        result, cached = compile_source(candidate)
+        detail = {"verdict": result.verdict.value}
+        if cached:
+            detail["cached"] = True
+        ledger.add("compile_result", detail)
+        return result
 
     def attempt(step: PlanStep, proof: str,
                 length: int) -> tuple[str, int, int] | None:
@@ -421,14 +455,12 @@ def run_session(
         rounds = 0
         try:
             candidate = refactor_step(proof, step, ledger, deps_context)
-            result = compile_source(candidate)
-            ledger.add("compile_result", {"verdict": result.verdict.value})
+            result = compile_candidate(candidate)
             while not result.ok and rounds < config.max_debug_rounds:
                 rounds += 1
                 candidate = debug(candidate, result, proof, ledger, rounds)
                 ledger.add("debug_round", {"round": rounds})
-                result = compile_source(candidate)
-                ledger.add("compile_result", {"verdict": result.verdict.value})
+                result = compile_candidate(candidate)
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc)}
             if rounds:
@@ -446,13 +478,6 @@ def run_session(
         ledger.add("step_skipped", skipped)
         return None
 
-    precheck = compile_source(proof)
-    if not precheck.ok:
-        raise PreconditionFailed(
-            f"input proof does not compile under {version}: "
-            f"{[d.message for d in precheck.errors()][:3]}"
-        )
-
     initial_length = proof_length(proof)
     current = proof
     current_length = initial_length
@@ -469,6 +494,12 @@ def run_session(
     })
 
     try:
+        precheck, _ = compile_source(proof)
+        if not precheck.ok:
+            raise PreconditionFailed(
+                f"input proof does not compile under {version}: "
+                f"{[d.message for d in precheck.errors()][:3]}"
+            )
         while True:
             if ledger.used >= config.budget:
                 termination = Termination.BUDGET_EXHAUSTED
@@ -539,6 +570,10 @@ def run_session(
                 ledger.add("plan_failed", {"steps": len(plan_result.steps)})
     except _OutOfBudget:
         termination = Termination.BUDGET_EXHAUSTED
+    except OUTSIDE_FAULTS as exc:
+        ledger.add("environment_error", {"type": type(exc).__name__,
+                                         "message": str(exc)})
+        termination = Termination.ENVIRONMENT_ERROR
 
     ledger.add("termination", {"reason": termination.value})
     assert current_length <= initial_length

@@ -283,6 +283,20 @@ def _non_empty(record: dict, key: str, line: int) -> None:
         raise SchemaError(f"{key!r} must be non-empty", field=key, line=line)
 
 
+def _compile_reduction(record: dict, key: str, line: int) -> float | None:
+    value = record[key]
+    if value is None:
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError("compile reduction must be finite", field=key,
+                          line=line)
+    if value > 1.0:
+        raise SchemaError("compile reduction cannot exceed 1.0", field=key,
+                          line=line)
+    return value
+
+
 def strategy_from_dict(
     record: dict, registry: ToolchainRegistry, line: int = 0
 ) -> Strategy:
@@ -308,15 +322,7 @@ def strategy_from_dict(
         if version not in registry:
             raise SchemaError(f"unknown toolchain version {version!r}",
                               field="compatibility_set", line=line)
-    median = record["median_compile_reduction"]
-    if median is not None:
-        median = float(median)
-        if not math.isfinite(median):
-            raise SchemaError("compile reduction must be finite",
-                              field="median_compile_reduction", line=line)
-        if median > 1.0:
-            raise SchemaError("compile reduction cannot exceed 1.0",
-                              field="median_compile_reduction", line=line)
+    median = _compile_reduction(record, "median_compile_reduction", line)
     return Strategy(
         id=record["id"],
         title=record["title"],
@@ -356,14 +362,14 @@ def pair_from_dict(
                 field="grounded_spans", line=line,
             )
         spans.append((span["strategy_id"], ls, le))
-    reduction = record["compile_reduction"]
+    reduction = _compile_reduction(record, "compile_reduction", line)
     return ProofPair(
         id=record["id"],
         statement=record["statement"],
         long_proof=record["long_proof"],
         short_proof=record["short_proof"],
         source_corpus=record["source_corpus"],
-        compile_reduction=None if reduction is None else float(reduction),
+        compile_reduction=reduction,
         version_status=dict(status),
         grounded_spans=tuple(spans),
         long_verified=bool(record["long_verified"]),

@@ -29,8 +29,9 @@ class HttpChatLLM:
     """Minimal chat-completions client.
 
     POSTs ``{"model", "messages", "temperature", **extra_params}`` and reads
-    ``choices[0].message.content``. Transport failures surface as
-    LLMTransportError; the agent loop owns retry/budget policy.
+    ``choices[0].message.content``. Transport failures and a reply whose
+    content is not text surface as LLMTransportError; the agent loop owns
+    retry/budget policy.
     """
 
     def __init__(self, config: HttpLLMConfig):
@@ -55,9 +56,14 @@ class HttpChatLLM:
                                      headers=headers,
                                      timeout=self.config.timeout)
             response.raise_for_status()
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except Exception as exc:
             raise LLMTransportError(f"chat request failed: {exc}") from exc
+        # A refusal or a tool call comes back with null content.
+        if not isinstance(content, str):
+            raise LLMTransportError(
+                f"chat reply content is {type(content).__name__}, not text")
+        return content
 
 
 class ScriptedLLM:

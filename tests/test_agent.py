@@ -13,7 +13,13 @@ from prooftidy.agent import AgentConfig, Termination, run_session, statement_pre
 from prooftidy.bank import Bank
 from prooftidy.compiler import CompileRequest, MockCompiler, MockScript, source_hash
 from prooftidy.embeddings import MockEmbedder
-from prooftidy.errors import MalformedDeclaration
+from prooftidy.errors import (
+    MalformedDeclaration,
+    PreconditionFailed,
+    ProviderContractViolation,
+    RetryableProviderError,
+    ToolchainMissing,
+)
 from prooftidy.llm import ScriptedLLM
 from prooftidy.retrieval import ObjectiveMode, ObjectiveSpec, StrategyIndex
 from prooftidy.tokenizer import proof_length, segment, statement_text
@@ -260,6 +266,124 @@ def test_checks_run_on_the_objectives_target_version():
                          compiler)
     assert result.final_proof == PROOF
     assert [version for version, _ in compiler.calls] == ["v4.22.0"] * 2
+
+
+# --- the session's compile memo ----------------------------------------------
+
+@pytest.mark.parametrize("verdict", ["failure", "timeout"])
+def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict):
+    bank, index, compiler, _ = _world()
+    compiler.script.by_hash[source_hash(FAILING)] = {"verdict": verdict}
+    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    script = [_plan(2, 5), _candidate(FAILING), _candidate(FAILING),
+              EMPTY_PLAN]
+    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                         compiler)
+    assert [digest for _, digest in compiler.calls] == [
+        source_hash(PROOF), source_hash(FAILING)]
+    assert [e.detail for e in result.trace.of_kind("compile_result")] == [
+        {"verdict": verdict}, {"verdict": verdict, "cached": True}]
+    assert result.final_proof == PROOF
+
+
+def test_a_candidate_equal_to_the_input_is_not_compiled_again():
+    bank, index, compiler, _ = _world()
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    script = [_plan(2, 5), _candidate(PROOF), EMPTY_PLAN]
+    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                         compiler)
+    assert [digest for _, digest in compiler.calls] == [source_hash(PROOF)]
+    assert [e.detail for e in result.trace.of_kind("compile_result")] == [
+        {"verdict": "success", "cached": True}]
+    assert [e.detail["reason"] for e in result.trace.of_kind("step_skipped")
+            ] == ["candidate not shorter"]
+
+
+# --- faults from outside the process -----------------------------------------
+
+# Not in the compiler's script.
+UNCOVERED = "theorem t : 1 + 1 = 2 := by\n  rfl"
+# Adopt SHORTER, then replan and try a step that reaches UNCOVERED.
+ADOPT_THEN_UNCOVERED = [_plan(2, 5), _candidate(SHORTER), _plan(2, 3),
+                        _candidate(UNCOVERED)]
+SECOND_ROUND = ["adoption", "retrieval", "plan_issued", "step_attempted"]
+
+
+def _raise_on(port, attribute: str, exc: Exception, when) -> None:
+    """Make ``port.attribute(arg)`` raise ``exc`` whenever ``when(arg)``."""
+    method = getattr(port, attribute)
+
+    def faulty(arg):
+        if when(arg):
+            raise exc
+        return method(arg)
+
+    setattr(port, attribute, faulty)
+
+
+def _check_fails_on(source: str, exc: Exception):
+    return lambda compiler, embedder: _raise_on(
+        compiler, "check", exc, lambda req: req.source == source)
+
+
+def _embed_fails_after_one_batch(exc: Exception):
+    return lambda compiler, embedder: _raise_on(
+        embedder, "embed", exc, lambda texts: bool(embedder.batches))
+
+
+@pytest.mark.parametrize("fault, raised, kinds", [
+    pytest.param(lambda compiler, embedder: None, "ScriptExhausted",
+                 SECOND_ROUND, id="candidate_outside_the_script"),
+    pytest.param(_check_fails_on(UNCOVERED, ToolchainMissing("no lake")),
+                 "ToolchainMissing", SECOND_ROUND, id="ToolchainMissing"),
+    pytest.param(_check_fails_on(UNCOVERED, OSError(28, "No space left")),
+                 "OSError", SECOND_ROUND, id="OSError"),
+    pytest.param(_embed_fails_after_one_batch(
+                     ProviderContractViolation("3 vectors for 4 texts")),
+                 "ProviderContractViolation", ["adoption"],
+                 id="ProviderContractViolation"),
+    pytest.param(_embed_fails_after_one_batch(
+                     RetryableProviderError("HTTP 503", attempts=3)),
+                 "RetryableProviderError", ["adoption"],
+                 id="RetryableProviderError"),
+])
+def test_an_outside_fault_ends_the_session_with_the_adopted_proof(
+        fault, raised, kinds):
+    bank, index, compiler, embedder = _world()
+    fault(compiler, embedder)
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index,
+                         ScriptedLLM(ADOPT_THEN_UNCOVERED), compiler)
+    assert result.termination == Termination.ENVIRONMENT_ERROR
+    assert result.final_proof == SHORTER
+    assert result.final_length == proof_length(SHORTER)
+    events = result.trace.events
+    assert [e.kind for e in events][-len(kinds) - 2:] == kinds + [
+        "environment_error", "termination"]
+    assert events[-2].detail["type"] == raised
+    assert events[-2].detail["message"]
+    assert events[-1].detail == {"reason": "environment_error"}
+
+
+def test_an_outside_fault_in_the_precheck_ends_the_session():
+    bank, index, compiler, embedder = _world()
+    _check_fails_on(PROOF, ToolchainMissing("no lake"))(compiler, embedder)
+    result = run_session(PROOF, "", AgentConfig(), bank, index,
+                         ScriptedLLM([]), compiler)
+    assert result.termination == Termination.ENVIRONMENT_ERROR
+    assert result.final_proof == PROOF
+    assert result.calls_used == 0
+    assert [e.kind for e in result.trace.events] == [
+        "session_start", "environment_error", "termination"]
+    assert result.trace.events[1].detail == {"type": "ToolchainMissing",
+                                             "message": "no lake"}
+
+
+def test_an_input_that_fails_to_compile_is_refused():
+    bank, index, compiler, _ = _world()
+    with pytest.raises(PreconditionFailed):
+        run_session(FAILING, "", AgentConfig(), bank, index, ScriptedLLM([]),
+                    compiler)
 
 
 def test_config_rejects_two_target_versions():

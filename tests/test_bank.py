@@ -227,6 +227,19 @@ def test_non_finite_compile_reduction_rejected(tmp_path, median):
     assert err.value.field == "median_compile_reduction"
 
 
+@pytest.mark.parametrize("reduction", ["nan", "inf", "-inf", "7.5"])
+def test_bad_pair_compile_reduction_rejected(tmp_path, reduction):
+    # A NaN would be written back as non-standard JSON, and a median taken
+    # from it would never pass recheck: NaN != NaN.
+    save_bank(build_bank(1), tmp_path)
+    record = json.loads((tmp_path / "pairs.jsonl").read_text())
+    record["compile_reduction"] = float(reduction)
+    (tmp_path / "pairs.jsonl").write_text(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert err.value.field == "compile_reduction"
+
+
 def test_schema_error_reports_line(tmp_path):
     bank = build_bank(2)
     save_bank(bank, tmp_path)
