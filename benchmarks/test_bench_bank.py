@@ -1,4 +1,4 @@
-"""Layer microbenchmarks for bank persistence.
+"""Layer microbenchmarks for bank persistence and the index built over it.
 
 Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
@@ -7,13 +7,17 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 Times ``save_bank`` and ``load_bank`` (schema validation included) on a
 seeded bank of 10² and 10⁴ strategies with one member pair each, in a
 temporary directory. A pair's proofs are six and two tactic lines; every
-fourth strategy and pair has no compile reduction.
+fourth strategy and pair has no compile reduction. ``test_load_bank``
+also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
+load, the loaded bank included. ``test_build_index`` times
+``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +29,8 @@ from prooftidy.bank import (
     load_bank,
     save_bank,
 )
+from prooftidy.embeddings import MockEmbedder
+from prooftidy.retrieval import StrategyIndex
 
 VERSIONS = ("v4.24.0", "v4.9.0", "v4.16.0", "v4.22.0")
 REGISTRY = ToolchainRegistry(entries=tuple(
@@ -77,6 +83,18 @@ def test_save_bank(benchmark, tmp_path, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_load_bank(benchmark, tmp_path, n):
     save_bank(bank(n), tmp_path)
+    tracemalloc.start()
+    try:
+        load_bank(tmp_path, REGISTRY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 3)
     loaded = benchmark(load_bank, tmp_path, REGISTRY)
     assert loaded.strategies == bank(n).strategies
     assert loaded.pairs == bank(n).pairs
+
+
+def test_build_index(benchmark):
+    index = benchmark(StrategyIndex.build, bank(10_000), MockEmbedder())
+    assert len(index) == 10_000

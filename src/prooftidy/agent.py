@@ -37,6 +37,7 @@ from .errors import (
     MalformedDeclaration,
     PreconditionFailed,
     ProviderContractViolation,
+    ProviderRejected,
     RetryableProviderError,
     ScriptExhausted,
     StatementMutation,
@@ -66,7 +67,8 @@ class Termination(str, Enum):
 #: Faults from outside the process that a port may raise. Each ends the
 #: session with the best proof so far and an ``environment_error`` event.
 OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
-                  RetryableProviderError, ProviderContractViolation)
+                  RetryableProviderError, ProviderContractViolation,
+                  ProviderRejected)
 
 
 @dataclass(frozen=True)

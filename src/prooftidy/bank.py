@@ -2,7 +2,11 @@
 
 Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
-corresponding dataclass; unknown keys are rejected. Mutation is
+corresponding dataclass; unknown keys are rejected. ``load_bank`` streams
+the records, building each one before it reads the next line, so the
+first bad line of a file is the one reported. Within one load, each
+distinct closed-set value (a version id, a status, a reduction level, a
+compatibility set, a source corpus) is held once. Mutation is
 single-writer with whole-file replace-on-commit; loaded banks are
 effectively immutable and safe to share across threads.
 """
@@ -16,7 +20,7 @@ import os
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import EmptyCluster, SchemaError, UnknownVersion
 
@@ -142,6 +146,8 @@ class ToolchainRegistry:
                     f"duplicate toolchain version {version!r}", field="version"
                 )
             seen.add(version)
+        # Not a field: equality and repr stay those of ``entries``.
+        object.__setattr__(self, "_version_set", frozenset(seen))
 
     @property
     def versions(self) -> tuple[str, ...]:
@@ -160,7 +166,10 @@ class ToolchainRegistry:
         raise UnknownVersion(f"toolchain version {version!r} is not registered")
 
     def __contains__(self, version: str) -> bool:
-        return any(v == version for v, _ in self.entries)
+        try:
+            return version in self._version_set
+        except TypeError:  # an unhashable value is no registered version
+            return False
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ToolchainRegistry":
@@ -270,6 +279,11 @@ _SCHEMA_FIELDS = (
 
 
 def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
+    if not isinstance(record, dict):
+        raise SchemaError("record must be a JSON object", field="record",
+                          line=line)
+    if record.keys() == expected:
+        return
     for key in record:
         if key not in expected:
             raise SchemaError(f"unknown key {key!r}", field=key, line=line)
@@ -297,84 +311,100 @@ def _compile_reduction(record: dict, key: str, line: int) -> float | None:
     return value
 
 
-def strategy_from_dict(
-    record: dict, registry: ToolchainRegistry, line: int = 0
-) -> Strategy:
-    _require_keys(record, _STRATEGY_KEYS, line)
-    for key in _SCHEMA_FIELDS:
-        _non_empty(record, key, line)
-    _non_empty(record, "id", line)
-    if record["potential_reduction"] not in REDUCTION_LEVELS:
-        raise SchemaError(
-            f"potential_reduction must be one of {REDUCTION_LEVELS}",
-            field="potential_reduction", line=line,
+class _RecordReader:
+    """Validates one load's records and turns each into its dataclass.
+
+    Within the load each value from a small closed set is one object: the
+    registry's own string for a version id, the ``VERSION_STATUSES`` and
+    ``REDUCTION_LEVELS`` members, one frozenset per distinct compatibility
+    set and one string per distinct source corpus.
+    """
+
+    def __init__(self, registry: ToolchainRegistry):
+        self.registry = registry
+        self._shared = {value: value for value in (
+            *registry.versions, *VERSION_STATUSES, *REDUCTION_LEVELS)}
+
+    def _share(self, value):
+        return self._shared.setdefault(value, value)
+
+    def strategy(self, record: dict, line: int) -> Strategy:
+        _require_keys(record, _STRATEGY_KEYS, line)
+        for key in _SCHEMA_FIELDS:
+            _non_empty(record, key, line)
+        _non_empty(record, "id", line)
+        if record["potential_reduction"] not in REDUCTION_LEVELS:
+            raise SchemaError(
+                f"potential_reduction must be one of {REDUCTION_LEVELS}",
+                field="potential_reduction", line=line,
+            )
+        example = record["abstract_example"]
+        if not isinstance(example, dict) or set(example) != {"before", "after"}:
+            raise SchemaError("abstract_example needs 'before' and 'after'",
+                              field="abstract_example", line=line)
+        guide = record["application_guide"]
+        if not isinstance(guide, list) or not all(isinstance(s, str) for s in guide):
+            raise SchemaError("application_guide must be a list of steps",
+                              field="application_guide", line=line)
+        compat = record["compatibility_set"]
+        for version in compat:
+            if version not in self.registry:
+                raise SchemaError(f"unknown toolchain version {version!r}",
+                                  field="compatibility_set", line=line)
+        median = _compile_reduction(record, "median_compile_reduction", line)
+        return Strategy(
+            id=record["id"],
+            title=record["title"],
+            description=record["description"],
+            when_to_apply=record["when_to_apply"],
+            application_guide=tuple(guide),
+            abstract_example=(example["before"], example["after"]),
+            potential_reduction=self._share(record["potential_reduction"]),
+            median_compile_reduction=median,
+            compatibility_set=self._share(frozenset(map(self._share, compat))),
+            member_pair_ids=tuple(record["member_pair_ids"]),
         )
-    example = record["abstract_example"]
-    if not isinstance(example, dict) or set(example) != {"before", "after"}:
-        raise SchemaError("abstract_example needs 'before' and 'after'",
-                          field="abstract_example", line=line)
-    guide = record["application_guide"]
-    if not isinstance(guide, list) or not all(isinstance(s, str) for s in guide):
-        raise SchemaError("application_guide must be a list of steps",
-                          field="application_guide", line=line)
-    compat = record["compatibility_set"]
-    for version in compat:
-        if version not in registry:
-            raise SchemaError(f"unknown toolchain version {version!r}",
-                              field="compatibility_set", line=line)
-    median = _compile_reduction(record, "median_compile_reduction", line)
-    return Strategy(
-        id=record["id"],
-        title=record["title"],
-        description=record["description"],
-        when_to_apply=record["when_to_apply"],
-        application_guide=tuple(guide),
-        abstract_example=(example["before"], example["after"]),
-        potential_reduction=record["potential_reduction"],
-        median_compile_reduction=median,
-        compatibility_set=frozenset(compat),
-        member_pair_ids=tuple(record["member_pair_ids"]),
-    )
 
-
-def pair_from_dict(
-    record: dict, registry: ToolchainRegistry, line: int = 0
-) -> ProofPair:
-    _require_keys(record, _PAIR_KEYS, line)
-    _non_empty(record, "id", line)
-    status = record["version_status"]
-    for version, verdict in status.items():
-        if version not in registry:
-            raise SchemaError(f"unknown toolchain version {version!r}",
-                              field="version_status", line=line)
-        if verdict not in VERSION_STATUSES:
-            raise SchemaError(
-                f"version status must be one of {VERSION_STATUSES}",
-                field="version_status", line=line,
-            )
-    n_lines = max(1, len(record["long_proof"].splitlines()))
-    spans = []
-    for span in record["grounded_spans"]:
-        ls, le = span["line_start"], span["line_end"]
-        if not (1 <= ls <= le <= n_lines):
-            raise SchemaError(
-                f"span ({ls}, {le}) outside the long proof's {n_lines} lines",
-                field="grounded_spans", line=line,
-            )
-        spans.append((span["strategy_id"], ls, le))
-    reduction = _compile_reduction(record, "compile_reduction", line)
-    return ProofPair(
-        id=record["id"],
-        statement=record["statement"],
-        long_proof=record["long_proof"],
-        short_proof=record["short_proof"],
-        source_corpus=record["source_corpus"],
-        compile_reduction=reduction,
-        version_status=dict(status),
-        grounded_spans=tuple(spans),
-        long_verified=bool(record["long_verified"]),
-        short_verified=bool(record["short_verified"]),
-    )
+    def pair(self, record: dict, line: int) -> ProofPair:
+        _require_keys(record, _PAIR_KEYS, line)
+        _non_empty(record, "id", line)
+        if not isinstance(record["source_corpus"], str):
+            raise SchemaError("source_corpus must be a string",
+                              field="source_corpus", line=line)
+        status = record["version_status"]
+        for version, verdict in status.items():
+            if version not in self.registry:
+                raise SchemaError(f"unknown toolchain version {version!r}",
+                                  field="version_status", line=line)
+            if verdict not in VERSION_STATUSES:
+                raise SchemaError(
+                    f"version status must be one of {VERSION_STATUSES}",
+                    field="version_status", line=line,
+                )
+        n_lines = max(1, len(record["long_proof"].splitlines()))
+        spans = []
+        for span in record["grounded_spans"]:
+            ls, le = span["line_start"], span["line_end"]
+            if not (1 <= ls <= le <= n_lines):
+                raise SchemaError(
+                    f"span ({ls}, {le}) outside the long proof's {n_lines} lines",
+                    field="grounded_spans", line=line,
+                )
+            spans.append((span["strategy_id"], ls, le))
+        reduction = _compile_reduction(record, "compile_reduction", line)
+        return ProofPair(
+            id=record["id"],
+            statement=record["statement"],
+            long_proof=record["long_proof"],
+            short_proof=record["short_proof"],
+            source_corpus=self._share(record["source_corpus"]),
+            compile_reduction=reduction,
+            version_status={self._share(version): self._share(verdict)
+                            for version, verdict in status.items()},
+            grounded_spans=tuple(spans),
+            long_verified=bool(record["long_verified"]),
+            short_verified=bool(record["short_verified"]),
+        )
 
 
 def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
@@ -397,10 +427,10 @@ def save_bank(bank: Bank, path: str | Path) -> None:
                  (p.to_dict() for p in bank.pairs.values()))
 
 
-def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
-    out = []
+def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line, one at a time."""
     if not path.exists():
-        return out
+        return
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -411,23 +441,28 @@ def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc}", field="record",
                                   line=lineno) from exc
-            out.append((lineno, record))
-    return out
+            yield lineno, record
 
 
 def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
-    """Load and validate a bank; raises SchemaError naming the bad field."""
+    """Load and validate a bank; raises SchemaError naming the bad field.
+
+    Records are streamed: each line is decoded, validated and turned into
+    its ``Strategy`` or ``ProofPair`` before the next line is read, so the
+    first bad line of a file is the one reported, whatever follows it.
+    """
     root = Path(path)
+    reader = _RecordReader(registry)
     strategies: dict[str, Strategy] = {}
     for lineno, record in _read_jsonl(root / STRATEGIES_FILENAME):
-        strategy = strategy_from_dict(record, registry, lineno)
+        strategy = reader.strategy(record, lineno)
         if strategy.id in strategies:
             raise SchemaError(f"duplicate strategy id {strategy.id!r}",
                               field="id", line=lineno)
         strategies[strategy.id] = strategy
     pairs: dict[str, ProofPair] = {}
     for lineno, record in _read_jsonl(root / PAIRS_FILENAME):
-        pair = pair_from_dict(record, registry, lineno)
+        pair = reader.pair(record, lineno)
         if pair.id in pairs:
             raise SchemaError(f"duplicate pair id {pair.id!r}",
                               field="id", line=lineno)

@@ -3,7 +3,9 @@
 The wire contract for the HTTP provider: POST ``{"model": ..., "input":
 [texts]}`` to the endpoint; response ``{"data": [{"embedding": [...]}, ...]}``
 in input order. Batches may be issued concurrently up to ``max_in_flight``;
-results are reassembled in input order.
+results are reassembled in input order. A failed batch is retried, except
+for a contract violation or a status in ``REJECTED_STATUSES``, which raise
+at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ProviderContractViolation, RetryableProviderError
+from .errors import (
+    REJECTED_STATUSES,
+    ProviderContractViolation,
+    ProviderRejected,
+    RetryableProviderError,
+)
 
 
 class EmbeddingProvider(Protocol):
@@ -111,13 +118,16 @@ class HttpEmbedder:
                     headers=self._headers(),
                     timeout=self.config.timeout,
                 )
+                if response.status_code in REJECTED_STATUSES:
+                    raise ProviderRejected("embedding request refused",
+                                           status=response.status_code)
                 response.raise_for_status()
                 payload = response.json()
                 vectors = [np.asarray(item["embedding"], dtype=np.float64)
                            for item in payload["data"]]
                 _check_batch(vectors, len(texts), self.dimension)
                 return vectors
-            except ProviderContractViolation:
+            except (ProviderContractViolation, ProviderRejected):
                 raise
             except Exception as exc:  # transport / HTTP / payload shape
                 last_error = exc

@@ -67,6 +67,20 @@ class ProviderContractViolation(ProoftidyError):
     """Embedding provider returned vectors violating its declared contract."""
 
 
+#: HTTP statuses that no retry can fix: a malformed request, missing or
+#: refused credentials, or a wrong endpoint or model.
+REJECTED_STATUSES = frozenset({400, 401, 403, 404})
+
+
+class ProviderRejected(ProoftidyError):
+    """An HTTP provider refused a request with a status in
+    ``REJECTED_STATUSES``; raised after one request, never retried."""
+
+    def __init__(self, message: str, *, status: int):
+        self.status = status
+        super().__init__(f"{message} (HTTP {status})")
+
+
 # --- compiler interface -----------------------------------------------------
 
 class ToolchainMissing(ProoftidyError):

@@ -6,7 +6,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import LLMTransportError, ScriptExhausted
+from .errors import (
+    REJECTED_STATUSES,
+    LLMTransportError,
+    ProviderRejected,
+    ScriptExhausted,
+)
 
 Message = dict[str, str]  # {"role": ..., "content": ...}
 
@@ -29,9 +34,10 @@ class HttpChatLLM:
     """Minimal chat-completions client.
 
     POSTs ``{"model", "messages", "temperature", **extra_params}`` and reads
-    ``choices[0].message.content``. Transport failures and a reply whose
-    content is not text surface as LLMTransportError; the agent loop owns
-    retry/budget policy.
+    ``choices[0].message.content``. A status in ``REJECTED_STATUSES``
+    raises ProviderRejected, which no retry can fix. Other transport
+    failures and a reply whose content is not text surface as
+    LLMTransportError; the agent loop owns retry/budget policy.
     """
 
     def __init__(self, config: HttpLLMConfig):
@@ -55,8 +61,13 @@ class HttpChatLLM:
             response = requests.post(self.config.endpoint, json=body,
                                      headers=headers,
                                      timeout=self.config.timeout)
+            if response.status_code in REJECTED_STATUSES:
+                raise ProviderRejected("chat request refused",
+                                       status=response.status_code)
             response.raise_for_status()
             content = response.json()["choices"][0]["message"]["content"]
+        except ProviderRejected:
+            raise
         except Exception as exc:
             raise LLMTransportError(f"chat request failed: {exc}") from exc
         # A refusal or a tool call comes back with null content.

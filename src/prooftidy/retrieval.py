@@ -145,7 +145,8 @@ class StrategyIndex:
             norms = np.linalg.norm(matrix, axis=1, keepdims=True)
             if np.any(norms == 0.0):
                 raise DegenerateVector("index entry with all-zero embedding")
-            self._matrix = matrix / norms
+            matrix /= norms  # in place: the stacked copy is the only one
+            self._matrix = matrix
         else:
             self._matrix = np.zeros((0, 0))
         # Position of each id in ascending id order: the tie-break key.

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prooftidy.bank import (
+    REDUCTION_LEVELS,
+    VERSION_STATUSES,
     Bank,
     ProofPair,
     Strategy,
@@ -253,6 +255,66 @@ def test_schema_error_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("filename, field, value", [
+    ("strategies.jsonl", None, ["a", "list"]),
+    ("pairs.jsonl", None, 7),
+    ("pairs.jsonl", "source_corpus", ["competition"]),
+])
+def test_a_record_of_the_wrong_shape_is_a_schema_error(tmp_path, filename,
+                                                        field, value):
+    save_bank(build_bank(1), tmp_path)
+    path = tmp_path / filename
+    record = json.loads(path.read_text())
+    if field is None:
+        record = value
+    else:
+        record[field] = value
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert (err.value.field, err.value.line) == (field or "record", 1)
+
+
+def test_the_first_bad_line_wins(tmp_path):
+    # Records are streamed: line 2's schema error is raised before line 5
+    # is read, so the JSON that does not parse there is never seen.
+    save_bank(build_bank(4), tmp_path)
+    lines = (tmp_path / "strategies.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["potential_reduction"] = "huge"
+    lines[1] = json.dumps(record)
+    lines.append("{not json")
+    (tmp_path / "strategies.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert (err.value.field, err.value.line) == ("potential_reduction", 2)
+
+
+def test_a_load_holds_each_closed_set_value_once(tmp_path):
+    compat = [frozenset({"v4.16.0"}), frozenset({"v4.16.0", "v4.22.0"})]
+    strategies = {s.id: s for s in (
+        make_strategy(i, compatibility_set=compat[i % 2],
+                      potential_reduction=REDUCTION_LEVELS[i % 3])
+        for i in range(6))}
+    pairs = {p.id: p for p in (make_pair(i) for i in range(3))}
+    save_bank(Bank(strategies=strategies, pairs=pairs, registry=REGISTRY),
+              tmp_path)
+    loaded = load_bank(tmp_path, REGISTRY)
+    sets = [s.compatibility_set for s in loaded.strategies.values()]
+    assert sets == [compat[i % 2] for i in range(6)]
+    assert len({id(s) for s in sets}) == 2
+    registered = {id(v) for v in REGISTRY.versions}
+    assert {id(v) for s in sets for v in s} <= registered
+    levels = {id(level) for level in REDUCTION_LEVELS}
+    assert {id(s.potential_reduction)
+            for s in loaded.strategies.values()} <= levels
+    statuses = {id(status) for status in VERSION_STATUSES}
+    for pair in loaded.pairs.values():
+        assert {id(v) for v in pair.version_status} <= registered
+        assert {id(s) for s in pair.version_status.values()} <= statuses
+    assert len({id(p.source_corpus) for p in loaded.pairs.values()}) == 1
+
+
 def test_pair_span_outside_proof_rejected(tmp_path):
     bank = Bank(pairs={"p0000": make_pair(0)}, registry=REGISTRY)
     save_bank(bank, tmp_path)
@@ -267,6 +329,14 @@ def test_pair_span_outside_proof_rejected(tmp_path):
 def test_registry_rejects_duplicate_versions():
     with pytest.raises(SchemaError):
         ToolchainRegistry(entries=(("v1", "/a"), ("v1", "/b")))
+
+
+def test_registry_membership():
+    for version in REGISTRY.versions:
+        assert version in REGISTRY
+    assert "v0.0.0" not in REGISTRY
+    assert ["v4.16.0"] not in REGISTRY  # unhashable: no version
+    assert "v4.16.0" not in ToolchainRegistry(entries=())
 
 
 def test_registry_unknown_version():

@@ -10,17 +10,24 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from prooftidy import embeddings as embeddings_module
+from prooftidy.agent import AgentConfig, Termination, run_session
 from prooftidy.embeddings import HttpEmbedder, HttpEmbedderConfig
 from prooftidy.errors import (
+    REJECTED_STATUSES,
     LLMTransportError,
     ProviderContractViolation,
+    ProviderRejected,
     RetryableProviderError,
 )
 from prooftidy.llm import HttpChatLLM, HttpLLMConfig
+
+from test_agent import PROOF, _world
 
 DIMENSION = 3
 
@@ -163,3 +170,45 @@ def test_chat_maps_a_bad_reply_to_a_transport_error(stub, status, reply):
     stub.handler = lambda body: (status, reply)
     with pytest.raises(LLMTransportError):
         chat(stub).complete([{"role": "user", "content": "shorten"}])
+
+
+# --- statuses that no retry can fix -------------------------------------------
+
+@pytest.mark.parametrize("status", sorted(REJECTED_STATUSES))
+def test_a_rejected_status_gets_one_request_from_each_client(
+        stub, monkeypatch, status):
+    sleeps: list[float] = []
+    monkeypatch.setattr(embeddings_module, "time",
+                        SimpleNamespace(sleep=sleeps.append))
+    stub.handler = lambda body: (status, {"error": "refused"})
+    with pytest.raises(ProviderRejected) as err:
+        embedder(stub, max_attempts=3, retry_backoff=1.0).embed(["t1"])
+    assert err.value.status == status
+    assert len(stub.received) == 1
+    assert sleeps == []
+    with pytest.raises(ProviderRejected) as err:
+        chat(stub).complete([{"role": "user", "content": "shorten"}])
+    assert err.value.status == status
+    assert len(stub.received) == 2
+
+
+def test_a_refused_chat_request_ends_the_session_after_one_request(stub):
+    stub.handler = lambda body: (401, {"error": "bad token"})
+    bank, index, compiler, _ = _world()
+    result = run_session(PROOF, "", AgentConfig(budget=30), bank, index,
+                         chat(stub), compiler)
+    assert result.termination == Termination.ENVIRONMENT_ERROR
+    assert result.final_proof == PROOF
+    assert result.calls_used == 1
+    assert len(stub.received) == 1
+    assert result.trace.events[-2].detail["type"] == "ProviderRejected"
+
+
+def test_a_chat_server_error_is_still_retried_within_the_budget(stub):
+    stub.handler = lambda body: (500, {"error": "busy"})
+    bank, index, compiler, _ = _world()
+    result = run_session(PROOF, "", AgentConfig(budget=3), bank, index,
+                         chat(stub), compiler)
+    assert result.termination == Termination.BUDGET_EXHAUSTED
+    assert result.calls_used == 3
+    assert len(stub.received) == 3

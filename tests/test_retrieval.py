@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -88,6 +89,29 @@ def test_cosine_rejects_zero_vector():
 def test_cosine_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         cosine(np.ones(3), np.ones(4))
+
+
+# --- the index matrix ------------------------------------------------------------
+
+class ScaledEmbedder:
+    """MockEmbedder vectors times 1.5, 2.5, ...: the index must normalise."""
+
+    dimension = 16
+
+    def embed(self, texts):
+        vectors = MockEmbedder(dimension=16, seed=3).embed(texts)
+        return [v * (i + 1.5) for i, v in enumerate(vectors)]
+
+
+def test_index_rows_are_the_vectors_over_their_norms_bit_for_bit():
+    bank = make_bank_with(make_strategy(i, when_to_apply=f"pattern {i}")
+                          for i in range(5))
+    index = StrategyIndex.build(bank, ScaledEmbedder())
+    raw = np.stack(ScaledEmbedder().embed([f"pattern {i}" for i in range(5)]))
+    assert np.array_equal(
+        index._matrix, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    assert hashlib.sha256(index._matrix.tobytes()).hexdigest() == (
+        "7822e58e873fb9fa04bffff82f990c5766d366d196d6e7a6ce0fa96ac9c739cf")
 
 
 # --- top_k --------------------------------------------------------------------
