@@ -53,7 +53,7 @@ from .prompts import (
     render,
 )
 from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
-from .tokenizer import proof_length, segment, statement_text
+from .tokenizer import line_count, proof_length, segment, statement_text
 
 
 class Termination(str, Enum):
@@ -63,6 +63,9 @@ class Termination(str, Enum):
     CONVERGED = "converged"
     ENVIRONMENT_ERROR = "environment_error"
 
+
+#: Line-window sizes, in lines, that ``segment`` cuts the proof into.
+CHUNK_SIZES = (5, 10, 20)
 
 #: Faults from outside the process that a port may raise. Each ends the
 #: session with the best proof so far and an ``environment_error`` event.
@@ -77,9 +80,7 @@ class AgentConfig:
     target_length: int = 5           # stop once the proof is this short
     max_debug_rounds: int = 3        # repair attempts per failed step
     objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
-    chunk_sizes: tuple[int, ...] = (5, 10, 20)
     toolchain_version: str | None = None   # None: objective's, else compiler's
-    compile_timeout: float = 300.0
 
     def __post_init__(self):
         if self.budget < 0:
@@ -88,8 +89,6 @@ class AgentConfig:
             raise ValueError("target_length must be positive")
         if self.max_debug_rounds < 0:
             raise ValueError("max_debug_rounds must be >= 0")
-        if not self.chunk_sizes or any(s < 1 for s in self.chunk_sizes):
-            raise ValueError("chunk_sizes must be non-empty, all >= 1")
         if (self.toolchain_version and self.objective.target_version
                 and self.toolchain_version != self.objective.target_version):
             raise ValueError("toolchain_version and objective.target_version "
@@ -132,11 +131,6 @@ class SessionTrace:
     def to_dict(self) -> dict:
         return {"events": [e.to_dict() for e in self.events]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionTrace":
-        return cls(events=[TraceEvent(e["kind"], e["detail"], e["calls_used"])
-                           for e in data["events"]])
-
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
@@ -159,17 +153,6 @@ class SessionResult:
             "termination": self.termination.value,
             "trace": self.trace.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionResult":
-        return cls(
-            final_proof=data["final_proof"],
-            initial_length=data["initial_length"],
-            final_length=data["final_length"],
-            calls_used=data["calls_used"],
-            termination=Termination(data["termination"]),
-            trace=SessionTrace.from_dict(data["trace"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True,
@@ -215,7 +198,7 @@ class PlanResult:
 def _validate_steps(payload, proof: str) -> PlanResult:
     if not isinstance(payload, list):
         return PlanResult([], ["plan payload is not a list"])
-    n_lines = max(1, len(proof.splitlines()))
+    n_lines = line_count(proof)
     steps: list[PlanStep] = []
     warnings: list[str] = []
     for i, entry in enumerate(payload):
@@ -324,8 +307,9 @@ def refactor_step(proof: str, step: PlanStep, llm,
 def splice_error_markers(candidate: str,
                          diagnostics: list[Diagnostic]) -> str:
     """Wrap each offending span (diagnostic column to end of line) in
-    <error></error> markers."""
-    lines = candidate.splitlines()
+    <error></error> markers. Lines are numbered as Lean numbers them, by
+    ``\n`` alone, so every byte outside the markers is kept."""
+    lines = candidate.split("\n")
     by_line: dict[int, int] = {}
     for d in diagnostics:
         if d.severity != "error":
@@ -435,9 +419,7 @@ def run_session(
         if source in compiled:
             return compiled[source], True
         result = compiled[source] = compiler.check(CompileRequest(
-            source=source, toolchain_version=version,
-            timeout=config.compile_timeout,
-        ))
+            source=source, toolchain_version=version))
         return result, False
 
     def compile_candidate(candidate: str) -> CompileResult:
@@ -511,7 +493,7 @@ def run_session(
                                else Termination.CONVERGED)
                 break
 
-            spans = segment(current, list(config.chunk_sizes))
+            spans = segment(current, list(CHUNK_SIZES))
             fresh = list(dict.fromkeys(
                 s.text for s in spans if s.text not in retrieved))
             if fresh:

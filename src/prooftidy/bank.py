@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import EmptyCluster, SchemaError, UnknownVersion
+from .tokenizer import line_count
 
 REDUCTION_LEVELS = ("high", "medium", "low")
 VERSION_STATUSES = ("compiles", "fails", "untested")
@@ -381,7 +382,7 @@ class _RecordReader:
                     f"version status must be one of {VERSION_STATUSES}",
                     field="version_status", line=line,
                 )
-        n_lines = max(1, len(record["long_proof"].splitlines()))
+        n_lines = line_count(record["long_proof"])
         spans = []
         for span in record["grounded_spans"]:
             ls, le = span["line_start"], span["line_end"]

@@ -256,15 +256,12 @@ class _CompilerCore:
         with self._alone():
             return self._run(wrapped)
 
-    def cross_version_matrix(
-        self, source: str, versions: Sequence[str],
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> dict[str, Verdict]:
+    def cross_version_matrix(self, source: str,
+                             versions: Sequence[str]) -> dict[str, Verdict]:
         """One check per version; a broken environment never aborts the rest."""
         matrix: dict[str, Verdict] = {}
         for version in versions:
-            req = CompileRequest(source=source, toolchain_version=version,
-                                 timeout=timeout)
+            req = CompileRequest(source=source, toolchain_version=version)
             try:
                 matrix[version] = self.check(req).verdict
             except (ProoftidyError, OSError):
@@ -275,15 +272,9 @@ class _CompilerCore:
 class LeanCompiler(_CompilerCore):
     """Real toolchain backend driving ``lake env lean`` in scratch files."""
 
-    def __init__(
-        self,
-        registry: ToolchainRegistry,
-        keep_scratch: bool = False,
-        max_concurrent: int = 4,
-    ):
+    def __init__(self, registry: ToolchainRegistry, max_concurrent: int = 4):
         super().__init__(max_concurrent)
         self.registry = registry
-        self.keep_scratch = keep_scratch
 
     @property
     def default_version(self) -> str:
@@ -317,8 +308,7 @@ class LeanCompiler(_CompilerCore):
         except FileNotFoundError as exc:
             raise ToolchainMissing(f"cannot invoke lake in {root}: {exc}") from exc
         finally:
-            if not self.keep_scratch:
-                shutil.rmtree(scratch, ignore_errors=True)
+            shutil.rmtree(scratch, ignore_errors=True)
         wall = time.monotonic() - started
         output = proc.stdout + "\n" + proc.stderr
         diagnostics = tuple(parse_diagnostics(output))

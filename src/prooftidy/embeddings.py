@@ -3,16 +3,16 @@
 The wire contract for the HTTP provider: POST ``{"model": ..., "input":
 [texts]}`` to the endpoint; response ``{"data": [{"embedding": [...]}, ...]}``
 in input order. Batches may be issued concurrently up to ``max_in_flight``;
-results are reassembled in input order. A failed batch is retried, except
-for a contract violation or a status in ``REJECTED_STATUSES``, which raise
-at once.
+results are reassembled in input order. Each request goes through
+``llm.post_json``, the one HTTP request path of both HTTP ports. A failed
+batch is retried, except for a contract violation or a status in
+``REJECTED_STATUSES``, which raise at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,11 +21,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import (
-    REJECTED_STATUSES,
     ProviderContractViolation,
     ProviderRejected,
     RetryableProviderError,
 )
+from .llm import post_json
 
 
 class EmbeddingProvider(Protocol):
@@ -79,7 +79,9 @@ class MockEmbedder:
 
 
 @dataclass
-class HttpEmbedderConfig:
+class HttpEmbedder:
+    """HTTP embedding client with per-batch retries and ordered reassembly."""
+
     endpoint: str
     model: str
     dimension: int
@@ -90,39 +92,14 @@ class HttpEmbedderConfig:
     timeout: float = 60.0
     retry_backoff: float = 1.0
 
-
-class HttpEmbedder:
-    """HTTP embedding client with per-batch retries and ordered reassembly."""
-
-    def __init__(self, config: HttpEmbedderConfig):
-        self.config = config
-        self.dimension = config.dimension
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.config.auth_token_env:
-            token = os.environ.get(self.config.auth_token_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def _post_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        import requests
-
         last_error: Exception | None = None
-        for attempt in range(1, self.config.max_attempts + 1):
+        for attempt in range(1, self.max_attempts + 1):
             try:
-                response = requests.post(
-                    self.config.endpoint,
-                    json={"model": self.config.model, "input": list(texts)},
-                    headers=self._headers(),
-                    timeout=self.config.timeout,
-                )
-                if response.status_code in REJECTED_STATUSES:
-                    raise ProviderRejected("embedding request refused",
-                                           status=response.status_code)
-                response.raise_for_status()
-                payload = response.json()
+                payload = post_json(self.endpoint,
+                                    {"model": self.model, "input": list(texts)},
+                                    self.auth_token_env, self.timeout,
+                                    "embedding")
                 vectors = [np.asarray(item["embedding"], dtype=np.float64)
                            for item in payload["data"]]
                 _check_batch(vectors, len(texts), self.dimension)
@@ -131,20 +108,20 @@ class HttpEmbedder:
                 raise
             except Exception as exc:  # transport / HTTP / payload shape
                 last_error = exc
-                if attempt < self.config.max_attempts:
-                    time.sleep(self.config.retry_backoff * attempt)
+                if attempt < self.max_attempts:
+                    time.sleep(self.retry_backoff * attempt)
         raise RetryableProviderError(
             f"embedding request failed: {last_error}",
-            attempts=self.config.max_attempts,
+            attempts=self.max_attempts,
         )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             return []
-        size = self.config.batch_size
+        size = self.batch_size
         batches = [texts[i:i + size] for i in range(0, len(texts), size)]
         if len(batches) == 1:
             return self._post_batch(batches[0])
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             results = list(pool.map(self._post_batch, batches))
         return [v for batch in results for v in batch]

@@ -1,4 +1,9 @@
-"""Frozen-LLM port: an HTTP chat endpoint and a scripted offline mock."""
+"""Frozen-LLM port: an HTTP chat endpoint and a scripted offline mock.
+
+``post_json`` is the one HTTP request path of both HTTP ports, this chat
+client and ``embeddings.HttpEmbedder``: the bearer header, the POST, the
+refused-status rule and the JSON decode.
+"""
 
 from __future__ import annotations
 
@@ -20,16 +25,29 @@ class ChatLLM(Protocol):
     def complete(self, messages: list[Message]) -> str: ...
 
 
+def post_json(endpoint: str, body: dict, auth_token_env: str | None,
+              timeout: float, what: str):
+    """POST ``body`` as JSON, with a bearer token from the environment
+    variable ``auth_token_env`` if it is set, and return the decoded reply.
+    A status in ``REJECTED_STATUSES`` raises ProviderRejected, "<what>
+    request refused"; any other failure propagates, for the caller to map
+    or retry."""
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(auth_token_env, "") if auth_token_env else ""
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    response = requests.post(endpoint, json=body, headers=headers,
+                             timeout=timeout)
+    if response.status_code in REJECTED_STATUSES:
+        raise ProviderRejected(f"{what} request refused",
+                               status=response.status_code)
+    response.raise_for_status()
+    return response.json()
+
+
 @dataclass
-class HttpLLMConfig:
-    endpoint: str
-    model: str
-    temperature: float = 1.0
-    auth_token_env: str | None = None
-    timeout: float = 120.0
-    extra_params: dict = field(default_factory=dict)
-
-
 class HttpChatLLM:
     """Minimal chat-completions client.
 
@@ -40,32 +58,24 @@ class HttpChatLLM:
     LLMTransportError; the agent loop owns retry/budget policy.
     """
 
-    def __init__(self, config: HttpLLMConfig):
-        self.config = config
+    endpoint: str
+    model: str
+    temperature: float = 1.0
+    auth_token_env: str | None = None
+    timeout: float = 120.0
+    extra_params: dict = field(default_factory=dict)
 
     def complete(self, messages: list[Message]) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.config.auth_token_env:
-            token = os.environ.get(self.config.auth_token_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
         body = {
-            "model": self.config.model,
+            "model": self.model,
             "messages": messages,
-            "temperature": self.config.temperature,
-            **self.config.extra_params,
+            "temperature": self.temperature,
+            **self.extra_params,
         }
         try:
-            response = requests.post(self.config.endpoint, json=body,
-                                     headers=headers,
-                                     timeout=self.config.timeout)
-            if response.status_code in REJECTED_STATUSES:
-                raise ProviderRejected("chat request refused",
-                                       status=response.status_code)
-            response.raise_for_status()
-            content = response.json()["choices"][0]["message"]["content"]
+            reply = post_json(self.endpoint, body, self.auth_token_env,
+                              self.timeout, "chat")
+            content = reply["choices"][0]["message"]["content"]
         except ProviderRejected:
             raise
         except Exception as exc:

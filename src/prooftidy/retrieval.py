@@ -53,6 +53,9 @@ class ObjectiveSpec:
 
     ``target_version`` is required for the version mode; setting it together
     with the compile-time mode composes both rules (filter, then rerank).
+    The length mode ignores it: a length session on a target toolchain
+    retrieves unfiltered and still compiles every check on that target,
+    the unfiltered baseline against which version filtering is measured.
     """
 
     mode: ObjectiveMode = ObjectiveMode.LENGTH
@@ -220,19 +223,21 @@ def retrieve(
 ) -> list[RankedStrategy]:
     """Apply the retrieval rule selected by the objective.
 
-    length: top_k(k). Otherwise the pool is top_rows(pool_size); a target
-    version keeps only the strategies whose compatibility set holds it,
-    and the compile-time objective then reorders the pool by annotated
-    compile reduction, best first, strategies without it last, ties in
-    similarity order (the sort is stable). The first k are returned,
-    ranked 1..k. The pool stays a row array, filtered by a version mask
-    and reordered by the rank column; only the returned entries become
-    ``RankedStrategy``.
+    length: top_k(k), unfiltered even when ``target_version`` is set (the
+    baseline for the version filter). Otherwise the pool is
+    top_rows(pool_size); a target version keeps only the strategies whose
+    compatibility set holds it, and the compile-time objective then
+    reorders the pool by annotated compile reduction, best first,
+    strategies without it last, ties in similarity order (the sort is
+    stable). The first k are returned, ranked 1..k. The pool stays a row
+    array, filtered by a version mask and reordered by the rank column;
+    only the returned entries become ``RankedStrategy``.
 
     Raises:
         IndexBankMismatch: the bank lacks an indexed id, under any
             objective.
-        UnknownVersion: the target version is not registered.
+        UnknownVersion: the target version is not registered, under the
+            compile-time or version objective.
     """
     columns = index._columns_for(bank)
     if objective.mode == ObjectiveMode.LENGTH:

@@ -279,8 +279,8 @@ def proof_length(statement_and_proof: str) -> int:
         return LENGTH_FAILURE_SENTINEL
 
 
-def _line_count(text: str) -> int:
-    # An empty document still occupies one (empty) line.
+def line_count(text: str) -> int:
+    """A proof's number of lines; an empty proof still occupies one."""
     return max(1, len(text.splitlines()))
 
 
@@ -331,7 +331,7 @@ def jitter_boundaries(
     if max_jitter < 0:
         raise ValueError("max_jitter must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = _line_count(document)
+    n = line_count(document)
     lines = document.splitlines()
     start = span.line_start + rng.randint(-max_jitter, max_jitter)
     end = span.line_end + rng.randint(-max_jitter, max_jitter)

@@ -4,14 +4,29 @@ same theorem, and scripted sessions."""
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooftidy.agent import AgentConfig, Termination, run_session, statement_preserved
+from prooftidy.agent import (
+    CHUNK_SIZES,
+    AgentConfig,
+    Termination,
+    run_session,
+    splice_error_markers,
+    statement_preserved,
+)
 from prooftidy.bank import Bank
-from prooftidy.compiler import CompileRequest, MockCompiler, MockScript, source_hash
+from prooftidy.compiler import (
+    CompileRequest,
+    Diagnostic,
+    MockCompiler,
+    MockScript,
+    source_hash,
+)
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     MalformedDeclaration,
@@ -77,6 +92,20 @@ def test_guard_sees_through_literals(original, candidate):
 def test_statement_text_rejects_unsplittable(source):
     with pytest.raises(MalformedDeclaration):
         statement_text(source)
+
+
+@pytest.mark.parametrize("candidate, line, marked", [
+    # Lean counts lines by "\n" alone: a form feed does not end one.
+    ("theorem t : P := by\n  -- see\x0cnote\n  exact bad", 3,
+     "theorem t : P := by\n  -- see\x0cnote\n  <error>exact bad</error>"),
+    ("theorem t : P := by\r\n  exact bad\r\n  rfl", 2,
+     "theorem t : P := by\r\n  <error>exact bad\r</error>\n  rfl"),
+], ids=["form_feed", "crlf"])
+def test_error_markers_number_lines_as_lean_does(candidate, line, marked):
+    diagnostics = [Diagnostic(line, 2, "error", "unknown identifier 'bad'")]
+    got = splice_error_markers(candidate, diagnostics)
+    assert got == marked
+    assert got.replace("<error>", "").replace("</error>", "") == candidate
 
 
 # --- scripted sessions -------------------------------------------------------
@@ -160,7 +189,7 @@ def test_session_embeds_each_distinct_span_once():
     # Round two replans on the unchanged proof and embeds nothing.
     assert len(embedder.batches) == 2
     for proof, batch in zip((PROOF, SHORTER), embedder.batches):
-        spans = segment(proof, list(AgentConfig().chunk_sizes))
+        spans = segment(proof, list(CHUNK_SIZES))
         assert batch == list(dict.fromkeys(s.text for s in spans))
 
 
@@ -185,7 +214,7 @@ def test_empty_version_filter_warns_once_per_span_every_round():
     result, _ = _session(objective, toolchain_version="v4.22.0")
     warned = [e.detail["span"] for e in result.trace.of_kind("warning")
               if "version filter" in e.detail["message"]]
-    sizes = list(AgentConfig().chunk_sizes)
+    sizes = list(CHUNK_SIZES)
     expected = [[s.line_start, s.line_end]
                 for proof in (PROOF, PROOF, SHORTER)
                 for s in segment(proof, sizes)]
@@ -392,6 +421,45 @@ def test_config_rejects_two_target_versions():
     AgentConfig(objective=objective, toolchain_version="v4.22.0")
     with pytest.raises(ValueError):
         AgentConfig(objective=objective, toolchain_version="v4.16.0")
+
+
+# --- parallel sessions over one bank and index -------------------------------
+
+def _shared_world_session(bank, index, i: int) -> str:
+    """Session ``i`` of 48 over a shared bank and index, with its own
+    LLM and compiler: three objectives, four scripts, four budgets."""
+    objective = (ObjectiveSpec(),
+                 ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME),
+                 ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                               target_version="v4.22.0"))[i % 3]
+    script = (SCRIPT, ADOPT_THEN_UNCOVERED,
+              [_plan(2, 5), _candidate(FAILING), _candidate(SHORTER)],
+              [_plan(2, 5), _candidate(NATIVE_ONLY), EMPTY_PLAN])[i // 3 % 4]
+    config = AgentConfig(budget=(1, 3, 5, 30)[i // 12], target_length=1,
+                         max_debug_rounds=1, objective=objective)
+    _, _, compiler, _ = _world()
+    return run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                       compiler).to_json()
+
+
+def test_parallel_sessions_over_one_bank_and_index_match_a_sequential_run():
+    bank, index, _, _ = _world()
+    # The parallel run goes first, so its threads also race on the
+    # index's cold per-bank columns; a short switch interval makes them
+    # interleave inside each session. The sequential run goes in reverse,
+    # so state that one session leaves for the next would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(
+                lambda i: _shared_world_session(bank, index, i), range(48),
+                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    sequential = [_shared_world_session(bank, index, i)
+                  for i in reversed(range(48))]
+    assert parallel == sequential[::-1]
 
 
 # --- the five promises, as one property ---------------------------------------

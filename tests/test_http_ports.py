@@ -17,7 +17,7 @@ import pytest
 
 from prooftidy import embeddings as embeddings_module
 from prooftidy.agent import AgentConfig, Termination, run_session
-from prooftidy.embeddings import HttpEmbedder, HttpEmbedderConfig
+from prooftidy.embeddings import HttpEmbedder
 from prooftidy.errors import (
     REJECTED_STATUSES,
     LLMTransportError,
@@ -25,7 +25,7 @@ from prooftidy.errors import (
     ProviderRejected,
     RetryableProviderError,
 )
-from prooftidy.llm import HttpChatLLM, HttpLLMConfig
+from prooftidy.llm import HttpChatLLM
 
 from test_agent import PROOF, _world
 
@@ -90,7 +90,7 @@ def embeddings(texts) -> dict:
 def embedder(stub: Stub, **overrides) -> HttpEmbedder:
     config = dict(endpoint=stub.url, model="m", dimension=DIMENSION,
                   retry_backoff=0.0, timeout=10.0)
-    return HttpEmbedder(HttpEmbedderConfig(**{**config, **overrides}))
+    return HttpEmbedder(**{**config, **overrides})
 
 
 def test_embedder_retries_a_server_error_then_succeeds(stub):
@@ -147,8 +147,7 @@ def test_embedder_keeps_input_order_when_later_batches_answer_first(stub):
 
 
 def chat(stub: Stub) -> HttpChatLLM:
-    return HttpChatLLM(HttpLLMConfig(endpoint=stub.url, model="m",
-                                     timeout=10.0))
+    return HttpChatLLM(endpoint=stub.url, model="m", timeout=10.0)
 
 
 def test_chat_returns_the_reply_text(stub):

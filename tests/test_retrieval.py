@@ -282,6 +282,21 @@ def test_retrieve_length_mode_is_top_k():
     assert retrieve(index, bank, query, spec) == index.top_k(query, 3)
 
 
+def test_retrieve_length_mode_ignores_the_target_version():
+    # The unfiltered baseline: a target that would filter the version
+    # objective's result leaves the length objective's unchanged.
+    bank, index, query, _ = objective_fixture()
+    plain = ObjectiveSpec(mode=ObjectiveMode.LENGTH, pool_size=10, k=5)
+    want = retrieve(index, bank, query, plain)
+    for target in VERSIONS:
+        targeted = ObjectiveSpec(mode=ObjectiveMode.LENGTH,
+                                 target_version=target, pool_size=10, k=5)
+        assert retrieve(index, bank, query, targeted) == want
+    filtered = ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                             target_version="v4.16.0", pool_size=10, k=5)
+    assert retrieve(index, bank, query, filtered) != want
+
+
 def test_retrieve_compile_mode_reranks_the_pool():
     bank, index, query, vectors = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, pool_size=10, k=3)
