@@ -10,7 +10,10 @@ temporary directory. A pair's proofs are six and two tactic lines; every
 fourth strategy and pair has no compile reduction. ``test_load_bank``
 also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
 load, the loaded bank included. ``test_build_index`` times
-``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``.
+``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``:
+the bank is built in memory, so every text is embedded (a cold build).
+``test_build_index_persisted`` times the warm build over the same bank
+saved and loaded, whose vectors file an untimed first build wrote.
 """
 
 from __future__ import annotations
@@ -97,4 +100,12 @@ def test_load_bank(benchmark, tmp_path, n):
 
 def test_build_index(benchmark):
     index = benchmark(StrategyIndex.build, bank(10_000), MockEmbedder())
+    assert len(index) == 10_000
+
+
+def test_build_index_persisted(benchmark, tmp_path):
+    save_bank(bank(10_000), tmp_path)
+    loaded = load_bank(tmp_path, REGISTRY)
+    StrategyIndex.build(loaded, MockEmbedder())
+    index = benchmark(StrategyIndex.build, loaded, MockEmbedder())
     assert len(index) == 10_000

@@ -196,11 +196,17 @@ class ToolchainRegistry:
 
 @dataclass
 class Bank:
-    """In-memory view of a strategy bank: strategies, pairs, registry."""
+    """In-memory view of a strategy bank: strategies, pairs, registry.
+
+    ``path`` is the directory ``load_bank`` read the bank from, and None
+    for a bank built in memory. ``StrategyIndex.build`` keeps the index
+    vectors of a loaded bank in that directory.
+    """
 
     strategies: dict[str, Strategy] = field(default_factory=dict)
     pairs: dict[str, ProofPair] = field(default_factory=dict)
     registry: ToolchainRegistry = ToolchainRegistry(entries=())
+    path: Path | None = None
 
     def members_of(self, strategy: Strategy) -> list[ProofPair]:
         return [self.pairs[pid] for pid in strategy.member_pair_ids
@@ -450,7 +456,8 @@ def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
 
     Records are streamed: each line is decoded, validated and turned into
     its ``Strategy`` or ``ProofPair`` before the next line is read, so the
-    first bad line of a file is the one reported, whatever follows it.
+    first bad line of a file is the one reported, whatever follows it. The
+    bank's ``path`` is ``path``.
     """
     root = Path(path)
     reader = _RecordReader(registry)
@@ -468,7 +475,8 @@ def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
             raise SchemaError(f"duplicate pair id {pair.id!r}",
                               field="id", line=lineno)
         pairs[pair.id] = pair
-    return Bank(strategies=strategies, pairs=pairs, registry=registry)
+    return Bank(strategies=strategies, pairs=pairs, registry=registry,
+                path=root)
 
 
 def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:

@@ -29,8 +29,14 @@ from .llm import post_json
 
 
 class EmbeddingProvider(Protocol):
-    """Anything that maps a list of texts to fixed-dimension vectors."""
+    """Anything that maps a list of texts to fixed-dimension vectors.
 
+    ``model`` names the mapping: two providers with equal ``model`` and
+    ``dimension`` must give equal vectors for equal texts, because
+    ``StrategyIndex.build`` reuses stored vectors under that key.
+    """
+
+    model: str
     dimension: int
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
@@ -55,12 +61,16 @@ class MockEmbedder:
 
     Identical texts always map to identical vectors, so a query equal to an
     indexed text scores cosine 1.0 against it. Instruction prefixes are not
-    treated specially.
+    treated specially. The seed fixes the mapping, so it names the model.
     """
 
     def __init__(self, dimension: int = 32, seed: int = 0):
         self.dimension = dimension
         self.seed = seed
+
+    @property
+    def model(self) -> str:
+        return f"mock-seed{self.seed}"
 
     def _vector_for(self, text: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.seed}\x00{text}".encode("utf-8")).digest()

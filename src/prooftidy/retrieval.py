@@ -16,21 +16,44 @@ on first use and memoised on the index for its most recent bank, matched
 by identity, so a bank must not be mutated while an index serves it. Only
 the k returned entries become Python objects.
 
+``StrategyIndex.build`` over a bank that ``load_bank`` read keeps the raw
+vectors in the bank's directory, one uncompressed ``.npz`` file per
+embedder: ``index-vectors-<id>.npz``, where ``<id>`` is a short hash of
+the embedder's ``model`` and ``dimension``. The file holds the SHA-256
+digest of each ``when_to_apply`` text in index order, the float64
+vectors, the model and the dimension. A build reuses the stored vector of
+every text whose digest it finds there and embeds the rest in one call,
+so a warm build embeds nothing and its matrix is bit-identical to a cold
+one. The file is outside input: it is loaded without pickles, and one
+that cannot be read, or whose model, dimension, dtype, shape, digest
+count, finiteness or non-zero rows do not check out, is ignored as if
+absent. When the stored texts were not exactly the bank's, in order, the
+build rewrites the file through a unique temporary file and
+``os.replace``, so concurrent builds and readers see a whole file or
+none. A directory that cannot be written (read-only, full) costs one
+logged warning per build; the index is returned all the same.
+
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple, Sequence
+from zipfile import BadZipFile
 
 import numpy as np
 
-from .bank import Bank
+from .bank import Bank, content_id
 from .embeddings import EmbeddingProvider
 from .errors import (
     DegenerateVector,
@@ -39,6 +62,8 @@ from .errors import (
     InvalidTemperature,
     UnknownVersion,
 )
+
+log = logging.getLogger(__name__)
 
 
 class ObjectiveMode(str, Enum):
@@ -137,18 +162,24 @@ class StrategyIndex:
     concurrent queries once built.
     """
 
-    def __init__(self, ids: Sequence[str], vectors: Sequence[np.ndarray],
+    def __init__(self, ids: Sequence[str],
+                 vectors: Sequence[np.ndarray] | np.ndarray,
                  embedder: EmbeddingProvider | None = None):
+        """``vectors`` is one vector per id: a sequence of 1-D arrays, which
+        the index stacks, or a 2-D array. A float64 array is taken over, not
+        copied: the index divides it by its row norms in place."""
         if len(ids) != len(vectors):
             raise ValueError("ids and vectors must have equal length")
         self._ids = list(ids)
         self.embedder = embedder  # query-side provider, set by build()
-        if vectors:
-            matrix = np.vstack([np.asarray(v, dtype=np.float64) for v in vectors])
+        if len(vectors):
+            matrix = np.asarray(vectors, dtype=np.float64)
+            if matrix.ndim != 2:
+                raise ValueError("vectors must be one 1-D vector per id")
             norms = np.linalg.norm(matrix, axis=1, keepdims=True)
             if np.any(norms == 0.0):
                 raise DegenerateVector("index entry with all-zero embedding")
-            matrix /= norms  # in place: the stacked copy is the only one
+            matrix /= norms  # in place: one matrix, never a second copy
             self._matrix = matrix
         else:
             self._matrix = np.zeros((0, 0))
@@ -166,9 +197,25 @@ class StrategyIndex:
 
     @classmethod
     def build(cls, bank: Bank, embedder: EmbeddingProvider) -> "StrategyIndex":
+        """Index each strategy's ``when_to_apply`` text, in bank order.
+
+        A bank built in memory is embedded whole. A loaded bank's vectors
+        come from, and go back to, its vectors file (module docstring).
+        """
         strategies = list(bank.strategies.values())
-        vectors = embedder.embed([s.when_to_apply for s in strategies])
-        return cls([s.id for s in strategies], vectors, embedder=embedder)
+        ids = [s.id for s in strategies]
+        texts = [s.when_to_apply for s in strategies]
+        if bank.path is None:
+            return cls(ids, embedder.embed(texts), embedder=embedder)
+        key = content_id(embedder.model, str(embedder.dimension))
+        path = Path(bank.path) / f"index-vectors-{key}.npz"
+        digests = _digests(texts)
+        stored = _read_vectors(path, embedder)
+        if stored is not None and np.array_equal(stored[0], digests):
+            return cls(ids, stored[1], embedder=embedder)
+        matrix = _vectors_for(texts, digests, stored, embedder)
+        _write_vectors(path, embedder, digests, matrix)
+        return cls(ids, matrix, embedder=embedder)
 
     def _columns_for(self, bank: Bank) -> _BankColumns:
         """``bank``'s per-row columns, memoised for the most recent bank.
@@ -213,6 +260,113 @@ class StrategyIndex:
     def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
         """The k most similar strategies, descending; ties by id ascending."""
         return self._ranked(*self.top_rows(query, k))
+
+
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def _digests(texts: list[str]) -> np.ndarray:
+    """The SHA-256 digest of each text, one row of bytes per text."""
+    joined = bytearray()
+    for t in texts:
+        joined += hashlib.sha256(t.encode("utf-8", "surrogatepass")).digest()
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), _DIGEST_SIZE)
+
+
+def _read_vectors(path: Path, embedder: EmbeddingProvider
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (digests, vectors) stored at ``path`` for ``embedder``; None when
+    the file is absent, unreadable or fails a check."""
+    try:
+        # NpzFile, not np.load: a bare .npy or a pickle is no vectors file.
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(
+                fh, allow_pickle=False) as data:
+            digests = data["digests"]
+            if (data["model"].tolist() != embedder.model
+                    or data["dimension"].tolist() != embedder.dimension
+                    or digests.shape[1:] != (_DIGEST_SIZE,)):
+                return None
+            with data.zip.open("vectors.npy") as member:
+                vectors = _read_matrix(member, (len(digests), embedder.dimension))
+    # zipfile raises RuntimeError, or its subclass NotImplementedError, for
+    # a header that flags encryption or an unknown method or version.
+    except (BadZipFile, EOFError, OSError, KeyError, ValueError, RuntimeError):
+        return None
+    if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
+        return None
+    return digests, vectors
+
+
+#: Below glibc's mmap threshold, so each chunk reuses the last one's memory.
+_READ_CHUNK = 1 << 16
+
+
+def _read_matrix(member, shape: tuple[int, int]) -> np.ndarray:
+    """The C-order float64 array of ``shape`` that the ``.npy`` file
+    ``member`` holds, read straight into place a chunk at a time: numpy's
+    reader would hold all its bytes twice.
+
+    Raises:
+        ValueError: the header names another shape, order or dtype, or the
+            data is short or runs on.
+    """
+    if np.lib.format.read_magic(member) != (1, 0):
+        raise ValueError("unexpected .npy format version")
+    if np.lib.format.read_array_header_1_0(member) != (shape, False,
+                                                       np.dtype(np.float64)):
+        raise ValueError("unexpected array header")
+    matrix = np.empty(shape)
+    out = matrix.reshape(-1).view(np.uint8)
+    for start in range(0, out.size, _READ_CHUNK):
+        chunk = out[start:start + _READ_CHUNK]
+        if member.readinto(chunk) != chunk.size:
+            raise ValueError("array data cut short")
+    # The last chunk ended the member, which made zipfile check its CRC;
+    # bytes beyond the array would have left the CRC unchecked.
+    if member.read(1):
+        raise ValueError("data after the array")
+    return matrix
+
+
+def _vectors_for(texts: list[str], digests: np.ndarray,
+                 stored: tuple[np.ndarray, np.ndarray] | None,
+                 embedder: EmbeddingProvider) -> np.ndarray:
+    """Raw vectors for ``texts``: each stored row whose digest matches, and
+    one ``embed`` call for the texts that have none."""
+    rows: list[int | None] = [None] * len(texts)
+    if stored is not None:
+        row_of = {d.tobytes(): row for row, d in enumerate(stored[0])}
+        rows = [row_of.get(d.tobytes()) for d in digests]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    fresh = embedder.embed([texts[i] for i in missing])
+    # Allocated after the embed call, which may hold a stacked copy of
+    # its batch while it checks it.
+    matrix = np.empty((len(texts), embedder.dimension))
+    for i, vector in zip(missing, fresh, strict=True):
+        matrix[i] = vector
+    for i, row in enumerate(rows):
+        if row is not None:
+            matrix[i] = stored[1][row]
+    return matrix
+
+
+def _write_vectors(path: Path, embedder: EmbeddingProvider,
+                   digests: np.ndarray, vectors: np.ndarray) -> None:
+    """Replace the vectors file at ``path`` whole; log a failure and go on."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, digests=digests, vectors=vectors,
+                         model=np.array(embedder.model),
+                         dimension=np.array(embedder.dimension))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        log.warning("index vectors not saved to %s: %s", path, exc)
 
 
 def retrieve(

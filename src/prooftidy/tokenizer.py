@@ -279,9 +279,19 @@ def proof_length(statement_and_proof: str) -> int:
         return LENGTH_FAILURE_SENTINEL
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as Lean numbers them: broken at ``"\n"`` only,
+    a final ``"\n"`` ending the last line rather than opening a new one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def line_count(text: str) -> int:
-    """A proof's number of lines; an empty proof still occupies one."""
-    return max(1, len(text.splitlines()))
+    """A proof's number of lines, as Lean counts them; an empty proof
+    still occupies one."""
+    return max(1, len(_lines(text)))
 
 
 def _span_for(lines: list[str], start: int, end: int) -> ProofSpan:
@@ -291,14 +301,15 @@ def _span_for(lines: list[str], start: int, end: int) -> ProofSpan:
 def segment(proof: str, sizes: list[int]) -> list[ProofSpan]:
     """Cut a proof into fixed-size line windows at several granularities.
 
-    For each size, consecutive non-overlapping windows cover all lines (the
-    last window may be short). Windows that coincide across granularities
+    Lines are those of :func:`line_count`, so each span's text is a slice
+    of ``proof``. For each size, consecutive non-overlapping windows cover
+    all lines (the last window may be short). Windows that coincide across granularities
     are deduplicated by (line_start, line_end); a whole-proof span is always
     appended last.
     """
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be non-empty and all >= 1")
-    lines = proof.splitlines()
+    lines = _lines(proof)
     if not lines:
         return [ProofSpan(1, 1, "")]
     n = len(lines)
@@ -332,7 +343,7 @@ def jitter_boundaries(
         raise ValueError("max_jitter must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = line_count(document)
-    lines = document.splitlines()
+    lines = _lines(document)
     start = span.line_start + rng.randint(-max_jitter, max_jitter)
     end = span.line_end + rng.randint(-max_jitter, max_jitter)
     start = min(max(start, 1), n)

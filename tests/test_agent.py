@@ -15,6 +15,7 @@ from prooftidy.agent import (
     CHUNK_SIZES,
     AgentConfig,
     Termination,
+    _validate_steps,
     run_session,
     splice_error_markers,
     statement_preserved,
@@ -106,6 +107,17 @@ def test_error_markers_number_lines_as_lean_does(candidate, line, marked):
     got = splice_error_markers(candidate, diagnostics)
     assert got == marked
     assert got.replace("<error>", "").replace("</error>", "") == candidate
+
+
+def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
+    # Three lines to Lean; str.splitlines would see a fourth at the \x0c.
+    proof = "theorem t : P := by\n  -- see\x0cnote\n  exact bad"
+    step = {"line_start": 4, "line_end": 4, "title": "t", "reduction": "low",
+            "description": "d"}
+    result = _validate_steps([step], proof)
+    assert result.steps == []
+    assert result.warnings == [
+        "step 0: lines 4-4 outside the proof's 3 lines, dropped"]
 
 
 # --- scripted sessions -------------------------------------------------------

@@ -7,6 +7,7 @@ records every body it received, in arrival order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,6 +18,7 @@ import pytest
 
 from prooftidy import embeddings as embeddings_module
 from prooftidy.agent import AgentConfig, Termination, run_session
+from prooftidy.bank import Bank, load_bank, save_bank
 from prooftidy.embeddings import HttpEmbedder
 from prooftidy.errors import (
     REJECTED_STATUSES,
@@ -26,8 +28,10 @@ from prooftidy.errors import (
     RetryableProviderError,
 )
 from prooftidy.llm import HttpChatLLM
+from prooftidy.retrieval import StrategyIndex
 
 from test_agent import PROOF, _world
+from test_bank import REGISTRY, make_strategy
 
 DIMENSION = 3
 
@@ -144,6 +148,29 @@ def test_embedder_keeps_input_order_when_later_batches_answer_first(stub):
     assert order == [3, 2, 1, 0]
     assert np.array_equal(np.stack(vectors),
                           np.array([vector_for(t) for t in texts]))
+
+
+def test_a_loaded_bank_posts_only_the_texts_it_has_not_embedded(stub, tmp_path):
+    stub.handler = lambda body: (200, embeddings(body["input"]))
+    texts = [f"t{i}" for i in range(5)]
+    strategies = [make_strategy(i, when_to_apply=t) for i, t in enumerate(texts)]
+    save_bank(Bank(strategies={s.id: s for s in strategies}, registry=REGISTRY),
+              tmp_path)
+    bank = load_bank(tmp_path, REGISTRY)
+    cold = StrategyIndex.build(bank, embedder(stub))
+    assert [body["input"] for body in stub.received] == [texts]
+    stub.received.clear()
+    warm = StrategyIndex.build(bank, embedder(stub))
+    assert stub.received == []
+    assert np.array_equal(warm._matrix, cold._matrix)
+    bank.strategies["s0002"] = dataclasses.replace(bank.strategies["s0002"],
+                                                   when_to_apply="t9")
+    edited = StrategyIndex.build(bank, embedder(stub))
+    assert [body["input"] for body in stub.received] == [["t9"]]
+    assert np.array_equal(edited._matrix[2], np.array([9.0, 1.0, 0.0])
+                          / np.linalg.norm([9.0, 1.0, 0.0]))
+    assert np.array_equal(np.delete(edited._matrix, 2, axis=0),
+                          np.delete(cold._matrix, 2, axis=0))
 
 
 def chat(stub: Stub) -> HttpChatLLM:

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import logging
 import math
+import sys
+import zipfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooftidy.bank import Bank, ToolchainRegistry
+from prooftidy import retrieval as retrieval_module
+from prooftidy.bank import Bank, ToolchainRegistry, load_bank, save_bank
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     DegenerateVector,
@@ -101,6 +107,14 @@ class ScaledEmbedder:
     def embed(self, texts):
         vectors = MockEmbedder(dimension=16, seed=3).embed(texts)
         return [v * (i + 1.5) for i, v in enumerate(vectors)]
+
+
+def test_index_takes_over_a_2d_array_without_a_copy():
+    vectors = np.eye(3) * 2.0
+    index = StrategyIndex(["a", "b", "c"], vectors)
+    assert np.shares_memory(index._matrix, vectors)
+    assert np.array_equal(index._matrix, np.eye(3))
+    assert index.top_k(np.array([0.0, 1.0, 0.0]), 1)[0].strategy_id == "b"
 
 
 def test_index_rows_are_the_vectors_over_their_norms_bit_for_bit():
@@ -596,3 +610,223 @@ def test_index_build_finds_exact_when_to_apply(tmp_path):
     result = index.top_k(query, 1)
     assert result[0].strategy_id == "s0003"
     assert result[0].similarity == pytest.approx(1.0)
+
+
+# --- persisted index vectors ---------------------------------------------------
+
+class RecordingEmbedder(MockEmbedder):
+    """A MockEmbedder that records each batch of texts it is asked for."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batches: list[list[str]] = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+    @property
+    def texts(self) -> list[str]:
+        return [t for batch in self.batches for t in batch]
+
+
+TEXTS = [f"pattern number {i}" for i in range(6)]
+
+
+def saved_bank(tmp_path) -> Bank:
+    save_bank(make_bank_with(make_strategy(i, when_to_apply=text)
+                             for i, text in enumerate(TEXTS)), tmp_path)
+    return load_bank(tmp_path, REGISTRY)
+
+
+def vectors_files(directory) -> list:
+    return sorted(directory.glob("index-vectors-*"))
+
+
+def cold_matrix() -> np.ndarray:
+    bank = make_bank_with(make_strategy(i, when_to_apply=text)
+                          for i, text in enumerate(TEXTS))
+    assert bank.path is None
+    return StrategyIndex.build(bank, MockEmbedder())._matrix
+
+
+def test_a_warm_build_embeds_nothing_and_matches_a_cold_build(tmp_path):
+    bank = saved_bank(tmp_path)
+    assert bank.path == tmp_path
+    first = RecordingEmbedder()
+    assert np.array_equal(StrategyIndex.build(bank, first)._matrix, cold_matrix())
+    assert first.batches == [TEXTS]
+    (path,) = vectors_files(tmp_path)
+    assert path.suffix == ".npz"
+    warm = RecordingEmbedder()
+    index = StrategyIndex.build(load_bank(tmp_path, REGISTRY), warm)
+    assert warm.texts == []
+    assert np.array_equal(index._matrix, cold_matrix())
+    assert vectors_files(tmp_path) == [path]
+
+
+def test_a_build_embeds_only_the_edited_text_and_follows_a_new_order(tmp_path):
+    bank = saved_bank(tmp_path)
+    StrategyIndex.build(bank, MockEmbedder())
+    edited = dataclasses.replace(bank.strategies["s0002"], when_to_apply="new")
+    bank.strategies = {s.id: (edited if s.id == "s0002" else s)
+                       for s in reversed(bank.strategies.values())}
+    embedder = RecordingEmbedder()
+    index = StrategyIndex.build(bank, embedder)
+    assert embedder.batches == [["new"]]
+    expected = StrategyIndex.build(dataclasses.replace(bank, path=None),
+                                   MockEmbedder())
+    assert np.array_equal(index._matrix, expected._matrix)
+    again = RecordingEmbedder()
+    StrategyIndex.build(bank, again)
+    assert again.texts == []
+
+
+def _rewrite(path, drop=(), **changes):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files if key not in drop}
+    arrays.update(changes)
+    np.savez(path, allow_pickle=True, **arrays)
+
+
+def _with_row(vectors, value):
+    vectors = vectors.copy()
+    vectors[0] = value
+    return vectors
+
+
+def _stored(path, key):
+    with np.load(path, allow_pickle=False) as data:
+        return data[key]
+
+
+def _flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _flip_last_vector_byte(path):
+    # Members are stored in write order; the vectors end where model begins.
+    with zipfile.ZipFile(path) as archive:
+        _flip_byte(path, archive.getinfo("model.npy").header_offset - 1)
+
+
+def _set_directory_byte(path, offset, value):
+    # A field of the first central directory entry (digests.npy).
+    data = bytearray(path.read_bytes())
+    data[data.index(b"PK\x01\x02") + offset] = value
+    path.write_bytes(bytes(data))
+
+
+def _append_to_vectors(path):
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members["vectors.npy"] += b"\x00" * 8
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def _bare_npy(path):
+    vectors = _stored(path, "vectors")
+    with path.open("wb") as fh:
+        np.save(fh, vectors)
+
+
+CORRUPTIONS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[:p.stat().st_size // 2]),
+    "not_a_zip": lambda p: p.write_bytes(b"not a vectors file"),
+    "bare_npy": _bare_npy,
+    "encrypted_flag": lambda p: _set_directory_byte(p, 8, 1),
+    "unknown_compression": lambda p: _set_directory_byte(p, 10, 99),
+    "flipped_vector_byte": _flip_last_vector_byte,
+    "bytes_after_vectors": _append_to_vectors,
+    "missing_key": lambda p: _rewrite(p, drop=("model",)),
+    "pickled_digests": lambda p: _rewrite(
+        p, digests=np.array([b"x"] * len(TEXTS), dtype=object)),
+    "wrong_dimension": lambda p: _rewrite(p, vectors=_stored(p, "vectors")[:, :-1]),
+    "transposed": lambda p: _rewrite(p, vectors=_stored(p, "vectors").T.copy()),
+    "fortran_order": lambda p: _rewrite(
+        p, vectors=np.asfortranarray(_stored(p, "vectors"))),
+    "big_endian": lambda p: _rewrite(
+        p, vectors=_stored(p, "vectors").astype(">f8")),
+    "wrong_stored_dimension": lambda p: _rewrite(p, dimension=np.array(31)),
+    "float32": lambda p: _rewrite(
+        p, vectors=_stored(p, "vectors").astype(np.float32)),
+    "nan": lambda p: _rewrite(p, vectors=_with_row(_stored(p, "vectors"), np.nan)),
+    "inf": lambda p: _rewrite(p, vectors=_with_row(_stored(p, "vectors"), np.inf)),
+    "zero_row": lambda p: _rewrite(p, vectors=_with_row(_stored(p, "vectors"), 0.0)),
+    "one_digest_short": lambda p: _rewrite(p, digests=_stored(p, "digests")[:-1]),
+    "scalar_digests": lambda p: _rewrite(p, digests=np.array(0, dtype=np.uint8)),
+    "other_model": lambda p: _rewrite(p, model=np.array("mock-seed1")),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_a_bad_vectors_file_is_re_embedded_and_overwritten(tmp_path, corrupt):
+    bank = saved_bank(tmp_path)
+    StrategyIndex.build(bank, MockEmbedder())
+    (path,) = vectors_files(tmp_path)
+    corrupt(path)
+    embedder = RecordingEmbedder()
+    index = StrategyIndex.build(bank, embedder)
+    assert embedder.batches == [TEXTS]
+    assert np.array_equal(index._matrix, cold_matrix())
+    assert vectors_files(tmp_path) == [path]
+    again = RecordingEmbedder()
+    StrategyIndex.build(bank, again)
+    assert again.texts == []
+
+
+def test_a_failed_write_still_returns_the_index_and_logs_one_warning(
+        tmp_path, monkeypatch, caplog):
+    def refuse(src, dst):
+        raise OSError(30, "Read-only file system")
+
+    bank = saved_bank(tmp_path)
+    monkeypatch.setattr(retrieval_module.os, "replace", refuse)
+    with caplog.at_level(logging.WARNING, logger="prooftidy.retrieval"):
+        index = StrategyIndex.build(bank, MockEmbedder())
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "Read-only file system" in caplog.records[0].getMessage()
+    assert vectors_files(tmp_path) == []  # no file, and no temp file left
+    assert np.array_equal(index._matrix, cold_matrix())
+    (query,) = MockEmbedder().embed([TEXTS[3]])
+    assert index.top_k(query, 1)[0].strategy_id == "s0003"
+
+
+def test_each_embedder_keeps_its_own_vectors_file(tmp_path):
+    bank = saved_bank(tmp_path)
+    embedders = [MockEmbedder(), MockEmbedder(seed=1), MockEmbedder(dimension=8)]
+    cold = [StrategyIndex.build(bank, e)._matrix for e in embedders]
+    assert len(vectors_files(tmp_path)) == 3
+    for embedder, matrix in zip(embedders, cold):
+        recording = RecordingEmbedder(dimension=embedder.dimension,
+                                      seed=embedder.seed)
+        assert np.array_equal(StrategyIndex.build(bank, recording)._matrix, matrix)
+        assert recording.texts == []
+
+
+def test_concurrent_builds_leave_one_valid_file(tmp_path, caplog):
+    texts = [f"pattern number {i}" for i in range(400)]
+    save_bank(make_bank_with(make_strategy(i, when_to_apply=text)
+                             for i, text in enumerate(texts)), tmp_path)
+    bank = load_bank(tmp_path, REGISTRY)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(StrategyIndex.build, bank, MockEmbedder())
+                       for _ in range(16)]
+            matrices = [f.result(timeout=60)._matrix for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = StrategyIndex.build(dataclasses.replace(bank, path=None),
+                                   MockEmbedder())._matrix
+    assert all(np.array_equal(m, expected) for m in matrices)
+    assert caplog.records == []
+    assert len(vectors_files(tmp_path)) == 1
+    warm = RecordingEmbedder()
+    assert np.array_equal(StrategyIndex.build(bank, warm)._matrix, expected)
+    assert warm.texts == []

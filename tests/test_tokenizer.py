@@ -18,6 +18,7 @@ from prooftidy.tokenizer import (
     _line_tokens,
     jitter_boundaries,
     lex,
+    line_count,
     proof_length,
     remove_comments,
     segment,
@@ -271,6 +272,27 @@ def test_segment_span_text_matches_lines():
     assert spans[0].text == "alpha\nbeta"
     assert spans[1].text == "gamma\ndelta"
     assert spans[-1].text == proof
+
+
+@pytest.mark.parametrize("brk", [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+def test_lines_break_at_newline_only_as_lean_counts_them(brk):
+    # str.splitlines also breaks at these; Lean's FileMap does not.
+    proof = f"theorem t : P := by\n  -- see{brk}note\n  exact bad"
+    assert line_count(proof) == 3
+    spans = segment(proof, [2])
+    assert _ranges(spans) == [(1, 2), (3, 3), (1, 3)]
+    assert [s.text for s in spans] == [
+        f"theorem t : P := by\n  -- see{brk}note", "  exact bad", proof]
+    whole = jitter_boundaries(ProofSpan(1, 3, proof), proof, 0, seed=1)
+    assert whole.text == proof
+
+
+@pytest.mark.parametrize("text, count", [
+    ("", 1), ("\n", 1), ("a", 1), ("a\n", 1), ("a\n\n", 2), ("a\nb", 2),
+    ("\na\n\nb\n", 4)])
+def test_line_count_of_newline_only_texts(text, count):
+    assert line_count(text) == count == max(1, len(text.splitlines()))
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=9))
