@@ -6,9 +6,10 @@ corresponding dataclass; unknown keys are rejected. ``load_bank`` streams
 the records, building each one before it reads the next line, so the
 first bad line of a file is the one reported. Within one load, each
 distinct closed-set value (a version id, a status, a reduction level, a
-compatibility set, a source corpus) is held once. Mutation is
-single-writer with whole-file replace-on-commit; loaded banks are
-effectively immutable and safe to share across threads.
+compatibility set, a source corpus) is held once. Every file is written
+through ``replacing``: concurrent writers and readers of one file see a
+whole file, never a torn one. Loaded banks are effectively immutable and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import json
 import math
 import os
 import statistics
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import EmptyCluster, SchemaError, UnknownVersion
 from .tokenizer import line_count
@@ -191,7 +194,8 @@ class ToolchainRegistry:
             "schema_version": 1,
             "toolchains": [{"version": v, "root": r} for v, r in self.entries],
         }
-        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        with replacing(Path(path)) as fh:
+            fh.write((json.dumps(data, indent=2) + "\n").encode("utf-8"))
 
 
 @dataclass
@@ -414,14 +418,32 @@ class _RecordReader:
         )
 
 
+@contextmanager
+def replacing(path: Path) -> Iterator[BinaryIO]:
+    """Write ``path`` whole or not at all.
+
+    Yields a new file beside ``path`` under a name no other writer uses,
+    and ``os.replace``s it onto ``path`` when the block ends; on any
+    failure the new file is removed and ``path`` is left as it was. The
+    file gets ``open``'s permissions (0o666 less the umask), not the
+    owner-only ones of ``tempfile.mkstemp``.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    # Whole-file replace-on-commit: write a sibling temp file, then rename.
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-    os.replace(tmp, path)
+            line = json.dumps(record, ensure_ascii=False, sort_keys=True)
+            fh.write(line.encode("utf-8") + b"\n")
 
 
 def save_bank(bank: Bank, path: str | Path) -> None:

@@ -2,9 +2,10 @@
 
 The real backend shells out to ``lake env lean`` inside a registered
 toolchain environment, writing each request to an isolated scratch file
-that is removed afterwards. The mock backend replays scripted results from
-a fixture file, keyed by source-content hash or consumed in order, which
-makes the whole agent loop testable offline and byte-deterministic.
+that is removed afterwards. The mock backend replays ``CompileResult``s
+given in code, keyed by source (optionally per toolchain version) or
+consumed in order, which makes the whole agent loop testable offline and
+byte-deterministic.
 
 Plain checks may run concurrently up to a configured limit. Profiling and
 heartbeat counting run alone: one at a time, and with no check running.
@@ -12,8 +13,6 @@ heartbeat counting run alone: one at a time, and with no check running.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 import shutil
 import subprocess
@@ -21,7 +20,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -69,11 +68,6 @@ class CompileRequest:
     toolchain_version: str
     want_profile: bool = False
     want_heartbeats: bool = False
-    timeout: float = DEFAULT_TIMEOUT
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,10 +92,6 @@ class CompileResult:
 def heartbeat_wrapper(decl_source: str) -> str:
     """The measurement file for one declaration, directives byte-exact."""
     return "\n".join(HEARTBEAT_DIRECTIVES) + "\n" + decl_source
-
-
-def source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
 
 
 _DIAGNOSTIC_RE = re.compile(
@@ -300,7 +290,7 @@ class LeanCompiler(_CompilerCore):
         try:
             proc = subprocess.run(
                 cmd, cwd=root, capture_output=True, text=True,
-                timeout=req.timeout,
+                timeout=DEFAULT_TIMEOUT,
             )
         except subprocess.TimeoutExpired:
             return CompileResult(verdict=Verdict.TIMEOUT,
@@ -338,100 +328,38 @@ class LeanCompiler(_CompilerCore):
 
 # --- scripted mock ------------------------------------------------------------
 
-MOCK_SCRIPT_FORMAT_VERSION = 1
-
-
-def _result_from_script(entry: dict) -> CompileResult:
-    diagnostics = tuple(
-        Diagnostic(line=d[0], column=d[1], severity=d[2], message=d[3])
-        for d in entry.get("diagnostics", [])
-    )
-    wall = entry.get("wall_time_total")
-    import_time = entry.get("import_time")
-    elaboration = None
-    if wall is not None and import_time is not None:
-        elaboration = max(wall - import_time, 0.0)
-    return CompileResult(
-        verdict=Verdict(entry["verdict"]),
-        diagnostics=diagnostics,
-        wall_time_total=wall,
-        import_time=import_time,
-        elaboration_time=elaboration,
-        heartbeats=entry.get("heartbeats"),
-    )
-
-
-@dataclass
-class MockScript:
-    """Fixture-backed script: hash-keyed entries plus an ordered fallback.
-
-    File format (format_version 1)::
-
-        {
-          "format_version": 1,
-          "default_version": "v4.24.0",
-          "by_hash": {"<source_hash(source)>": {result}, ...},
-          "by_version": {"<version>": {"<hash>": {result}}, ...},
-          "sequence": [{result}, ...]
-        }
-
-    where a result object is ``{"verdict": "success"|"failure"|"timeout",
-    "diagnostics": [[line, col, severity, message], ...],
-    "wall_time_total": s, "import_time": s, "heartbeats": n}``.
-    """
-
-    default_version: str = "v4.24.0"
-    by_hash: dict[str, dict] = field(default_factory=dict)
-    by_version: dict[str, dict[str, dict]] = field(default_factory=dict)
-    sequence: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MockScript":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = data.get("format_version")
-        if version != MOCK_SCRIPT_FORMAT_VERSION:
-            raise ValueError(f"unsupported mock script format {version!r}")
-        return cls(
-            default_version=data.get("default_version", "v4.24.0"),
-            by_hash=data.get("by_hash", {}),
-            by_version=data.get("by_version", {}),
-            sequence=list(data.get("sequence", [])),
-        )
-
-
 class MockCompiler(_CompilerCore):
     """Deterministic scripted stand-in for the Lean toolchain.
 
-    Hash-keyed entries replay as pure functions of the source; the ordered
-    ``sequence`` serves requests with no hash entry. A request beyond the
-    script raises ScriptExhausted — fixtures must cover their scenario.
-    Heartbeat requests are keyed on the wrapped source, the bytes the real
-    backend compiles.
+    A request is answered by ``by_version[version][source]``, else by
+    ``by_source[source]`` (both pure functions of the source), else by the
+    next unused entry of ``sequence``. A request beyond all three raises
+    ScriptExhausted: a test must script its whole scenario. Heartbeat
+    requests are keyed on the wrapped source, the bytes the real backend
+    compiles.
     """
 
-    def __init__(self, script: MockScript):
+    def __init__(self, by_source: dict[str, CompileResult] | None = None,
+                 by_version: dict[str, dict[str, CompileResult]] | None = None,
+                 sequence: Sequence[CompileResult] = (),
+                 default_version: str = "v4.24.0"):
         super().__init__()
-        self.script = script
-        self._cursor = 0
-        self.calls: list[tuple[str, str]] = []  # (version, source hash)
-
-    @property
-    def default_version(self) -> str:
-        return self.script.default_version
+        self.by_source = dict(by_source or {})
+        self.by_version = dict(by_version or {})
+        self._sequence = iter(sequence)
+        self.default_version = default_version
+        self.calls: list[tuple[str, str]] = []  # (version, source)
 
     def _run(self, req: CompileRequest) -> CompileResult:
-        version = req.toolchain_version
-        digest = source_hash(req.source)
-        self.calls.append((version, digest))
-        versioned = self.script.by_version.get(version, {})
-        if digest in versioned:
-            return _result_from_script(versioned[digest])
-        if digest in self.script.by_hash:
-            return _result_from_script(self.script.by_hash[digest])
-        if self._cursor < len(self.script.sequence):
-            entry = self.script.sequence[self._cursor]
-            self._cursor += 1
-            return _result_from_script(entry)
-        raise ScriptExhausted(
-            f"no scripted result for source {digest} under {version}"
-        )
+        version, source = req.toolchain_version, req.source
+        self.calls.append((version, source))
+        versioned = self.by_version.get(version, {})
+        if source in versioned:
+            return versioned[source]
+        if source in self.by_source:
+            return self.by_source[source]
+        result = next(self._sequence, None)
+        if result is None:
+            raise ScriptExhausted(
+                f"no scripted result for source {source[:60]!r} under {version}")
+        return result

@@ -73,7 +73,8 @@ class MockEmbedder:
         return f"mock-seed{self.seed}"
 
     def _vector_for(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}\x00{text}".encode("utf-8")).digest()
+        key = f"{self.seed}\x00{text}".encode("utf-8", "surrogatepass")
+        digest = hashlib.sha256(key).digest()
         rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
         v = rng.standard_normal(self.dimension)
         norm = math.sqrt(v @ v)  # exactly np.linalg.norm for 1-D float64
@@ -83,9 +84,9 @@ class MockEmbedder:
         return v / norm
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        vectors = [self._vector_for(t) for t in texts]
-        _check_batch(vectors, len(texts), self.dimension)
-        return vectors
+        # One finite unit vector per text by construction, so unlike a
+        # provider's reply the batch needs no _check_batch.
+        return [self._vector_for(t) for t in texts]
 
 
 @dataclass

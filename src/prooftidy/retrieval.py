@@ -28,10 +28,10 @@ one. The file is outside input: it is loaded without pickles, and one
 that cannot be read, or whose model, dimension, dtype, shape, digest
 count, finiteness or non-zero rows do not check out, is ignored as if
 absent. When the stored texts were not exactly the bank's, in order, the
-build rewrites the file through a unique temporary file and
-``os.replace``, so concurrent builds and readers see a whole file or
-none. A directory that cannot be written (read-only, full) costs one
-logged warning per build; the index is returned all the same.
+build rewrites the file through ``bank.replacing``, so concurrent builds
+and readers see a whole file or none. A directory that cannot be written
+(read-only, full) costs one logged warning per build; the index is
+returned all the same.
 
 Also hosts the retrieval-model training loss as a pure, verifiable
 function; actual model training is out of scope.
@@ -42,8 +42,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -53,7 +51,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .bank import Bank, content_id
+from .bank import Bank, content_id, replacing
 from .embeddings import EmbeddingProvider
 from .errors import (
     DegenerateVector,
@@ -354,17 +352,10 @@ def _write_vectors(path: Path, embedder: EmbeddingProvider,
                    digests: np.ndarray, vectors: np.ndarray) -> None:
     """Replace the vectors file at ``path`` whole; log a failure and go on."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, digests=digests, vectors=vectors,
-                         model=np.array(embedder.model),
-                         dimension=np.array(embedder.dimension))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with replacing(path) as fh:
+            np.savez(fh, digests=digests, vectors=vectors,
+                     model=np.array(embedder.model),
+                     dimension=np.array(embedder.dimension))
     except OSError as exc:
         log.warning("index vectors not saved to %s: %s", path, exc)
 

@@ -23,10 +23,10 @@ from prooftidy.agent import (
 from prooftidy.bank import Bank
 from prooftidy.compiler import (
     CompileRequest,
+    CompileResult,
     Diagnostic,
     MockCompiler,
-    MockScript,
-    source_hash,
+    Verdict,
 )
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
@@ -169,14 +169,13 @@ def _world():
     embedder = CountingEmbedder()
     index = StrategyIndex.build(bank, embedder)
     embedder.batches.clear()
-    ok = {"verdict": "success"}
-    failure = {"verdict": "failure",
-               "diagnostics": [[3, 2, "error", "unknown id"]]}
-    compiler = MockCompiler(MockScript(
-        by_hash={source_hash(PROOF): ok, source_hash(SHORTER): ok,
-                 source_hash(FAILING): failure, source_hash(NATIVE_ONLY): ok},
-        by_version={"v4.22.0": {source_hash(NATIVE_ONLY): failure}},
-    ))
+    ok = CompileResult(Verdict.SUCCESS)
+    failure = CompileResult(Verdict.FAILURE, diagnostics=(
+        Diagnostic(3, 2, "error", "unknown id"),))
+    compiler = MockCompiler(
+        by_source={PROOF: ok, SHORTER: ok, FAILING: failure, NATIVE_ONLY: ok},
+        by_version={"v4.22.0": {NATIVE_ONLY: failure}},
+    )
     return bank, index, compiler, embedder
 
 
@@ -314,14 +313,13 @@ def test_checks_run_on_the_objectives_target_version():
 @pytest.mark.parametrize("verdict", ["failure", "timeout"])
 def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict):
     bank, index, compiler, _ = _world()
-    compiler.script.by_hash[source_hash(FAILING)] = {"verdict": verdict}
+    compiler.by_source[FAILING] = CompileResult(Verdict(verdict))
     config = AgentConfig(target_length=1, max_debug_rounds=1)
     script = [_plan(2, 5), _candidate(FAILING), _candidate(FAILING),
               EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          compiler)
-    assert [digest for _, digest in compiler.calls] == [
-        source_hash(PROOF), source_hash(FAILING)]
+    assert [source for _, source in compiler.calls] == [PROOF, FAILING]
     assert [e.detail for e in result.trace.of_kind("compile_result")] == [
         {"verdict": verdict}, {"verdict": verdict, "cached": True}]
     assert result.final_proof == PROOF
@@ -333,7 +331,7 @@ def test_a_candidate_equal_to_the_input_is_not_compiled_again():
     script = [_plan(2, 5), _candidate(PROOF), EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          compiler)
-    assert [digest for _, digest in compiler.calls] == [source_hash(PROOF)]
+    assert [source for _, source in compiler.calls] == [PROOF]
     assert [e.detail for e in result.trace.of_kind("compile_result")] == [
         {"verdict": "success", "cached": True}]
     assert [e.detail["reason"] for e in result.trace.of_kind("step_skipped")

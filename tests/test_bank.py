@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import statistics
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,34 @@ def test_round_trip_identity(tmp_path):
     loaded = load_bank(tmp_path, REGISTRY)
     assert loaded.strategies == bank.strategies
     assert loaded.pairs == bank.pairs
+
+
+def test_concurrent_saves_to_one_directory_leave_a_whole_bank(tmp_path):
+    bank = build_bank(50)
+    for trial in range(20):
+        target = tmp_path / f"bank_{trial}"
+        target.mkdir()
+        start = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def save():
+            start.wait()
+            try:
+                save_bank(bank, target)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert sorted(p.name for p in target.iterdir()) == [
+            "pairs.jsonl", "strategies.jsonl"]
+        loaded = load_bank(target, REGISTRY)
+        assert loaded.strategies == bank.strategies
+        assert loaded.pairs == bank.pairs
 
 
 def test_save_writes_one_record_per_line(tmp_path):

@@ -3,7 +3,6 @@ shared core's measurement rule."""
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -16,13 +15,11 @@ from prooftidy.compiler import (
     Diagnostic,
     LeanCompiler,
     MockCompiler,
-    MockScript,
     Verdict,
     heartbeat_wrapper,
     parse_diagnostics,
     parse_heartbeats,
     parse_profile_categories,
-    source_hash,
     split_profile_times,
 )
 from prooftidy.errors import HeartbeatParseError, ProfileParseError, ScriptExhausted
@@ -105,19 +102,15 @@ def test_heartbeat_missing_count_raises():
 # --- scripted mock ---------------------------------------------------------------
 
 def ok_entry(wall=None, import_time=None, heartbeats=None):
-    entry = {"verdict": "success", "diagnostics": []}
-    if wall is not None:
-        entry["wall_time_total"] = wall
-    if import_time is not None:
-        entry["import_time"] = import_time
-    if heartbeats is not None:
-        entry["heartbeats"] = heartbeats
-    return entry
+    elaboration = None if wall is None else wall - import_time
+    return CompileResult(Verdict.SUCCESS, wall_time_total=wall,
+                         import_time=import_time, elaboration_time=elaboration,
+                         heartbeats=heartbeats)
 
 
 def fail_entry(line, col, message):
-    return {"verdict": "failure",
-            "diagnostics": [[line, col, "error", message]]}
+    return CompileResult(Verdict.FAILURE,
+                         diagnostics=(Diagnostic(line, col, "error", message),))
 
 
 def request(source, version="v4.24.0"):
@@ -125,30 +118,32 @@ def request(source, version="v4.24.0"):
 
 
 def test_mock_scripted_success():
-    compiler = MockCompiler(MockScript(sequence=[ok_entry()]))
+    compiler = MockCompiler(sequence=[ok_entry()])
     result = compiler.check(request("theorem t : True := trivial"))
     assert result.verdict == Verdict.SUCCESS
     assert result.diagnostics == ()
 
 
 def test_mock_scripted_failure_diagnostic():
-    script = MockScript(sequence=[fail_entry(3, 5, "unknown identifier")])
-    result = MockCompiler(script).check(request("bad"))
+    compiler = MockCompiler(sequence=[fail_entry(3, 5, "unknown identifier")])
+    result = compiler.check(request("bad"))
     assert result.verdict == Verdict.FAILURE
     assert result.diagnostics[0] == Diagnostic(3, 5, "error", "unknown identifier")
 
 
 def test_mock_by_hash_is_pure_function_of_source():
     source = "theorem a : True := trivial"
-    script = MockScript(by_hash={source_hash(source): ok_entry()})
-    compiler = MockCompiler(script)
+    compiler = MockCompiler(by_source={source: ok_entry()},
+                            sequence=[fail_entry(1, 0, "boom")])
     first = compiler.check(request(source))
     second = compiler.check(request(source))
-    assert first == second
+    assert first == second == ok_entry()
+    assert compiler.check(request("other")).verdict == Verdict.FAILURE
+    assert compiler.calls == [("v4.24.0", source)] * 2 + [("v4.24.0", "other")]
 
 
 def test_mock_exhausted_script_raises():
-    compiler = MockCompiler(MockScript(sequence=[ok_entry()]))
+    compiler = MockCompiler(sequence=[ok_entry()])
     compiler.check(request("a"))
     with pytest.raises(ScriptExhausted):
         compiler.check(request("b"))
@@ -156,19 +151,18 @@ def test_mock_exhausted_script_raises():
 
 def test_mock_profile_constant_times_zero_std():
     source = "theorem t : True := trivial"
-    script = MockScript(by_hash={
-        source_hash(source): ok_entry(wall=2.0, import_time=0.5),
-    })
-    result = MockCompiler(script).profile(request(source), runs=5)
+    compiler = MockCompiler(by_source={
+        source: ok_entry(wall=2.0, import_time=0.5)})
+    result = compiler.profile(request(source), runs=5)
     assert result.elaboration_time == pytest.approx(1.5)
     assert result.elaboration_samples == (1.5,) * 5
     assert result.wall_samples == (2.0,) * 5
 
 
 def test_mock_profile_means_import_time_with_the_wall_time():
-    script = MockScript(sequence=[ok_entry(wall=2.0, import_time=0.5),
-                                  ok_entry(wall=3.0, import_time=1.5)])
-    result = MockCompiler(script).profile(request("x"), runs=2)
+    compiler = MockCompiler(sequence=[ok_entry(wall=2.0, import_time=0.5),
+                                      ok_entry(wall=3.0, import_time=1.5)])
+    result = compiler.profile(request("x"), runs=2)
     assert result.wall_time_total == pytest.approx(2.5)
     assert result.import_time == pytest.approx(1.0)
     assert result.import_time + result.elaboration_time == pytest.approx(
@@ -176,15 +170,14 @@ def test_mock_profile_means_import_time_with_the_wall_time():
 
 
 def test_mock_profile_stops_at_a_failed_run():
-    compiler = MockCompiler(MockScript(
-        sequence=[fail_entry(1, 0, "boom"), ok_entry()]))
+    compiler = MockCompiler(sequence=[fail_entry(1, 0, "boom"), ok_entry()])
     assert compiler.profile(request("x"), runs=2).verdict == Verdict.FAILURE
     assert compiler.check(request("y")).verdict == Verdict.SUCCESS
 
 
 @pytest.mark.parametrize("runs", [0, -1])
 def test_mock_profile_rejects_fewer_than_one_run(runs):
-    compiler = MockCompiler(MockScript(sequence=[ok_entry()]))
+    compiler = MockCompiler(sequence=[ok_entry()])
     with pytest.raises(ValueError):
         compiler.profile(request("x"), runs=runs)
     assert compiler.calls == []
@@ -192,74 +185,48 @@ def test_mock_profile_rejects_fewer_than_one_run(runs):
 
 def test_mock_heartbeats_scripted():
     decl = "theorem t : True := trivial"
-    script = MockScript(by_hash={
-        source_hash(heartbeat_wrapper(decl)): ok_entry(heartbeats=36300)})
-    result = MockCompiler(script).count_heartbeats(request(decl))
+    compiler = MockCompiler(by_source={
+        heartbeat_wrapper(decl): ok_entry(heartbeats=36300)})
+    result = compiler.count_heartbeats(request(decl))
     assert result.heartbeats == 36300
 
 
 def test_mock_cross_version_matrix():
     source = "theorem t : True := trivial"
-    script = MockScript(by_version={
-        "v4.16.0": {source_hash(source): ok_entry()},
-        "v4.14.0": {source_hash(source): fail_entry(1, 0, "removed API")},
+    compiler = MockCompiler(by_version={
+        "v4.16.0": {source: ok_entry()},
+        "v4.14.0": {source: fail_entry(1, 0, "removed API")},
     })
-    matrix = MockCompiler(script).cross_version_matrix(
+    matrix = compiler.cross_version_matrix(
         source, ["v4.16.0", "v4.14.0"])
     assert matrix == {"v4.16.0": Verdict.SUCCESS, "v4.14.0": Verdict.FAILURE}
 
 
 def test_mock_matrix_single_version():
     source = "x"
-    script = MockScript(by_version={"v4.22.0": {source_hash(source): ok_entry()}})
-    matrix = MockCompiler(script).cross_version_matrix(source, ["v4.22.0"])
+    compiler = MockCompiler(by_version={"v4.22.0": {source: ok_entry()}})
+    matrix = compiler.cross_version_matrix(source, ["v4.22.0"])
     assert matrix == {"v4.22.0": Verdict.SUCCESS}
 
 
 def test_mock_matrix_missing_environment_does_not_abort():
     source = "x"
-    script = MockScript(by_version={
-        "v4.16.0": {source_hash(source): ok_entry()},
-        "v4.22.0": {source_hash(source): {"verdict": "environment_error"}},
+    compiler = MockCompiler(by_version={
+        "v4.16.0": {source: ok_entry()},
+        "v4.22.0": {source: CompileResult(Verdict.ENVIRONMENT_ERROR)},
     })
-    matrix = MockCompiler(script).cross_version_matrix(
+    matrix = compiler.cross_version_matrix(
         source, ["v4.16.0", "v4.99.0", "v4.22.0"])
     assert matrix["v4.16.0"] == Verdict.SUCCESS
     assert matrix["v4.99.0"] == Verdict.ENVIRONMENT_ERROR  # nothing scripted
     assert matrix["v4.22.0"] == Verdict.ENVIRONMENT_ERROR  # scripted as such
 
 
-def test_mock_script_round_trips_from_file(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps({
-        "format_version": 1,
-        "default_version": "v4.24.0",
-        "by_hash": {source_hash("s"): ok_entry()},
-        "sequence": [fail_entry(1, 0, "boom")],
-    }))
-    compiler = MockCompiler(MockScript.from_file(path))
-    assert compiler.check(request("s")).verdict == Verdict.SUCCESS
-    assert compiler.check(request("other")).verdict == Verdict.FAILURE
-    assert compiler.default_version == "v4.24.0"
-
-
-def test_mock_script_rejects_unknown_format(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps({"format_version": 99}))
-    with pytest.raises(ValueError):
-        MockScript.from_file(path)
-
-
-def test_request_validates_timeout():
-    with pytest.raises(ValueError):
-        CompileRequest(source="x", toolchain_version="v", timeout=0)
-
-
 # --- both backends, with their compile run stubbed -----------------------------
 
 @pytest.mark.parametrize("make", [
     lambda: LeanCompiler(REGISTRY, max_concurrent=3),
-    lambda: MockCompiler(MockScript()),
+    lambda: MockCompiler(),
 ], ids=["lean", "mock"])
 def test_measurements_run_with_no_check_beside_them(make):
     compiler = make()

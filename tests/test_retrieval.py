@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import os
 import sys
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooftidy import retrieval as retrieval_module
 from prooftidy.bank import Bank, ToolchainRegistry, load_bank, save_bank
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
@@ -785,7 +785,7 @@ def test_a_failed_write_still_returns_the_index_and_logs_one_warning(
         raise OSError(30, "Read-only file system")
 
     bank = saved_bank(tmp_path)
-    monkeypatch.setattr(retrieval_module.os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
     with caplog.at_level(logging.WARNING, logger="prooftidy.retrieval"):
         index = StrategyIndex.build(bank, MockEmbedder())
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
@@ -794,6 +794,21 @@ def test_a_failed_write_still_returns_the_index_and_logs_one_warning(
     assert np.array_equal(index._matrix, cold_matrix())
     (query,) = MockEmbedder().embed([TEXTS[3]])
     assert index.top_k(query, 1)[0].strategy_id == "s0003"
+
+
+def test_a_lone_surrogate_is_embedded_and_indexed(tmp_path):
+    (vector,) = MockEmbedder().embed(["a \ud800 b"])
+    assert vector.shape == (32,)
+    saved_bank(tmp_path)
+    path = tmp_path / "strategies.jsonl"
+    path.write_text(path.read_text().replace(TEXTS[3], "a \\ud800 b"))
+    bank = load_bank(tmp_path, REGISTRY)
+    assert bank.strategies["s0003"].when_to_apply == "a \ud800 b"
+    index = StrategyIndex.build(bank, MockEmbedder())
+    assert index.top_k(vector, 1)[0].strategy_id == "s0003"
+    warm = RecordingEmbedder()
+    StrategyIndex.build(bank, warm)
+    assert warm.texts == []
 
 
 def test_each_embedder_keeps_its_own_vectors_file(tmp_path):
