@@ -5,16 +5,44 @@ length objective, rerank-by-compile-metadata for the compile-time objective,
 and compatibility filtering for a target toolchain. Each rule lives in one
 place, ``retrieve``. Rules compose: filtering first (soundness), reranking
 second (benefit within the sound set). The index is exact — a flat scan is
-plenty at bank scale. A query is one matrix-vector product;
-``np.partition`` finds the k-th largest similarity, every strategy scoring
-at least that much survives (so a tie group straddling the cut stays
-whole), and one ``np.lexsort`` on (-similarity, id rank) orders the
-survivors. ``retrieve`` filters and reorders that row array with numpy
-operations on per-row columns of the bank: a boolean mask per registered
-version and a dense rank of the compile reduction. The columns are built
-on first use and memoised on the index for its most recent bank, matched
-by identity, so a bank must not be mutated while an index serves it. Only
-the k returned entries become Python objects.
+plenty at bank scale — and scans in two stages:
+
+1. A float32 scan picks candidates. The index keeps its unit keys twice:
+   as a float64 (n × d) matrix and as a C-contiguous float32 (d × n)
+   copy, which costs n·d·4 more bytes (1.28 MB at 10⁴ × 32) and is half
+   the bytes a query reads. ``approx = q̂₃₂ @ keys₃₂``; t is the k-th
+   largest ``approx`` (−∞ when k ≥ n), and the candidates are the rows
+   with ``approx ≥ t − margin``, where ``margin = 4·(d + 2)·2⁻²⁴``. The
+   cut is computed in float64 and rounded to float32 for the comparison.
+2. A float64 rescore ranks them. Each candidate's similarity is the dot
+   of its float64 row with q̂ (``np.vecdot``), a value that depends on
+   the row and the query only, so a strategy scores the same whatever k,
+   n or its position; ``np.lexsort`` on (−similarity, id rank) orders
+   the candidates and the first k are returned. The float32 stage never
+   decides an order.
+
+Why the candidates hold every row of the top k, and every row tied with
+its k-th. Let u = 2⁻²⁴ and δ = (d + 2)·u. For finite unit vectors the
+float32 dot differs from the exact dot by at most 2u from rounding both
+vectors to float32 plus d·u from the float32 sum, that is δ, up to
+second-order terms. There are k rows with ``approx ≥ t``, so the k-th
+largest similarity s_k is at least t − δ; a row with similarity ≥ s_k
+then has ``approx ≥ s_k − δ ≥ t − 2δ``. The margin is twice 2δ: the
+other 2δ (at least 4u) covers the second-order terms, the float64
+rounding of the rescore (about d·2⁻⁵³), the rounding of the cut to
+float32 (at most u) and float32 underflow (below 2⁻¹⁴⁹ a term) for any
+d below 2²⁰. The proof needs finite unit rows and queries: the index
+rejects a non-finite vector with ``DegenerateVector``, and a vector whose
+squared norm would over- or underflow is first scaled by a power of two,
+which is exact, so every other vector keeps its bits.
+
+``retrieve`` filters and reorders the returned rows, with their
+similarities, by numpy operations on per-row columns of the bank: a
+boolean mask per registered version and a dense rank of the compile
+reduction. The columns are built on first use and memoised on the index
+for its most recent bank, matched by identity, so a bank must not be
+mutated while an index serves it. Only the k returned entries become
+Python objects.
 
 ``StrategyIndex.build`` over a bank that ``load_bank`` read keeps the raw
 vectors in the bank's directory, one uncompressed ``.npz`` file per
@@ -103,16 +131,54 @@ class RankedStrategy(NamedTuple):
     rank: int
 
 
+#: Norms at which a vector is normalised as it is. A norm outside them is
+#: that of a non-finite vector, or one whose squared norm may have over- or
+#: underflowed: such a vector is checked and scaled by a power of two first.
+_SAFE_NORMS = (2.0 ** -500, 2.0 ** 500)
+
+
+def _prescaled(vectors: np.ndarray, what: str) -> np.ndarray:
+    """``vectors`` (along the last axis) each times the power of two that
+    brings its largest magnitude into [0.5, 1): exact, but for components
+    that it takes below the normal range.
+
+    Raises:
+        DegenerateVector: a component is not finite.
+    """
+    if not np.isfinite(vectors).all():
+        raise DegenerateVector(f"{what} has a non-finite component")
+    _, exponent = np.frexp(np.abs(vectors).max(axis=-1, keepdims=True,
+                                               initial=0.0))
+    return np.ldexp(vectors, -exponent)
+
+
+def _with_norm(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """The 1-D ``v``, prescaled if its norm is outside ``_SAFE_NORMS``, and
+    its norm.
+
+    Raises:
+        DegenerateVector: ``v`` has a non-finite component or is all zero.
+    """
+    # Exactly np.linalg.norm(v), which is sqrt(v.dot(v)); np.vdot runs the
+    # same dot but warns of no overflow, which the prescaling handles.
+    norm = math.sqrt(np.vdot(v, v))
+    if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
+        v = _prescaled(v, what)
+        norm = math.sqrt(np.vdot(v, v))
+        if norm == 0.0:
+            raise DegenerateVector(f"{what} is an all-zero vector")
+    return v, norm
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; rejects zero vectors and mismatched dimensions."""
+    """Cosine similarity; rejects zero or non-finite vectors and mismatched
+    dimensions."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateVector("cosine similarity of an all-zero vector")
+    u, nu = _with_norm(u, "cosine operand")
+    v, nv = _with_norm(v, "cosine operand")
     return float(np.dot(u, v) / (nu * nv))
 
 
@@ -165,7 +231,13 @@ class StrategyIndex:
                  embedder: EmbeddingProvider | None = None):
         """``vectors`` is one vector per id: a sequence of 1-D arrays, which
         the index stacks, or a 2-D array. A float64 array is taken over, not
-        copied: the index divides it by its row norms in place."""
+        copied: the index divides it by its row norms in place. The first
+        stage of a query reads a float32 copy of its transpose.
+
+        Raises:
+            DegenerateVector: a vector is all zero or has a non-finite
+                component.
+        """
         if len(ids) != len(vectors):
             raise ValueError("ids and vectors must have equal length")
         self._ids = list(ids)
@@ -174,13 +246,21 @@ class StrategyIndex:
             matrix = np.asarray(vectors, dtype=np.float64)
             if matrix.ndim != 2:
                 raise ValueError("vectors must be one 1-D vector per id")
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            if np.any(norms == 0.0):
-                raise DegenerateVector("index entry with all-zero embedding")
-            matrix /= norms  # in place: one matrix, never a second copy
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+            extreme = ~((norms >= _SAFE_NORMS[0]) & (norms <= _SAFE_NORMS[1]))[:, 0]
+            if extreme.any():
+                rows = _prescaled(matrix[extreme], "index entry")
+                matrix[extreme] = rows
+                norms[extreme] = np.linalg.norm(rows, axis=1, keepdims=True)
+                if np.any(norms == 0.0):
+                    raise DegenerateVector("index entry with all-zero embedding")
+            matrix /= norms  # in place: never a second float64 copy
             self._matrix = matrix
         else:
             self._matrix = np.zeros((0, 0))
+        self._keys32 = np.ascontiguousarray(self._matrix.T, dtype=np.float32)
+        self._margin = 4 * (self._matrix.shape[1] + 2) * 2.0 ** -24
         # Position of each id in ascending id order: the tie-break key.
         # An object array sorts with Python's own string comparison.
         order = np.argsort(np.array(self._ids, dtype=object), kind="stable")
@@ -227,33 +307,44 @@ class StrategyIndex:
         return columns
 
     def top_rows(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of the k most similar strategies, descending, ties by id
-        ascending; and the similarity of every row."""
-        if len(self._ids) == 0:
+        """Rows of the min(k, n) most similar strategies, descending, ties by
+        id ascending; and the similarities of those rows.
+
+        Two stages (module docstring): a float32 scan of all n keys keeps
+        the rows within ``margin = 4·(d + 2)·2⁻²⁴`` of the k-th largest
+        approximate similarity, a set proven to hold the exact top k and
+        all its ties; each kept row is rescored in float64, and only that
+        score ranks. A row's similarity depends on the row and the query
+        alone. The float32 keys cost n·d·4 bytes beside the float64 ones.
+
+        Raises:
+            EmptyIndex: the index has no rows.
+            DegenerateVector: the query is all zero or has a non-finite
+                component.
+        """
+        n = len(self._ids)
+        if n == 0:
             raise EmptyIndex("cannot search an empty index")
         if k <= 0:
             raise ValueError("k must be positive")
-        q = np.asarray(query, dtype=np.float64)
-        # np.linalg.norm of a 1-D float64 array is exactly sqrt(q @ q).
-        norm = math.sqrt(q @ q)
-        if norm == 0.0:
-            raise DegenerateVector("query is an all-zero vector")
-        sims = self._matrix @ (q / norm)
-        n = len(sims)
-        if k < n:
-            kth = np.partition(sims, n - k)[n - k]
-            candidates = np.flatnonzero(sims >= kth)
-        else:
-            candidates = np.arange(n)
-        order = np.lexsort((self._id_rank[candidates], -sims[candidates]))
-        return candidates[order[:k]], sims
+        q, norm = _with_norm(np.asarray(query, dtype=np.float64), "query")
+        q = q / norm
+        approx = np.dot(q.astype(np.float32), self._keys32)
+        t = float(np.partition(approx, n - k)[n - k]) if k < n else -math.inf
+        # The cut is a float64 Python float; against a float32 array numpy
+        # rounds it to float32, which the margin allows for.
+        rows = (approx >= t - self._margin).nonzero()[0]
+        sims = np.vecdot(self._matrix.take(rows, axis=0), q)
+        order = np.lexsort((self._id_rank[rows], -sims))[:k]
+        return rows[order], sims[order]
 
     def _ranked(self, rows: np.ndarray, sims: np.ndarray) -> list[RankedStrategy]:
-        """``RankedStrategy`` entries for ``rows``, ranked in the given order."""
+        """``RankedStrategy`` entries for ``rows``, whose similarities are
+        ``sims``, ranked in the given order."""
         ids = self._ids
         return [RankedStrategy(ids[i], similarity, rank)
                 for rank, (i, similarity)
-                in enumerate(zip(rows.tolist(), sims[rows].tolist()), start=1)]
+                in enumerate(zip(rows.tolist(), sims.tolist()), start=1)]
 
     def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
         """The k most similar strategies, descending; ties by id ascending."""
@@ -375,8 +466,9 @@ def retrieve(
     reorders the pool by annotated compile reduction, best first,
     strategies without it last, ties in similarity order (the sort is
     stable). The first k are returned, ranked 1..k. The pool stays a row
-    array, filtered by a version mask and reordered by the rank column;
-    only the returned entries become ``RankedStrategy``.
+    array beside its similarities, both filtered by a version mask and
+    reordered by the rank column; only the returned entries become
+    ``RankedStrategy``.
 
     Raises:
         IndexBankMismatch: the bank lacks an indexed id, under any
@@ -393,10 +485,12 @@ def retrieve(
         compatible = columns.compatible.get(version)
         if compatible is None:
             raise UnknownVersion(f"toolchain version {version!r} is not registered")
-        rows = rows[compatible[rows]]
+        keep = compatible[rows]
+        rows, sims = rows[keep], sims[keep]
     if objective.mode == ObjectiveMode.COMPILE_TIME:
-        rows = rows[np.argsort(columns.compile_rank[rows], kind="stable")]
-    return index._ranked(rows[:objective.k], sims)
+        order = np.argsort(columns.compile_rank[rows], kind="stable")
+        rows, sims = rows[order], sims[order]
+    return index._ranked(rows[:objective.k], sims[:objective.k])
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,64 @@
+"""Every imported name in ``src/``, ``tests/`` and ``benchmarks/`` is read.
+
+An ``ast`` scan, since the project runs no linter: a name bound by an
+import counts as read when the module loads it (``ast.Name`` in a load
+context, which also covers the root of ``a.b.c`` and annotations) or
+lists it in ``__all__``. ``from __future__`` imports are directives, not
+names, and are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted(path for top in ("src", "tests", "benchmarks")
+                 for path in (ROOT / top).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0],
+                                    node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            read.update(e.value for e in node.value.elts
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read]
+
+
+def test_the_scan_sees_an_unused_import_and_honours_all_and_future():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\n"
+              "import sys\n"
+              "import xml.dom\n"
+              "from json import dumps, loads as parse\n"
+              "from typing import TYPE_CHECKING\n"
+              "__all__ = ['dumps']\n"
+              "def f(x: TYPE_CHECKING) -> None:\n"
+              "    return os.sep, xml.dom.Node\n")
+    assert unused_imports(source) == [
+        "osp (line 2)", "sys (line 3)", "parse (line 5)"]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import logging
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooftidy.bank import Bank, ToolchainRegistry, load_bank, save_bank
+from prooftidy.bank import Bank, load_bank, save_bank
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     DegenerateVector,
@@ -97,6 +98,21 @@ def test_cosine_rejects_dimension_mismatch():
         cosine(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cosine_rejects_a_non_finite_vector(bad):
+    with pytest.raises(DegenerateVector):
+        cosine(np.array([bad, 1.0]), np.ones(2))
+    with pytest.raises(DegenerateVector):
+        cosine(np.ones(2), np.array([1.0, bad]))
+
+
+def test_cosine_of_vectors_whose_squared_norms_over_or_underflow():
+    assert cosine(np.array([0.0, 1e200]), np.array([0.0, 1.0])) == 1.0
+    assert cosine(np.array([1e-200, 0.0]), np.array([1.0, 0.0])) == 1.0
+    assert cosine(np.array([1e-200, 0.0]), np.array([1e300, 1e300])) == (
+        pytest.approx(math.sqrt(0.5)))
+
+
 # --- the index matrix ------------------------------------------------------------
 
 class ScaledEmbedder:
@@ -128,6 +144,35 @@ def test_index_rows_are_the_vectors_over_their_norms_bit_for_bit():
         "7822e58e873fb9fa04bffff82f990c5766d366d196d6e7a6ce0fa96ac9c739cf")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_index_rejects_a_non_finite_row(bad):
+    with pytest.raises(DegenerateVector):
+        make_index([[1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
+
+
+def test_a_row_whose_squared_norm_overflows_is_normalised():
+    index = make_index([[0.0, 1e200], [1.0, 1.0]])
+    assert index.top_k(np.array([0.0, 1.0]), 1) == [
+        RankedStrategy("s0000", 1.0, 1)]
+
+
+@given(exponent=st.integers(-900, 900), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scaling_by_a_power_of_two_keeps_every_bit(exponent, seed):
+    # A power of two scales exactly, so a vector whose squared norm would
+    # over- or underflow normalises to the bits of the same vector at an
+    # ordinary scale, and an ordinary vector keeps its own.
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((4, 8))
+    query = rng.standard_normal(8)
+    plain = make_index(vectors)
+    scaled = make_index(np.ldexp(vectors, exponent))
+    assert np.array_equal(scaled._matrix, plain._matrix)
+    assert scaled.top_k(np.ldexp(query, -exponent), 4) == plain.top_k(query, 4)
+    assert (cosine(np.ldexp(query, exponent), np.ldexp(vectors[0], -exponent))
+            == cosine(query, vectors[0]))
+
+
 # --- top_k --------------------------------------------------------------------
 
 def test_top_k_exact_match_ranks_first():
@@ -150,6 +195,20 @@ def test_top_k_empty_index():
     index = StrategyIndex([], [])
     with pytest.raises(EmptyIndex):
         index.top_k(np.array([1.0]), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_top_k_rejects_a_non_finite_query(bad):
+    index = make_index([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateVector):
+        index.top_k(np.array([bad, 1.0]), 1)
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+def test_a_query_whose_squared_norm_underflows_is_normalised(tiny):
+    index = make_index([[1.0, 0.0], [1.0, 1.0]])
+    assert index.top_k(np.array([tiny, 0.0]), 1) == [
+        RankedStrategy("s0000", 1.0, 1)]
 
 
 def test_top_k_ties_break_by_id_ascending():
@@ -487,6 +546,75 @@ def test_top_k_and_retrieve_match_brute_force(data):
         ids, vectors, strategies, query, length)
     assert retrieve(index, bank, query, objective) == brute_force_retrieve(
         ids, vectors, strategies, query, objective)
+
+
+# --- the two-stage scan ----------------------------------------------------------
+
+def brute_force_top_k(ids, rows, query, k) -> list[RankedStrategy]:
+    """The k best of the unit ``rows`` by a per-row ``np.dot`` with the unit
+    query, ties by id."""
+    q = np.asarray(query, dtype=np.float64)
+    q = q / math.sqrt(q @ q)
+    scored = sorted((-float(np.dot(row, q)), sid) for row, sid in zip(rows, ids))
+    return [RankedStrategy(sid, -negated, rank)
+            for rank, (negated, sid) in enumerate(scored[:k], start=1)]
+
+
+@pytest.mark.parametrize("dimension", [2, 32, 768])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_near_ties_below_float32_resolution_rank_as_float64_does(dimension, data):
+    # A cluster of rows 1e-10 to 1e-6 apart, which float32 cannot tell
+    # apart, among unrelated rows; the query leans towards the cluster.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    centre = rng.standard_normal(dimension)
+    spread = 10.0 ** data.draw(st.integers(-10, -6))
+    size = data.draw(st.integers(2, 40))
+    vectors = np.concatenate([
+        centre + spread * rng.standard_normal((size, dimension)),
+        rng.standard_normal((data.draw(st.integers(0, 60)), dimension))])
+    vectors = vectors[rng.permutation(len(vectors))]
+    ids = [f"s{i:04d}" for i in range(len(vectors))]
+    index = StrategyIndex(ids, vectors)
+    query = centre + 0.5 * rng.standard_normal(dimension)
+    k = data.draw(st.integers(1, len(ids) + 2))
+    assert index.top_k(query, k) == brute_force_top_k(ids, index._matrix, query, k)
+
+
+@functools.cache
+def wide_index_vectors() -> np.ndarray:
+    return np.random.default_rng(13).standard_normal((10_000, 32))
+
+
+@given(positions=st.lists(st.integers(0, 9_999), min_size=1, max_size=5),
+       last=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_identical_rows_tie_exactly_in_id_order(positions, last, seed):
+    # Copies of one non-dyadic row anywhere in a 10^4 index, the last rows
+    # included, where a blocked matrix-vector product may sum differently.
+    copies = sorted(set(positions) | set(range(10_000 - last, 10_000)))
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(32)
+    vectors = wide_index_vectors().copy()
+    vectors[copies] = row
+    ids = [f"s{i:05d}" for i in range(10_000)]
+    index = StrategyIndex(ids, vectors)
+    got = index.top_k(row + 0.05 * rng.standard_normal(32), len(copies))
+    assert [r.strategy_id for r in got] == [ids[i] for i in copies]
+    assert len({r.similarity for r in got}) == 1
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_row_reports_the_same_similarity_whatever_k(seed, data):
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 300))
+    dimension = data.draw(st.sampled_from([3, 32, 100]))
+    index = make_index(list(rng.standard_normal((n, dimension))))
+    query = rng.standard_normal(dimension)
+    everything = index.top_k(query, n)
+    for k in data.draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5)):
+        assert index.top_k(query, k) == everything[:k]
 
 
 # --- contrastive loss -----------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 from pathlib import Path
 
 import pytest
