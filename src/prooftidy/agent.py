@@ -195,6 +195,14 @@ class PlanResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def _line_number(value) -> int:
+    """A plan step's line number, which must be a JSON integer: a float,
+    a string or a boolean is no line."""
+    if type(value) is not int:
+        raise TypeError(f"line number {value!r} is not an integer")
+    return value
+
+
 def _validate_steps(payload, proof: str) -> PlanResult:
     if not isinstance(payload, list):
         return PlanResult([], ["plan payload is not a list"])
@@ -207,8 +215,8 @@ def _validate_steps(payload, proof: str) -> PlanResult:
             continue
         try:
             step = PlanStep(
-                line_start=int(entry["line_start"]),
-                line_end=int(entry["line_end"]),
+                line_start=_line_number(entry["line_start"]),
+                line_end=_line_number(entry["line_end"]),
                 title=str(entry["title"]),
                 reduction=str(entry["reduction"]).lower(),
                 description=str(entry["description"]),

@@ -1,4 +1,8 @@
-"""Strategy bank: data model, metadata aggregation, and persistence.
+"""Strategy bank: data model, metadata rule, and persistence.
+
+A strategy's metadata (its median compile reduction and its compatibility
+set) follows from its member pairs by one rule, ``expected_metadata``;
+``recheck`` reports every strategy whose stored metadata departs from it.
 
 Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import EmptyCluster, SchemaError, UnknownVersion
+from .errors import SchemaError, UnknownVersion
 from .tokenizer import line_count
 
 REDUCTION_LEVELS = ("high", "medium", "low")
@@ -105,14 +109,6 @@ class ProofPair:
     grounded_spans: tuple[tuple[str, int, int], ...] = ()
     long_verified: bool = False
     short_verified: bool = False
-
-    def compiled_versions(self) -> frozenset[str]:
-        """Versions under which the short proof is known to compile."""
-        return frozenset(v for v, s in self.version_status.items() if s == "compiles")
-
-    def has_version_data(self) -> bool:
-        """True when at least one toolchain was actually tested."""
-        return any(s != "untested" for s in self.version_status.values())
 
     def to_dict(self) -> dict:
         return {
@@ -212,47 +208,28 @@ class Bank:
     registry: ToolchainRegistry = ToolchainRegistry(entries=())
     path: Path | None = None
 
-    def members_of(self, strategy: Strategy) -> list[ProofPair]:
-        return [self.pairs[pid] for pid in strategy.member_pair_ids
-                if pid in self.pairs]
-
-
-def aggregate_compile_reduction(reductions: list[float]) -> float:
-    """Median of pair-level compile reductions.
-
-    Even-length clusters take the mean of the two middle values.
-    """
-    if not reductions:
-        raise EmptyCluster("cannot aggregate an empty reduction list")
-    return float(statistics.median(reductions))
-
-
-def aggregate_compatibility(sets: Iterable[frozenset[str]]) -> frozenset[str]:
-    """Intersection of the members' compatible-version sets."""
-    sets = list(sets)
-    if not sets:
-        raise EmptyCluster("cannot intersect an empty list of version sets")
-    out = frozenset(sets[0])
-    for s in sets[1:]:
-        out &= frozenset(s)
-    return out
-
 
 def expected_metadata(
     strategy: Strategy, bank: Bank
 ) -> tuple[float | None, frozenset[str]]:
-    """Recompute (median_compile_reduction, compatibility_set) from members.
+    """The bank's one metadata rule: (median_compile_reduction,
+    compatibility_set) recomputed from the strategy's member pairs.
 
-    Members with no profiling data are skipped for the median; members never
-    version-tested are skipped for the intersection. No eligible members
-    means absent metadata (None / empty set).
+    The median is over the members with a compile reduction; an even count
+    takes the mean of the two middle values. The compatibility set is the
+    intersection, over the members version-tested on at least one
+    toolchain, of the versions their short proof compiles under. No
+    eligible member means absent metadata (None / empty set).
     """
-    members = bank.members_of(strategy)
+    members = [bank.pairs[pid] for pid in strategy.member_pair_ids
+               if pid in bank.pairs]
     reductions = [p.compile_reduction for p in members
                   if p.compile_reduction is not None]
-    median = aggregate_compile_reduction(reductions) if reductions else None
-    tested = [p.compiled_versions() for p in members if p.has_version_data()]
-    compat = aggregate_compatibility(tested) if tested else frozenset()
+    tested = [frozenset(v for v, s in p.version_status.items() if s == "compiles")
+              for p in members
+              if any(s != "untested" for s in p.version_status.values())]
+    median = float(statistics.median(reductions)) if reductions else None
+    compat = frozenset.intersection(*tested) if tested else frozenset()
     return median, compat
 
 
@@ -283,10 +260,8 @@ def recheck(bank: Bank) -> list[Discrepancy]:
 
 _STRATEGY_KEYS = frozenset(f.name for f in fields(Strategy))
 _PAIR_KEYS = frozenset(f.name for f in fields(ProofPair))
-_SCHEMA_FIELDS = (
-    "title", "description", "when_to_apply", "application_guide",
-    "abstract_example", "potential_reduction",
-)
+_STRATEGY_TEXT = ("id", "title", "description", "when_to_apply")
+_PAIR_TEXT = ("statement", "long_proof", "short_proof", "source_corpus")
 
 
 def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
@@ -303,16 +278,30 @@ def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
             raise SchemaError(f"missing key {key!r}", field=key, line=line)
 
 
-def _non_empty(record: dict, key: str, line: int) -> None:
-    if not record[key]:
+def _typed(record: dict, key: str, kind: type, line: int,
+           non_empty: bool = False):
+    """``record[key]``, which must be a ``kind``, and not empty when
+    ``non_empty``."""
+    value = record[key]
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be of type {kind.__name__}",
+                          field=key, line=line)
+    if non_empty and not value:
         raise SchemaError(f"{key!r} must be non-empty", field=key, line=line)
+    return value
 
 
 def _compile_reduction(record: dict, key: str, line: int) -> float | None:
     value = record[key]
     if value is None:
         return None
-    value = float(value)
+    if type(value) not in (float, int):  # a bool is no number here
+        raise SchemaError("compile reduction must be a number or null",
+                          field=key, line=line)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError("compile reduction must be finite", field=key,
                           line=line)
@@ -341,27 +330,33 @@ class _RecordReader:
 
     def strategy(self, record: dict, line: int) -> Strategy:
         _require_keys(record, _STRATEGY_KEYS, line)
-        for key in _SCHEMA_FIELDS:
-            _non_empty(record, key, line)
-        _non_empty(record, "id", line)
+        for key in _STRATEGY_TEXT:
+            _typed(record, key, str, line, non_empty=True)
         if record["potential_reduction"] not in REDUCTION_LEVELS:
             raise SchemaError(
                 f"potential_reduction must be one of {REDUCTION_LEVELS}",
                 field="potential_reduction", line=line,
             )
-        example = record["abstract_example"]
-        if not isinstance(example, dict) or set(example) != {"before", "after"}:
+        example = _typed(record, "abstract_example", dict, line)
+        if (set(example) != {"before", "after"}
+                or not isinstance(example["before"], str)
+                or not isinstance(example["after"], str)):
             raise SchemaError("abstract_example needs 'before' and 'after'",
                               field="abstract_example", line=line)
-        guide = record["application_guide"]
-        if not isinstance(guide, list) or not all(isinstance(s, str) for s in guide):
+        guide = _typed(record, "application_guide", list, line, non_empty=True)
+        if not all(isinstance(s, str) for s in guide):
             raise SchemaError("application_guide must be a list of steps",
                               field="application_guide", line=line)
-        compat = record["compatibility_set"]
+        compat = _typed(record, "compatibility_set", list, line)
         for version in compat:
             if version not in self.registry:
                 raise SchemaError(f"unknown toolchain version {version!r}",
                                   field="compatibility_set", line=line)
+        members = _typed(record, "member_pair_ids", list, line)
+        for pid in members:
+            if not isinstance(pid, str):
+                raise SchemaError("member_pair_ids must be a list of pair ids",
+                                  field="member_pair_ids", line=line)
         median = _compile_reduction(record, "median_compile_reduction", line)
         return Strategy(
             id=record["id"],
@@ -373,16 +368,15 @@ class _RecordReader:
             potential_reduction=self._share(record["potential_reduction"]),
             median_compile_reduction=median,
             compatibility_set=self._share(frozenset(map(self._share, compat))),
-            member_pair_ids=tuple(record["member_pair_ids"]),
+            member_pair_ids=tuple(members),
         )
 
     def pair(self, record: dict, line: int) -> ProofPair:
         _require_keys(record, _PAIR_KEYS, line)
-        _non_empty(record, "id", line)
-        if not isinstance(record["source_corpus"], str):
-            raise SchemaError("source_corpus must be a string",
-                              field="source_corpus", line=line)
-        status = record["version_status"]
+        _typed(record, "id", str, line, non_empty=True)
+        for key in _PAIR_TEXT:
+            _typed(record, key, str, line)
+        status = _typed(record, "version_status", dict, line)
         for version, verdict in status.items():
             if version not in self.registry:
                 raise SchemaError(f"unknown toolchain version {version!r}",
@@ -394,14 +388,22 @@ class _RecordReader:
                 )
         n_lines = line_count(record["long_proof"])
         spans = []
-        for span in record["grounded_spans"]:
-            ls, le = span["line_start"], span["line_end"]
+        for span in _typed(record, "grounded_spans", list, line):
+            try:
+                sid, ls, le = span["strategy_id"], span["line_start"], span["line_end"]
+            except (TypeError, KeyError):  # not an object, or a key missing
+                sid = ls = le = None
+            if not (isinstance(sid, str) and type(ls) is int and type(le) is int):
+                raise SchemaError(
+                    "a grounded span needs a strategy_id string and integer "
+                    "line_start and line_end", field="grounded_spans", line=line,
+                )
             if not (1 <= ls <= le <= n_lines):
                 raise SchemaError(
                     f"span ({ls}, {le}) outside the long proof's {n_lines} lines",
                     field="grounded_spans", line=line,
                 )
-            spans.append((span["strategy_id"], ls, le))
+            spans.append((sid, ls, le))
         reduction = _compile_reduction(record, "compile_reduction", line)
         return ProofPair(
             id=record["id"],
@@ -413,8 +415,8 @@ class _RecordReader:
             version_status={self._share(version): self._share(verdict)
                             for version, verdict in status.items()},
             grounded_spans=tuple(spans),
-            long_verified=bool(record["long_verified"]),
-            short_verified=bool(record["short_verified"]),
+            long_verified=_typed(record, "long_verified", bool, line),
+            short_verified=_typed(record, "short_verified", bool, line),
         )
 
 
@@ -483,22 +485,17 @@ def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
     """
     root = Path(path)
     reader = _RecordReader(registry)
-    strategies: dict[str, Strategy] = {}
-    for lineno, record in _read_jsonl(root / STRATEGIES_FILENAME):
-        strategy = reader.strategy(record, lineno)
-        if strategy.id in strategies:
-            raise SchemaError(f"duplicate strategy id {strategy.id!r}",
-                              field="id", line=lineno)
-        strategies[strategy.id] = strategy
-    pairs: dict[str, ProofPair] = {}
-    for lineno, record in _read_jsonl(root / PAIRS_FILENAME):
-        pair = reader.pair(record, lineno)
-        if pair.id in pairs:
-            raise SchemaError(f"duplicate pair id {pair.id!r}",
-                              field="id", line=lineno)
-        pairs[pair.id] = pair
-    return Bank(strategies=strategies, pairs=pairs, registry=registry,
-                path=root)
+    bank = Bank(registry=registry, path=root)
+    for filename, build, records in (
+            (STRATEGIES_FILENAME, reader.strategy, bank.strategies),
+            (PAIRS_FILENAME, reader.pair, bank.pairs)):
+        for lineno, record in _read_jsonl(root / filename):
+            item = build(record, lineno)
+            if item.id in records:
+                raise SchemaError(f"duplicate id {item.id!r} in {filename}",
+                                  field="id", line=lineno)
+            records[item.id] = item
+    return bank
 
 
 def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:

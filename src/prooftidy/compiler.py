@@ -164,7 +164,7 @@ def split_profile_times(categories: dict[str, float],
     sub-tick rounding.
     """
     import_time = sum(v for k, v in categories.items()
-                      if k == "import" or k.startswith("import"))
+                      if k.startswith("import"))
     return import_time, max(wall_total - import_time, 0.0)
 
 

@@ -9,10 +9,6 @@ class ProoftidyError(Exception):
 
 # --- strategy bank ----------------------------------------------------------
 
-class EmptyCluster(ProoftidyError):
-    """Aggregation requested over a cluster with no members."""
-
-
 class SchemaError(ProoftidyError):
     """A bank record violates the on-disk schema.
 
@@ -40,7 +36,9 @@ class MalformedDeclaration(ProoftidyError):
 # --- retrieval --------------------------------------------------------------
 
 class DegenerateVector(ProoftidyError):
-    """Cosine similarity requested against an all-zero vector."""
+    """A vector that has no direction: an index row, a query or a
+    ``cosine`` operand that is all zero or has a NaN or infinite
+    component, or an all-zero embedding in a contrastive batch."""
 
 
 class EmptyIndex(ProoftidyError):

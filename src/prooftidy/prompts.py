@@ -8,8 +8,6 @@ import re
 from importlib import resources
 from string import Template
 
-_FENCE_RE_CACHE: dict[str, re.Pattern] = {}
-
 
 @functools.lru_cache(maxsize=None)
 def _load(name: str) -> Template:
@@ -23,17 +21,18 @@ def render(name: str, **values) -> str:
     return _load(name).substitute(**values)
 
 
+@functools.lru_cache(maxsize=None)
+def _fence(tag: str) -> re.Pattern:
+    return re.compile(r"```" + re.escape(tag) + r"[ \t]*\n(.*?)```", re.DOTALL)
+
+
 def extract_fenced_block(text: str, tag: str) -> str | None:
     """Content of the LAST ``` fence with the given tag, or None.
 
     Taking the last block tolerates models that restate the input before
     answering.
     """
-    if tag not in _FENCE_RE_CACHE:
-        _FENCE_RE_CACHE[tag] = re.compile(
-            r"```" + re.escape(tag) + r"[ \t]*\n(.*?)```", re.DOTALL
-        )
-    matches = _FENCE_RE_CACHE[tag].findall(text)
+    matches = _fence(tag).findall(text)
     if not matches:
         return None
     return matches[-1].rstrip("\n")

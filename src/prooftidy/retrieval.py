@@ -38,11 +38,11 @@ which is exact, so every other vector keeps its bits.
 
 ``retrieve`` filters and reorders the returned rows, with their
 similarities, by numpy operations on per-row columns of the bank: a
-boolean mask per registered version and a dense rank of the compile
-reduction. The columns are built on first use and memoised on the index
-for its most recent bank, matched by identity, so a bank must not be
-mutated while an index serves it. Only the k returned entries become
-Python objects.
+boolean mask per registered version and the negated compile reduction.
+The columns are built on first use and memoised on the index for its
+most recent bank, matched by identity, so a bank must not be mutated
+while an index serves it. Only the k returned entries become Python
+objects.
 
 ``StrategyIndex.build`` over a bank that ``load_bank`` read keeps the raw
 vectors in the bank's directory, one uncompressed ``.npz`` file per
@@ -200,15 +200,13 @@ class _BankColumns:
 
     @cached_property
     def compile_rank(self) -> np.ndarray:
-        """Dense rank of (no median, -median): best reduction 0, strategies
-        without one last."""
-        medians = [self.bank.strategies[i].median_compile_reduction
-                   for i in self._ids]
-        # Python floats: -0.0 and 0.0 share a level, as in a tuple sort key.
-        levels = sorted({-m for m in medians if m is not None})
-        rank_of = {level: rank for rank, level in enumerate(levels)}
-        return np.array([len(levels) if m is None else rank_of[-m]
-                         for m in medians], dtype=np.intp)
+        """The sort key of the compile-time rerank: ``-median``, and +inf for
+        a strategy without one. numpy compares -0.0 and 0.0 as equal, so
+        they tie, as in a tuple sort key."""
+        medians = (self.bank.strategies[i].median_compile_reduction
+                   for i in self._ids)
+        return np.array([math.inf if m is None else -m for m in medians],
+                        dtype=np.float64)
 
     @cached_property
     def compatible(self) -> dict[str, np.ndarray]:
@@ -467,8 +465,8 @@ def retrieve(
     strategies without it last, ties in similarity order (the sort is
     stable). The first k are returned, ranked 1..k. The pool stays a row
     array beside its similarities, both filtered by a version mask and
-    reordered by the rank column; only the returned entries become
-    ``RankedStrategy``.
+    reordered by the compile-reduction column; only the returned entries
+    become ``RankedStrategy``.
 
     Raises:
         IndexBankMismatch: the bank lacks an indexed id, under any

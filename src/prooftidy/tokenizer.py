@@ -38,19 +38,6 @@ _CLOSE_BRACKETS = ")]}⟩"
 
 
 @dataclass(frozen=True)
-class TokenizedProof:
-    """Per-line token lists plus the total count.
-
-    Two reference-metric quirks are preserved: an interior line with no
-    tokens is represented as a single empty token (it counts one), and a
-    trailing token-free line is dropped (it counts zero).
-    """
-
-    lines: list[list[str]]
-    total: int
-
-
-@dataclass(frozen=True)
 class ProofSpan:
     """A contiguous run of proof lines, 1-based and inclusive."""
 
@@ -243,25 +230,29 @@ def _line_tokens(line: str) -> tuple[str, ...]:
     return tuple(joined.split(" "))
 
 
-def lex(proof_text: str) -> TokenizedProof:
-    """Tokenize proof text with the reference character classes.
+def lex(proof_text: str) -> list[tuple[str, ...]]:
+    """Tokenize proof text with the reference character classes: one
+    tuple of tokens per line.
 
     A token grows over alphanumerics and ``.'``; every other non-space
     character is emitted alone; spaced operator sequences from
     ``LEAN_OPERATORS`` are then re-joined in order. Comments are assumed
     already removed. Total function: never raises.
 
+    Two reference-metric quirks are preserved: an interior line with no
+    tokens is a single empty token (it counts one), and a trailing
+    token-free line is dropped (it counts zero).
+
     Lines are lexed by a pure function memoised on the line text (1024
     entries): a session lexes many candidates that share most of their
-    lines with the current proof. Each call returns fresh lists.
+    lines with the current proof. The tuples are the memo's own.
     """
-    lines = [list(_line_tokens(line)) for line in proof_text.splitlines()]
-    if lines and lines[-1] == [""]:
+    lines = list(map(_line_tokens, proof_text.splitlines()))
+    if lines and lines[-1] == ("",):
         # The reference joins lines with "\n" and re-splits, which swallows
         # exactly one trailing token-free line.
         lines.pop()
-    total = sum(map(len, lines))
-    return TokenizedProof(lines=lines, total=total)
+    return lines
 
 
 def proof_length(statement_and_proof: str) -> int:
@@ -274,7 +265,7 @@ def proof_length(statement_and_proof: str) -> int:
     try:
         cleaned = remove_comments(statement_and_proof)
         offset = split_declaration(cleaned)
-        return lex(cleaned[offset:]).total
+        return sum(map(len, lex(cleaned[offset:])))
     except Exception:
         return LENGTH_FAILURE_SENTINEL
 
@@ -342,12 +333,12 @@ def jitter_boundaries(
     if max_jitter < 0:
         raise ValueError("max_jitter must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = line_count(document)
-    lines = _lines(document)
+    lines = _lines(document) or [""]
+    n = len(lines)
     start = span.line_start + rng.randint(-max_jitter, max_jitter)
     end = span.line_end + rng.randint(-max_jitter, max_jitter)
     start = min(max(start, 1), n)
     end = min(max(end, 1), n)
     if start > end:
         start, end = end, start
-    return _span_for(lines if lines else [""], start, end)
+    return _span_for(lines, start, end)

@@ -120,6 +120,17 @@ def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
         "step 0: lines 4-4 outside the proof's 3 lines, dropped"]
 
 
+@pytest.mark.parametrize("line_start", [2.9, 2.0, True, "2", None])
+def test_a_plan_step_with_a_non_integer_line_number_is_dropped(line_start):
+    # int() would read 2.9 as line 2 and true as line 1, the statement line.
+    proof = "theorem t : P := by\n  norm_num\n  rfl"
+    step = {"line_start": line_start, "line_end": 3, "title": "t",
+            "reduction": "low", "description": "d"}
+    result = _validate_steps([step, dict(step, line_start=2)], proof)
+    assert [(s.line_start, s.line_end) for s in result.steps] == [(2, 3)]
+    assert result.warnings == ["step 0: malformed fields, dropped"]
+
+
 # --- scripted sessions -------------------------------------------------------
 
 PROOF = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"

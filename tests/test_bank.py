@@ -1,4 +1,4 @@
-"""Strategy bank: aggregation, persistence round trip, schema validation."""
+"""Strategy bank: the metadata rule, persistence round trip, schema validation."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from prooftidy.bank import (
     ProofPair,
     Strategy,
     ToolchainRegistry,
-    aggregate_compatibility,
-    aggregate_compile_reduction,
     expected_metadata,
     load_bank,
     pair_id_for,
@@ -26,7 +24,7 @@ from prooftidy.bank import (
     save_bank,
     strategy_id_for,
 )
-from prooftidy.errors import EmptyCluster, SchemaError, UnknownVersion
+from prooftidy.errors import SchemaError, UnknownVersion
 
 REGISTRY = ToolchainRegistry(entries=(
     ("v4.24.0", "/toolchains/v4.24.0"),
@@ -70,39 +68,51 @@ def make_pair(i: int = 0, **overrides) -> ProofPair:
     return ProofPair(**base)
 
 
-# --- aggregation -------------------------------------------------------------
+# --- the metadata rule --------------------------------------------------------
+
+def metadata_of(reductions=(), statuses=()) -> tuple[float | None, frozenset[str]]:
+    """``expected_metadata`` of one strategy whose members carry the given
+    compile reductions and version statuses, one pair per value."""
+    pairs = [make_pair(i, compile_reduction=r, version_status={})
+             for i, r in enumerate(reductions)]
+    pairs += [make_pair(len(pairs) + i, compile_reduction=None,
+                        version_status=status)
+              for i, status in enumerate(statuses)]
+    strategy = make_strategy(0, member_pair_ids=tuple(p.id for p in pairs))
+    bank = Bank(strategies={strategy.id: strategy},
+                pairs={p.id: p for p in pairs}, registry=REGISTRY)
+    return expected_metadata(strategy, bank)
+
+
+def compiling_on(versions) -> dict[str, str]:
+    """A version status that compiles on ``versions`` and fails on every
+    other registered version."""
+    return {v: "compiles" if v in versions else "fails"
+            for v in REGISTRY.versions}
+
 
 def test_median_odd():
-    assert aggregate_compile_reduction([0.10, 0.50, 0.20]) == pytest.approx(0.20)
+    assert metadata_of([0.10, 0.50, 0.20])[0] == pytest.approx(0.20)
 
 
 def test_median_even_is_mean_of_middles():
-    assert aggregate_compile_reduction([0.10, 0.30]) == pytest.approx(0.20)
-
-
-def test_median_empty_raises():
-    with pytest.raises(EmptyCluster):
-        aggregate_compile_reduction([])
+    assert metadata_of([0.10, 0.30])[0] == pytest.approx(0.20)
 
 
 def test_intersection_basic():
-    sets = [frozenset({"v4.14.0", "v4.16.0", "v4.22.0"}),
-            frozenset({"v4.16.0", "v4.22.0"})]
-    assert aggregate_compatibility(sets) == frozenset({"v4.16.0", "v4.22.0"})
+    statuses = [compiling_on({"v4.14.0", "v4.16.0", "v4.22.0"}),
+                compiling_on({"v4.16.0", "v4.22.0"})]
+    assert metadata_of(statuses=statuses)[1] == frozenset({"v4.16.0", "v4.22.0"})
 
 
 def test_intersection_single_member():
-    assert aggregate_compatibility([frozenset({"v4.16.0"})]) == frozenset({"v4.16.0"})
+    statuses = [compiling_on({"v4.16.0"})]
+    assert metadata_of(statuses=statuses)[1] == frozenset({"v4.16.0"})
 
 
 def test_intersection_disjoint_is_empty():
-    sets = [frozenset({"v4.14.0"}), frozenset({"v4.22.0"})]
-    assert aggregate_compatibility(sets) == frozenset()
-
-
-def test_intersection_empty_raises():
-    with pytest.raises(EmptyCluster):
-        aggregate_compatibility([])
+    statuses = [compiling_on({"v4.14.0"}), compiling_on({"v4.22.0"})]
+    assert metadata_of(statuses=statuses)[1] == frozenset()
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=1, allow_nan=False),
@@ -115,7 +125,7 @@ def test_median_matches_sort_and_pick_oracle(values):
         want = ordered[n // 2]
     else:
         want = (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-    assert aggregate_compile_reduction(values) == pytest.approx(want, abs=1e-12)
+    assert metadata_of(values)[0] == pytest.approx(want, abs=1e-12)
 
 
 @given(st.lists(st.sets(st.sampled_from(list(REGISTRY.versions))), min_size=1,
@@ -123,7 +133,7 @@ def test_median_matches_sort_and_pick_oracle(values):
 @settings(max_examples=200, deadline=None)
 def test_intersection_matches_pairwise_oracle(raw_sets):
     sets = [frozenset(s) for s in raw_sets]
-    got = aggregate_compatibility(sets)
+    got = metadata_of(statuses=[compiling_on(s) for s in sets])[1]
     want = set(REGISTRY.versions)
     for s in sets:
         want = {v for v in want if v in s}
@@ -301,6 +311,58 @@ def test_a_record_of_the_wrong_shape_is_a_schema_error(tmp_path, filename,
     with pytest.raises(SchemaError) as err:
         load_bank(tmp_path, REGISTRY)
     assert (err.value.field, err.value.line) == (field or "record", 1)
+
+
+@pytest.mark.parametrize("filename, field, value", [
+    ("strategies.jsonl", "id", [1]),
+    ("strategies.jsonl", "title", 5),
+    ("strategies.jsonl", "abstract_example", {"before": 5, "after": "x"}),
+    ("strategies.jsonl", "member_pair_ids", 5),
+    ("strategies.jsonl", "member_pair_ids", "p0000"),
+    ("strategies.jsonl", "member_pair_ids", [[1]]),
+    ("strategies.jsonl", "compatibility_set", 5),
+    ("strategies.jsonl", "compatibility_set", "v4.16.0"),
+    ("strategies.jsonl", "median_compile_reduction", "x"),
+    ("strategies.jsonl", "median_compile_reduction", "0.5"),
+    ("strategies.jsonl", "median_compile_reduction", [1]),
+    ("strategies.jsonl", "median_compile_reduction", True),
+    pytest.param("strategies.jsonl", "median_compile_reduction", -10 ** 400,
+                 id="strategies.jsonl-median_compile_reduction-huge_int"),
+    ("pairs.jsonl", "id", 5),
+    ("pairs.jsonl", "long_proof", 5),
+    ("pairs.jsonl", "version_status", []),
+    ("pairs.jsonl", "grounded_spans", [5]),
+    ("pairs.jsonl", "grounded_spans", "x"),
+    ("pairs.jsonl", "grounded_spans", [{"strategy_id": "s0000",
+                                        "line_start": 1.5, "line_end": 2}]),
+    ("pairs.jsonl", "grounded_spans", [{"strategy_id": "s0000",
+                                        "line_start": True, "line_end": 2}]),
+    ("pairs.jsonl", "grounded_spans", [{"strategy_id": "s0000",
+                                        "line_start": 1}]),
+    ("pairs.jsonl", "compile_reduction", "x"),
+    ("pairs.jsonl", "compile_reduction", "0.5"),
+    ("pairs.jsonl", "long_verified", "yes"),
+])
+def test_a_field_of_the_wrong_json_type_is_a_schema_error(tmp_path, filename,
+                                                           field, value):
+    save_bank(build_bank(1), tmp_path)
+    path = tmp_path / filename
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert (err.value.field, err.value.line) == (field, 1)
+
+
+@pytest.mark.parametrize("filename", ["strategies.jsonl", "pairs.jsonl"])
+def test_a_duplicate_id_is_a_schema_error(tmp_path, filename):
+    save_bank(build_bank(1), tmp_path)
+    path = tmp_path / filename
+    path.write_text(path.read_text() * 2)
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert (err.value.field, err.value.line) == ("id", 2)
 
 
 def test_the_first_bad_line_wins(tmp_path):

@@ -99,50 +99,58 @@ def test_split_handles_anonymous_constructor_brackets():
 
 # --- lex ---------------------------------------------------------------------
 
+def total(lines: list[tuple[str, ...]]) -> int:
+    return sum(map(len, lines))
+
+
 def test_lex_rejoins_assignment_operator():
     result = lex("x := y")
-    assert result.lines == [["x", ":=", "y"]]
-    assert result.total == 3
+    assert result == [("x", ":=", "y")]
+    assert total(result) == 3
 
 
 def test_lex_splits_underscores():
     result = lex("norm_num")
-    assert result.lines == [["norm", "_", "num"]]
-    assert result.total == 3
+    assert result == [("norm", "_", "num")]
+    assert total(result) == 3
 
 
 def test_lex_joins_dots():
     result = lex("Nat.factorial")
-    assert result.lines == [["Nat.factorial"]]
-    assert result.total == 1
+    assert result == [("Nat.factorial",)]
+    assert total(result) == 1
 
 
 def test_lex_blank_line_counts_one():
     # Reference quirk: a token-free line still counts one token.
     result = lex("\n  rfl")
-    assert result.lines == [[""], ["rfl"]]
-    assert result.total == 2
+    assert result == [("",), ("rfl",)]
+    assert total(result) == 2
+
+
+def test_lex_drops_one_trailing_blank_line():
+    # Reference quirk: one trailing token-free line counts zero.
+    assert lex("rfl\n  ") == [("rfl",)]
+    assert lex("rfl\n\n  ") == [("rfl",), ("",)]
 
 
 def test_lex_is_total_on_empty():
-    assert lex("").total == 0
+    assert lex("") == []
 
 
 @pytest.mark.parametrize("op", LEAN_OPERATORS)
 def test_lex_rejoins_every_operator(op):
-    result = lex(f"a {op} b")
-    assert op in result.lines[0]
+    assert op in lex(f"a {op} b")[0]
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_lex_never_raises_and_preserves_characters(text):
     result = lex(text)
-    for raw_line, tokens in zip(text.splitlines(), result.lines):
+    for raw_line, tokens in zip(text.splitlines(), result):
         assert "".join(tokens) == "".join(ch for ch in raw_line if ch != " ")
         for token in tokens:
             assert " " not in token
-    assert result.total == sum(len(tokens) for tokens in result.lines)
 
 
 @given(st.lists(st.sampled_from(["rfl", "norm_num", "x := y", "  simp"]),
@@ -151,7 +159,7 @@ def test_lex_never_raises_and_preserves_characters(text):
 def test_lex_ignores_trailing_spaces(lines):
     text = "\n".join(lines)
     padded = "\n".join(line + "   " for line in lines)
-    assert lex(text).total == lex(padded).total
+    assert total(lex(text)) == total(lex(padded))
 
 
 # --- proof_length ------------------------------------------------------------
@@ -204,13 +212,10 @@ def test_lex_is_the_same_from_a_cold_or_a_warm_memo(lines, others):
     assert lex(text) == cold
 
 
-def test_lex_results_are_fresh_lists():
-    text = "x := y\n  simp\n"
-    first = lex(text)
-    first.lines[0].append("z")
-    first.lines[1].clear()
-    first.lines.append(["w"])
-    assert lex(text).lines == [["x", ":=", "y"], ["simp"]]
+def test_lex_returns_the_memos_own_tuples():
+    lines = ["x := y", "  simp"]
+    assert all(tokens is _line_tokens(line)
+               for tokens, line in zip(lex("\n".join(lines)), lines, strict=True))
 
 
 def test_lex_token_class_is_isalnum_or_join_chars():
@@ -224,7 +229,7 @@ def test_lex_token_class_is_isalnum_or_join_chars():
             expected.append("a" + ch)
         else:
             expected += ["a", ch]
-    assert lex(" ".join("a" + ch for ch in chars)).lines == [expected]
+    assert lex(" ".join("a" + ch for ch in chars)) == [tuple(expected)]
 
 
 def test_corpus_exercises_sentinel_and_comments():
