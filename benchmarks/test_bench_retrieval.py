@@ -4,8 +4,9 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_retrieval.py
 
-Times one ``StrategyIndex.top_k`` query at 10², 10³ and 10⁴ strategies,
-and one ``retrieve`` for each objective at 10² and 10⁴ strategies with
+Times one ``StrategyIndex.top_k`` selection (the row and similarity
+arrays, before any ``RankedStrategy`` is built) at 10², 10³ and 10⁴
+strategies, and one ``retrieve`` for each objective at 10² and 10⁴ strategies with
 the default ``k`` and ``pool_size``. Keys are seeded standard-normal rows
 of the mock embedder's dimension. Every fourth strategy has no compile
 metadata, and every other one is compatible with the target toolchain.
@@ -59,8 +60,8 @@ def world(n: int) -> tuple[Bank, StrategyIndex, np.ndarray]:
 @pytest.mark.parametrize("n", [100, 1_000, 10_000])
 def test_top_k(benchmark, n):
     _, index, query = world(n)
-    result = benchmark(index.top_k, query, 8)
-    assert len(result) == 8
+    rows, sims = benchmark(index.top_k, query, 8)
+    assert len(rows) == len(sims) == 8
 
 
 @pytest.mark.parametrize("objective", list(OBJECTIVES))

@@ -26,13 +26,12 @@ session's compile memo, one check per distinct source, in its
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .bank import REDUCTION_LEVELS, Bank
 from .compiler import CompileRequest, CompileResult, Diagnostic, Verdict
 from .errors import (
-    EmptyIndex,
     LLMTransportError,
     MalformedDeclaration,
     PreconditionFailed,
@@ -103,15 +102,6 @@ class PlanStep:
     reduction: str
     description: str
 
-    def to_dict(self) -> dict:
-        return {
-            "line_start": self.line_start,
-            "line_end": self.line_end,
-            "title": self.title,
-            "reduction": self.reduction,
-            "description": self.description,
-        }
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -119,17 +109,10 @@ class TraceEvent:
     detail: dict
     calls_used: int
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail,
-                "calls_used": self.calls_used}
-
 
 @dataclass
 class SessionTrace:
     events: list[TraceEvent] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"events": [e.to_dict() for e in self.events]}
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -144,18 +127,9 @@ class SessionResult:
     termination: Termination
     trace: SessionTrace
 
-    def to_dict(self) -> dict:
-        return {
-            "final_proof": self.final_proof,
-            "initial_length": self.initial_length,
-            "final_length": self.final_length,
-            "calls_used": self.calls_used,
-            "termination": self.termination.value,
-            "trace": self.trace.to_dict(),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True,
+        """The record's fields as JSON; ``termination`` dumps as its value."""
+        return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True,
                           indent=2)
 
 
@@ -385,7 +359,6 @@ def _strategy_entries(merged, bank: Bank) -> list[dict]:
             "similarity": ranked.similarity,
             "line_start": span.line_start,
             "line_end": span.line_end,
-            "strategy_id": ranked.strategy_id,
         })
     return entries
 
@@ -506,11 +479,8 @@ def run_session(
                 s.text for s in spans if s.text not in retrieved))
             if fresh:
                 for text, vector in zip(fresh, embedder.embed(fresh)):
-                    try:
-                        retrieved[text] = retrieve(index, bank, vector,
-                                                   config.objective)
-                    except EmptyIndex:
-                        retrieved[text] = []
+                    retrieved[text] = retrieve(index, bank, vector,
+                                               config.objective)
             hits: list[tuple[RankedStrategy, object]] = []
             for span in spans:
                 results = retrieved[span.text]
@@ -535,11 +505,11 @@ def run_session(
                 termination = Termination.NO_VIABLE_PLAN
                 break
             ledger.add("plan_issued", {
-                "steps": [s.to_dict() for s in plan_result.steps],
+                "steps": [asdict(s) for s in plan_result.steps],
             })
 
             for step in plan_result.steps:
-                ledger.add("step_attempted", {"step": step.to_dict()})
+                ledger.add("step_attempted", {"step": asdict(step)})
                 adopted = attempt(step, current, current_length)
                 if adopted is None:
                     continue
@@ -550,7 +520,7 @@ def run_session(
                     f"Success)"
                 )
                 ledger.add("adoption", {
-                    "step": step.to_dict(),
+                    "step": asdict(step),
                     "new_length": current_length,
                     "debug_rounds": rounds,
                 })

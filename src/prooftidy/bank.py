@@ -173,16 +173,22 @@ class ToolchainRegistry:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ToolchainRegistry":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict) or "toolchains" not in data:
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", field="record") from exc
+        if not (isinstance(data, dict)
+                and isinstance(data.get("toolchains"), list)):
             raise SchemaError("registry file must have a 'toolchains' list",
                               field="toolchains")
         entries = []
         for item in data["toolchains"]:
-            if "version" not in item or "root" not in item:
-                raise SchemaError("toolchain entry needs 'version' and 'root'",
-                                  field="toolchains")
-            entries.append((item["version"], item["root"]))
+            if not (isinstance(item, dict)
+                    and "version" in item and "root" in item):
+                raise SchemaError("toolchain entry must be an object with "
+                                  "'version' and 'root'", field="toolchains")
+            entries.append((_typed(item, "version", str, None, non_empty=True),
+                            _typed(item, "root", str, None, non_empty=True)))
         return cls(entries=tuple(entries))
 
     def to_file(self, path: str | Path) -> None:
@@ -278,7 +284,7 @@ def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
             raise SchemaError(f"missing key {key!r}", field=key, line=line)
 
 
-def _typed(record: dict, key: str, kind: type, line: int,
+def _typed(record: dict, key: str, kind: type, line: int | None,
            non_empty: bool = False):
     """``record[key]``, which must be a ``kind``, and not empty when
     ``non_empty``."""

@@ -41,10 +41,6 @@ class DegenerateVector(ProoftidyError):
     component, or an all-zero embedding in a contrastive batch."""
 
 
-class EmptyIndex(ProoftidyError):
-    """Search requested against an index with no entries."""
-
-
 class IndexBankMismatch(ProoftidyError):
     """An index holds a strategy id that the bank it is queried with lacks."""
 

@@ -4,8 +4,10 @@ One bank serves three retrieval rules: plain similarity top-k for the
 length objective, rerank-by-compile-metadata for the compile-time objective,
 and compatibility filtering for a target toolchain. Each rule lives in one
 place, ``retrieve``. Rules compose: filtering first (soundness), reranking
-second (benefit within the sound set). The index is exact — a flat scan is
-plenty at bank scale — and scans in two stages:
+second (benefit within the sound set). Every rule selects through one
+method, ``StrategyIndex.top_k``, which returns row numbers and float64
+similarities; an index with no rows selects nothing. The index is exact —
+a flat scan is plenty at bank scale — and scans in two stages:
 
 1. A float32 scan picks candidates. The index keeps its unit keys twice:
    as a float64 (n × d) matrix and as a C-contiguous float32 (d × n)
@@ -36,13 +38,13 @@ rejects a non-finite vector with ``DegenerateVector``, and a vector whose
 squared norm would over- or underflow is first scaled by a power of two,
 which is exact, so every other vector keeps its bits.
 
-``retrieve`` filters and reorders the returned rows, with their
+``retrieve`` filters and reorders the selected rows, with their
 similarities, by numpy operations on per-row columns of the bank: a
 boolean mask per registered version and the negated compile reduction.
 The columns are built on first use and memoised on the index for its
 most recent bank, matched by identity, so a bank must not be mutated
 while an index serves it. Only the k returned entries become Python
-objects.
+objects, the ``RankedStrategy`` entries that ``retrieve`` alone builds.
 
 ``StrategyIndex.build`` over a bank that ``load_bank`` read keeps the raw
 vectors in the bank's directory, one uncompressed ``.npz`` file per
@@ -83,7 +85,6 @@ from .bank import Bank, content_id, replacing
 from .embeddings import EmbeddingProvider
 from .errors import (
     DegenerateVector,
-    EmptyIndex,
     IndexBankMismatch,
     InvalidTemperature,
     UnknownVersion,
@@ -304,9 +305,10 @@ class StrategyIndex:
             columns = self._columns = _BankColumns(self._ids, bank)
         return columns
 
-    def top_rows(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def top_k(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the min(k, n) most similar strategies, descending, ties by
-        id ascending; and the similarities of those rows.
+        id ascending; and the float64 similarities of those rows. An index
+        with no rows selects nothing: two empty arrays.
 
         Two stages (module docstring): a float32 scan of all n keys keeps
         the rows within ``margin = 4·(d + 2)·2⁻²⁴`` of the k-th largest
@@ -316,15 +318,15 @@ class StrategyIndex:
         alone. The float32 keys cost n·d·4 bytes beside the float64 ones.
 
         Raises:
-            EmptyIndex: the index has no rows.
-            DegenerateVector: the query is all zero or has a non-finite
-                component.
+            ValueError: k is not positive.
+            DegenerateVector: the index has rows and the query is all zero
+                or has a non-finite component.
         """
-        n = len(self._ids)
-        if n == 0:
-            raise EmptyIndex("cannot search an empty index")
         if k <= 0:
             raise ValueError("k must be positive")
+        n = len(self._ids)
+        if n == 0:
+            return np.empty(0, dtype=np.intp), np.empty(0)
         q, norm = _with_norm(np.asarray(query, dtype=np.float64), "query")
         q = q / norm
         approx = np.dot(q.astype(np.float32), self._keys32)
@@ -335,18 +337,6 @@ class StrategyIndex:
         sims = np.vecdot(self._matrix.take(rows, axis=0), q)
         order = np.lexsort((self._id_rank[rows], -sims))[:k]
         return rows[order], sims[order]
-
-    def _ranked(self, rows: np.ndarray, sims: np.ndarray) -> list[RankedStrategy]:
-        """``RankedStrategy`` entries for ``rows``, whose similarities are
-        ``sims``, ranked in the given order."""
-        ids = self._ids
-        return [RankedStrategy(ids[i], similarity, rank)
-                for rank, (i, similarity)
-                in enumerate(zip(rows.tolist(), sims.tolist()), start=1)]
-
-    def top_k(self, query: np.ndarray, k: int) -> list[RankedStrategy]:
-        """The k most similar strategies, descending; ties by id ascending."""
-        return self._ranked(*self.top_rows(query, k))
 
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -457,16 +447,17 @@ def retrieve(
 ) -> list[RankedStrategy]:
     """Apply the retrieval rule selected by the objective.
 
-    length: top_k(k), unfiltered even when ``target_version`` is set (the
-    baseline for the version filter). Otherwise the pool is
-    top_rows(pool_size); a target version keeps only the strategies whose
-    compatibility set holds it, and the compile-time objective then
-    reorders the pool by annotated compile reduction, best first,
-    strategies without it last, ties in similarity order (the sort is
-    stable). The first k are returned, ranked 1..k. The pool stays a row
-    array beside its similarities, both filtered by a version mask and
-    reordered by the compile-reduction column; only the returned entries
-    become ``RankedStrategy``.
+    Every objective selects through ``index.top_k``. length: the top k,
+    unfiltered even when ``target_version`` is set (the baseline for the
+    version filter). Otherwise the pool is the top ``pool_size``; a target
+    version keeps only the strategies whose compatibility set holds it,
+    and the compile-time objective then reorders the pool by annotated
+    compile reduction, best first, strategies without it last, ties in
+    similarity order (the sort is stable). The pool stays a row array
+    beside its similarities, filtered by a version mask and reordered by
+    the compile-reduction column. The first k rows become
+    ``RankedStrategy`` entries, ranked 1..k; this is the one place that
+    builds them. An empty index retrieves nothing.
 
     Raises:
         IndexBankMismatch: the bank lacks an indexed id, under any
@@ -475,10 +466,9 @@ def retrieve(
             compile-time or version objective.
     """
     columns = index._columns_for(bank)
-    if objective.mode == ObjectiveMode.LENGTH:
-        return index.top_k(query, objective.k)
-    rows, sims = index.top_rows(query, objective.pool_size)
-    version = objective.target_version
+    pooled = objective.mode != ObjectiveMode.LENGTH
+    rows, sims = index.top_k(query, objective.pool_size if pooled else objective.k)
+    version = objective.target_version if pooled else None
     if version is not None:
         compatible = columns.compatible.get(version)
         if compatible is None:
@@ -488,7 +478,11 @@ def retrieve(
     if objective.mode == ObjectiveMode.COMPILE_TIME:
         order = np.argsort(columns.compile_rank[rows], kind="stable")
         rows, sims = rows[order], sims[order]
-    return index._ranked(rows[:objective.k], sims[:objective.k])
+    ids = index._ids
+    return [RankedStrategy(ids[row], similarity, rank)
+            for rank, (row, similarity)
+            in enumerate(zip(rows[:objective.k].tolist(),
+                             sims[:objective.k].tolist()), start=1)]
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,29 @@ def test_a_plan_step_with_a_non_integer_line_number_is_dropped(line_start):
     assert result.warnings == ["step 0: malformed fields, dropped"]
 
 
+STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
+        "description": "d"}
+
+
+@pytest.mark.parametrize("payload, kept, warnings", [
+    pytest.param({"steps": [STEP]}, [], ["plan payload is not a list"],
+                 id="not_a_list"),
+    pytest.param(["step", STEP], [(2, 3)], ["step 0: not an object, dropped"],
+                 id="entry_not_an_object"),
+    pytest.param([dict(STEP, reduction="huge"), STEP], [(2, 3)],
+                 ["step 0: unknown reduction 'huge', dropped"],
+                 id="unknown_reduction"),
+    pytest.param([dict(STEP, line_start=3), STEP], [(3, 3), (2, 3)],
+                 ["plan not sorted top-to-bottom; keeping model order"],
+                 id="not_sorted"),
+])
+def test_validate_steps_refusals(payload, kept, warnings):
+    proof = "theorem t : P := by\n  norm_num\n  rfl"
+    result = _validate_steps(payload, proof)
+    assert [(s.line_start, s.line_end) for s in result.steps] == kept
+    assert result.warnings == warnings
+
+
 # --- scripted sessions -------------------------------------------------------
 
 PROOF = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
@@ -434,6 +457,44 @@ def test_an_input_that_fails_to_compile_is_refused():
     with pytest.raises(PreconditionFailed):
         run_session(FAILING, "", AgentConfig(), bank, index, ScriptedLLM([]),
                     compiler)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", -1), ("target_length", 0), ("max_debug_rounds", -1)])
+def test_config_rejects_an_out_of_range_setting(field, value):
+    with pytest.raises(ValueError, match=field):
+        AgentConfig(**{field: value})
+
+
+def test_a_session_refuses_an_index_without_an_embedder():
+    bank, index, compiler, _ = _world()
+    bare = StrategyIndex(index._ids, index._matrix)
+    with pytest.raises(ValueError, match="StrategyIndex.build"):
+        run_session(PROOF, "", AgentConfig(), bank, bare, ScriptedLLM([]),
+                    compiler)
+
+
+@pytest.mark.parametrize("objective", [
+    ObjectiveSpec(),
+    ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME),
+    ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.22.0"),
+], ids=["length", "compile_time", "version"])
+def test_a_session_over_an_empty_bank_retrieves_nothing(objective):
+    # The empty-bank baseline: the loop runs as scripted on no strategies.
+    _, _, compiler, _ = _world()
+    bank = Bank(strategies={}, pairs={}, registry=REGISTRY)
+    index = StrategyIndex.build(bank, MockEmbedder(dimension=16, seed=3))
+    config = AgentConfig(target_length=5, max_debug_rounds=0,
+                         objective=objective)
+    llm = ScriptedLLM([_plan(2, 5), _candidate(SHORTER)])
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.termination == Termination.TARGET_REACHED
+    assert result.final_proof == SHORTER
+    assert [e.detail for e in result.trace.of_kind("retrieval")] == [
+        {"strategy_ids": []}]
+    assert [e.kind for e in result.trace.events
+            if e.kind != "warning"] == ADOPTED
+    assert "(no strategies retrieved)" in llm.calls[0][0]["content"]
 
 
 def test_config_rejects_two_target_versions():

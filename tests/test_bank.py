@@ -440,6 +440,29 @@ def test_registry_round_trip(tmp_path):
     assert ToolchainRegistry.from_file(path) == REGISTRY
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"toolchains": [', "record"),
+    (json.dumps({"toolchains": 5}), "toolchains"),
+    (json.dumps({"toolchains": [5]}), "toolchains"),
+    (json.dumps({"toolchains": [{"version": "v1"}]}), "toolchains"),
+    (json.dumps({"toolchains": [{"version": ["x"], "root": "/r"}]}), "version"),
+    (json.dumps({"toolchains": [{"version": 4, "root": "/r"}]}), "version"),
+    (json.dumps({"toolchains": [{"version": "", "root": "/r"}]}), "version"),
+    (json.dumps({"toolchains": [{"version": "v1", "root": 5}]}), "root"),
+    (json.dumps({"toolchains": [{"version": "v1", "root": ""}]}), "root"),
+], ids=["invalid_json", "not_a_list", "entry_not_an_object", "no_root",
+        "version_a_list", "version_a_number", "version_empty",
+        "root_a_number", "root_empty"])
+def test_registry_file_with_a_bad_field_is_a_schema_error(tmp_path, text,
+                                                          field):
+    path = tmp_path / "registry.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        ToolchainRegistry.from_file(path)
+    assert raised.value.field == field
+    assert f"[field={field}]" in str(raised.value)
+
+
 # --- metadata recheck ---------------------------------------------------------
 
 def test_recheck_clean_bank_reports_nothing():

@@ -3,13 +3,18 @@ shared core's measurement rule."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from prooftidy import compiler as compiler_module
+from prooftidy.bank import ToolchainRegistry
 from prooftidy.compiler import (
+    HEARTBEAT_DIRECTIVES,
+    SCRATCH_DIR_NAME,
     CompileRequest,
     CompileResult,
     Diagnostic,
@@ -22,7 +27,12 @@ from prooftidy.compiler import (
     parse_profile_categories,
     split_profile_times,
 )
-from prooftidy.errors import HeartbeatParseError, ProfileParseError, ScriptExhausted
+from prooftidy.errors import (
+    HeartbeatParseError,
+    ProfileParseError,
+    ScriptExhausted,
+    ToolchainMissing,
+)
 
 from test_bank import REGISTRY
 
@@ -220,6 +230,141 @@ def test_mock_matrix_missing_environment_does_not_abort():
     assert matrix["v4.16.0"] == Verdict.SUCCESS
     assert matrix["v4.99.0"] == Verdict.ENVIRONMENT_ERROR  # nothing scripted
     assert matrix["v4.22.0"] == Verdict.ENVIRONMENT_ERROR  # scripted as such
+
+
+# --- the real backend, with a fake ``lake`` on PATH ----------------------------
+
+SOURCE = "theorem t : True := trivial"
+
+
+class FakeLake:
+    """A ``LeanCompiler`` over one toolchain whose ``lake`` is a shell
+    script first on PATH. The script saves its arguments, its working
+    directory and the file it is given beside itself, then runs ``body``;
+    ``$last`` is that file."""
+
+    def __init__(self, tmp_path: Path, monkeypatch, body: str):
+        self.dir = tmp_path / "bin"
+        self.dir.mkdir()
+        lake = self.dir / "lake"
+        lake.write_text(
+            "#!/bin/sh\n"
+            "for last; do :; done\n"
+            f"echo \"$*\" > '{self.dir}/args'\n"
+            f"pwd > '{self.dir}/cwd'\n"
+            f"cp \"$last\" '{self.dir}/seen.lean'\n"
+            + body + "\n")
+        lake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{self.dir}{os.pathsep}{os.environ['PATH']}")
+        self.root = tmp_path / "toolchain"
+        self.root.mkdir()
+        self.compiler = LeanCompiler(ToolchainRegistry(
+            entries=(("v4.24.0", str(self.root)),)))
+
+    def saved(self, name: str) -> str:
+        return (self.dir / name).read_text()
+
+    def scratch_left(self) -> list[Path]:
+        return list((self.root / SCRATCH_DIR_NAME).iterdir())
+
+
+def lean_request(source=SOURCE):
+    return CompileRequest(source=source, toolchain_version="v4.24.0")
+
+
+def test_lean_success_runs_lake_env_lean_on_a_scratch_file(tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    assert lake.compiler.default_version == "v4.24.0"
+    result = lake.compiler.check(lean_request())
+    assert result.verdict == Verdict.SUCCESS
+    assert result.diagnostics == ()
+    assert result.wall_time_total > 0
+    assert (result.import_time, result.heartbeats) == (None, None)
+    args = lake.saved("args").split()
+    assert args[:2] == ["env", "lean"] and len(args) == 3
+    scratch = Path(args[2])
+    assert (scratch.name, scratch.parent.parent) == (
+        "Main.lean", lake.root / SCRATCH_DIR_NAME)
+    assert lake.saved("cwd").strip() == str(lake.root)
+    assert lake.saved("seen.lean") == SOURCE
+    assert lake.scratch_left() == []
+
+
+@pytest.mark.parametrize("body, diagnostics", [
+    pytest.param('echo "$last:3:4: error: unknown identifier \'foo\'"\n'
+                 'echo "  in the second line"\n'
+                 'echo "plain line"\nexit 1',
+                 (Diagnostic(3, 4, "error",
+                             "unknown identifier 'foo'\n  in the second line"),),
+                 id="continuation_then_plain_line"),
+    pytest.param('echo building\necho "lean was killed" >&2\nexit 1',
+                 (Diagnostic(1, 0, "error", "lean was killed"),),
+                 id="no_diagnostic"),
+    pytest.param("exit 1", (Diagnostic(1, 0, "error", "compiler failed"),),
+                 id="no_output"),
+])
+def test_lean_failure_diagnostics(tmp_path, monkeypatch, body, diagnostics):
+    lake = FakeLake(tmp_path, monkeypatch, body)
+    result = lake.compiler.check(lean_request())
+    assert result.verdict == Verdict.FAILURE
+    assert result.diagnostics == diagnostics
+    assert lake.scratch_left() == []
+
+
+def test_lean_profile_passes_the_flag_and_parses_the_times(tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch,
+                    '[ "$3" = --profile ] || exit 2\n'
+                    'echo "cumulative profiling times:"\n'
+                    'echo "  import 0.1ms"\n'
+                    'echo "  elaboration 0.2ms"')
+    assert lake.compiler.check(lean_request()).verdict == Verdict.FAILURE
+    result = lake.compiler.profile(lean_request(), runs=2)
+    assert result.verdict == Verdict.SUCCESS
+    assert result.import_time == pytest.approx(1e-4)
+    assert len(result.wall_samples) == 2
+    assert result.elaboration_samples == pytest.approx(
+        [wall - 1e-4 for wall in result.wall_samples])
+    assert lake.saved("args").split()[:3] == ["env", "lean", "--profile"]
+
+
+def test_lean_count_heartbeats_wraps_the_source(tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch,
+                    'echo "$last:1:0: info: Used 1234 heartbeats, which is '
+                    'less than the current maximum of 200000"')
+    result = lake.compiler.count_heartbeats(lean_request())
+    assert (result.verdict, result.heartbeats) == (Verdict.SUCCESS, 1234)
+    seen = lake.saved("seen.lean")
+    assert seen == heartbeat_wrapper(SOURCE)
+    assert seen.startswith("\n".join(HEARTBEAT_DIRECTIVES) + "\n")
+
+
+def test_lean_missing_root_is_a_missing_toolchain(tmp_path):
+    registry = ToolchainRegistry(entries=(("v4.24.0", str(tmp_path / "gone")),))
+    with pytest.raises(ToolchainMissing, match="does not exist"):
+        LeanCompiler(registry).check(lean_request())
+
+
+def test_lean_without_lake_on_path_is_a_missing_toolchain(tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    with pytest.raises(ToolchainMissing, match="cannot invoke lake"):
+        lake.compiler.check(lean_request())
+    assert lake.scratch_left() == []
+
+
+def test_lean_timeout_kills_the_compile(tmp_path, monkeypatch):
+    # exec: the sleep is the process that the timeout kills, so no child
+    # outlives the check and holds its pipes open.
+    lake = FakeLake(tmp_path, monkeypatch, "exec sleep 5")
+    monkeypatch.setattr(compiler_module, "DEFAULT_TIMEOUT", 0.3)
+    started = time.monotonic()
+    result = lake.compiler.check(lean_request())
+    assert time.monotonic() - started < 4
+    assert result.verdict == Verdict.TIMEOUT
+    assert result.wall_time_total >= 0.3
+    assert lake.scratch_left() == []
 
 
 # --- both backends, with their compile run stubbed -----------------------------

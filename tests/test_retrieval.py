@@ -21,7 +21,6 @@ from prooftidy.bank import Bank, load_bank, save_bank
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     DegenerateVector,
-    EmptyIndex,
     IndexBankMismatch,
     InvalidTemperature,
     ProviderContractViolation,
@@ -70,6 +69,15 @@ def make_bank_with(strategies) -> Bank:
 def make_index(vectors, ids=None) -> StrategyIndex:
     ids = ids or [f"s{i:04d}" for i in range(len(vectors))]
     return StrategyIndex(ids, [np.asarray(v, dtype=float) for v in vectors])
+
+
+def ranked(index: StrategyIndex, query, k: int) -> list[RankedStrategy]:
+    """``index.top_k``'s selection as ``RankedStrategy`` entries, ranked
+    1..k in its order."""
+    rows, sims = index.top_k(query, k)
+    return [RankedStrategy(index._ids[row], similarity, rank)
+            for rank, (row, similarity)
+            in enumerate(zip(rows.tolist(), sims.tolist()), start=1)]
 
 
 # --- cosine -------------------------------------------------------------------
@@ -130,7 +138,7 @@ def test_index_takes_over_a_2d_array_without_a_copy():
     index = StrategyIndex(["a", "b", "c"], vectors)
     assert np.shares_memory(index._matrix, vectors)
     assert np.array_equal(index._matrix, np.eye(3))
-    assert index.top_k(np.array([0.0, 1.0, 0.0]), 1)[0].strategy_id == "b"
+    assert ranked(index, np.array([0.0, 1.0, 0.0]), 1)[0].strategy_id == "b"
 
 
 def test_index_rows_are_the_vectors_over_their_norms_bit_for_bit():
@@ -152,7 +160,7 @@ def test_index_rejects_a_non_finite_row(bad):
 
 def test_a_row_whose_squared_norm_overflows_is_normalised():
     index = make_index([[0.0, 1e200], [1.0, 1.0]])
-    assert index.top_k(np.array([0.0, 1.0]), 1) == [
+    assert ranked(index, np.array([0.0, 1.0]), 1) == [
         RankedStrategy("s0000", 1.0, 1)]
 
 
@@ -168,7 +176,7 @@ def test_scaling_by_a_power_of_two_keeps_every_bit(exponent, seed):
     plain = make_index(vectors)
     scaled = make_index(np.ldexp(vectors, exponent))
     assert np.array_equal(scaled._matrix, plain._matrix)
-    assert scaled.top_k(np.ldexp(query, -exponent), 4) == plain.top_k(query, 4)
+    assert ranked(scaled, np.ldexp(query, -exponent), 4) == ranked(plain, query, 4)
     assert (cosine(np.ldexp(query, exponent), np.ldexp(vectors[0], -exponent))
             == cosine(query, vectors[0]))
 
@@ -178,7 +186,7 @@ def test_scaling_by_a_power_of_two_keeps_every_bit(exponent, seed):
 def test_top_k_exact_match_ranks_first():
     vectors = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     index = make_index(vectors)
-    result = index.top_k(np.array([0.0, 1.0, 0.0]), 1)
+    result = ranked(index, np.array([0.0, 1.0, 0.0]), 1)
     assert result[0].strategy_id == "s0001"
     assert result[0].similarity == pytest.approx(1.0)
     assert result[0].rank == 1
@@ -186,15 +194,18 @@ def test_top_k_exact_match_ranks_first():
 
 def test_top_k_larger_than_index_returns_all():
     index = make_index([[1, 0], [0, 1]])
-    result = index.top_k(np.array([1.0, 1.0]), 10)
+    result = ranked(index, np.array([1.0, 1.0]), 10)
     assert len(result) == 2
     assert [r.rank for r in result] == [1, 2]
 
 
 def test_top_k_empty_index():
     index = StrategyIndex([], [])
-    with pytest.raises(EmptyIndex):
-        index.top_k(np.array([1.0]), 1)
+    rows, sims = index.top_k(np.array([1.0]), 1)
+    assert (rows.dtype, rows.shape) == (np.intp, (0,))
+    assert (sims.dtype, sims.shape) == (np.float64, (0,))
+    with pytest.raises(ValueError):
+        index.top_k(np.array([1.0]), 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -207,13 +218,13 @@ def test_top_k_rejects_a_non_finite_query(bad):
 @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
 def test_a_query_whose_squared_norm_underflows_is_normalised(tiny):
     index = make_index([[1.0, 0.0], [1.0, 1.0]])
-    assert index.top_k(np.array([tiny, 0.0]), 1) == [
+    assert ranked(index, np.array([tiny, 0.0]), 1) == [
         RankedStrategy("s0000", 1.0, 1)]
 
 
 def test_top_k_ties_break_by_id_ascending():
     index = make_index([[1, 0], [1, 0], [1, 0]], ids=["zz", "aa", "mm"])
-    result = index.top_k(np.array([2.0, 0.0]), 3)
+    result = ranked(index, np.array([2.0, 0.0]), 3)
     assert [r.strategy_id for r in result] == ["aa", "mm", "zz"]
 
 
@@ -227,7 +238,7 @@ def test_top_k_matches_exhaustive_sort():
         index = make_index(list(vectors), ids=ids)
         query = rng.standard_normal(dim)
         k = int(rng.integers(1, n + 1))
-        got = index.top_k(query, k)
+        got = ranked(index, query, k)
         sims = [(cosine(query, vectors[i]), ids[i]) for i in range(n)]
         want = sorted(sims, key=lambda t: (-t[0], t[1]))[:k]
         assert [r.strategy_id for r in got] == [w[1] for w in want]
@@ -352,7 +363,7 @@ def objective_fixture():
 def test_retrieve_length_mode_is_top_k():
     bank, index, query, _ = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.LENGTH, k=3)
-    assert retrieve(index, bank, query, spec) == index.top_k(query, 3)
+    assert retrieve(index, bank, query, spec) == ranked(index, query, 3)
 
 
 def test_retrieve_length_mode_ignores_the_target_version():
@@ -386,7 +397,7 @@ def test_retrieve_version_mode_filters():
     got = retrieve(index, bank, query, spec)
     for r in got:
         assert "v4.16.0" in bank.strategies[r.strategy_id].compatibility_set
-    pool_ids = {r.strategy_id for r in index.top_k(query, 10)}
+    pool_ids = {r.strategy_id for r in ranked(index, query, 10)}
     assert all(r.strategy_id in pool_ids for r in got)
 
 
@@ -397,6 +408,18 @@ def test_retrieve_version_mode_can_be_empty():
     spec = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.14.0",
                          pool_size=3, k=2)
     assert retrieve(index, bank, np.array([1.0, 0.5]), spec) == []
+
+
+@pytest.mark.parametrize("spec", [
+    ObjectiveSpec(),
+    ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME),
+    ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.16.0"),
+    ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, target_version="v4.16.0"),
+], ids=["length", "compile_time", "version", "compile_time+version"])
+def test_retrieve_over_an_empty_index_is_empty(spec):
+    # Even a query that a non-empty index would reject selects nothing.
+    index = StrategyIndex([], [])
+    assert retrieve(index, make_bank_with([]), np.zeros(3), spec) == []
 
 
 def test_retrieve_composed_filter_then_rerank():
@@ -542,7 +565,7 @@ def test_top_k_and_retrieve_match_brute_force(data):
                               pool_size=pool_size, k=k)
     length = ObjectiveSpec(k=k, pool_size=pool_size)
 
-    assert index.top_k(query, k) == brute_force_retrieve(
+    assert ranked(index, query, k) == brute_force_retrieve(
         ids, vectors, strategies, query, length)
     assert retrieve(index, bank, query, objective) == brute_force_retrieve(
         ids, vectors, strategies, query, objective)
@@ -578,7 +601,7 @@ def test_near_ties_below_float32_resolution_rank_as_float64_does(dimension, data
     index = StrategyIndex(ids, vectors)
     query = centre + 0.5 * rng.standard_normal(dimension)
     k = data.draw(st.integers(1, len(ids) + 2))
-    assert index.top_k(query, k) == brute_force_top_k(ids, index._matrix, query, k)
+    assert ranked(index, query, k) == brute_force_top_k(ids, index._matrix, query, k)
 
 
 @functools.cache
@@ -599,7 +622,7 @@ def test_identical_rows_tie_exactly_in_id_order(positions, last, seed):
     vectors[copies] = row
     ids = [f"s{i:05d}" for i in range(10_000)]
     index = StrategyIndex(ids, vectors)
-    got = index.top_k(row + 0.05 * rng.standard_normal(32), len(copies))
+    got = ranked(index, row + 0.05 * rng.standard_normal(32), len(copies))
     assert [r.strategy_id for r in got] == [ids[i] for i in copies]
     assert len({r.similarity for r in got}) == 1
 
@@ -612,9 +635,9 @@ def test_a_row_reports_the_same_similarity_whatever_k(seed, data):
     dimension = data.draw(st.sampled_from([3, 32, 100]))
     index = make_index(list(rng.standard_normal((n, dimension))))
     query = rng.standard_normal(dimension)
-    everything = index.top_k(query, n)
+    everything = ranked(index, query, n)
     for k in data.draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5)):
-        assert index.top_k(query, k) == everything[:k]
+        assert ranked(index, query, k) == everything[:k]
 
 
 # --- contrastive loss -----------------------------------------------------------
@@ -735,7 +758,7 @@ def test_index_build_finds_exact_when_to_apply(tmp_path):
     embedder = MockEmbedder(dimension=16, seed=1)
     index = StrategyIndex.build(bank, embedder)
     (query,) = embedder.embed(["pattern number 3"])
-    result = index.top_k(query, 1)
+    result = ranked(index, query, 1)
     assert result[0].strategy_id == "s0003"
     assert result[0].similarity == pytest.approx(1.0)
 
@@ -921,7 +944,7 @@ def test_a_failed_write_still_returns_the_index_and_logs_one_warning(
     assert vectors_files(tmp_path) == []  # no file, and no temp file left
     assert np.array_equal(index._matrix, cold_matrix())
     (query,) = MockEmbedder().embed([TEXTS[3]])
-    assert index.top_k(query, 1)[0].strategy_id == "s0003"
+    assert ranked(index, query, 1)[0].strategy_id == "s0003"
 
 
 def test_a_lone_surrogate_is_embedded_and_indexed(tmp_path):
@@ -933,7 +956,7 @@ def test_a_lone_surrogate_is_embedded_and_indexed(tmp_path):
     bank = load_bank(tmp_path, REGISTRY)
     assert bank.strategies["s0003"].when_to_apply == "a \ud800 b"
     index = StrategyIndex.build(bank, MockEmbedder())
-    assert index.top_k(vector, 1)[0].strategy_id == "s0003"
+    assert ranked(index, vector, 1)[0].strategy_id == "s0003"
     warm = RecordingEmbedder()
     StrategyIndex.build(bank, warm)
     assert warm.texts == []
