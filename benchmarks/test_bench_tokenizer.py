@@ -13,7 +13,11 @@ comments already removed, as ``proof_length`` hands it on. ``lex`` and
 the cold figure. ``test_session_pattern`` is what a session asks of the
 memo: the length of one proof, then of four candidates that each change
 one of its lines, from an empty memo per round. ``segment`` cuts the
-proof into the session's default windows of 5, 10 and 20 lines.
+proof into windows of the session's default sizes, 5, 10 and 20 lines.
+``test_segment_after_deletions`` is what a session asks of ``segment``
+and its span-text memo over ten adoptions that each delete one line: it
+cuts the proof and each shorter one and counts the distinct span texts,
+the texts a session embeds and retrieves.
 """
 
 from __future__ import annotations
@@ -121,3 +125,29 @@ def test_segment(benchmark, kb):
     text = proof(kb)
     result = benchmark(segment, text, [5, 10, 20])
     assert result[-1].text == text
+
+
+#: Distinct span texts over a proof and its ten deletions, per proof size.
+FRESH_TEXTS = {2: 56, 8: 112, 16: 167}
+
+
+def deletions(kb: int) -> list[str]:
+    """The proof, then ten proofs that each lack one more tactic line."""
+    lines = proof(kb).split("\n")
+    rng = random.Random(kb + 2)
+    texts = [proof(kb)]
+    for _ in range(10):
+        del lines[rng.randrange(1, len(lines))]
+        texts.append("\n".join(lines))
+    return texts
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_segment_after_deletions(benchmark, kb):
+    texts = deletions(kb)
+
+    def fresh_texts():
+        return len({span.text for text in texts
+                    for span in segment(text, [5, 10, 20])})
+
+    assert benchmark(fresh_texts) == FRESH_TEXTS[kb]

@@ -63,7 +63,9 @@ class Termination(str, Enum):
     ENVIRONMENT_ERROR = "environment_error"
 
 
-#: Line-window sizes, in lines, that ``segment`` cuts the proof into.
+#: Window sizes that ``segment`` cuts the proof into. A window of size s
+#: ends after a line whose hash is 0 mod s; it holds at least s // 2 lines
+#: (the last window may hold fewer) and at most 2s.
 CHUNK_SIZES = (5, 10, 20)
 
 #: Faults from outside the process that a port may raise. Each ends the
@@ -449,6 +451,8 @@ def run_session(
     history: list[str] = []
     # Span text -> its retrieval. Every query of a session sees the same
     # index and objective, so a span text is embedded and retrieved once.
+    # Windows away from an adopted edit keep their text, so after an
+    # adoption only the windows it touched and the whole proof are new.
     retrieved: dict[str, list[RankedStrategy]] = {}
     adopted_any = False
     termination: Termination

@@ -13,13 +13,15 @@ heartbeat counting run alone: one at a time, and with no check running.
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
+import signal
 import subprocess
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -259,6 +261,27 @@ class _CompilerCore:
         return matrix
 
 
+def _run_as_group(cmd: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``cmd`` in a process group of its own, for at most
+    ``DEFAULT_TIMEOUT`` seconds.
+
+    ``lake env lean`` runs ``lean`` as a child of ``lake``. So on a timeout,
+    or any other exception, the whole group is killed and reaped before the
+    exception propagates: no process of the compile outlives the check.
+    """
+    with subprocess.Popen(cmd, cwd=cwd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=DEFAULT_TIMEOUT)
+        except BaseException:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 class LeanCompiler(_CompilerCore):
     """Real toolchain backend driving ``lake env lean`` in scratch files."""
 
@@ -288,10 +311,7 @@ class LeanCompiler(_CompilerCore):
         cmd.append(str(main))
         started = time.monotonic()
         try:
-            proc = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True,
-                timeout=DEFAULT_TIMEOUT,
-            )
+            proc = _run_as_group(cmd, root)
         except subprocess.TimeoutExpired:
             return CompileResult(verdict=Verdict.TIMEOUT,
                                  wall_time_total=time.monotonic() - started)

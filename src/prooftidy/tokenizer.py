@@ -3,6 +3,10 @@
 The token metric reproduces a published reference lexer, quirks included:
 underscores split identifiers, dots join them, blank lines count one token.
 Fidelity to that metric outranks lexical elegance — do not "fix" these.
+
+Segmentation cuts a proof into line windows at content-defined boundaries,
+as rsync-style chunking does, so an edit changes only the windows near it
+and the rest keep their text.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import functools
 import logging
 import random
 import re
+import zlib
 from dataclasses import dataclass
 
 from .errors import MalformedDeclaration
@@ -290,13 +295,20 @@ def _span_for(lines: list[str], start: int, end: int) -> ProofSpan:
 
 
 def segment(proof: str, sizes: list[int]) -> list[ProofSpan]:
-    """Cut a proof into fixed-size line windows at several granularities.
+    """Cut a proof into line windows at content-defined boundaries, at
+    several granularities.
 
     Lines are those of :func:`line_count`, so each span's text is a slice
-    of ``proof``. For each size, consecutive non-overlapping windows cover
-    all lines (the last window may be short). Windows that coincide across granularities
-    are deduplicated by (line_start, line_end); a whole-proof span is always
-    appended last.
+    of ``proof``. For each size ``s``, consecutive non-overlapping windows
+    cover all lines. A window ends after a line whose hash (CRC-32 of the
+    stripped line) is 0 mod ``s`` once it holds at least ``max(1, s // 2)``
+    lines; it always ends at ``2 * s`` lines, and the last window may be
+    short. Whether a window ends after a line depends only on the lines
+    since the window began, so an edit leaves every window above it as it
+    was, and once the windows below it end after the same line as before
+    the edit, the rest keep their text (their ranges shift with the edit).
+    Windows that coincide across granularities are deduplicated by
+    (line_start, line_end); a whole-proof span is always appended last.
     """
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be non-empty and all >= 1")
@@ -304,16 +316,23 @@ def segment(proof: str, sizes: list[int]) -> list[ProofSpan]:
     if not lines:
         return [ProofSpan(1, 1, "")]
     n = len(lines)
+    # Stripped: indentation and trailing spaces do not move a cut. A lone
+    # surrogate is encoded, not refused.
+    hashes = [zlib.crc32(line.strip().encode("utf-8", "surrogatepass"))
+              for line in lines]
     spans: list[ProofSpan] = []
     seen: set[tuple[int, int]] = set()
     for size in sizes:
+        shortest = max(1, size // 2)
         start = 1
-        while start <= n:
-            end = min(start + size - 1, n)
-            if (start, end) not in seen:
-                seen.add((start, end))
-                spans.append(_span_for(lines, start, end))
-            start = end + 1
+        for end, h in enumerate(hashes, 1):
+            length = end - start + 1
+            at_cut = length >= shortest and h % size == 0
+            if at_cut or length == 2 * size or end == n:
+                if (start, end) not in seen:
+                    seen.add((start, end))
+                    spans.append(_span_for(lines, start, end))
+                start = end + 1
     spans.append(_span_for(lines, 1, n))
     return spans
 

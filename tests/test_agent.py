@@ -41,6 +41,7 @@ from prooftidy.retrieval import ObjectiveMode, ObjectiveSpec, StrategyIndex
 from prooftidy.tokenizer import proof_length, segment, statement_text
 
 from test_bank import REGISTRY, make_strategy
+from test_tokenizer import DELETED_LINE, ONE_WINDOW_PROOF
 
 
 def test_guard_rejects_rewrite_after_depth0_let():
@@ -236,6 +237,29 @@ def test_session_embeds_each_distinct_span_once():
     for proof, batch in zip((PROOF, SHORTER), embedder.batches):
         spans = segment(proof, list(CHUNK_SIZES))
         assert batch == list(dict.fromkeys(s.text for s in spans))
+
+
+def test_an_adoption_re_embeds_only_the_windows_it_touched():
+    proof = "\n".join(ONE_WINDOW_PROOF)
+    lines = ONE_WINDOW_PROOF[:DELETED_LINE - 1] + ONE_WINDOW_PROOF[DELETED_LINE:]
+    shorter = "\n".join(lines)
+    bank, index, _, embedder = _world()
+    ok = CompileResult(Verdict.SUCCESS)
+    compiler = MockCompiler(by_source={proof: ok, shorter: ok})
+    script = [_plan(DELETED_LINE, DELETED_LINE), _candidate(shorter),
+              "```json\n[]\n```"]
+    config = AgentConfig(budget=10, target_length=1, max_debug_rounds=0)
+    result = run_session(proof, "", config, bank, index, ScriptedLLM(script),
+                         compiler)
+    assert result.final_proof == shorter
+    first, second = embedder.batches
+    assert first == list(dict.fromkeys(
+        s.text for s in segment(proof, list(CHUNK_SIZES))))
+    # The deleted line's window at each of the sizes 5, 10 and 20, then the
+    # whole proof; every other window keeps its text and its retrieval.
+    assert CHUNK_SIZES == (5, 10, 20)
+    assert second == ["\n".join(lines[start - 1:end]) for start, end in
+                      ((21, 22), (11, 22), (11, 36), (1, len(lines)))]
 
 
 def test_session_json_is_byte_identical_across_reruns():

@@ -367,6 +367,34 @@ def test_lean_timeout_kills_the_compile(tmp_path, monkeypatch):
     assert lake.scratch_left() == []
 
 
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs: neither gone nor a zombie."""
+    try:
+        os.kill(pid, 0)
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_lean_timeout_kills_every_process_of_the_compile(tmp_path, monkeypatch):
+    # No exec: like lean under lake env, the sleep is lake's child.
+    pid_file = tmp_path / "pid"
+    lake = FakeLake(tmp_path, monkeypatch,
+                    f"sleep 3 & echo $! > '{pid_file}'; wait")
+    monkeypatch.setattr(compiler_module, "DEFAULT_TIMEOUT", 0.3)
+    started = time.monotonic()
+    result = lake.compiler.check(lean_request())
+    assert time.monotonic() - started < 2
+    assert result.verdict == Verdict.TIMEOUT
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 1
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _alive(pid)
+    assert lake.scratch_left() == []
+
+
 # --- both backends, with their compile run stubbed -----------------------------
 
 @pytest.mark.parametrize("make", [

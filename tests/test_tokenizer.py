@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -249,9 +250,14 @@ def _ranges(spans):
 
 
 def test_segment_windows_plus_whole():
-    proof = "\n".join(f"line{i}" for i in range(1, 13))
-    spans = segment(proof, [5])
-    assert _ranges(spans) == [(1, 5), (6, 10), (11, 12), (1, 12)]
+    # Lines 1, 4, 6 and 9 hash to 0 mod 5. A window holds at least
+    # 5 // 2 lines, so line 1 is too early for a cut; the windows end after
+    # lines 4, 6 and 9, and the last one at the end of the proof.
+    lines = [f"line{i}" for i in range(1, 13)]
+    assert [i for i, line in enumerate(lines, 1)
+            if zlib.crc32(line.encode()) % 5 == 0] == [1, 4, 6, 9]
+    spans = segment("\n".join(lines), [5])
+    assert _ranges(spans) == [(1, 4), (5, 6), (7, 9), (10, 12), (1, 12)]
 
 
 def test_segment_dedups_across_granularities():
@@ -271,10 +277,13 @@ def test_segment_empty_proof():
 
 
 def test_segment_span_text_matches_lines():
+    # Only "alpha" hashes to 0 mod 2, so it ends the first window and the
+    # rest runs to the end of the proof.
     proof = "alpha\nbeta\ngamma\ndelta"
     spans = segment(proof, [2])
-    assert spans[0].text == "alpha\nbeta"
-    assert spans[1].text == "gamma\ndelta"
+    assert _ranges(spans) == [(1, 1), (2, 4), (1, 4)]
+    assert spans[0].text == "alpha"
+    assert spans[1].text == "beta\ngamma\ndelta"
     assert spans[-1].text == proof
 
 
@@ -284,10 +293,14 @@ def test_lines_break_at_newline_only_as_lean_counts_them(brk):
     # str.splitlines also breaks at these; Lean's FileMap does not.
     proof = f"theorem t : P := by\n  -- see{brk}note\n  exact bad"
     assert line_count(proof) == 3
+    lines = proof.split("\n")
     spans = segment(proof, [2])
-    assert _ranges(spans) == [(1, 2), (3, 3), (1, 3)]
-    assert [s.text for s in spans] == [
-        f"theorem t : P := by\n  -- see{brk}note", "  exact bad", proof]
+    for span in spans:
+        assert 1 <= span.line_start <= span.line_end <= 3
+        assert span.text == "\n".join(lines[span.line_start - 1:span.line_end])
+        # No span starts or ends inside line 2.
+        assert ("see" in span.text) == (f"see{brk}note" in span.text)
+    assert spans[-1] == ProofSpan(1, 3, proof)
     whole = jitter_boundaries(ProofSpan(1, 3, proof), proof, 0, seed=1)
     assert whole.text == proof
 
@@ -299,16 +312,82 @@ def test_line_count_of_newline_only_texts(text, count):
     assert line_count(text) == count == max(1, len(text.splitlines()))
 
 
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=9))
-@settings(max_examples=100, deadline=None)
-def test_segment_partition_per_granularity(n_lines, size):
-    proof = "\n".join(f"l{i}" for i in range(n_lines))
-    spans = segment(proof, [size])
-    windows = spans[:-1]
+def _windows(lines: list[str], size: int) -> list[ProofSpan]:
+    return segment("\n".join(lines), [size])[:-1]
+
+
+def _check_windows(lines: list[str], size: int) -> list[ProofSpan]:
+    """The windows of one size, after checking the contract of each: a
+    window ends at its first line, from line ``max(1, size // 2)`` on,
+    whose stripped text hashes to 0 mod ``size``, else at ``2 * size``
+    lines; the last one may end sooner, at the end of the proof."""
+    windows = _windows(lines, size)
     covered = []
     for span in windows:
         covered.extend(range(span.line_start, span.line_end + 1))
-    assert covered == list(range(1, n_lines + 1))
+        held = lines[span.line_start - 1:span.line_end]
+        assert span.text == "\n".join(held)
+        cuts = [k for k, line in enumerate(held, 1)
+                if k >= max(1, size // 2) and zlib.crc32(
+                    line.strip().encode("utf-8", "surrogatepass")) % size == 0]
+        end = (cuts or [2 * size])[0]
+        assert len(held) == end or (span is windows[-1] and len(held) < end)
+    assert covered == list(range(1, len(lines) + 1))
+    return windows
+
+
+# Lines from a small alphabet: some repeat, most hash differently, and
+# blank or space-only ones strip to "", which hashes to 0.
+LINES = st.lists(st.text(alphabet="ab \t:=", max_size=6), min_size=1,
+                 max_size=60).map(lambda lines: lines + ["qed"])
+
+
+@given(LINES, st.integers(min_value=1, max_value=21))
+@settings(max_examples=200, deadline=None)
+def test_segment_partition_per_granularity(lines, size):
+    windows = _check_windows(lines, size)
+    for j in range(1, len(lines)):
+        edited = lines[:j - 1] + lines[j:]
+        after = _check_windows(edited, size)
+        above = [span for span in windows if span.line_end < j]
+        assert after[:len(above)] == above
+
+
+# Deleting line 22 changes exactly one window per size: the window that
+# holds it ends at a line that hashes to 0 mod the size with more than
+# size // 2 lines, so without line 22 it ends after the same line, and
+# every window below starts and ends after the same lines as before.
+ONE_WINDOW_PROOF = ["theorem t : True := by"] + [
+    f"  have h{i} : {i} + 0 = {i} := by simp" for i in range(1, 47)] + [
+    "  trivial"]
+DELETED_LINE = 22
+
+
+@pytest.mark.parametrize("size, before, after", [
+    (5, (21, 23), (21, 22)), (10, (11, 23), (11, 22)),
+    (20, (11, 37), (11, 36))])
+def test_a_deletion_changes_only_the_window_that_held_the_line(
+        size, before, after):
+    edited = (ONE_WINDOW_PROOF[:DELETED_LINE - 1]
+              + ONE_WINDOW_PROOF[DELETED_LINE:])
+    old = _check_windows(ONE_WINDOW_PROOF, size)
+    new = _check_windows(edited, size)
+    assert [_ranges([s]) for s in old if s.text not in
+            {t.text for t in new}] == [[before]]
+    assert [_ranges([s]) for s in new if s.text not in
+            {t.text for t in old}] == [[after]]
+
+
+@pytest.mark.parametrize("size", [4, 5, 10, 20])
+def test_a_blank_line_is_a_cut_once_the_window_holds_half_its_size(size):
+    assert zlib.crc32(b"") == 0
+    shortest = size // 2
+    filler = [f"l{i}" for i in range(100)
+              if zlib.crc32(f"l{i}".encode()) % size][:3 * size]
+    # The first blank line is too early to end a window; the space-only
+    # one, at line size // 2, ends it.
+    lines = [""] + filler[:shortest - 2] + ["   "] + filler
+    assert _ranges(_windows(lines, size)[:1]) == [(1, shortest)]
 
 
 # --- jitter_boundaries -------------------------------------------------------
