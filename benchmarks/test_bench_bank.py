@@ -4,12 +4,14 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_bank.py
 
-Times ``save_bank`` and ``load_bank`` (schema validation included) on a
-seeded bank of 10² and 10⁴ strategies with one member pair each, in a
-temporary directory. A pair's proofs are six and two tactic lines; every
-fourth strategy and pair has no compile reduction. ``test_load_bank``
-also records, in ``extra_info``, the ``tracemalloc`` peak of one untimed
-load, the loaded bank included. ``test_build_index`` times
+Times ``save_bank``, ``load_bank`` and ``recheck`` (schema validation
+included) on a seeded bank of 10² and 10⁴ strategies with one member pair
+each, in a temporary directory. A pair's proofs are six and two tactic
+lines; every fourth strategy and pair has no compile reduction.
+``load_bank`` reads the strategies alone; ``recheck`` streams the pairs
+file and finds no discrepancy. ``test_load_bank`` and ``test_recheck``
+also record, in ``extra_info``, the ``tracemalloc`` peak of one untimed
+call (for a load, the loaded bank included). ``test_build_index`` times
 ``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``:
 the bank is built in memory, so every text is embedded (a cold build).
 ``test_build_index_persisted`` times the warm build over the same bank
@@ -30,6 +32,7 @@ from prooftidy.bank import (
     Strategy,
     ToolchainRegistry,
     load_bank,
+    recheck,
     save_bank,
 )
 from prooftidy.embeddings import MockEmbedder
@@ -42,7 +45,8 @@ SIZES = (100, 10_000)
 
 
 @functools.cache
-def bank(n: int) -> Bank:
+def generated(n: int) -> tuple[Bank, tuple[ProofPair, ...]]:
+    """The bank of ``n`` strategies, and its ``n`` member pairs."""
     rng = random.Random(n)
     strategies, pairs = {}, {}
     for i in range(n):
@@ -74,28 +78,54 @@ def bank(n: int) -> Bank:
             long_verified=True,
             short_verified=True,
         )
-    return Bank(strategies=strategies, pairs=pairs, registry=REGISTRY)
+    return (Bank(strategies=strategies, registry=REGISTRY),
+            tuple(pairs.values()))
+
+
+def bank(n: int) -> Bank:
+    return generated(n)[0]
+
+
+def save(n: int, path) -> None:
+    bank, pairs = generated(n)
+    save_bank(bank, path, pairs)
+
+
+def tracemalloc_peak_mib(call, *args):
+    """The ``tracemalloc`` peak of one ``call(*args)``, in MiB."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 2**20, 3)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_save_bank(benchmark, tmp_path, n):
-    benchmark(save_bank, bank(n), tmp_path)
+    saved, pairs = generated(n)
+    benchmark(save_bank, saved, tmp_path, pairs)
     assert (tmp_path / "strategies.jsonl").stat().st_size > 0
+    assert (tmp_path / "pairs.jsonl").stat().st_size > 0
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_load_bank(benchmark, tmp_path, n):
-    save_bank(bank(n), tmp_path)
-    tracemalloc.start()
-    try:
-        load_bank(tmp_path, REGISTRY)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 3)
+    save(n, tmp_path)
+    benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        load_bank, tmp_path, REGISTRY)
     loaded = benchmark(load_bank, tmp_path, REGISTRY)
     assert loaded.strategies == bank(n).strategies
-    assert loaded.pairs == bank(n).pairs
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_recheck(benchmark, tmp_path, n):
+    save(n, tmp_path)
+    loaded = load_bank(tmp_path, REGISTRY)
+    benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        recheck, loaded)
+    assert benchmark(recheck, loaded) == []
 
 
 def test_build_index(benchmark):
@@ -104,7 +134,7 @@ def test_build_index(benchmark):
 
 
 def test_build_index_persisted(benchmark, tmp_path):
-    save_bank(bank(10_000), tmp_path)
+    save(10_000, tmp_path)
     loaded = load_bank(tmp_path, REGISTRY)
     StrategyIndex.build(loaded, MockEmbedder())
     index = benchmark(StrategyIndex.build, loaded, MockEmbedder())

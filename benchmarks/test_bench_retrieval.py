@@ -51,7 +51,7 @@ def world(n: int) -> tuple[Bank, StrategyIndex, np.ndarray]:
                                       else float(rng.uniform(-1, 1))),
             compatibility_set=frozenset({TARGET} if i % 2 else ()),
         )
-    bank = Bank(strategies=strategies, pairs={}, registry=REGISTRY)
+    bank = Bank(strategies=strategies, registry=REGISTRY)
     index = StrategyIndex(list(strategies),
                           list(rng.standard_normal((n, DIMENSION))))
     return bank, index, rng.standard_normal(DIMENSION)

@@ -509,11 +509,11 @@ def run_session(
                 termination = Termination.NO_VIABLE_PLAN
                 break
             ledger.add("plan_issued", {
-                "steps": [asdict(s) for s in plan_result.steps],
+                "steps": [dict(vars(s)) for s in plan_result.steps],
             })
 
             for step in plan_result.steps:
-                ledger.add("step_attempted", {"step": asdict(step)})
+                ledger.add("step_attempted", {"step": dict(vars(step))})
                 adopted = attempt(step, current, current_length)
                 if adopted is None:
                     continue
@@ -524,7 +524,7 @@ def run_session(
                     f"Success)"
                 )
                 ledger.add("adoption", {
-                    "step": asdict(step),
+                    "step": dict(vars(step)),
                     "new_length": current_length,
                     "debug_rounds": rounds,
                 })

@@ -1,19 +1,23 @@
 """Strategy bank: data model, metadata rule, and persistence.
 
-A strategy's metadata (its median compile reduction and its compatibility
-set) follows from its member pairs by one rule, ``expected_metadata``;
-``recheck`` reports every strategy whose stored metadata departs from it.
+A bank serves strategies. Their member pairs are the evidence behind each
+strategy's metadata (its median compile reduction and its compatibility
+set), which follows from the members by one rule, ``expected_metadata``.
+``load_bank`` reads the strategies alone; ``read_pairs`` streams and
+checks the pairs, and ``recheck`` reduces each one, as it passes, to what
+the rule reads, then reports every strategy whose stored metadata departs
+from the rule. No pair's text outlives its line.
 
 Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
-corresponding dataclass; unknown keys are rejected. ``load_bank`` streams
-the records, building each one before it reads the next line, so the
-first bad line of a file is the one reported. Within one load, each
-distinct closed-set value (a version id, a status, a reduction level, a
-compatibility set, a source corpus) is held once. Every file is written
-through ``replacing``: concurrent writers and readers of one file see a
-whole file, never a torn one. Loaded banks are effectively immutable and
-safe to share across threads.
+corresponding dataclass; unknown keys are rejected. Records are streamed,
+each one built before the next line is read, so the first bad line of a
+file is the one reported. Within one read, each distinct closed-set value
+(a version id, a status, a reduction level, a compatibility set, a source
+corpus) is held once. Every file is written through ``replacing``:
+concurrent writers and readers of one file see a whole file, never a torn
+one. Loaded banks are effectively immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SchemaError, UnknownVersion
 from .tokenizer import line_count
@@ -202,24 +206,42 @@ class ToolchainRegistry:
 
 @dataclass
 class Bank:
-    """In-memory view of a strategy bank: strategies, pairs, registry.
+    """In-memory view of a strategy bank: its strategies and registry.
 
+    The member pairs are not held; ``recheck`` streams them from ``path``.
     ``path`` is the directory ``load_bank`` read the bank from, and None
     for a bank built in memory. ``StrategyIndex.build`` keeps the index
     vectors of a loaded bank in that directory.
     """
 
     strategies: dict[str, Strategy] = field(default_factory=dict)
-    pairs: dict[str, ProofPair] = field(default_factory=dict)
     registry: ToolchainRegistry = ToolchainRegistry(entries=())
     path: Path | None = None
 
 
+class PairEvidence(NamedTuple):
+    """What the metadata rule reads of one member pair: its compile
+    reduction, and the versions its short proof compiles on (None when it
+    was tested on no toolchain)."""
+
+    compile_reduction: float | None
+    compiles_on: frozenset[str] | None
+
+    @classmethod
+    def of(cls, pair: ProofPair) -> "PairEvidence":
+        status = pair.version_status
+        tested = any(s != "untested" for s in status.values())
+        return cls(pair.compile_reduction,
+                   frozenset(v for v, s in status.items() if s == "compiles")
+                   if tested else None)
+
+
 def expected_metadata(
-    strategy: Strategy, bank: Bank
+    strategy: Strategy, members: Mapping[str, PairEvidence]
 ) -> tuple[float | None, frozenset[str]]:
     """The bank's one metadata rule: (median_compile_reduction,
-    compatibility_set) recomputed from the strategy's member pairs.
+    compatibility_set) recomputed from the strategy's member pairs, looked
+    up by id in ``members``; an id not there is skipped.
 
     The median is over the members with a compile reduction; an even count
     takes the mean of the two middle values. The compatibility set is the
@@ -227,13 +249,11 @@ def expected_metadata(
     toolchain, of the versions their short proof compiles under. No
     eligible member means absent metadata (None / empty set).
     """
-    members = [bank.pairs[pid] for pid in strategy.member_pair_ids
-               if pid in bank.pairs]
-    reductions = [p.compile_reduction for p in members
-                  if p.compile_reduction is not None]
-    tested = [frozenset(v for v, s in p.version_status.items() if s == "compiles")
-              for p in members
-              if any(s != "untested" for s in p.version_status.values())]
+    found = [members[pid] for pid in strategy.member_pair_ids
+             if pid in members]
+    reductions = [e.compile_reduction for e in found
+                  if e.compile_reduction is not None]
+    tested = [e.compiles_on for e in found if e.compiles_on is not None]
     median = float(statistics.median(reductions)) if reductions else None
     compat = frozenset.intersection(*tested) if tested else frozenset()
     return median, compat
@@ -248,10 +268,26 @@ class Discrepancy:
 
 
 def recheck(bank: Bank) -> list[Discrepancy]:
-    """Report every strategy whose stored metadata disagrees with its members."""
+    """Report every strategy whose stored metadata disagrees with its members.
+
+    The member pairs are streamed from the bank's directory with
+    ``read_pairs``, so a bad or duplicate pair record raises its
+    ``SchemaError`` here. A bank without a ``path`` raises ``ValueError``.
+    """
+    if bank.path is None:
+        raise ValueError("recheck reads the member pairs from the bank's "
+                         "directory, and this bank has no path")
+    # One object per distinct version set: many pairs share each one.
+    sets: dict[frozenset[str], frozenset[str]] = {}
+    members: dict[str, PairEvidence] = {}
+    for pair in read_pairs(bank.path, bank.registry):
+        reduction, compiles_on = PairEvidence.of(pair)
+        if compiles_on is not None:
+            compiles_on = sets.setdefault(compiles_on, compiles_on)
+        members[pair.id] = PairEvidence(reduction, compiles_on)
     out: list[Discrepancy] = []
     for strategy in bank.strategies.values():
-        median, compat = expected_metadata(strategy, bank)
+        median, compat = expected_metadata(strategy, members)
         if strategy.median_compile_reduction != median:
             out.append(Discrepancy(strategy.id, "median_compile_reduction",
                                    strategy.median_compile_reduction, median))
@@ -318,9 +354,9 @@ def _compile_reduction(record: dict, key: str, line: int) -> float | None:
 
 
 class _RecordReader:
-    """Validates one load's records and turns each into its dataclass.
+    """Validates one read's records and turns each into its dataclass.
 
-    Within the load each value from a small closed set is one object: the
+    Within the read each value from a small closed set is one object: the
     registry's own string for a version id, the ``VERSION_STATUSES`` and
     ``REDUCTION_LEVELS`` members, one frozenset per distinct compatibility
     set and one string per distinct source corpus.
@@ -454,20 +490,22 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write(line.encode("utf-8") + b"\n")
 
 
-def save_bank(bank: Bank, path: str | Path) -> None:
-    """Write strategies and pairs as one-record-per-line files under ``path``."""
+def save_bank(bank: Bank, path: str | Path,
+              pairs: Iterable[ProofPair] = ()) -> None:
+    """Write the bank's strategies and ``pairs`` as one-record-per-line
+    files under ``path``."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     _write_jsonl(root / STRATEGIES_FILENAME,
                  (s.to_dict() for s in bank.strategies.values()))
-    _write_jsonl(root / PAIRS_FILENAME,
-                 (p.to_dict() for p in bank.pairs.values()))
+    _write_jsonl(root / PAIRS_FILENAME, (p.to_dict() for p in pairs))
 
 
 def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line, one at a time."""
-    if not path.exists():
-        return
+    """Yield (line number, record) for each non-blank line, one at a time.
+
+    A missing file raises ``FileNotFoundError`` naming it.
+    """
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -481,27 +519,43 @@ def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
-    """Load and validate a bank; raises SchemaError naming the bad field.
+def _read_records(path: Path, build) -> Iterator:
+    """Build each record of ``path`` in turn; a repeated id is a
+    ``SchemaError`` on the line that repeats it."""
+    seen: set[str] = set()
+    for lineno, record in _read_jsonl(path):
+        item = build(record, lineno)
+        if item.id in seen:
+            raise SchemaError(f"duplicate id {item.id!r} in {path.name}",
+                              field="id", line=lineno)
+        seen.add(item.id)
+        yield item
 
-    Records are streamed: each line is decoded, validated and turned into
-    its ``Strategy`` or ``ProofPair`` before the next line is read, so the
-    first bad line of a file is the one reported, whatever follows it. The
-    bank's ``path`` is ``path``.
+
+def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
+    """Load and validate a bank's strategies; raises SchemaError naming the
+    bad field, and FileNotFoundError when the strategies file is missing.
+
+    The pairs file is not read: ``read_pairs`` streams it. The bank's
+    ``path`` is ``path``.
     """
     root = Path(path)
     reader = _RecordReader(registry)
-    bank = Bank(registry=registry, path=root)
-    for filename, build, records in (
-            (STRATEGIES_FILENAME, reader.strategy, bank.strategies),
-            (PAIRS_FILENAME, reader.pair, bank.pairs)):
-        for lineno, record in _read_jsonl(root / filename):
-            item = build(record, lineno)
-            if item.id in records:
-                raise SchemaError(f"duplicate id {item.id!r} in {filename}",
-                                  field="id", line=lineno)
-            records[item.id] = item
-    return bank
+    strategies = {s.id: s for s in _read_records(root / STRATEGIES_FILENAME,
+                                                 reader.strategy)}
+    return Bank(strategies=strategies, registry=registry, path=root)
+
+
+def read_pairs(path: str | Path,
+               registry: ToolchainRegistry) -> Iterator[ProofPair]:
+    """Yield the validated pairs of the bank at ``path``, one at a time.
+
+    Each line is decoded, checked and built before the next is read, so the
+    pairs before the first bad line are yielded and then its SchemaError is
+    raised. A missing pairs file raises FileNotFoundError.
+    """
+    reader = _RecordReader(registry)
+    return _read_records(Path(path) / PAIRS_FILENAME, reader.pair)
 
 
 def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:

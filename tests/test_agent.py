@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from prooftidy.agent import (
     CHUNK_SIZES,
     AgentConfig,
+    PlanStep,
     Termination,
     _validate_steps,
     run_session,
@@ -200,7 +202,7 @@ def _world():
     NATIVE_ONLY on every toolchain but v4.22.0."""
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i, when_to_apply=f"pattern {i}") for i in range(3))},
-        pairs={}, registry=REGISTRY)
+        registry=REGISTRY)
     embedder = CountingEmbedder()
     index = StrategyIndex.build(bank, embedder)
     embedder.batches.clear()
@@ -260,6 +262,18 @@ def test_an_adoption_re_embeds_only_the_windows_it_touched():
     assert CHUNK_SIZES == (5, 10, 20)
     assert second == ["\n".join(lines[start - 1:end]) for start, end in
                       ((21, 22), (11, 22), (11, 36), (1, len(lines)))]
+
+
+def test_a_step_in_the_trace_is_a_plain_dict_equal_to_asdict():
+    result, _ = _session()
+    steps = [step for e in result.trace.of_kind("plan_issued")
+             for step in e.detail["steps"]]
+    steps += [e.detail["step"] for e in result.trace.events
+              if e.kind in ("step_attempted", "adoption")]
+    assert len(steps) == 5  # two plans of one step, two attempts, an adoption
+    for step in steps:
+        assert type(step) is dict
+        assert list(step.items()) == list(asdict(PlanStep(**step)).items())
 
 
 def test_session_json_is_byte_identical_across_reruns():
@@ -506,7 +520,7 @@ def test_a_session_refuses_an_index_without_an_embedder():
 def test_a_session_over_an_empty_bank_retrieves_nothing(objective):
     # The empty-bank baseline: the loop runs as scripted on no strategies.
     _, _, compiler, _ = _world()
-    bank = Bank(strategies={}, pairs={}, registry=REGISTRY)
+    bank = Bank(strategies={}, registry=REGISTRY)
     index = StrategyIndex.build(bank, MockEmbedder(dimension=16, seed=3))
     config = AgentConfig(target_length=5, max_debug_rounds=0,
                          objective=objective)

@@ -62,8 +62,7 @@ def brute_force_loss(queries, positives, temperature, margin):
 
 
 def make_bank_with(strategies) -> Bank:
-    return Bank(strategies={s.id: s for s in strategies}, pairs={},
-                registry=REGISTRY)
+    return Bank(strategies={s.id: s for s in strategies}, registry=REGISTRY)
 
 
 def make_index(vectors, ids=None) -> StrategyIndex:
