@@ -3,10 +3,12 @@
 A bank serves strategies. Their member pairs are the evidence behind each
 strategy's metadata (its median compile reduction and its compatibility
 set), which follows from the members by one rule, ``expected_metadata``.
-``load_bank`` reads the strategies alone; ``read_pairs`` streams and
-checks the pairs, and ``recheck`` reduces each one, as it passes, to what
-the rule reads, then reports every strategy whose stored metadata departs
-from the rule. No pair's text outlives its line.
+``load_bank`` reads the strategies alone. One validator checks each pair
+record for both pair readers: ``read_pairs`` builds each checked record
+into a ``ProofPair``, and ``recheck`` reduces it straight to what the rule
+reads, a ``PairEvidence``, building no ``ProofPair``, then reports every
+strategy whose stored metadata departs from the rule. No pair's text
+outlives its line.
 
 Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
@@ -229,11 +231,19 @@ class PairEvidence(NamedTuple):
 
     @classmethod
     def of(cls, pair: ProofPair) -> "PairEvidence":
-        status = pair.version_status
-        tested = any(s != "untested" for s in status.values())
-        return cls(pair.compile_reduction,
-                   frozenset(v for v, s in status.items() if s == "compiles")
-                   if tested else None)
+        return cls.from_fields(pair.compile_reduction, pair.version_status)
+
+    @classmethod
+    def from_fields(cls, compile_reduction: float | None,
+                    version_status: Mapping[str, str]) -> "PairEvidence":
+        """The evidence of a pair with these two fields: a pair tested on
+        any toolchain compiles on the versions whose status is
+        ``compiles``; one tested on none has no such set."""
+        compiles_on = frozenset([v for v, s in version_status.items()
+                                 if s == "compiles"])
+        if compiles_on or any(s != "untested" for s in version_status.values()):
+            return cls(compile_reduction, compiles_on)
+        return cls(compile_reduction, None)
 
 
 def expected_metadata(
@@ -270,21 +280,17 @@ class Discrepancy:
 def recheck(bank: Bank) -> list[Discrepancy]:
     """Report every strategy whose stored metadata disagrees with its members.
 
-    The member pairs are streamed from the bank's directory with
-    ``read_pairs``, so a bad or duplicate pair record raises its
-    ``SchemaError`` here. A bank without a ``path`` raises ``ValueError``.
+    The member pairs are streamed from the bank's directory. Each record is
+    checked by the validator ``read_pairs`` uses, so a bad or duplicate
+    pair record raises the same ``SchemaError`` here, and is then reduced
+    straight to its ``PairEvidence``: no ``ProofPair`` is built. A bank
+    without a ``path`` raises ``ValueError``.
     """
     if bank.path is None:
         raise ValueError("recheck reads the member pairs from the bank's "
                          "directory, and this bank has no path")
-    # One object per distinct version set: many pairs share each one.
-    sets: dict[frozenset[str], frozenset[str]] = {}
-    members: dict[str, PairEvidence] = {}
-    for pair in read_pairs(bank.path, bank.registry):
-        reduction, compiles_on = PairEvidence.of(pair)
-        if compiles_on is not None:
-            compiles_on = sets.setdefault(compiles_on, compiles_on)
-        members[pair.id] = PairEvidence(reduction, compiles_on)
+    reader = _RecordReader(bank.registry)
+    members = dict(_read_records(bank.path / PAIRS_FILENAME, reader.evidence))
     out: list[Discrepancy] = []
     for strategy in bank.strategies.values():
         median, compat = expected_metadata(strategy, members)
@@ -354,12 +360,17 @@ def _compile_reduction(record: dict, key: str, line: int) -> float | None:
 
 
 class _RecordReader:
-    """Validates one read's records and turns each into its dataclass.
+    """Validates one read's records and builds what the read needs of each.
 
-    Within the read each value from a small closed set is one object: the
-    registry's own string for a version id, the ``VERSION_STATUSES`` and
+    A pair record has one validator, ``_check_pair``, and two thin builders
+    over it: ``pair`` builds the ``ProofPair`` that ``read_pairs`` yields,
+    and ``evidence`` the ``PairEvidence`` that ``recheck`` keeps, so the two
+    readers raise the same ``SchemaError`` for a bad record. Within the read
+    each value from a small closed set is one object: the registry's own
+    string for a version id, the ``VERSION_STATUSES`` and
     ``REDUCTION_LEVELS`` members, one frozenset per distinct compatibility
-    set and one string per distinct source corpus.
+    set or set of versions a pair compiles on, and one string per distinct
+    source corpus.
     """
 
     def __init__(self, registry: ToolchainRegistry):
@@ -413,14 +424,23 @@ class _RecordReader:
             member_pair_ids=tuple(members),
         )
 
-    def pair(self, record: dict, line: int) -> ProofPair:
+    def _check_pair(self, record: dict, line: int) -> float | None:
+        """Every check of a pair record, in the order its fields are
+        reported; returns its compile reduction as a float. The common case
+        is tested inline, and ``_typed`` called only to raise."""
         _require_keys(record, _PAIR_KEYS, line)
-        _typed(record, "id", str, line, non_empty=True)
+        pid = record["id"]
+        if not (isinstance(pid, str) and pid):
+            _typed(record, "id", str, line, non_empty=True)
         for key in _PAIR_TEXT:
-            _typed(record, key, str, line)
-        status = _typed(record, "version_status", dict, line)
+            if not isinstance(record[key], str):
+                _typed(record, key, str, line)
+        status = record["version_status"]
+        if not isinstance(status, dict):
+            _typed(record, "version_status", dict, line)
+        versions = self.registry._version_set  # JSON keys: hashable strings
         for version, verdict in status.items():
-            if version not in self.registry:
+            if version not in versions:
                 raise SchemaError(f"unknown toolchain version {version!r}",
                                   field="version_status", line=line)
             if verdict not in VERSION_STATUSES:
@@ -428,9 +448,12 @@ class _RecordReader:
                     f"version status must be one of {VERSION_STATUSES}",
                     field="version_status", line=line,
                 )
-        n_lines = line_count(record["long_proof"])
-        spans = []
-        for span in _typed(record, "grounded_spans", list, line):
+        spans = record["grounded_spans"]
+        if not isinstance(spans, list):
+            _typed(record, "grounded_spans", list, line)
+        if spans:
+            n_lines = line_count(record["long_proof"])
+        for span in spans:
             try:
                 sid, ls, le = span["strategy_id"], span["line_start"], span["line_end"]
             except (TypeError, KeyError):  # not an object, or a key missing
@@ -445,8 +468,14 @@ class _RecordReader:
                     f"span ({ls}, {le}) outside the long proof's {n_lines} lines",
                     field="grounded_spans", line=line,
                 )
-            spans.append((sid, ls, le))
         reduction = _compile_reduction(record, "compile_reduction", line)
+        for key in ("long_verified", "short_verified"):
+            if not isinstance(record[key], bool):
+                _typed(record, key, bool, line)
+        return reduction
+
+    def pair(self, record: dict, line: int) -> ProofPair:
+        reduction = self._check_pair(record, line)
         return ProofPair(
             id=record["id"],
             statement=record["statement"],
@@ -455,11 +484,20 @@ class _RecordReader:
             source_corpus=self._share(record["source_corpus"]),
             compile_reduction=reduction,
             version_status={self._share(version): self._share(verdict)
-                            for version, verdict in status.items()},
-            grounded_spans=tuple(spans),
-            long_verified=_typed(record, "long_verified", bool, line),
-            short_verified=_typed(record, "short_verified", bool, line),
+                            for version, verdict in record["version_status"].items()},
+            grounded_spans=tuple(
+                (span["strategy_id"], span["line_start"], span["line_end"])
+                for span in record["grounded_spans"]),
+            long_verified=record["long_verified"],
+            short_verified=record["short_verified"],
         )
+
+    def evidence(self, record: dict, line: int) -> PairEvidence:
+        reduction, compiles_on = PairEvidence.from_fields(
+            self._check_pair(record, line), record["version_status"])
+        if compiles_on is not None:
+            compiles_on = self._share(compiles_on)
+        return PairEvidence(reduction, compiles_on)
 
 
 @contextmanager
@@ -519,17 +557,19 @@ def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def _read_records(path: Path, build) -> Iterator:
-    """Build each record of ``path`` in turn; a repeated id is a
-    ``SchemaError`` on the line that repeats it."""
+def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
+    """Yield (id, ``build(record, line)``) for each record of ``path`` in
+    turn; a repeated id is a ``SchemaError`` on the line that repeats it,
+    raised after the record's own checks."""
     seen: set[str] = set()
     for lineno, record in _read_jsonl(path):
         item = build(record, lineno)
-        if item.id in seen:
-            raise SchemaError(f"duplicate id {item.id!r} in {path.name}",
+        rid = record["id"]
+        if rid in seen:
+            raise SchemaError(f"duplicate id {rid!r} in {path.name}",
                               field="id", line=lineno)
-        seen.add(item.id)
-        yield item
+        seen.add(rid)
+        yield rid, item
 
 
 def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
@@ -541,8 +581,7 @@ def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:
     """
     root = Path(path)
     reader = _RecordReader(registry)
-    strategies = {s.id: s for s in _read_records(root / STRATEGIES_FILENAME,
-                                                 reader.strategy)}
+    strategies = dict(_read_records(root / STRATEGIES_FILENAME, reader.strategy))
     return Bank(strategies=strategies, registry=registry, path=root)
 
 
@@ -552,10 +591,12 @@ def read_pairs(path: str | Path,
 
     Each line is decoded, checked and built before the next is read, so the
     pairs before the first bad line are yielded and then its SchemaError is
-    raised. A missing pairs file raises FileNotFoundError.
+    raised. A missing pairs file raises FileNotFoundError. The checks are
+    those ``recheck`` makes: both readers share one validator.
     """
     reader = _RecordReader(registry)
-    return _read_records(Path(path) / PAIRS_FILENAME, reader.pair)
+    return (pair for _, pair in _read_records(Path(path) / PAIRS_FILENAME,
+                                              reader.pair))
 
 
 def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:

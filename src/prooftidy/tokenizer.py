@@ -286,8 +286,9 @@ def _lines(text: str) -> list[str]:
 
 def line_count(text: str) -> int:
     """A proof's number of lines, as Lean counts them; an empty proof
-    still occupies one."""
-    return max(1, len(_lines(text)))
+    still occupies one. Equal to ``max(1, len(_lines(text)))``, counted
+    without building the lines."""
+    return max(1, text.count("\n") + (not text.endswith("\n")))
 
 
 def _span_for(lines: list[str], start: int, end: int) -> ProofSpan:

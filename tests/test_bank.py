@@ -330,11 +330,14 @@ def test_schema_error_reports_line(tmp_path):
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("filename, field, value", [
+WRONG_SHAPES = [
     ("strategies.jsonl", None, ["a", "list"]),
     ("pairs.jsonl", None, 7),
     ("pairs.jsonl", "source_corpus", ["competition"]),
-])
+]
+
+
+@pytest.mark.parametrize("filename, field, value", WRONG_SHAPES)
 def test_a_record_of_the_wrong_shape_is_a_schema_error(tmp_path, filename,
                                                         field, value):
     save(tmp_path)
@@ -350,7 +353,7 @@ def test_a_record_of_the_wrong_shape_is_a_schema_error(tmp_path, filename,
     assert (err.value.field, err.value.line) == (field or "record", 1)
 
 
-@pytest.mark.parametrize("filename, field, value", [
+WRONG_TYPES = [
     ("strategies.jsonl", "id", [1]),
     ("strategies.jsonl", "title", 5),
     ("strategies.jsonl", "abstract_example", {"before": 5, "after": "x"}),
@@ -379,7 +382,10 @@ def test_a_record_of_the_wrong_shape_is_a_schema_error(tmp_path, filename,
     ("pairs.jsonl", "compile_reduction", "x"),
     ("pairs.jsonl", "compile_reduction", "0.5"),
     ("pairs.jsonl", "long_verified", "yes"),
-])
+]
+
+
+@pytest.mark.parametrize("filename, field, value", WRONG_TYPES)
 def test_a_field_of_the_wrong_json_type_is_a_schema_error(tmp_path, filename,
                                                            field, value):
     save(tmp_path)
@@ -467,6 +473,67 @@ def test_pair_span_outside_proof_rejected(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_and_recheck(tmp_path)
     assert err.value.field == "grounded_spans"
+
+
+def with_field(field, value):
+    """An edit of a one-record file: ``record[field] = value``, or the
+    whole record replaced by ``value`` when ``field`` is None."""
+    def edit(text):
+        record = json.loads(text)
+        if field is None:
+            record = value
+        else:
+            record[field] = value
+        return json.dumps(record) + "\n"
+    return edit
+
+
+def span_past_the_proof(text):
+    record = json.loads(text)
+    record["grounded_spans"][0]["line_end"] = 99
+    return json.dumps(record) + "\n"
+
+
+# Every pairs.jsonl case of the schema tests above, then blank and
+# whitespace-only lines before a bad record or a repeated one.
+PAIR_FILE_EDITS = [
+    *(pytest.param(with_field(field, value), id=f"shape-{field}-{i}")
+      for i, (filename, field, value) in enumerate(WRONG_SHAPES)
+      if filename == "pairs.jsonl"),
+    *(pytest.param(with_field(field, value), id=f"type-{field}-{i}")
+      for i, (filename, field, value) in enumerate(WRONG_TYPES)
+      if filename == "pairs.jsonl"),
+    pytest.param(lambda text: text * 2, id="duplicate"),
+    pytest.param(span_past_the_proof, id="span_outside_proof"),
+    pytest.param(lambda text: "\n  \n" + text + "\t\n\n{not json\n",
+                 id="blank_lines_then_bad_json"),
+    pytest.param(lambda text: " \n" + text + "\n \t \n" + text,
+                 id="blank_lines_then_duplicate"),
+]
+
+
+@pytest.mark.parametrize("edit", PAIR_FILE_EDITS)
+def test_both_pair_readers_raise_the_same_schema_error(tmp_path, edit):
+    save(tmp_path)
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SchemaError) as streamed:
+        list(read_pairs(tmp_path, REGISTRY))
+    with pytest.raises(SchemaError) as rechecked:
+        load_and_recheck(tmp_path)
+    streamed, rechecked = ((str(err.value), err.value.field, err.value.line)
+                           for err in (streamed, rechecked))
+    assert streamed == rechecked
+    assert streamed[2] == len(path.read_text().splitlines())
+
+
+def test_both_pair_readers_skip_blank_lines(tmp_path):
+    save(tmp_path, 2)
+    path = tmp_path / "pairs.jsonl"
+    first, second = path.read_text().splitlines()
+    path.write_text(f"\n   \n{first}\n\t\n\n{second}\n \n")
+    assert list(read_pairs(tmp_path, REGISTRY)) == build_pairs(2)
+    assert load_and_recheck(tmp_path) == []
 
 
 def test_registry_rejects_duplicate_versions():

@@ -16,6 +16,7 @@ from prooftidy.tokenizer import (
     LENGTH_FAILURE_SENTINEL,
     ProofSpan,
     _line_tokens,
+    _lines,
     jitter_boundaries,
     lex,
     line_count,
@@ -310,6 +311,14 @@ def test_lines_break_at_newline_only_as_lean_counts_them(brk):
     ("\na\n\nb\n", 4)])
 def test_line_count_of_newline_only_texts(text, count):
     assert line_count(text) == count == max(1, len(text.splitlines()))
+
+
+@given(st.text(alphabet=st.sampled_from(["a", " ", "\n", "\r", "\x0c",
+                                         "\u2028", "é"])) | st.text())
+@settings(max_examples=500, deadline=None)
+def test_line_count_counts_the_lines_it_would_split(text):
+    for case in (text, "", "\n", "\r", text + "\n", text + "\r"):
+        assert line_count(case) == max(1, len(_lines(case)))
 
 
 def _windows(lines: list[str], size: int) -> list[ProofSpan]:
