@@ -16,6 +16,9 @@ call (for a load, the loaded bank included). ``test_build_index`` times
 the bank is built in memory, so every text is embedded (a cold build).
 ``test_build_index_persisted`` times the warm build over the same bank
 saved and loaded, whose vectors file an untimed first build wrote.
+``test_setup`` times, as one number, the set-up the session benchmark
+runs: ``load_bank``, ``recheck`` and a warm ``StrategyIndex.build`` over
+the 10⁴-strategy bank.
 """
 
 from __future__ import annotations
@@ -139,3 +142,18 @@ def test_build_index_persisted(benchmark, tmp_path):
     StrategyIndex.build(loaded, MockEmbedder())
     index = benchmark(StrategyIndex.build, loaded, MockEmbedder())
     assert len(index) == 10_000
+
+
+def set_up(path):
+    """Load the bank at ``path``, recheck it and build its index."""
+    loaded = load_bank(path, REGISTRY)
+    return recheck(loaded), StrategyIndex.build(loaded, MockEmbedder())
+
+
+@pytest.mark.parametrize("n", [10_000])
+def test_setup(benchmark, tmp_path, n):
+    save(n, tmp_path)
+    set_up(tmp_path)  # writes the vectors file: the timed builds are warm
+    discrepancies, index = benchmark(set_up, tmp_path)
+    assert discrepancies == []
+    assert len(index) == n

@@ -8,15 +8,18 @@ record for both pair readers: ``read_pairs`` builds each checked record
 into a ``ProofPair``, and ``recheck`` reduces it straight to what the rule
 reads, a ``PairEvidence``, building no ``ProofPair``, then reports every
 strategy whose stored metadata departs from the rule. No pair's text
-outlives its line.
+outlives its line. Both record kinds are checked inline, field by field in
+the order their errors are reported: ``_typed`` is called only to raise.
 
 Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
 corresponding dataclass; unknown keys are rejected. Records are streamed,
 each one built before the next line is read, so the first bad line of a
-file is the one reported. Within one read, each distinct closed-set value
-(a version id, a status, a reduction level, a compatibility set, a source
-corpus) is held once. Every file is written through ``replacing``:
+file is the one reported. Only ``"\\n"`` ends a record, as JSON Lines
+defines it. Within one read, each distinct closed-set value (a version
+id, a status, a reduction level, a compatibility set, a source corpus) is
+held once, and each distinct version status map is reduced to the
+versions it compiles on once. Every file is written through ``replacing``:
 concurrent writers and readers of one file see a whole file, never a torn
 one. Loaded banks are effectively immutable and safe to share across
 threads.
@@ -28,7 +31,6 @@ import hashlib
 import json
 import math
 import os
-import statistics
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -259,12 +261,23 @@ def expected_metadata(
     toolchain, of the versions their short proof compiles under. No
     eligible member means absent metadata (None / empty set).
     """
-    found = [members[pid] for pid in strategy.member_pair_ids
-             if pid in members]
-    reductions = [e.compile_reduction for e in found
-                  if e.compile_reduction is not None]
-    tested = [e.compiles_on for e in found if e.compiles_on is not None]
-    median = float(statistics.median(reductions)) if reductions else None
+    reductions: list[float] = []
+    tested: list[frozenset[str]] = []
+    for pid in strategy.member_pair_ids:
+        if pid in members:
+            reduction, compiles_on = members[pid]
+            if reduction is not None:
+                reductions.append(reduction)
+            if compiles_on is not None:
+                tested.append(compiles_on)
+    reductions.sort()
+    n = len(reductions)
+    if n == 0:
+        median = None
+    elif n % 2:
+        median = float(reductions[n // 2])
+    else:  # ``statistics.median``'s arithmetic: the mean of the middles
+        median = (reductions[n // 2 - 1] + reductions[n // 2]) / 2
     compat = frozenset.intersection(*tested) if tested else frozenset()
     return median, compat
 
@@ -313,11 +326,12 @@ _PAIR_TEXT = ("statement", "long_proof", "short_proof", "source_corpus")
 
 
 def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
+    """Raise the error for a record that is not an object with exactly the
+    ``expected`` keys: a non-object, else its first unknown key, else a
+    missing key."""
     if not isinstance(record, dict):
         raise SchemaError("record must be a JSON object", field="record",
                           line=line)
-    if record.keys() == expected:
-        return
     for key in record:
         if key not in expected:
             raise SchemaError(f"unknown key {key!r}", field=key, line=line)
@@ -362,7 +376,8 @@ def _compile_reduction(record: dict, key: str, line: int) -> float | None:
 class _RecordReader:
     """Validates one read's records and builds what the read needs of each.
 
-    A pair record has one validator, ``_check_pair``, and two thin builders
+    ``strategy`` checks a strategy record and builds its ``Strategy``. A
+    pair record has one validator, ``_check_pair``, and two thin builders
     over it: ``pair`` builds the ``ProofPair`` that ``read_pairs`` yields,
     and ``evidence`` the ``PairEvidence`` that ``recheck`` keeps, so the two
     readers raise the same ``SchemaError`` for a bad record. Within the read
@@ -370,57 +385,89 @@ class _RecordReader:
     string for a version id, the ``VERSION_STATUSES`` and
     ``REDUCTION_LEVELS`` members, one frozenset per distinct compatibility
     set or set of versions a pair compiles on, and one string per distinct
-    source corpus.
+    source corpus. Both record kinds are checked inline, in the order their
+    fields are reported; ``_typed`` is called only to raise.
     """
 
     def __init__(self, registry: ToolchainRegistry):
         self.registry = registry
         self._shared = {value: value for value in (
             *registry.versions, *VERSION_STATUSES, *REDUCTION_LEVELS)}
+        # A checked version status's items -> the versions it compiles on.
+        self._compiles_on: dict[tuple, frozenset[str] | None] = {}
 
     def _share(self, value):
         return self._shared.setdefault(value, value)
 
     def strategy(self, record: dict, line: int) -> Strategy:
-        _require_keys(record, _STRATEGY_KEYS, line)
+        """Check a strategy record, field by field in the order its fields
+        are reported, and build its ``Strategy``. The common case is tested
+        inline, and ``_typed`` called only to raise."""
+        if not (isinstance(record, dict) and record.keys() == _STRATEGY_KEYS):
+            _require_keys(record, _STRATEGY_KEYS, line)
         for key in _STRATEGY_TEXT:
-            _typed(record, key, str, line, non_empty=True)
-        if record["potential_reduction"] not in REDUCTION_LEVELS:
+            value = record[key]
+            if not (isinstance(value, str) and value):
+                _typed(record, key, str, line, non_empty=True)
+        level = record["potential_reduction"]
+        if level not in REDUCTION_LEVELS:
             raise SchemaError(
                 f"potential_reduction must be one of {REDUCTION_LEVELS}",
                 field="potential_reduction", line=line,
             )
-        example = _typed(record, "abstract_example", dict, line)
-        if (set(example) != {"before", "after"}
-                or not isinstance(example["before"], str)
-                or not isinstance(example["after"], str)):
+        example = record["abstract_example"]
+        if not isinstance(example, dict):
+            _typed(record, "abstract_example", dict, line)
+        before, after = example.get("before"), example.get("after")
+        if not (len(example) == 2 and isinstance(before, str)
+                and isinstance(after, str)):
             raise SchemaError("abstract_example needs 'before' and 'after'",
                               field="abstract_example", line=line)
-        guide = _typed(record, "application_guide", list, line, non_empty=True)
-        if not all(isinstance(s, str) for s in guide):
-            raise SchemaError("application_guide must be a list of steps",
-                              field="application_guide", line=line)
-        compat = _typed(record, "compatibility_set", list, line)
-        for version in compat:
-            if version not in self.registry:
-                raise SchemaError(f"unknown toolchain version {version!r}",
-                                  field="compatibility_set", line=line)
-        members = _typed(record, "member_pair_ids", list, line)
+        guide = record["application_guide"]
+        if not (isinstance(guide, list) and guide):
+            _typed(record, "application_guide", list, line, non_empty=True)
+        for step in guide:
+            if not isinstance(step, str):
+                raise SchemaError("application_guide must be a list of steps",
+                                  field="application_guide", line=line)
+        compat = record["compatibility_set"]
+        if not isinstance(compat, list):
+            _typed(record, "compatibility_set", list, line)
+        try:  # every frozenset in ``_shared`` holds registered versions only
+            compat = self._shared[frozenset(compat)]
+        except (KeyError, TypeError):  # a new set, or an unhashable version
+            for version in compat:
+                if version not in self.registry:
+                    raise SchemaError(f"unknown toolchain version {version!r}",
+                                      field="compatibility_set", line=line)
+            compat = self._share(frozenset(map(self._share, compat)))
+        members = record["member_pair_ids"]
+        if not isinstance(members, list):
+            _typed(record, "member_pair_ids", list, line)
         for pid in members:
             if not isinstance(pid, str):
                 raise SchemaError("member_pair_ids must be a list of pair ids",
                                   field="member_pair_ids", line=line)
-        median = _compile_reduction(record, "median_compile_reduction", line)
+        if len(members) > 1 and len(set(members)) < len(members):
+            repeated = next(pid for i, pid in enumerate(members)
+                            if pid in members[:i])
+            raise SchemaError(f"member_pair_ids lists {repeated!r} twice",
+                              field="member_pair_ids", line=line)
+        median = record["median_compile_reduction"]
+        if not (median is None or type(median) is float
+                and -math.inf < median <= 1.0):
+            median = _compile_reduction(record, "median_compile_reduction",
+                                        line)
         return Strategy(
             id=record["id"],
             title=record["title"],
             description=record["description"],
             when_to_apply=record["when_to_apply"],
             application_guide=tuple(guide),
-            abstract_example=(example["before"], example["after"]),
-            potential_reduction=self._share(record["potential_reduction"]),
+            abstract_example=(before, after),
+            potential_reduction=self._shared[level],
             median_compile_reduction=median,
-            compatibility_set=self._share(frozenset(map(self._share, compat))),
+            compatibility_set=compat,
             member_pair_ids=tuple(members),
         )
 
@@ -428,7 +475,8 @@ class _RecordReader:
         """Every check of a pair record, in the order its fields are
         reported; returns its compile reduction as a float. The common case
         is tested inline, and ``_typed`` called only to raise."""
-        _require_keys(record, _PAIR_KEYS, line)
+        if not (isinstance(record, dict) and record.keys() == _PAIR_KEYS):
+            _require_keys(record, _PAIR_KEYS, line)
         pid = record["id"]
         if not (isinstance(pid, str) and pid):
             _typed(record, "id", str, line, non_empty=True)
@@ -468,7 +516,10 @@ class _RecordReader:
                     f"span ({ls}, {le}) outside the long proof's {n_lines} lines",
                     field="grounded_spans", line=line,
                 )
-        reduction = _compile_reduction(record, "compile_reduction", line)
+        reduction = record["compile_reduction"]
+        if not (reduction is None or type(reduction) is float
+                and -math.inf < reduction <= 1.0):
+            reduction = _compile_reduction(record, "compile_reduction", line)
         for key in ("long_verified", "short_verified"):
             if not isinstance(record[key], bool):
                 _typed(record, key, bool, line)
@@ -493,10 +544,16 @@ class _RecordReader:
         )
 
     def evidence(self, record: dict, line: int) -> PairEvidence:
-        reduction, compiles_on = PairEvidence.from_fields(
-            self._check_pair(record, line), record["version_status"])
-        if compiles_on is not None:
-            compiles_on = self._share(compiles_on)
+        reduction = self._check_pair(record, line)
+        status = record["version_status"]
+        key = tuple(status.items())
+        try:
+            compiles_on = self._compiles_on[key]
+        except KeyError:
+            compiles_on = PairEvidence.from_fields(None, status).compiles_on
+            if compiles_on is not None:
+                compiles_on = self._share(compiles_on)
+            self._compiles_on[key] = compiles_on
         return PairEvidence(reduction, compiles_on)
 
 
@@ -539,12 +596,18 @@ def save_bank(bank: Bank, path: str | Path,
     _write_jsonl(root / PAIRS_FILENAME, (p.to_dict() for p in pairs))
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line, one at a time.
+def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
+    """Yield (id, ``build(record, line)``) for each non-blank line of
+    ``path`` in turn, each decoded and built before the next is read.
 
-    A missing file raises ``FileNotFoundError`` naming it.
+    Only ``"\\n"`` ends a line, as in JSON Lines: a bare ``"\\r"`` is JSON
+    whitespace inside a record, and a CRLF's ``"\\r"`` is stripped. A line
+    that is no JSON, or repeats an earlier record's id, is a
+    ``SchemaError`` on that line, the repeat raised after the record's own
+    checks. A missing file raises ``FileNotFoundError`` naming it.
     """
-    with path.open("r", encoding="utf-8") as fh:
+    seen: set[str] = set()
+    with path.open("r", encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -554,22 +617,13 @@ def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc}", field="record",
                                   line=lineno) from exc
-            yield lineno, record
-
-
-def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
-    """Yield (id, ``build(record, line)``) for each record of ``path`` in
-    turn; a repeated id is a ``SchemaError`` on the line that repeats it,
-    raised after the record's own checks."""
-    seen: set[str] = set()
-    for lineno, record in _read_jsonl(path):
-        item = build(record, lineno)
-        rid = record["id"]
-        if rid in seen:
-            raise SchemaError(f"duplicate id {rid!r} in {path.name}",
-                              field="id", line=lineno)
-        seen.add(rid)
-        yield rid, item
+            item = build(record, lineno)
+            rid = record["id"]
+            if rid in seen:
+                raise SchemaError(f"duplicate id {rid!r} in {path.name}",
+                                  field="id", line=lineno)
+            seen.add(rid)
+            yield rid, item
 
 
 def load_bank(path: str | Path, registry: ToolchainRegistry) -> Bank:

@@ -261,8 +261,8 @@ class StrategyIndex:
         self._keys32 = np.ascontiguousarray(self._matrix.T, dtype=np.float32)
         self._margin = 4 * (self._matrix.shape[1] + 2) * 2.0 ** -24
         # Position of each id in ascending id order: the tie-break key.
-        # An object array sorts with Python's own string comparison.
-        order = np.argsort(np.array(self._ids, dtype=object), kind="stable")
+        # ``sorted`` is stable and compares with Python's own str order.
+        order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
         self._id_rank = np.empty(len(self._ids), dtype=np.intp)
         self._id_rank[order] = np.arange(len(self._ids))
         # One slot: concurrent queries may each build and store it; a

@@ -3,8 +3,10 @@ and the streamed recheck of the member pairs."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import statistics
 import tempfile
 import threading
 import tracemalloc
@@ -135,6 +137,13 @@ def test_median_matches_sort_and_pick_oracle(values):
     else:
         want = (ordered[n // 2 - 1] + ordered[n // 2]) / 2
     assert metadata_of(values)[0] == pytest.approx(want, abs=1e-12)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_median_equals_statistics_median(values):
+    assert metadata_of(values)[0] == statistics.median(values)
 
 
 @given(st.lists(st.sets(st.sampled_from(list(REGISTRY.versions))), min_size=1,
@@ -426,6 +435,151 @@ def test_the_first_bad_line_wins(tmp_path, filename, field, value):
     with pytest.raises(SchemaError) as err:
         load_and_recheck(tmp_path)
     assert (err.value.field, err.value.line) == (field, 2)
+
+
+MISSING = object()  # a case value: the key is deleted from the record
+
+# Every strategies.jsonl case of WRONG_SHAPES and WRONG_TYPES, the unknown
+# and missing key, empty title and bad level cases, and a case for each
+# other check of the strategy reader, in the order the reader makes them,
+# each with the message it reports (line 1).
+STRATEGY_REPORTS = [
+    (None, ["a", "list"], "record must be a JSON object"),
+    ("surprise", 1, "unknown key 'surprise'"),
+    ("member_pair_ids", MISSING, "missing key 'member_pair_ids'"),
+    ("id", [1], "'id' must be of type str"),
+    ("title", 5, "'title' must be of type str"),
+    ("title", "", "'title' must be non-empty"),
+    ("when_to_apply", "", "'when_to_apply' must be non-empty"),
+    ("potential_reduction", "huge",
+     "potential_reduction must be one of ('high', 'medium', 'low')"),
+    ("abstract_example", "x", "'abstract_example' must be of type dict"),
+    ("abstract_example", {"before": 5, "after": "x"},
+     "abstract_example needs 'before' and 'after'"),
+    ("abstract_example", {"before": "a", "after": "b", "notes": "c"},
+     "abstract_example needs 'before' and 'after'"),
+    ("application_guide", {}, "'application_guide' must be of type list"),
+    ("application_guide", [], "'application_guide' must be non-empty"),
+    ("application_guide", ["step", 5],
+     "application_guide must be a list of steps"),
+    ("compatibility_set", 5, "'compatibility_set' must be of type list"),
+    ("compatibility_set", "v4.16.0",
+     "'compatibility_set' must be of type list"),
+    ("compatibility_set", ["v4.16.0", "v9.99.9"],
+     "unknown toolchain version 'v9.99.9'"),
+    ("compatibility_set", [["v4.16.0"]],
+     "unknown toolchain version ['v4.16.0']"),
+    ("member_pair_ids", 5, "'member_pair_ids' must be of type list"),
+    ("member_pair_ids", "p0000", "'member_pair_ids' must be of type list"),
+    ("member_pair_ids", [[1]], "member_pair_ids must be a list of pair ids"),
+    ("member_pair_ids", ["p0000", "p0001", "p0000"],
+     "member_pair_ids lists 'p0000' twice"),
+    *(("median_compile_reduction", value,
+       "compile reduction must be a number or null")
+      for value in ("x", "0.5", [1], True)),
+    ("median_compile_reduction", -10 ** 400,
+     "compile reduction must be finite"),
+]
+
+
+def test_strategy_reports_cover_the_strategy_schema_cases():
+    listed = {(field, repr(value)) for field, value, _ in STRATEGY_REPORTS}
+    for case in (*WRONG_SHAPES, *WRONG_TYPES):
+        filename, field, value = getattr(case, "values", case)
+        if filename == "strategies.jsonl":
+            assert (field, repr(value)) in listed
+
+
+def edited_record(*edits) -> object:
+    record = make_strategy().to_dict()
+    for field, value, _ in edits:
+        if field is None:
+            return value
+        if value is MISSING:
+            del record[field]
+        else:
+            record[field] = value
+    return record
+
+
+def report_id(i: int) -> str:
+    return f"{STRATEGY_REPORTS[i][0] or 'record'}{i}"
+
+
+@pytest.mark.parametrize("first, second", [
+    *(pytest.param(case, None, id=report_id(i))
+      for i, case in enumerate(STRATEGY_REPORTS)),
+    *(pytest.param(STRATEGY_REPORTS[i], STRATEGY_REPORTS[j],
+                   id=f"{report_id(i)}+{report_id(j)}")
+      for i, j in itertools.combinations(range(len(STRATEGY_REPORTS)), 2)
+      if None not in (STRATEGY_REPORTS[i][0], STRATEGY_REPORTS[j][0])
+      and STRATEGY_REPORTS[i][0] != STRATEGY_REPORTS[j][0]),
+])
+def test_a_strategy_record_reports_its_first_bad_field(tmp_path, first,
+                                                       second):
+    # A record bad in two fields reports the one the reader checks first.
+    save(tmp_path)
+    edits = (first,) if second is None else (first, second)
+    (tmp_path / "strategies.jsonl").write_text(
+        json.dumps(edited_record(*edits)) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    field, _, message = first
+    assert (err.value.field, err.value.line) == (field or "record", 1)
+    assert str(err.value) == f"{message} (line 1) [field={field or 'record'}]"
+
+
+def test_a_repeated_member_id_is_a_schema_error(tmp_path):
+    # Counted twice, a repeated member would weigh twice in the median.
+    bank = build_bank(2)
+    bank.strategies["s0001"] = make_strategy(
+        1, member_pair_ids=("p0001", "p0001", "p0000"))
+    save_bank(bank, tmp_path, build_pairs(2))
+    with pytest.raises(SchemaError) as err:
+        load_bank(tmp_path, REGISTRY)
+    assert (err.value.field, err.value.line) == ("member_pair_ids", 2)
+    assert "'p0001'" in str(err.value)
+
+
+@pytest.mark.parametrize("filename", ["strategies.jsonl", "pairs.jsonl"])
+def test_a_bare_carriage_return_is_whitespace_inside_a_record(tmp_path,
+                                                               filename):
+    # Only "\n" ends a record; a bare "\r" between tokens is JSON whitespace
+    # and must neither split the record nor shift later line numbers.
+    save(tmp_path, 2)
+    path = tmp_path / filename
+    first, second = path.read_text().splitlines()
+    first = first.replace(", ", ",\r ", 1)
+    path.write_bytes(f"{first}\n{second}\n".encode())
+    assert load_bank(tmp_path, REGISTRY).strategies == build_bank(2).strategies
+    assert list(read_pairs(tmp_path, REGISTRY)) == build_pairs(2)
+    assert load_and_recheck(tmp_path) == []
+    path.write_bytes(f"{first}\n{{not json\n".encode())
+    with pytest.raises(SchemaError) as err:
+        load_and_recheck(tmp_path)
+    assert (err.value.field, err.value.line) == ("record", 2)
+
+
+@pytest.mark.parametrize("filename, field, value", [
+    ("strategies.jsonl", "potential_reduction", "huge"),
+    ("pairs.jsonl", "compile_reduction", "x"),
+])
+def test_crlf_endings_report_the_line_lf_endings_do(tmp_path, filename, field,
+                                                    value):
+    save(tmp_path, 4)
+    path = tmp_path / filename
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    raised = []
+    for ending in ("\n", "\r\n"):
+        path.write_bytes(ending.join(lines + [""]).encode())
+        with pytest.raises(SchemaError) as err:
+            load_and_recheck(tmp_path)
+        raised.append((str(err.value), err.value.field, err.value.line))
+    assert raised[0] == raised[1]
+    assert raised[0][1:] == (field, 3)
 
 
 def test_read_pairs_yields_line_one_before_it_raises_for_line_two(tmp_path):
