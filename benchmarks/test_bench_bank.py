@@ -18,7 +18,9 @@ the bank is built in memory, so every text is embedded (a cold build).
 saved and loaded, whose vectors file an untimed first build wrote.
 ``test_setup`` times, as one number, the set-up the session benchmark
 runs: ``load_bank``, ``recheck`` and a warm ``StrategyIndex.build`` over
-the 10⁴-strategy bank.
+the 10⁴-strategy bank. ``load_bank``, ``recheck`` and the set-up run a
+fixed number of rounds (``ROUNDS``), many more at 10⁴ than a one-second
+budget allows, so that a host's swings in speed move their medians less.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ VERSIONS = ("v4.24.0", "v4.9.0", "v4.16.0", "v4.22.0")
 REGISTRY = ToolchainRegistry(entries=tuple(
     (v, f"toolchains/{v}") for v in VERSIONS))
 SIZES = (100, 10_000)
+#: Timed rounds of ``load_bank``, ``recheck`` and the set-up, per bank size.
+ROUNDS = {100: 200, 10_000: 20}
 
 
 @functools.cache
@@ -118,7 +122,8 @@ def test_load_bank(benchmark, tmp_path, n):
     save(n, tmp_path)
     benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
         load_bank, tmp_path, REGISTRY)
-    loaded = benchmark(load_bank, tmp_path, REGISTRY)
+    loaded = benchmark.pedantic(load_bank, (tmp_path, REGISTRY),
+                                rounds=ROUNDS[n])
     assert loaded.strategies == bank(n).strategies
 
 
@@ -128,7 +133,7 @@ def test_recheck(benchmark, tmp_path, n):
     loaded = load_bank(tmp_path, REGISTRY)
     benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
         recheck, loaded)
-    assert benchmark(recheck, loaded) == []
+    assert benchmark.pedantic(recheck, (loaded,), rounds=ROUNDS[n]) == []
 
 
 def test_build_index(benchmark):
@@ -154,6 +159,7 @@ def set_up(path):
 def test_setup(benchmark, tmp_path, n):
     save(n, tmp_path)
     set_up(tmp_path)  # writes the vectors file: the timed builds are warm
-    discrepancies, index = benchmark(set_up, tmp_path)
+    discrepancies, index = benchmark.pedantic(set_up, (tmp_path,),
+                                              rounds=ROUNDS[n])
     assert discrepancies == []
     assert len(index) == n

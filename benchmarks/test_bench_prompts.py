@@ -11,6 +11,8 @@ around research-style proofs of about 2, 8 and 16 kB (the tokenizer
 benchmark's proofs). ``test_extract_json_payload`` parses a planner reply
 of 1, 8 and 32 steps, written as the session benchmark's responder writes
 it: a line of prose, then an indented array in a ```json fence.
+``test_extract_fenced_block`` parses a refactor reply: a line of prose,
+then the 2, 8 or 16 kB proof in a ```lean4 fence.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import pytest
 
 from prooftidy.prompts import (
+    extract_fenced_block,
     extract_json_payload,
     format_history,
     format_strategies,
@@ -79,3 +82,10 @@ def test_extract_json_payload(benchmark, n_steps):
     text = reply(n_steps)
     result = benchmark(extract_json_payload, text)
     assert len(result) == n_steps
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_extract_fenced_block(benchmark, kb):
+    text = proof(kb)
+    reply = "Here is the refactored proof:\n```lean4\n" + text + "\n```\n"
+    assert benchmark(extract_fenced_block, reply, "lean4") == text

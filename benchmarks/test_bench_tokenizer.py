@@ -12,7 +12,11 @@ comments already removed, as ``proof_length`` hands it on. ``lex`` and
 ``proof_length`` start each round with an empty line memo, so they give
 the cold figure. ``test_session_pattern`` is what a session asks of the
 memo: the length of one proof, then of four candidates that each change
-one of its lines, from an empty memo per round. ``segment`` cuts the
+one of its lines, from an empty memo per round. ``test_statement_preserved``
+is what a session asks of the statement guard over one plan: the proof
+against five candidates, four that each change one tactic line and so
+repeat its statement bytes, and one that reformats the statement's
+whitespace, from an empty statement memo per round. ``segment`` cuts the
 proof into windows of the session's default sizes, 5, 10 and 20 lines.
 ``test_segment_after_deletions`` is what a session asks of ``segment``
 and its span-text memo over ten adoptions that each delete one line: it
@@ -27,6 +31,7 @@ import random
 
 import pytest
 
+from prooftidy.agent import _statement_of, statement_preserved
 from prooftidy.tokenizer import (
     _line_tokens,
     lex,
@@ -118,6 +123,21 @@ def test_session_pattern(benchmark, kb):
     result = benchmark.pedantic(lengths, setup=_line_tokens.cache_clear,
                                 rounds=ROUNDS)
     assert all(0 < n < 10 ** 9 for n in result)
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_statement_preserved(benchmark, kb):
+    original, *changed = candidates(kb)
+    reformatted = original.replace("theorem bench (a b c",
+                                   "theorem  bench\n    (a b c", 1)
+    texts = changed + [reformatted]
+
+    def guard():
+        return [statement_preserved(original, text) for text in texts]
+
+    result = benchmark.pedantic(guard, setup=_statement_of.cache_clear,
+                                rounds=ROUNDS)
+    assert result == [True] * 5
 
 
 @pytest.mark.parametrize("kb", SIZES_KB)

@@ -14,6 +14,10 @@ The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. With scripted LLM and
 compiler mocks a session is byte-deterministic.
 
+The statement guard scans each proof text once: the current proof's
+statement is memoised, and a candidate that repeats the proof's text
+through the statement's ``:=`` has that statement without a scan.
+
 Where each rule lives: retrieval rules in ``retrieval.retrieve``; the
 budget, the transport retry and the trace in ``_Ledger``; one step's
 refactor, compile and debug rounds, its acceptance and its one
@@ -25,9 +29,11 @@ session's compile memo, one check per distinct source, in its
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .bank import REDUCTION_LEVELS, Bank
 from .compiler import CompileRequest, CompileResult, Diagnostic, Verdict
@@ -52,7 +58,7 @@ from .prompts import (
     render,
 )
 from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
-from .tokenizer import line_count, proof_length, segment, statement_text
+from .tokenizer import _statement_scan, line_count, proof_length, segment, statement_text
 
 
 class Termination(str, Enum):
@@ -253,11 +259,32 @@ def _normalized_statement(text: str) -> str | None:
         return None
 
 
+# A session guards every candidate against its current proof; the memo
+# holds the proofs of a few sessions running in parallel.
+@functools.lru_cache(maxsize=8)
+def _statement_of(original: str) -> tuple[str, str] | None:
+    """``original`` through the ``:=`` that ends its statement, and its
+    normalised statement; None for a malformed declaration."""
+    try:
+        kept, end = _statement_scan(original)
+    except MalformedDeclaration:
+        return None
+    return original[:end], " ".join(kept.split())
+
+
 def statement_preserved(original: str, candidate: str) -> bool:
-    """Exact statement match modulo comments and whitespace runs."""
-    a = _normalized_statement(original)
-    b = _normalized_statement(candidate)
-    return a is not None and a == b
+    """Exact statement match modulo comments and whitespace runs.
+
+    The original is scanned once per text. A candidate that starts with
+    the original through its statement's ``:=`` has the same statement
+    (``tokenizer._statement_scan``) and is not scanned at all.
+    """
+    held = _statement_of(original)
+    if held is None:
+        return False
+    prefix, statement = held
+    return (candidate.startswith(prefix)
+            or _normalized_statement(candidate) == statement)
 
 
 def _extract_candidate(raw: str, original: str) -> str:
@@ -332,18 +359,23 @@ def debug(candidate: str, compile_result: CompileResult, original: str,
 
 
 def _merge_retrievals(
-    per_span: list[tuple[RankedStrategy, "object"]], k: int
+    per_span: Iterable[tuple[object, list[RankedStrategy]]], k: int
 ) -> list[tuple[RankedStrategy, object]]:
-    """Deduplicate by strategy id (keeping the best-scoring hit), sort by
-    similarity, truncate to k."""
-    best: dict[str, tuple[RankedStrategy, object]] = {}
-    for ranked, span in per_span:
-        held = best.get(ranked.strategy_id)
-        if held is None or ranked.similarity > held[0].similarity:
-            best[ranked.strategy_id] = (ranked, span)
+    """Deduplicate the spans' results by strategy id, keeping the
+    best-scoring hit (the first of equal ones) and its span; sort by
+    descending similarity, then id; truncate to k."""
+    best: dict[str, RankedStrategy] = {}
+    span_of: dict[str, object] = {}
+    for span, results in per_span:
+        for ranked in results:
+            sid = ranked.strategy_id
+            held = best.get(sid)
+            if held is None or ranked.similarity > held.similarity:
+                best[sid] = ranked
+                span_of[sid] = span
     merged = sorted(best.values(),
-                    key=lambda t: (-t[0].similarity, t[0].strategy_id))
-    return merged[:k]
+                    key=lambda r: (-r.similarity, r.strategy_id))
+    return [(ranked, span_of[ranked.strategy_id]) for ranked in merged[:k]]
 
 
 def _strategy_entries(merged, bank: Bank) -> list[dict]:
@@ -485,17 +517,17 @@ def run_session(
                 for text, vector in zip(fresh, embedder.embed(fresh)):
                     retrieved[text] = retrieve(index, bank, vector,
                                                config.objective)
-            hits: list[tuple[RankedStrategy, object]] = []
-            for span in spans:
-                results = retrieved[span.text]
-                if not results and config.objective.mode == ObjectiveMode.VERSION:
-                    ledger.add("warning", {
-                        "message": "version filter left no strategies for a "
-                                   "segment; proceeding without retrieval",
-                        "span": [span.line_start, span.line_end],
-                    })
-                hits.extend((r, span) for r in results)
-            merged = _merge_retrievals(hits, config.objective.k)
+            per_span = [(span, retrieved[span.text]) for span in spans]
+            if config.objective.mode == ObjectiveMode.VERSION:
+                for span, results in per_span:
+                    if not results:
+                        ledger.add("warning", {
+                            "message": "version filter left no strategies "
+                                       "for a segment; proceeding without "
+                                       "retrieval",
+                            "span": [span.line_start, span.line_end],
+                        })
+            merged = _merge_retrievals(per_span, config.objective.k)
             ledger.add("retrieval", {
                 "strategy_ids": [r.strategy_id for r, _ in merged],
             })

@@ -253,7 +253,8 @@ def expected_metadata(
 ) -> tuple[float | None, frozenset[str]]:
     """The bank's one metadata rule: (median_compile_reduction,
     compatibility_set) recomputed from the strategy's member pairs, looked
-    up by id in ``members``; an id not there is skipped.
+    up by id in ``members``; an id not there is skipped, and an id listed
+    twice counts once.
 
     The median is over the members with a compile reduction; an even count
     takes the mean of the two middle values. The compatibility set is the
@@ -263,7 +264,7 @@ def expected_metadata(
     """
     reductions: list[float] = []
     tested: list[frozenset[str]] = []
-    for pid in strategy.member_pair_ids:
+    for pid in dict.fromkeys(strategy.member_pair_ids):
         if pid in members:
             reduction, compiles_on = members[pid]
             if reduction is not None:
@@ -338,6 +339,13 @@ def _require_keys(record: dict, expected: frozenset[str], line: int) -> None:
     for key in expected:
         if key not in record:
             raise SchemaError(f"missing key {key!r}", field=key, line=line)
+
+
+def _repeated_id(ids) -> str | None:
+    """The first of ``ids`` (strings) that an earlier one repeats, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    return next(pid for i, pid in enumerate(ids) if pid in ids[:i])
 
 
 def _typed(record: dict, key: str, kind: type, line: int | None,
@@ -448,9 +456,8 @@ class _RecordReader:
             if not isinstance(pid, str):
                 raise SchemaError("member_pair_ids must be a list of pair ids",
                                   field="member_pair_ids", line=line)
-        if len(members) > 1 and len(set(members)) < len(members):
-            repeated = next(pid for i, pid in enumerate(members)
-                            if pid in members[:i])
+        if (len(members) > 1
+                and (repeated := _repeated_id(members)) is not None):
             raise SchemaError(f"member_pair_ids lists {repeated!r} twice",
                               field="member_pair_ids", line=line)
         median = record["median_compile_reduction"]
@@ -588,12 +595,26 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 def save_bank(bank: Bank, path: str | Path,
               pairs: Iterable[ProofPair] = ()) -> None:
     """Write the bank's strategies and ``pairs`` as one-record-per-line
-    files under ``path``."""
+    files under ``path``.
+
+    A strategy that lists a member id twice raises ``ValueError`` before
+    anything is written: ``load_bank`` would refuse its record.
+    """
+    for strategy in bank.strategies.values():
+        if (repeated := _repeated_id(strategy.member_pair_ids)) is not None:
+            raise ValueError(f"strategy {strategy.id!r} lists member "
+                             f"{repeated!r} twice")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     _write_jsonl(root / STRATEGIES_FILENAME,
                  (s.to_dict() for s in bank.strategies.values()))
     _write_jsonl(root / PAIRS_FILENAME, (p.to_dict() for p in pairs))
+
+
+#: The C scanner that ``json.loads`` runs, called without its wrapper.
+#: It decodes a stripped line exactly when it stops at the line's end;
+#: any other line goes through ``json.loads`` for its error.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
@@ -613,10 +634,15 @@ def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
             if not raw:
                 continue
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}", field="record",
-                                  line=lineno) from exc
+                record, end = _scan_json(raw, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(raw):
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"invalid JSON: {exc}", field="record",
+                                      line=lineno) from exc
             item = build(record, lineno)
             rid = record["id"]
             if rid in seen:

@@ -22,20 +22,28 @@ def render(name: str, **values) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _fence(tag: str) -> re.Pattern:
-    return re.compile(r"```" + re.escape(tag) + r"[ \t]*\n(.*?)```", re.DOTALL)
+def _opener(tag: str) -> re.Pattern:
+    return re.compile(r"```" + re.escape(tag) + r"[ \t]*\n")
 
 
 def extract_fenced_block(text: str, tag: str) -> str | None:
     """Content of the LAST ``` fence with the given tag, or None.
 
     Taking the last block tolerates models that restate the input before
-    answering.
+    answering. A block runs from its opener's newline to the next ```;
+    the search for the next opener resumes after that close. An opener
+    with no close after it ends the search: no later opener has one.
     """
-    matches = _fence(tag).findall(text)
-    if not matches:
-        return None
-    return matches[-1].rstrip("\n")
+    opener = _opener(tag)
+    block = None
+    pos = 0
+    while (m := opener.search(text, pos)) is not None:
+        close = text.find("```", m.end())
+        if close < 0:
+            break
+        block = text[m.end():close]
+        pos = close + 3
+    return None if block is None else block.rstrip("\n")
 
 
 def extract_json_payload(text: str):

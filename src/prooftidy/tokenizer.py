@@ -149,6 +149,18 @@ def statement_text(source: str) -> str:
         MalformedDeclaration: no header keyword, or no ``:=`` ending the
             statement.
     """
+    return _statement_scan(source)[0]
+
+
+def _statement_scan(source: str) -> tuple[str, int]:
+    """:func:`statement_text`'s scan: the statement without comments, and
+    the offset just past its ``:=``.
+
+    Every position before that offset is decided from ``source[:end]``
+    alone: each comment, literal and ``«»`` name skipped there closes
+    before it, and its last two characters are ``:=``. So any text that
+    starts with ``source[:end]`` has the same statement.
+    """
     kept: list[str] = []
     kept_from = 0
     header = False
@@ -195,7 +207,7 @@ def statement_text(source: str) -> str:
         elif header and depth == 0 and source.startswith(":=", i):
             if binders == 0:
                 kept.append(source[kept_from:i + 2])
-                return "".join(kept)
+                return "".join(kept), i + 2
             binders -= 1
             i += 2
             continue

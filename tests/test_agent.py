@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+import types
 from dataclasses import asdict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prooftidy import agent
 from prooftidy.agent import (
     CHUNK_SIZES,
     AgentConfig,
@@ -39,8 +41,18 @@ from prooftidy.errors import (
     ToolchainMissing,
 )
 from prooftidy.llm import ScriptedLLM
-from prooftidy.retrieval import ObjectiveMode, ObjectiveSpec, StrategyIndex
-from prooftidy.tokenizer import proof_length, segment, statement_text
+from prooftidy.retrieval import (
+    ObjectiveMode,
+    ObjectiveSpec,
+    RankedStrategy,
+    StrategyIndex,
+)
+from prooftidy.tokenizer import (
+    _statement_scan,
+    proof_length,
+    segment,
+    statement_text,
+)
 
 from test_bank import REGISTRY, make_strategy
 from test_tokenizer import DELETED_LINE, ONE_WINDOW_PROOF
@@ -96,6 +108,84 @@ def test_guard_sees_through_literals(original, candidate):
 def test_statement_text_rejects_unsplittable(source):
     with pytest.raises(MalformedDeclaration):
         statement_text(source)
+
+
+def two_scan_statement_preserved(original: str, candidate: str) -> bool:
+    """The guard's rule with both texts scanned: the normalised statements
+    are equal, and the original's is well formed."""
+    def normalized(text):
+        try:
+            return " ".join(statement_text(text).split())
+        except MalformedDeclaration:
+            return None
+    expected = normalized(original)
+    return expected is not None and expected == normalized(candidate)
+
+
+HEADERS = ["theorem t", "lemma l", "example", "@[simp] theorem t",
+           "/-- doc := -/ theorem t", "private theorem t"]
+# Statement pieces: binders and brackets, comments, string and char
+# literals and «» names (several hiding a ":="), depth-0 binders, and lone
+# openers that leave a comment, literal or name unclosed.
+STATEMENT_PIECES = [
+    " ", "\n", "(a b : ℕ)", "[inst : Ring R]", "{x : α}", "⟨a, b⟩",
+    "(h : a := b)", "(f : ℕ → ℕ := fun n => n)", "-- note := x\n",
+    "/- a /- := -/ b -/", "/-- doc -/", '"s := (\\" x"', '"--"', "'('",
+    "'\\''", "'\"'", "'\\x41'", "«weird := (name»", "let x := 1;",
+    "have h : 1 = 1 := rfl;", "letI y := 2;", "h'", "x = y", ":", "∧",
+    "a.b", "_", "1", "'", '"', "«", "/-", "--", ")", "(",
+]
+BODY_PIECES = [" by", "\n  simp", "\n  have h : 0 = 0 := rfl", " -- c := d",
+               "\n  exact ⟨_, rfl⟩", " rfl", '"x"', "'y'", "/- -/", ":="]
+CHARS = " \n:=()⟨⟩\"'-/«»\\lethavx"
+
+declarations = st.builds(
+    lambda header, statement, body: header + "".join(statement) + " :="
+    + "".join(body),
+    st.sampled_from(HEADERS),
+    st.lists(st.sampled_from(STATEMENT_PIECES), max_size=8),
+    st.lists(st.sampled_from(BODY_PIECES), max_size=5),
+) | st.text(alphabet=CHARS + "orm", max_size=40).map(lambda t: "theorem" + t)
+snippets = st.sampled_from(STATEMENT_PIECES + BODY_PIECES) | st.text(
+    alphabet=CHARS, max_size=4)
+
+
+def statement_end(source: str) -> int | None:
+    try:
+        return _statement_scan(source)[1]
+    except MalformedDeclaration:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=declarations, suffix=snippets)
+def test_text_that_repeats_the_statement_bytes_has_that_statement(source,
+                                                                  suffix):
+    end = statement_end(source)
+    if end is None:
+        return
+    assert source[:end].endswith(":=")
+    assert statement_text(source[:end] + suffix) == statement_text(source)
+
+
+@settings(max_examples=400, deadline=None)
+@given(original=declarations, data=st.data())
+def test_guard_equals_the_two_scan_rule(original, data):
+    end = statement_end(original)
+    candidates = [original]
+    if end is not None:
+        candidates.append(original[:end] + data.draw(snippets))
+        candidates.append(original[:end])
+    for _ in range(4):  # an insertion, a deletion or a replacement
+        at = data.draw(st.integers(0, len(original)))
+        cut = data.draw(st.integers(0, 3))
+        insert = data.draw(st.just("") | snippets)
+        candidates.append(original[:at] + insert + original[at + cut:])
+    candidates.append(data.draw(declarations))
+    agent._statement_of.cache_clear()
+    for candidate in candidates:
+        assert statement_preserved(original, candidate) == \
+            two_scan_statement_preserved(original, candidate)
 
 
 @pytest.mark.parametrize("candidate, line, marked", [
@@ -304,6 +394,65 @@ def test_empty_version_filter_warns_once_per_span_every_round():
     # The whole-proof span repeats a window, and still warns.
     assert expected.count([1, 5]) == 4
     assert warned == expected
+
+
+class EchoEmbedder:
+    """Embeds each text as itself, so a stand-in ``retrieve`` can answer
+    by span text."""
+
+    def embed(self, texts):
+        return list(texts)
+
+
+def _hits(*pairs) -> list[RankedStrategy]:
+    return [RankedStrategy(f"s{i:04d}", sim, rank)
+            for rank, (i, sim) in enumerate(pairs, 1)]
+
+
+def test_the_merge_keeps_each_strategys_best_span_and_the_top_k(monkeypatch):
+    proof = "\n".join(ONE_WINDOW_PROOF)
+    spans = segment(proof, list(CHUNK_SIZES))
+    first, second, third = list(dict.fromkeys(s.text for s in spans))[:3]
+    results = {
+        # s0003 ties s0002 below, and loses on its id.
+        first: _hits((0, 0.2), (1, 0.4), (3, 0.3)),
+        second: [],
+        # s0000 scores higher here; s0001 ties its first span's score.
+        third: _hits((0, 0.5), (1, 0.4), (2, 0.3), (4, 0.1)),
+    }
+    monkeypatch.setattr(agent, "retrieve",
+                        lambda index, bank, text, objective:
+                        results.get(text, []))
+    bank = Bank(strategies={s.id: s for s in (
+        make_strategy(i) for i in range(5))}, registry=REGISTRY)
+    objective = ObjectiveSpec(mode=ObjectiveMode.VERSION,
+                              target_version="v4.22.0", k=3)
+    compiler = MockCompiler(by_source={proof: CompileResult(Verdict.SUCCESS)})
+    llm = ScriptedLLM([EMPTY_PLAN])
+    result = run_session(proof, "", AgentConfig(objective=objective), bank,
+                         types.SimpleNamespace(embedder=EchoEmbedder()), llm,
+                         compiler)
+
+    def lines(text):
+        span = next(s for s in spans if s.text == text)
+        return f"{span.line_start}-{span.line_end}"
+
+    prompt = llm.calls[0][0]["content"]
+    for i, text, similarity in ((0, third, "0.500"), (1, first, "0.400"),
+                                (2, third, "0.300")):
+        assert (f"### Collapse case split {i}  [matched lines {lines(text)}, "
+                f"similarity {similarity}]") in prompt
+    assert "Collapse case split 3" not in prompt
+    kinds = [e.kind for e in result.trace.events]
+    retrieval = kinds.index("retrieval")
+    assert result.trace.events[retrieval].detail == {
+        "strategy_ids": ["s0000", "s0001", "s0002"]}
+    # One warning per span left empty, in span order, before the retrieval.
+    warned = [e.detail["span"] for e in result.trace.events[:retrieval]
+              if e.kind == "warning"]
+    assert warned == [[s.line_start, s.line_end] for s in spans
+                      if not results.get(s.text)]
+    assert kinds[:retrieval] == ["session_start"] + ["warning"] * len(warned)
 
 
 EMPTY_PLAN = "```json\n[]\n```"

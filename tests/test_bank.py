@@ -25,6 +25,7 @@ from prooftidy.bank import (
     ProofPair,
     Strategy,
     ToolchainRegistry,
+    _read_records,
     expected_metadata,
     load_bank,
     pair_id_for,
@@ -124,6 +125,15 @@ def test_intersection_single_member():
 def test_intersection_disjoint_is_empty():
     statuses = [compiling_on({"v4.14.0"}), compiling_on({"v4.22.0"})]
     assert metadata_of(statuses=statuses)[1] == frozenset()
+
+
+def test_a_member_listed_twice_counts_once():
+    # Counted twice, p1 would be two of three reductions and the median.
+    strategy = make_strategy(0, member_pair_ids=("p1", "p1", "p2"))
+    members = {"p1": PairEvidence(0.1, frozenset({"v4.16.0"})),
+               "p2": PairEvidence(0.5, frozenset({"v4.16.0", "v4.22.0"}))}
+    assert expected_metadata(strategy, members) == (
+        (0.1 + 0.5) / 2, frozenset({"v4.16.0"}))
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=1, allow_nan=False),
@@ -474,6 +484,7 @@ STRATEGY_REPORTS = [
     ("member_pair_ids", [[1]], "member_pair_ids must be a list of pair ids"),
     ("member_pair_ids", ["p0000", "p0001", "p0000"],
      "member_pair_ids lists 'p0000' twice"),
+    ("member_pair_ids", ["", ""], "member_pair_ids lists '' twice"),
     *(("median_compile_reduction", value,
        "compile reduction must be a number or null")
       for value in ("x", "0.5", [1], True)),
@@ -531,14 +542,119 @@ def test_a_strategy_record_reports_its_first_bad_field(tmp_path, first,
 
 def test_a_repeated_member_id_is_a_schema_error(tmp_path):
     # Counted twice, a repeated member would weigh twice in the median.
-    bank = build_bank(2)
-    bank.strategies["s0001"] = make_strategy(
-        1, member_pair_ids=("p0001", "p0001", "p0000"))
-    save_bank(bank, tmp_path, build_pairs(2))
+    save(tmp_path, 2)
+    path = tmp_path / "strategies.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["member_pair_ids"] = ["p0001", "p0001", "p0000"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError) as err:
         load_bank(tmp_path, REGISTRY)
     assert (err.value.field, err.value.line) == ("member_pair_ids", 2)
     assert "'p0001'" in str(err.value)
+
+
+def test_save_bank_refuses_a_repeated_member_id_before_writing(tmp_path):
+    # load_bank would refuse the record, so save_bank writes nothing.
+    bank = build_bank(2)
+    bank.strategies["s0001"] = make_strategy(
+        1, member_pair_ids=("p0001", "p0000", "p0001"))
+    with pytest.raises(ValueError, match="'s0001' lists member 'p0001' twice"):
+        save_bank(bank, tmp_path / "new", build_pairs(2))
+    bank.strategies["s0001"] = make_strategy(1, member_pair_ids=("", ""))
+    with pytest.raises(ValueError, match="'s0001' lists member '' twice"):
+        save_bank(bank, tmp_path / "new", build_pairs(2))
+    bank.strategies["s0001"] = make_strategy(
+        1, member_pair_ids=("p0001", "p0000", "p0001"))
+    assert not (tmp_path / "new").exists()
+    save(tmp_path, 2)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+              if p.is_file()}
+    with pytest.raises(ValueError):
+        save_bank(bank, tmp_path, build_pairs(2))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+            if p.is_file()} == before
+
+
+def json_loads_records(path: Path, build):
+    """The record reader with ``json.loads`` decoding every line."""
+    seen: set[str] = set()
+    with path.open("r", encoding="utf-8", newline="\n") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc}", field="record",
+                                  line=lineno) from exc
+            item = build(record, lineno)
+            rid = record["id"]
+            if rid in seen:
+                raise SchemaError(f"duplicate id {rid!r} in {path.name}",
+                                  field="id", line=lineno)
+            seen.add(rid)
+            yield rid, item
+
+
+def object_with_id(record, line):
+    if not (isinstance(record, dict) and isinstance(record.get("id"), str)):
+        raise SchemaError("record must be an object with an id",
+                          field="record", line=line)
+    return record
+
+
+def outcome(read, path):
+    """What a reader gives: the repr of its records, or its error."""
+    try:
+        return repr(list(read(path, object_with_id)))
+    except SchemaError as exc:
+        return ("SchemaError", str(exc), exc.field, exc.line)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def record_lines(draw):
+    """One line: a record (NaN and Infinity included), or one truncated,
+    with trailing data, behind a BOM, a non-object, or no JSON at all."""
+    record = draw(st.dictionaries(st.text(max_size=3), json_values,
+                                  max_size=3))
+    record["id"] = draw(st.sampled_from(["a", "b", "c", "d"]))
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["valid", "valid", "truncated", "trailing",
+                                 "bom", "non_object", "text"]))
+    if kind == "truncated":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif kind == "trailing":
+        line += draw(st.sampled_from([" x", "}", " {}", ",", "]", " 1",
+                                      "\t\"s\""]))
+    elif kind == "bom":
+        line = "\ufeff" + line
+    elif kind == "non_object":
+        line = json.dumps(draw(json_values))
+    elif kind == "text":
+        line = draw(st.text(alphabet='{}[]":,0.1eE-+ aNInfinity\\\t\r',
+                            max_size=12))
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(record_lines(), max_size=5))
+def test_record_decoding_equals_json_loads(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        assert outcome(_read_records, path) == outcome(json_loads_records,
+                                                       path)
 
 
 @pytest.mark.parametrize("filename", ["strategies.jsonl", "pairs.jsonl"])

@@ -3,9 +3,12 @@ agent renders."""
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prooftidy import agent
 from prooftidy.agent import AgentConfig, PlanStep, refactor_step, run_session
@@ -21,6 +24,41 @@ def test_fenced_block_is_the_last_one_with_the_tag():
     assert extract_fenced_block(text, "lean4") == "second"
     assert extract_fenced_block(text, "json") == "[1]"
     assert extract_fenced_block(text, "python") is None
+
+
+def regex_fenced_block(text: str, tag: str) -> str | None:
+    """The last fenced block found by a lazy regex over the whole reply."""
+    fence = re.compile(r"```" + re.escape(tag) + r"[ \t]*\n(.*?)```", re.DOTALL)
+    matches = fence.findall(text)
+    return matches[-1].rstrip("\n") if matches else None
+
+
+FENCE_PIECES = ["```lean4", "```lean", "```json", "```", "``", "`", " ",
+                "\t", "\n", "\n\n", "x", "theorem t := by", "[1]",
+                "```lean4 \t\n", "```json\n", "```lean\n", "\n```"]
+replies = st.lists(st.sampled_from(FENCE_PIECES)
+                   | st.text(alphabet="`lean4json \t\nx", max_size=6),
+                   max_size=24).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(replies)
+def test_fenced_block_equals_the_lazy_regex(text):
+    for tag in ("lean", "lean4", "json"):
+        assert extract_fenced_block(text, tag) == regex_fenced_block(text, tag)
+
+
+@pytest.mark.parametrize("text, block", [
+    ("```lean4\nA```lean4\nB```", "A"),  # a close does not open a fence
+    ("```lean4\nA\n```\n```lean4\nunclosed", "A"),
+    ("```lean4 \t \nA\n\n```", "A"),
+    ("```lean4\n```", ""),
+    ("```lean4 x\nA\n```", None),  # text after the tag: no opener
+    ("```lean4", None),
+])
+def test_fenced_block_edge_cases(text, block):
+    assert extract_fenced_block(text, "lean4") == block
+    assert regex_fenced_block(text, "lean4") == block
 
 
 @pytest.mark.parametrize("reply, candidate", [
