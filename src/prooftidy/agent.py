@@ -14,13 +14,11 @@ The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. With scripted LLM and
 compiler mocks a session is byte-deterministic.
 
-The statement guard scans each proof text once: the current proof's
-statement is memoised, and a candidate that repeats the proof's text
-through the statement's ``:=`` has that statement without a scan.
-
-Where each rule lives: retrieval rules in ``retrieval.retrieve``; the
-budget, the transport retry and the trace in ``_Ledger``; one step's
-refactor, compile and debug rounds, its acceptance and its one
+Where each rule lives: retrieval rules in ``retrieval.retrieve``; what a
+theorem's statement is in ``tokenizer.statement_of``, which
+``statement_preserved`` applies to each candidate, scanning each proof
+text once; the budget, the transport retry and the trace in ``_Ledger``;
+one step's refactor, compile and debug rounds, its acceptance and its one
 ``step_skipped`` in ``run_session``'s ``attempt``; the target toolchain,
 the one every check compiles under, at the top of ``run_session``; the
 session's compile memo, one check per distinct source, in its
@@ -58,7 +56,7 @@ from .prompts import (
     render,
 )
 from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
-from .tokenizer import _statement_scan, line_count, proof_length, segment, statement_text
+from .tokenizer import line_count, proof_length, segment, statement_of
 
 
 class Termination(str, Enum):
@@ -252,24 +250,15 @@ def plan(proof: str, retrieved: list[dict], history: list[str], llm,
     return _validate_steps(payload, proof)
 
 
-def _normalized_statement(text: str) -> str | None:
-    try:
-        return " ".join(statement_text(text).split())
-    except MalformedDeclaration:
-        return None
-
-
 # A session guards every candidate against its current proof; the memo
 # holds the proofs of a few sessions running in parallel.
 @functools.lru_cache(maxsize=8)
 def _statement_of(original: str) -> tuple[str, str] | None:
-    """``original`` through the ``:=`` that ends its statement, and its
-    normalised statement; None for a malformed declaration."""
+    """``statement_of(original)``; None for a malformed declaration."""
     try:
-        kept, end = _statement_scan(original)
+        return statement_of(original)
     except MalformedDeclaration:
         return None
-    return original[:end], " ".join(kept.split())
 
 
 def statement_preserved(original: str, candidate: str) -> bool:
@@ -277,14 +266,18 @@ def statement_preserved(original: str, candidate: str) -> bool:
 
     The original is scanned once per text. A candidate that starts with
     the original through its statement's ``:=`` has the same statement
-    (``tokenizer._statement_scan``) and is not scanned at all.
+    (``tokenizer.statement_of``) and is not scanned at all.
     """
     held = _statement_of(original)
     if held is None:
         return False
     prefix, statement = held
-    return (candidate.startswith(prefix)
-            or _normalized_statement(candidate) == statement)
+    if candidate.startswith(prefix):
+        return True
+    try:
+        return statement_of(candidate)[1] == statement
+    except MalformedDeclaration:
+        return False
 
 
 def _extract_candidate(raw: str, original: str) -> str:
@@ -486,7 +479,10 @@ def run_session(
     # Windows away from an adopted edit keep their text, so after an
     # adoption only the windows it touched and the whole proof are new.
     retrieved: dict[str, list[RankedStrategy]] = {}
-    adopted_any = False
+    # Whether ``retrieve`` filters by the target version, so that a span
+    # may retrieve nothing.
+    filtered = (config.objective.mode != ObjectiveMode.LENGTH
+                and config.objective.target_version is not None)
     termination: Termination
     ledger.add("session_start", {
         "initial_length": initial_length,
@@ -506,7 +502,9 @@ def run_session(
                 termination = Termination.BUDGET_EXHAUSTED
                 break
             if current_length <= config.target_length:
-                termination = (Termination.TARGET_REACHED if adopted_any
+                # Every adoption is strictly shorter.
+                termination = (Termination.TARGET_REACHED
+                               if current_length < initial_length
                                else Termination.CONVERGED)
                 break
 
@@ -518,7 +516,7 @@ def run_session(
                     retrieved[text] = retrieve(index, bank, vector,
                                                config.objective)
             per_span = [(span, retrieved[span.text]) for span in spans]
-            if config.objective.mode == ObjectiveMode.VERSION:
+            if filtered:
                 for span, results in per_span:
                     if not results:
                         ledger.add("warning", {
@@ -550,7 +548,6 @@ def run_session(
                 if adopted is None:
                     continue
                 current, current_length, rounds = adopted
-                adopted_any = True
                 history.append(
                     f"({step.title} @ {step.line_start}-{step.line_end}, "
                     f"Success)"

@@ -618,19 +618,21 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
-    """Yield (id, ``build(record, line)``) for each non-blank line of
-    ``path`` in turn, each decoded and built before the next is read.
+    """Yield (id, ``build(record, line)``) for each line of ``path`` that
+    holds more than JSON whitespace, each decoded and built before the
+    next is read.
 
     Only ``"\\n"`` ends a line, as in JSON Lines: a bare ``"\\r"`` is JSON
-    whitespace inside a record, and a CRLF's ``"\\r"`` is stripped. A line
-    that is no JSON, or repeats an earlier record's id, is a
-    ``SchemaError`` on that line, the repeat raised after the record's own
-    checks. A missing file raises ``FileNotFoundError`` naming it.
+    whitespace inside a record, and a CRLF's ``"\\r"`` is stripped. Other
+    whitespace, a form feed or a no-break space, is no JSON. A line that
+    is no JSON, or repeats an earlier record's id, is a ``SchemaError`` on
+    that line, the repeat raised after the record's own checks. A missing
+    file raises ``FileNotFoundError`` naming it.
     """
     seen: set[str] = set()
     with path.open("r", encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            raw = raw.strip(" \t\r\n")
             if not raw:
                 continue
             try:

@@ -52,8 +52,12 @@ def _check_batch(vectors: list[np.ndarray], n_texts: int, dimension: int) -> Non
             raise ProviderContractViolation(
                 f"provider returned dimension {v.shape} != ({dimension},)"
             )
-    if vectors and not np.isfinite(np.stack(vectors)).all():
-        raise ProviderContractViolation("provider returned non-finite values")
+    if vectors:
+        stacked = np.stack(vectors)
+        if not np.isfinite(stacked).all():
+            raise ProviderContractViolation("provider returned non-finite values")
+        if not stacked.any(axis=1).all():
+            raise ProviderContractViolation("provider returned an all-zero vector")
 
 
 class MockEmbedder:
@@ -127,12 +131,8 @@ class HttpEmbedder:
         )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if not texts:
-            return []
         size = self.batch_size
         batches = [texts[i:i + size] for i in range(0, len(texts), size)]
-        if len(batches) == 1:
-            return self._post_batch(batches[0])
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             results = list(pool.map(self._post_batch, batches))
         return [v for batch in results for v in batch]

@@ -38,15 +38,13 @@ class MalformedDeclaration(ProoftidyError):
 class DegenerateVector(ProoftidyError):
     """A vector that has no direction: an index row, a query or a
     ``cosine`` operand that is all zero or has a NaN or infinite
-    component, or an all-zero embedding in a contrastive batch."""
+    component, or an all-zero row given to ``contrastive_loss``. A
+    provider's reply with such a vector is a ``ProviderContractViolation``
+    instead."""
 
 
 class IndexBankMismatch(ProoftidyError):
     """An index holds a strategy id that the bank it is queried with lacks."""
-
-
-class InvalidTemperature(ProoftidyError):
-    """Contrastive loss called with a non-positive temperature."""
 
 
 class RetryableProviderError(ProoftidyError):

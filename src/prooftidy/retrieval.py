@@ -63,8 +63,9 @@ and readers see a whole file or none. A directory that cannot be written
 (read-only, full) costs one logged warning per build; the index is
 returned all the same.
 
-Also hosts the retrieval-model training loss as a pure, verifiable
-function; actual model training is out of scope.
+Also hosts ``cosine``, the plain similarity that tests check the index
+against, and the retrieval-model training loss, a pure function of
+arrays; actual model training is out of scope.
 """
 
 from __future__ import annotations
@@ -83,12 +84,7 @@ import numpy as np
 
 from .bank import Bank, content_id, replacing
 from .embeddings import EmbeddingProvider
-from .errors import (
-    DegenerateVector,
-    IndexBankMismatch,
-    InvalidTemperature,
-    UnknownVersion,
-)
+from .errors import DegenerateVector, IndexBankMismatch, UnknownVersion
 
 log = logging.getLogger(__name__)
 
@@ -485,40 +481,31 @@ def retrieve(
                              sims[:objective.k].tolist()), start=1)]
 
 
-@dataclass(frozen=True)
-class ContrastiveBatch:
-    """One training batch: queries paired row-wise with their positives."""
-
-    query_embeddings: np.ndarray      # (B, d)
-    positive_embeddings: np.ndarray   # (B, d)
-    temperature: float
-    margin: float
-
-    def __post_init__(self):
-        q = np.asarray(self.query_embeddings, dtype=np.float64)
-        c = np.asarray(self.positive_embeddings, dtype=np.float64)
-        if q.ndim != 2 or c.shape != q.shape:
-            raise ValueError("queries and positives must be equal-shape 2D arrays")
-        if q.shape[0] < 1:
-            raise ValueError("batch must contain at least one pair")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        object.__setattr__(self, "query_embeddings", q)
-        object.__setattr__(self, "positive_embeddings", c)
-
-
-def contrastive_loss(batch: ContrastiveBatch) -> float:
+def contrastive_loss(queries: np.ndarray, positives: np.ndarray,
+                     temperature: float, margin: float) -> float:
     """In-batch-negative contrastive loss with false-negative masking.
 
+    Row i of ``queries`` is paired with row i of ``positives`` (B × d).
     Every other row's positive acts as a negative for a query, except
     candidates scoring more than ``margin`` above the query's own positive,
     which are masked out of the denominator. The positive itself is never
     masked, so the loss is non-negative and exactly 0.0 for a batch of one.
+
+    Raises:
+        ValueError: unequal or non-2-D shapes, no rows, a temperature ≤ 0
+            or a margin < 0.
+        DegenerateVector: a row is all zero.
     """
-    if batch.temperature <= 0:
-        raise InvalidTemperature("temperature must be positive")
-    q = batch.query_embeddings
-    c = batch.positive_embeddings
+    q = np.asarray(queries, dtype=np.float64)
+    c = np.asarray(positives, dtype=np.float64)
+    if q.ndim != 2 or c.shape != q.shape:
+        raise ValueError("queries and positives must be equal-shape 2D arrays")
+    if q.shape[0] < 1:
+        raise ValueError("batch must contain at least one pair")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
     q_norms = np.linalg.norm(q, axis=1, keepdims=True)
     c_norms = np.linalg.norm(c, axis=1, keepdims=True)
     if np.any(q_norms == 0.0) or np.any(c_norms == 0.0):
@@ -527,8 +514,8 @@ def contrastive_loss(batch: ContrastiveBatch) -> float:
     cn = c / c_norms
     sims = qn @ cn.T                        # sims[i, j] = Sim(q_i, c_j+)
     pos = np.diag(sims)
-    keep = sims <= (pos[:, None] + batch.margin)
-    logits = sims / batch.temperature
+    keep = sims <= (pos[:, None] + margin)
+    logits = sims / temperature
     # Shift per row for numerical stability; ratios are unchanged.
     shift = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - shift) * keep

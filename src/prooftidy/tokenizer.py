@@ -134,9 +134,10 @@ _CHAR_LITERAL_RE = re.compile(
     r"'(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|.)|[^\\'\n])'")
 
 
-def statement_text(source: str) -> str:
-    """The declaration through the ``:=`` that ends its statement, without
-    comments.
+def statement_of(source: str) -> tuple[str, str]:
+    """``source`` through the ``:=`` that ends its statement, and the
+    statement without comments, each whitespace run one space and none at
+    either end.
 
     The statement guard's scanner. :func:`split_declaration` and
     :func:`remove_comments` must keep the published metric's quirks; this
@@ -145,21 +146,14 @@ def statement_text(source: str) -> str:
     a name, ``'"'`` a char), comments are dropped, and each depth-0
     ``let``/``have`` binder after the header consumes its own ``:=``.
 
+    Every position of the prefix is decided from the prefix alone: each
+    comment, literal and ``«»`` name skipped there closes inside it, and
+    its last two characters are ``:=``. So any text that starts with the
+    prefix has the same statement.
+
     Raises:
         MalformedDeclaration: no header keyword, or no ``:=`` ending the
             statement.
-    """
-    return _statement_scan(source)[0]
-
-
-def _statement_scan(source: str) -> tuple[str, int]:
-    """:func:`statement_text`'s scan: the statement without comments, and
-    the offset just past its ``:=``.
-
-    Every position before that offset is decided from ``source[:end]``
-    alone: each comment, literal and ``«»`` name skipped there closes
-    before it, and its last two characters are ``:=``. So any text that
-    starts with ``source[:end]`` has the same statement.
     """
     kept: list[str] = []
     kept_from = 0
@@ -207,7 +201,7 @@ def _statement_scan(source: str) -> tuple[str, int]:
         elif header and depth == 0 and source.startswith(":=", i):
             if binders == 0:
                 kept.append(source[kept_from:i + 2])
-                return "".join(kept), i + 2
+                return source[:i + 2], " ".join("".join(kept).split())
             binders -= 1
             i += 2
             continue

@@ -47,12 +47,7 @@ from prooftidy.retrieval import (
     RankedStrategy,
     StrategyIndex,
 )
-from prooftidy.tokenizer import (
-    _statement_scan,
-    proof_length,
-    segment,
-    statement_text,
-)
+from prooftidy.tokenizer import proof_length, segment, statement_of
 
 from test_bank import REGISTRY, make_strategy
 from test_tokenizer import DELETED_LINE, ONE_WINDOW_PROOF
@@ -80,9 +75,10 @@ def test_guard_accepts_unchanged_string_literal_with_bracket():
     ("/-- doc := -/ theorem t /- a /- := -/ b -/ : P -- c := d\n  ∧ Q :=",
      " theorem t  : P \n  ∧ Q :="),
 ])
-def test_statement_text_ends_at_the_statements_assignment(source, statement):
+def test_statement_of_ends_at_the_statements_assignment(source, statement):
     proof = " by\n  have h : 0 = 0 := rfl -- trailing\n  simp"
-    assert statement_text(source + proof) == statement
+    assert statement_of(source + proof) == (source,
+                                             " ".join(statement.split()))
 
 
 @pytest.mark.parametrize("original, candidate", [
@@ -105,9 +101,9 @@ def test_guard_sees_through_literals(original, candidate):
     "theorem t : let x := 1; x = 1",
     "theorem t : P /- never closed := by rfl",
 ])
-def test_statement_text_rejects_unsplittable(source):
+def test_statement_of_rejects_unsplittable(source):
     with pytest.raises(MalformedDeclaration):
-        statement_text(source)
+        statement_of(source)
 
 
 def two_scan_statement_preserved(original: str, candidate: str) -> bool:
@@ -115,7 +111,7 @@ def two_scan_statement_preserved(original: str, candidate: str) -> bool:
     are equal, and the original's is well formed."""
     def normalized(text):
         try:
-            return " ".join(statement_text(text).split())
+            return statement_of(text)[1]
         except MalformedDeclaration:
             return None
     expected = normalized(original)
@@ -152,7 +148,7 @@ snippets = st.sampled_from(STATEMENT_PIECES + BODY_PIECES) | st.text(
 
 def statement_end(source: str) -> int | None:
     try:
-        return _statement_scan(source)[1]
+        return len(statement_of(source)[0])
     except MalformedDeclaration:
         return None
 
@@ -165,7 +161,7 @@ def test_text_that_repeats_the_statement_bytes_has_that_statement(source,
     if end is None:
         return
     assert source[:end].endswith(":=")
-    assert statement_text(source[:end] + suffix) == statement_text(source)
+    assert statement_of(source[:end] + suffix) == statement_of(source)
 
 
 @settings(max_examples=400, deadline=None)
@@ -394,6 +390,18 @@ def test_empty_version_filter_warns_once_per_span_every_round():
     # The whole-proof span repeats a window, and still warns.
     assert expected.count([1, 5]) == 4
     assert warned == expected
+
+
+def test_the_version_filter_warns_under_the_compile_time_objective_too():
+    # retrieve filters by the target version under both pooled objectives.
+    warned = {}
+    for mode in (ObjectiveMode.VERSION, ObjectiveMode.COMPILE_TIME):
+        objective = ObjectiveSpec(mode=mode, target_version="v4.22.0")
+        result, _ = _session(objective, toolchain_version="v4.22.0")
+        warned[mode] = [e.detail["span"] for e in result.trace.of_kind("warning")
+                        if "version filter" in e.detail["message"]]
+    assert warned[ObjectiveMode.VERSION] != []
+    assert warned[ObjectiveMode.COMPILE_TIME] == warned[ObjectiveMode.VERSION]
 
 
 class EchoEmbedder:

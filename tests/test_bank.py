@@ -582,7 +582,7 @@ def json_loads_records(path: Path, build):
     seen: set[str] = set()
     with path.open("r", encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            raw = raw.strip(" \t\r\n")
             if not raw:
                 continue
             try:
@@ -696,6 +696,26 @@ def test_crlf_endings_report_the_line_lf_endings_do(tmp_path, filename, field,
         raised.append((str(err.value), err.value.field, err.value.line))
     assert raised[0] == raised[1]
     assert raised[0][1:] == (field, 3)
+
+
+@pytest.mark.parametrize("filename", ["strategies.jsonl", "pairs.jsonl"])
+@pytest.mark.parametrize("pad", ["\x0c", "\xa0", "\u2028", "\u3000"],
+                         ids=["form_feed", "no_break_space", "line_separator",
+                              "ideographic_space"])
+@pytest.mark.parametrize("where", ["before", "after", "alone"])
+def test_a_line_padded_with_non_json_whitespace_is_a_schema_error(
+        tmp_path, filename, pad, where):
+    # JSON whitespace is " \t\r\n" alone: json.loads refuses a record
+    # padded with any other, and a line of nothing else is not blank.
+    save(tmp_path, 2)
+    path = tmp_path / filename
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    lines = {"before": [first, pad + second], "after": [first, second + pad],
+             "alone": [first, pad, second]}[where]
+    path.write_bytes("\n".join(lines + [""]).encode("utf-8"))
+    with pytest.raises(SchemaError) as err:
+        load_and_recheck(tmp_path)
+    assert (err.value.field, err.value.line) == ("record", 2)
 
 
 def test_read_pairs_yields_line_one_before_it_raises_for_line_two(tmp_path):

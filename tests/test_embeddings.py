@@ -39,7 +39,9 @@ def _unit(dimension: int) -> np.ndarray:
     ([_unit(4), np.array([0.5, np.nan, 0.5, 0.5])], 2),
     ([np.array([np.inf, 0.0, 0.0, 0.0]), _unit(4)], 2),
     ([_unit(4), np.array([0.0, -np.inf, 0.0, 0.0])], 2),
-], ids=["too_few", "too_many", "ragged", "wrong_rank", "nan", "inf", "-inf"])
+    ([_unit(4), np.array([0.0, -0.0, 0.0, 0.0])], 2),
+], ids=["too_few", "too_many", "ragged", "wrong_rank", "nan", "inf", "-inf",
+        "all_zero"])
 def test_check_batch_rejects_a_broken_batch(vectors, n_texts):
     with pytest.raises(ProviderContractViolation):
         _check_batch(vectors, n_texts, 4)

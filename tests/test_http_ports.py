@@ -119,6 +119,9 @@ def test_embedder_gives_up_after_its_attempts(stub):
                  id="one_vector_for_two_texts"),
     pytest.param({"data": [{"embedding": [1.0, 0.0]}] * 2},
                  id="wrong_dimension"),
+    pytest.param({"data": [{"embedding": [1.0, 0.0, 0.0]},
+                           {"embedding": [0.0, 0.0, 0.0]}]},
+                 id="all_zero"),
 ])
 def test_embedder_contract_violation_is_not_retried(stub, reply):
     stub.handler = lambda body: (200, reply)
@@ -228,6 +231,27 @@ def test_a_refused_chat_request_ends_the_session_after_one_request(stub):
     assert result.calls_used == 1
     assert len(stub.received) == 1
     assert result.trace.events[-2].detail["type"] == "ProviderRejected"
+
+
+def test_an_all_zero_query_embedding_ends_the_session(stub):
+    # The strategies embed as usual; every span of the proof embeds to
+    # zero, a vector no query can be ranked by.
+    texts = ["t0", "t1", "t2"]
+    stub.handler = lambda body: (200, {"data": [
+        {"embedding": vector_for(t) if t in texts else [0.0] * 3}
+        for t in body["input"]]})
+    strategies = [make_strategy(i, when_to_apply=t) for i, t in enumerate(texts)]
+    bank = Bank(strategies={s.id: s for s in strategies}, registry=REGISTRY)
+    index = StrategyIndex.build(bank, embedder(stub))
+    _, _, compiler, _ = _world()
+    result = run_session(PROOF, "", AgentConfig(budget=30), bank, index,
+                         chat(stub), compiler)
+    assert result.termination == Termination.ENVIRONMENT_ERROR
+    assert result.final_proof == PROOF
+    assert result.calls_used == 0
+    assert result.trace.events[-2].detail == {
+        "type": "ProviderContractViolation",
+        "message": "provider returned an all-zero vector"}
 
 
 def test_a_chat_server_error_is_still_retried_within_the_budget(stub):

@@ -1,10 +1,12 @@
-"""Every imported name in ``src/``, ``tests/`` and ``benchmarks/`` is read.
+"""Every imported name in ``src/``, ``tests/`` and ``benchmarks/`` is read,
+and no module of the package imports a sibling's private name.
 
 An ``ast`` scan, since the project runs no linter: a name bound by an
 import counts as read when the module loads it (``ast.Name`` in a load
 context, which also covers the root of ``a.b.c`` and annotations) or
 lists it in ``__all__``. ``from __future__`` imports are directives, not
-names, and are skipped.
+names, and are skipped. A ``_``-prefixed name is private to its module: a
+rule that another module needs belongs under a public name.
 """
 
 from __future__ import annotations
@@ -62,3 +64,32 @@ def test_the_scan_sees_an_unused_import_and_honours_all_and_future():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "prooftidy").glob("*.py"))
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names that ``source`` imports from the package, in
+    import order; a module of the package imports its siblings relatively."""
+    return [f"{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "prooftidy")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_scan_sees_a_private_name_imported_from_a_sibling():
+    source = ("from __future__ import annotations\n"
+              "from ._core import _helper, public\n"
+              "from .tokenizer import _statement_scan\n"
+              "from prooftidy.bank import _read_records\n"
+              "from os import _exit\n"
+              "from . import tokenizer\n")
+    assert private_imports(source) == [
+        "_helper (line 2)", "_statement_scan (line 3)", "_read_records (line 4)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_from_a_sibling(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

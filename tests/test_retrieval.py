@@ -22,12 +22,10 @@ from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
     DegenerateVector,
     IndexBankMismatch,
-    InvalidTemperature,
     ProviderContractViolation,
     UnknownVersion,
 )
 from prooftidy.retrieval import (
-    ContrastiveBatch,
     ObjectiveMode,
     ObjectiveSpec,
     RankedStrategy,
@@ -644,16 +642,15 @@ def test_a_row_reports_the_same_similarity_whatever_k(seed, data):
 def test_loss_single_pair_is_exactly_zero():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((1, 8))
-    batch = ContrastiveBatch(q, q + 0.1, temperature=0.01, margin=0.1)
-    assert contrastive_loss(batch) == 0.0
+    assert contrastive_loss(q, q + 0.1, temperature=0.01, margin=0.1) == 0.0
 
 
 def test_loss_symmetric_batch_is_ln2():
     # Two queries, all four similarities equal -> each term is log 2.
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
     c = np.array([[0.0, 1.0], [0.0, 1.0]])
-    batch = ContrastiveBatch(q, c, temperature=0.5, margin=0.1)
-    assert contrastive_loss(batch) == pytest.approx(math.log(2), abs=1e-12)
+    assert contrastive_loss(q, c, temperature=0.5, margin=0.1) == \
+        pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_loss_masks_high_scoring_false_negative():
@@ -665,20 +662,18 @@ def test_loss_masks_high_scoring_false_negative():
     c2 = np.array([math.cos(theta_neg), math.sin(theta_neg)])
     # Make q2 far from both so only q1's masking matters for the check below.
     q2 = np.array([0.0, -1.0])
-    batch = ContrastiveBatch(np.vstack([q1, q2]), np.vstack([c1, c2]),
-                             temperature=0.05, margin=0.1)
-    got = contrastive_loss(batch)
+    got = contrastive_loss(np.vstack([q1, q2]), np.vstack([c1, c2]),
+                           temperature=0.05, margin=0.1)
     want = brute_force_loss([q1, q2], [c1, c2], 0.05, 0.1)
     assert got == pytest.approx(want, abs=1e-9)
     # q1's term must be exactly zero: its only in-batch negative is masked.
-    solo = ContrastiveBatch(q1[None, :], c1[None, :], 0.05, 0.1)
-    assert contrastive_loss(solo) == 0.0
+    assert contrastive_loss(q1[None, :], c1[None, :], 0.05, 0.1) == 0.0
 
 
 def test_loss_invalid_temperature():
     q = np.ones((2, 4))
-    with pytest.raises(InvalidTemperature):
-        contrastive_loss(ContrastiveBatch(q, q, temperature=0.0, margin=0.1))
+    with pytest.raises(ValueError):
+        contrastive_loss(q, q, temperature=0.0, margin=0.1)
 
 
 def test_loss_rejects_zero_vector():
@@ -686,7 +681,7 @@ def test_loss_rejects_zero_vector():
     c = q.copy()
     c[0] = 0.0
     with pytest.raises(DegenerateVector):
-        contrastive_loss(ContrastiveBatch(q, c, temperature=0.1, margin=0.1))
+        contrastive_loss(q, c, temperature=0.1, margin=0.1)
 
 
 def test_loss_matches_brute_force_on_random_batches():
@@ -698,7 +693,7 @@ def test_loss_matches_brute_force_on_random_batches():
         c = rng.standard_normal((B, dim))
         tau = float(rng.uniform(0.01, 1.0))
         m = float(rng.uniform(0.0, 0.5))
-        got = contrastive_loss(ContrastiveBatch(q, c, tau, m))
+        got = contrastive_loss(q, c, tau, m)
         want = brute_force_loss(list(q), list(c), tau, m)
         assert got == pytest.approx(want, abs=1e-9)
         assert got >= -1e-12
@@ -709,8 +704,8 @@ def test_loss_invariant_under_simultaneous_permutation():
     q = rng.standard_normal((6, 8))
     c = rng.standard_normal((6, 8))
     perm = rng.permutation(6)
-    a = contrastive_loss(ContrastiveBatch(q, c, 0.05, 0.1))
-    b = contrastive_loss(ContrastiveBatch(q[perm], c[perm], 0.05, 0.1))
+    a = contrastive_loss(q, c, 0.05, 0.1)
+    b = contrastive_loss(q[perm], c[perm], 0.05, 0.1)
     assert a == pytest.approx(b, abs=1e-12)
 
 
