@@ -14,7 +14,8 @@ The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. With scripted LLM and
 compiler mocks a session is byte-deterministic.
 
-Where each rule lives: retrieval rules in ``retrieval.retrieve``; what a
+Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
+which version it filters by in ``ObjectiveSpec.filter_version``; what a
 theorem's statement is in ``tokenizer.statement_of``, which
 ``statement_preserved`` applies to each candidate, scanning each proof
 text once; the budget, the transport retry and the trace in ``_Ledger``;
@@ -55,7 +56,7 @@ from .prompts import (
     format_strategies,
     render,
 )
-from .retrieval import ObjectiveMode, ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
+from .retrieval import ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
 from .tokenizer import line_count, proof_length, segment, statement_of
 
 
@@ -479,10 +480,6 @@ def run_session(
     # Windows away from an adopted edit keep their text, so after an
     # adoption only the windows it touched and the whole proof are new.
     retrieved: dict[str, list[RankedStrategy]] = {}
-    # Whether ``retrieve`` filters by the target version, so that a span
-    # may retrieve nothing.
-    filtered = (config.objective.mode != ObjectiveMode.LENGTH
-                and config.objective.target_version is not None)
     termination: Termination
     ledger.add("session_start", {
         "initial_length": initial_length,
@@ -516,7 +513,8 @@ def run_session(
                     retrieved[text] = retrieve(index, bank, vector,
                                                config.objective)
             per_span = [(span, retrieved[span.text]) for span in spans]
-            if filtered:
+            # The version filter may leave a span with no strategies.
+            if config.objective.filter_version is not None:
                 for span, results in per_span:
                     if not results:
                         ledger.add("warning", {

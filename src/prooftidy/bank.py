@@ -15,14 +15,15 @@ Storage is newline-delimited JSON, UTF-8, one record per line, strategies
 and pairs in separate files. Record keys are exactly the field names of the
 corresponding dataclass; unknown keys are rejected. Records are streamed,
 each one built before the next line is read, so the first bad line of a
-file is the one reported. Only ``"\\n"`` ends a record, as JSON Lines
-defines it. Within one read, each distinct closed-set value (a version
-id, a status, a reduction level, a compatibility set, a source corpus) is
-held once, and each distinct version status map is reduced to the
-versions it compiles on once. Every file is written through ``replacing``:
-concurrent writers and readers of one file see a whole file, never a torn
-one. Loaded banks are effectively immutable and safe to share across
-threads.
+file is the one reported. Files are read as bytes, each line decoded on
+its own: only ``b"\\n"`` ends a record, as JSON Lines defines it, and a
+byte that is not UTF-8 is reported on its line. Within one read, each
+distinct closed-set value (a version id, a status, a reduction level, a
+compatibility set, a source corpus) is held once, and each distinct
+version status map is reduced to the versions it compiles on once. Every
+file is written through ``replacing``: concurrent writers and readers of
+one file see a whole file, never a torn one. Loaded banks are effectively
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class ToolchainRegistry:
     def from_file(cls, path: str | Path) -> "ToolchainRegistry":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}", field="record") from exc
         if not (isinstance(data, dict)
                 and isinstance(data.get("toolchains"), list)):
@@ -230,10 +231,6 @@ class PairEvidence(NamedTuple):
 
     compile_reduction: float | None
     compiles_on: frozenset[str] | None
-
-    @classmethod
-    def of(cls, pair: ProofPair) -> "PairEvidence":
-        return cls.from_fields(pair.compile_reduction, pair.version_status)
 
     @classmethod
     def from_fields(cls, compile_reduction: float | None,
@@ -622,21 +619,25 @@ def _read_records(path: Path, build) -> Iterator[tuple[str, object]]:
     holds more than JSON whitespace, each decoded and built before the
     next is read.
 
-    Only ``"\\n"`` ends a line, as in JSON Lines: a bare ``"\\r"`` is JSON
+    Only ``b"\\n"`` ends a line, as in JSON Lines: a bare ``"\\r"`` is JSON
     whitespace inside a record, and a CRLF's ``"\\r"`` is stripped. Other
     whitespace, a form feed or a no-break space, is no JSON. A line that
-    is no JSON, or repeats an earlier record's id, is a ``SchemaError`` on
-    that line, the repeat raised after the record's own checks. A missing
-    file raises ``FileNotFoundError`` naming it.
+    is not UTF-8, is no JSON, or repeats an earlier record's id, is a
+    ``SchemaError`` on that line, the repeat raised after the record's own
+    checks. A missing file raises ``FileNotFoundError`` naming it.
     """
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="\n") as fh:
+    with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip(" \t\r\n")
+            raw = raw.strip(b" \t\r\n")
             if not raw:
                 continue
             try:
+                raw = raw.decode("utf-8")
                 record, end = _scan_json(raw, 0)
+            except UnicodeDecodeError as exc:  # before its base, ValueError
+                raise SchemaError(f"invalid UTF-8: {exc}", field="record",
+                                  line=lineno) from exc
             except (StopIteration, ValueError):
                 end = -1
             if end != len(raw):

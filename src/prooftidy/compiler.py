@@ -1,11 +1,12 @@
 """Lean toolchain port: compile checks, profiling, heartbeats, version matrix.
 
 The real backend shells out to ``lake env lean`` inside a registered
-toolchain environment, writing each request to an isolated scratch file
-that is removed afterwards. The mock backend replays ``CompileResult``s
-given in code, keyed by source (optionally per toolchain version) or
-consumed in order, which makes the whole agent loop testable offline and
-byte-deterministic.
+toolchain environment, on ``Main.lean`` in a temporary directory under
+its ``.refactor-scratch``, which goes when the compile ends or the write
+fails; a source that UTF-8 cannot encode fails on line 1 with no compile.
+The mock backend replays ``CompileResult``s given in code, keyed by
+source (optionally per toolchain version) or consumed in order, which
+makes the whole agent loop testable offline and byte-deterministic.
 
 Plain checks may run concurrently up to a configured limit. Profiling and
 heartbeat counting run alone: one at a time, and with no check running.
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import signal
 import subprocess
+import tempfile
 import threading
 import time
-import uuid
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -113,27 +113,23 @@ def parse_diagnostics(output: str) -> list[Diagnostic]:
     Continuation lines (not matching the pattern) extend the previous
     message, matching how Lean wraps multi-line errors.
     """
-    diagnostics: list[Diagnostic] = []
-    current: dict | None = None
+    records: list[dict] = []
+    current: dict | None = None  # the record a continuation line extends
     for line in output.splitlines():
         m = _DIAGNOSTIC_RE.match(line)
         if m:
-            if current:
-                diagnostics.append(Diagnostic(**current))
             current = {
                 "line": int(m.group("line")),
                 "column": int(m.group("col")),
                 "severity": m.group("severity"),
                 "message": m.group("message"),
             }
-        elif current is not None and (line.startswith(" ") or line.startswith("\t")):
+            records.append(current)
+        elif current is not None and line.startswith((" ", "\t")):
             current["message"] += "\n" + line
-        elif current is not None:
-            diagnostics.append(Diagnostic(**current))
+        else:
             current = None
-    if current:
-        diagnostics.append(Diagnostic(**current))
-    return diagnostics
+    return [Diagnostic(**record) for record in records]
 
 
 def parse_profile_categories(output: str) -> dict[str, float]:
@@ -219,27 +215,23 @@ class _CompilerCore:
         if runs < 1:
             raise ValueError("runs must be >= 1")
         req = replace(req, want_profile=True)
+        results: list[CompileResult] = []
         with self._alone():
-            walls: list[float] = []
-            elaborations: list[float] = []
-            imports: list[float] = []
-            last: CompileResult | None = None
             for _ in range(runs):
                 result = self._run(req)
                 if result.verdict != Verdict.SUCCESS:
                     return result
-                walls.append(result.wall_time_total)
-                elaborations.append(result.elaboration_time)
-                imports.append(result.import_time)
-                last = result
-            return replace(
-                last,
-                wall_time_total=sum(walls) / len(walls),
-                import_time=sum(imports) / len(imports),
-                elaboration_time=sum(elaborations) / len(elaborations),
-                wall_samples=tuple(walls),
-                elaboration_samples=tuple(elaborations),
-            )
+                results.append(result)
+        walls = tuple(r.wall_time_total for r in results)
+        elaborations = tuple(r.elaboration_time for r in results)
+        return replace(
+            results[-1],
+            wall_time_total=sum(walls) / runs,
+            import_time=sum(r.import_time for r in results) / runs,
+            elaboration_time=sum(elaborations) / runs,
+            wall_samples=walls,
+            elaboration_samples=elaborations,
+        )
 
     def count_heartbeats(self, req: CompileRequest) -> CompileResult:
         """Compile ``req.source`` under the heartbeat directives."""
@@ -301,24 +293,28 @@ class LeanCompiler(_CompilerCore):
 
     def _run(self, req: CompileRequest) -> CompileResult:
         root = self._resolve_root(req.toolchain_version)
-        scratch = root / SCRATCH_DIR_NAME / uuid.uuid4().hex
-        scratch.mkdir(parents=True, exist_ok=True)
-        main = scratch / "Main.lean"
-        main.write_text(req.source, encoding="utf-8")
-        cmd = ["lake", "env", "lean"]
-        if req.want_profile:
-            cmd.append("--profile")
-        cmd.append(str(main))
-        started = time.monotonic()
         try:
-            proc = _run_as_group(cmd, root)
-        except subprocess.TimeoutExpired:
-            return CompileResult(verdict=Verdict.TIMEOUT,
-                                 wall_time_total=time.monotonic() - started)
-        except FileNotFoundError as exc:
-            raise ToolchainMissing(f"cannot invoke lake in {root}: {exc}") from exc
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+            source = req.source.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return CompileResult(verdict=Verdict.FAILURE, diagnostics=(
+                Diagnostic(1, 0, "error", f"source is not valid UTF-8: {exc}"),))
+        (root / SCRATCH_DIR_NAME).mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=root / SCRATCH_DIR_NAME,
+                                         ignore_cleanup_errors=True) as scratch:
+            main = Path(scratch) / "Main.lean"
+            main.write_bytes(source)
+            cmd = ["lake", "env", "lean"]
+            if req.want_profile:
+                cmd.append("--profile")
+            cmd.append(str(main))
+            started = time.monotonic()
+            try:
+                proc = _run_as_group(cmd, root)
+            except subprocess.TimeoutExpired:
+                return CompileResult(verdict=Verdict.TIMEOUT,
+                                     wall_time_total=time.monotonic() - started)
+            except FileNotFoundError as exc:
+                raise ToolchainMissing(f"cannot invoke lake in {root}: {exc}") from exc
         wall = time.monotonic() - started
         output = proc.stdout + "\n" + proc.stderr
         diagnostics = tuple(parse_diagnostics(output))

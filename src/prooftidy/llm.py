@@ -8,7 +8,7 @@ refused-status rule and the JSON decode.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import (
@@ -51,7 +51,7 @@ def post_json(endpoint: str, body: dict, auth_token_env: str | None,
 class HttpChatLLM:
     """Minimal chat-completions client.
 
-    POSTs ``{"model", "messages", "temperature", **extra_params}`` and reads
+    POSTs ``{"model", "messages", "temperature"}`` and reads
     ``choices[0].message.content``. A status in ``REJECTED_STATUSES``
     raises ProviderRejected, which no retry can fix. Other transport
     failures and a reply whose content is not text surface as
@@ -63,15 +63,10 @@ class HttpChatLLM:
     temperature: float = 1.0
     auth_token_env: str | None = None
     timeout: float = 120.0
-    extra_params: dict = field(default_factory=dict)
 
     def complete(self, messages: list[Message]) -> str:
-        body = {
-            "model": self.model,
-            "messages": messages,
-            "temperature": self.temperature,
-            **self.extra_params,
-        }
+        body = {"model": self.model, "messages": messages,
+                "temperature": self.temperature}
         try:
             reply = post_json(self.endpoint, body, self.auth_token_env,
                               self.timeout, "chat")

@@ -101,9 +101,7 @@ class ObjectiveSpec:
 
     ``target_version`` is required for the version mode; setting it together
     with the compile-time mode composes both rules (filter, then rerank).
-    The length mode ignores it: a length session on a target toolchain
-    retrieves unfiltered and still compiles every check on that target,
-    the unfiltered baseline against which version filtering is measured.
+    ``filter_version`` says which version's strategies retrieval keeps.
     """
 
     mode: ObjectiveMode = ObjectiveMode.LENGTH
@@ -118,6 +116,14 @@ class ObjectiveSpec:
             raise ValueError("k and pool_size must be positive")
         if self.k > self.pool_size:
             raise ValueError("k must not exceed pool_size")
+
+    @property
+    def filter_version(self) -> str | None:
+        """The version ``retrieve`` filters by: the target version, but None
+        under the length mode, whose session on a target toolchain retrieves
+        unfiltered and still compiles every check there, the baseline
+        against which version filtering is measured."""
+        return None if self.mode == ObjectiveMode.LENGTH else self.target_version
 
 
 class RankedStrategy(NamedTuple):
@@ -165,6 +171,22 @@ def _with_norm(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
         if norm == 0.0:
             raise DegenerateVector(f"{what} is an all-zero vector")
     return v, norm
+
+
+def _unit_rows(matrix: np.ndarray, what: str) -> None:
+    """Divide each row of the 2-D float64 ``matrix`` by its norm, in place,
+    prescaling a row whose norm is outside ``_SAFE_NORMS``; a non-finite or
+    all-zero row raises ``DegenerateVector``."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    extreme = ~((norms >= _SAFE_NORMS[0]) & (norms <= _SAFE_NORMS[1]))[:, 0]
+    if extreme.any():
+        rows = _prescaled(matrix[extreme], what)
+        matrix[extreme] = rows
+        norms[extreme] = np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise DegenerateVector(f"{what} is an all-zero vector")
+    matrix /= norms
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -238,20 +260,10 @@ class StrategyIndex:
         self._ids = list(ids)
         self.embedder = embedder  # query-side provider, set by build()
         if len(vectors):
-            matrix = np.asarray(vectors, dtype=np.float64)
-            if matrix.ndim != 2:
+            self._matrix = np.asarray(vectors, dtype=np.float64)
+            if self._matrix.ndim != 2:
                 raise ValueError("vectors must be one 1-D vector per id")
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            extreme = ~((norms >= _SAFE_NORMS[0]) & (norms <= _SAFE_NORMS[1]))[:, 0]
-            if extreme.any():
-                rows = _prescaled(matrix[extreme], "index entry")
-                matrix[extreme] = rows
-                norms[extreme] = np.linalg.norm(rows, axis=1, keepdims=True)
-                if np.any(norms == 0.0):
-                    raise DegenerateVector("index entry with all-zero embedding")
-            matrix /= norms  # in place: never a second float64 copy
-            self._matrix = matrix
+            _unit_rows(self._matrix, "index entry")  # no second float64 copy
         else:
             self._matrix = np.zeros((0, 0))
         self._keys32 = np.ascontiguousarray(self._matrix.T, dtype=np.float32)
@@ -443,11 +455,10 @@ def retrieve(
 ) -> list[RankedStrategy]:
     """Apply the retrieval rule selected by the objective.
 
-    Every objective selects through ``index.top_k``. length: the top k,
-    unfiltered even when ``target_version`` is set (the baseline for the
-    version filter). Otherwise the pool is the top ``pool_size``; a target
-    version keeps only the strategies whose compatibility set holds it,
-    and the compile-time objective then reorders the pool by annotated
+    Every objective selects through ``index.top_k``. length: the top k.
+    Otherwise the pool is the top ``pool_size``; ``filter_version``, when
+    set, keeps only the strategies whose compatibility set holds it, and
+    the compile-time objective then reorders the pool by annotated
     compile reduction, best first, strategies without it last, ties in
     similarity order (the sort is stable). The pool stays a row array
     beside its similarities, filtered by a version mask and reordered by
@@ -464,7 +475,7 @@ def retrieve(
     columns = index._columns_for(bank)
     pooled = objective.mode != ObjectiveMode.LENGTH
     rows, sims = index.top_k(query, objective.pool_size if pooled else objective.k)
-    version = objective.target_version if pooled else None
+    version = objective.filter_version
     if version is not None:
         compatible = columns.compatible.get(version)
         if compatible is None:
@@ -494,10 +505,10 @@ def contrastive_loss(queries: np.ndarray, positives: np.ndarray,
     Raises:
         ValueError: unequal or non-2-D shapes, no rows, a temperature ≤ 0
             or a margin < 0.
-        DegenerateVector: a row is all zero.
+        DegenerateVector: a row is all zero or has a non-finite component.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    c = np.asarray(positives, dtype=np.float64)
+    q = np.array(queries, dtype=np.float64)  # copies: normalised in place
+    c = np.array(positives, dtype=np.float64)
     if q.ndim != 2 or c.shape != q.shape:
         raise ValueError("queries and positives must be equal-shape 2D arrays")
     if q.shape[0] < 1:
@@ -506,13 +517,9 @@ def contrastive_loss(queries: np.ndarray, positives: np.ndarray,
         raise ValueError("temperature must be positive")
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    q_norms = np.linalg.norm(q, axis=1, keepdims=True)
-    c_norms = np.linalg.norm(c, axis=1, keepdims=True)
-    if np.any(q_norms == 0.0) or np.any(c_norms == 0.0):
-        raise DegenerateVector("batch contains an all-zero embedding")
-    qn = q / q_norms
-    cn = c / c_norms
-    sims = qn @ cn.T                        # sims[i, j] = Sim(q_i, c_j+)
+    _unit_rows(q, "query")
+    _unit_rows(c, "positive")
+    sims = q @ c.T                          # sims[i, j] = Sim(q_i, c_j+)
     pos = np.diag(sims)
     keep = sims <= (pos[:, None] + margin)
     logits = sims / temperature

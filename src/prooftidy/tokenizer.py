@@ -348,7 +348,7 @@ def jitter_boundaries(
     span: ProofSpan,
     document: str,
     max_jitter: int,
-    seed: int | random.Random,
+    seed: int,
 ) -> ProofSpan:
     """Shift both span boundaries by independent uniform offsets.
 
@@ -358,7 +358,7 @@ def jitter_boundaries(
     """
     if max_jitter < 0:
         raise ValueError("max_jitter must be >= 0")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     lines = _lines(document) or [""]
     n = len(lines)
     start = span.line_start + rng.randint(-max_jitter, max_jitter)

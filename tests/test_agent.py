@@ -50,6 +50,7 @@ from prooftidy.retrieval import (
 from prooftidy.tokenizer import proof_length, segment, statement_of
 
 from test_bank import REGISTRY, make_strategy
+from test_compiler import FakeLake
 from test_tokenizer import DELETED_LINE, ONE_WINDOW_PROOF
 
 
@@ -645,6 +646,25 @@ def test_an_outside_fault_in_the_precheck_ends_the_session():
         "session_start", "environment_error", "termination"]
     assert result.trace.events[1].detail == {"type": "ToolchainMissing",
                                              "message": "no lake"}
+
+
+def test_a_candidate_utf8_cannot_encode_fails_its_compile(tmp_path,
+                                                          monkeypatch):
+    # A JSON reply can carry a lone surrogate as "\\ud800". The real
+    # compiler fails such a candidate without running lake, and the
+    # session goes on.
+    bank, index, _, _ = _world()
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    script = [_plan(2, 5), _candidate(SHORTER + " -- \ud800"), EMPTY_PLAN]
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
+                         lake.compiler)
+    assert result.termination == Termination.NO_VIABLE_PLAN
+    assert result.final_proof == PROOF
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "no compiling candidate", "debug_rounds": 0}]
+    assert lake.saved("seen.lean") == PROOF  # lake compiled the input alone
+    assert lake.scratch_left() == []
 
 
 def test_an_input_that_fails_to_compile_is_refused():

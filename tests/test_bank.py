@@ -93,7 +93,8 @@ def metadata_of(reductions=(), statuses=()) -> tuple[float | None, frozenset[str
 
 
 def evidence(pairs) -> dict[str, PairEvidence]:
-    return {p.id: PairEvidence.of(p) for p in pairs}
+    return {p.id: PairEvidence.from_fields(p.compile_reduction, p.version_status)
+            for p in pairs}
 
 
 def compiling_on(versions) -> dict[str, str]:
@@ -718,6 +719,26 @@ def test_a_line_padded_with_non_json_whitespace_is_a_schema_error(
     assert (err.value.field, err.value.line) == ("record", 2)
 
 
+@pytest.mark.parametrize("filename", ["strategies.jsonl", "pairs.jsonl"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"],
+                         ids=["ff", "cut_sequence", "encoded_surrogate"])
+@pytest.mark.parametrize("where", ["in_a_string", "alone"])
+def test_a_byte_that_is_not_utf8_is_a_schema_error_on_its_line(
+        tmp_path, filename, bad, where):
+    save(tmp_path, 3)
+    path = tmp_path / filename
+    lines = path.read_bytes().split(b"\n")
+    if where == "alone":
+        lines.insert(1, bad)
+    else:
+        lines[1] = lines[1].replace(b'"id": "', b'"id": "' + bad, 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemaError) as err:
+        load_and_recheck(tmp_path)
+    assert (err.value.field, err.value.line) == ("record", 2)
+    assert str(err.value).startswith("invalid UTF-8: ")
+
+
 def test_read_pairs_yields_line_one_before_it_raises_for_line_two(tmp_path):
     save(tmp_path, 2)
     path = tmp_path / "pairs.jsonl"
@@ -799,6 +820,9 @@ PAIR_FILE_EDITS = [
                  id="blank_lines_then_bad_json"),
     pytest.param(lambda text: " \n" + text + "\n \t \n" + text,
                  id="blank_lines_then_duplicate"),
+    # Written through surrogateescape: "\udcff" is the byte 0xff.
+    pytest.param(lambda text: text + text.replace("synthetic", "synth\udcff"),
+                 id="byte_not_utf8"),
 ]
 
 
@@ -806,7 +830,7 @@ PAIR_FILE_EDITS = [
 def test_both_pair_readers_raise_the_same_schema_error(tmp_path, edit):
     save(tmp_path)
     path = tmp_path / "pairs.jsonl"
-    path.write_text(edit(path.read_text()))
+    path.write_bytes(edit(path.read_text()).encode("utf-8", "surrogateescape"))
     with pytest.raises(SchemaError) as streamed:
         list(read_pairs(tmp_path, REGISTRY))
     with pytest.raises(SchemaError) as rechecked:
@@ -814,7 +838,7 @@ def test_both_pair_readers_raise_the_same_schema_error(tmp_path, edit):
     streamed, rechecked = ((str(err.value), err.value.field, err.value.line)
                            for err in (streamed, rechecked))
     assert streamed == rechecked
-    assert streamed[2] == len(path.read_text().splitlines())
+    assert streamed[2] == path.read_bytes().count(b"\n")
 
 
 def test_both_pair_readers_skip_blank_lines(tmp_path):
@@ -860,13 +884,15 @@ def test_registry_round_trip(tmp_path):
     (json.dumps({"toolchains": [{"version": "", "root": "/r"}]}), "version"),
     (json.dumps({"toolchains": [{"version": "v1", "root": 5}]}), "root"),
     (json.dumps({"toolchains": [{"version": "v1", "root": ""}]}), "root"),
+    ('{"toolchains": [{"version": "v\udcff", "root": "/r"}]}', "record"),
 ], ids=["invalid_json", "not_a_list", "entry_not_an_object", "no_root",
         "version_a_list", "version_a_number", "version_empty",
-        "root_a_number", "root_empty"])
+        "root_a_number", "root_empty", "byte_not_utf8"])
 def test_registry_file_with_a_bad_field_is_a_schema_error(tmp_path, text,
                                                           field):
     path = tmp_path / "registry.json"
-    path.write_text(text, encoding="utf-8")
+    # surrogateescape: "\udcff" is written as the byte 0xff.
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(SchemaError) as raised:
         ToolchainRegistry.from_file(path)
     assert raised.value.field == field

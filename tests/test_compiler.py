@@ -3,12 +3,15 @@ shared core's measurement rule."""
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prooftidy import compiler as compiler_module
 from prooftidy.bank import ToolchainRegistry
@@ -60,6 +63,50 @@ def test_parse_multiline_message():
 
 def test_parse_ignores_unrelated_lines():
     assert parse_diagnostics("building...\ndone\n") == []
+
+
+def three_exit_parse(output: str) -> list[Diagnostic]:
+    """An earlier ``parse_diagnostics``, which built a record at each of
+    three exits: a new header, a line that ends the record, the end."""
+    diagnostics: list[Diagnostic] = []
+    current: dict | None = None
+    for line in output.splitlines():
+        m = compiler_module._DIAGNOSTIC_RE.match(line)
+        if m:
+            if current:
+                diagnostics.append(Diagnostic(**current))
+            current = {
+                "line": int(m.group("line")),
+                "column": int(m.group("col")),
+                "severity": m.group("severity"),
+                "message": m.group("message"),
+            }
+        elif current is not None and (line.startswith(" ") or line.startswith("\t")):
+            current["message"] += "\n" + line
+        elif current is not None:
+            diagnostics.append(Diagnostic(**current))
+            current = None
+    if current:
+        diagnostics.append(Diagnostic(**current))
+    return diagnostics
+
+
+TEXT = st.text(alphabet="ab :\t", max_size=6)
+COMPILER_LINES = st.one_of(
+    st.builds("{}:{}:{}: {}: {}".format,
+              st.sampled_from(["Main.lean", "/tmp/x/Main.lean", "A B.lean"]),
+              st.integers(0, 99), st.integers(0, 99),
+              st.sampled_from(["error", "warning", "info"]), TEXT),
+    st.builds("{}{}".format, st.sampled_from([" ", "  ", "\t"]), TEXT),
+    st.sampled_from(["", " ", "building...", "Main.lean:3: error: x",
+                     ":1:2: error: x", "Main.lean:1:2: note: x"]),
+)
+
+
+@given(st.lists(COMPILER_LINES, max_size=12), st.sampled_from(["\n", "\r\n"]))
+def test_parse_diagnostics_equals_the_three_exit_parse(lines, ending):
+    output = ending.join(lines)
+    assert parse_diagnostics(output) == three_exit_parse(output)
 
 
 # --- profile parsing ----------------------------------------------------------
@@ -265,7 +312,8 @@ class FakeLake:
         return (self.dir / name).read_text()
 
     def scratch_left(self) -> list[Path]:
-        return list((self.root / SCRATCH_DIR_NAME).iterdir())
+        scratch = self.root / SCRATCH_DIR_NAME
+        return list(scratch.iterdir()) if scratch.exists() else []
 
 
 def lean_request(source=SOURCE):
@@ -336,6 +384,36 @@ def test_lean_count_heartbeats_wraps_the_source(tmp_path, monkeypatch):
     seen = lake.saved("seen.lean")
     assert seen == heartbeat_wrapper(SOURCE)
     assert seen.startswith("\n".join(HEARTBEAT_DIRECTIVES) + "\n")
+
+
+def test_a_source_utf8_cannot_encode_fails_without_a_compile(tmp_path,
+                                                             monkeypatch):
+    # A JSON reply can carry a lone surrogate as "\\ud800".
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    result = lake.compiler.check(lean_request("theorem t : True := \ud800"))
+    assert result.verdict == Verdict.FAILURE
+    (diagnostic,) = result.diagnostics
+    assert (diagnostic.line, diagnostic.column, diagnostic.severity) == (
+        1, 0, "error")
+    assert diagnostic.message.startswith("source is not valid UTF-8: ")
+    assert not (lake.dir / "args").exists()  # lake never ran
+    assert lake.scratch_left() == []
+
+
+def test_a_write_that_fails_leaves_no_scratch_directory(tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    path_open = Path.open
+
+    def full_disk(path, *args, **kwargs):
+        if path.name == "Main.lean":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        lake.compiler.check(lean_request())
+    assert not (lake.dir / "args").exists()
+    assert lake.scratch_left() == []
 
 
 def test_lean_missing_root_is_a_missing_toolchain(tmp_path):

@@ -483,6 +483,19 @@ def test_objective_spec_validation():
         ObjectiveSpec(k=10, pool_size=5)
 
 
+@pytest.mark.parametrize("mode, target, expected", [
+    (ObjectiveMode.LENGTH, None, None),
+    (ObjectiveMode.LENGTH, "v4.16.0", None),
+    (ObjectiveMode.COMPILE_TIME, None, None),
+    (ObjectiveMode.COMPILE_TIME, "v4.16.0", "v4.16.0"),
+    (ObjectiveMode.VERSION, "v4.16.0", "v4.16.0"),
+])
+def test_filter_version_is_the_target_except_under_length(mode, target,
+                                                           expected):
+    # The version objective needs a target: see the validation test above.
+    assert ObjectiveSpec(mode=mode, target_version=target).filter_version == expected
+
+
 # --- brute-force property ------------------------------------------------------
 
 EXACT_DIM = 16
@@ -682,6 +695,43 @@ def test_loss_rejects_zero_vector():
     c[0] = 0.0
     with pytest.raises(DegenerateVector):
         contrastive_loss(q, c, temperature=0.1, margin=0.1)
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+@pytest.mark.parametrize("scaled", ["queries", "positives", "both", "one_row"])
+def test_loss_of_rows_scaled_by_a_power_of_two_is_bit_identical(exponent,
+                                                                scaled):
+    # A squared norm of 2^±1200 over- or underflows; the rows are prescaled
+    # by a power of two first, which is exact.
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((5, 8))
+    c = rng.standard_normal((5, 8))
+    want = contrastive_loss(q, c, 0.05, 0.1)
+    sq, sc = q.copy(), c.copy()
+    if scaled in ("queries", "both"):
+        sq = np.ldexp(q, exponent)
+    if scaled in ("positives", "both"):
+        sc = np.ldexp(c, exponent)
+    if scaled == "one_row":
+        sq[2] = np.ldexp(q[2], exponent)
+    assert contrastive_loss(sq, sc, 0.05, 0.1) == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["queries", "positives"])
+def test_loss_rejects_a_non_finite_row(value, side):
+    rows = {"queries": np.ones((3, 4)), "positives": np.ones((3, 4))}
+    rows[side][1, 2] = value
+    with pytest.raises(DegenerateVector):
+        contrastive_loss(rows["queries"], rows["positives"], 0.1, 0.1)
+
+
+def test_loss_leaves_its_inputs_unchanged():
+    q = np.random.default_rng(2).standard_normal((4, 6))
+    c = q[::-1] * 3.0
+    before = q.copy(), c.copy()
+    contrastive_loss(q, c, 0.1, 0.1)
+    assert np.array_equal(q, before[0]) and np.array_equal(c, before[1])
 
 
 def test_loss_matches_brute_force_on_random_batches():
