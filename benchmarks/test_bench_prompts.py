@@ -11,6 +11,8 @@ around research-style proofs of about 2, 8 and 16 kB (the tokenizer
 benchmark's proofs). ``test_extract_json_payload`` parses a planner reply
 of 1, 8 and 32 steps, written as the session benchmark's responder writes
 it: a line of prose, then an indented array in a ```json fence.
+``test_leading_json_items`` salvages the same replies cut at half their
+length inside a closed fence, as the responder cuts a malformed plan.
 ``test_extract_fenced_block`` parses a refactor reply: a line of prose,
 then the 2, 8 or 16 kB proof in a ```lean4 fence.
 """
@@ -25,6 +27,7 @@ from prooftidy.prompts import (
     extract_fenced_block,
     extract_json_payload,
     format_history,
+    leading_json_items,
     format_strategies,
     render,
 )
@@ -82,6 +85,15 @@ def test_extract_json_payload(benchmark, n_steps):
     text = reply(n_steps)
     result = benchmark(extract_json_payload, text)
     assert len(result) == n_steps
+
+
+@pytest.mark.parametrize("n_steps", [1, 8, 32])
+def test_leading_json_items(benchmark, n_steps):
+    opener = "Plan:\n```json\n"
+    payload = reply(n_steps)[len(opener):-len("\n```")]
+    text = opener + payload[:len(payload) // 2] + "\n```"
+    result = benchmark(leading_json_items, text)
+    assert result == json.loads(payload)[:n_steps // 2]
 
 
 @pytest.mark.parametrize("kb", SIZES_KB)

@@ -11,14 +11,19 @@ exhausted script, an unreachable provider) ends the session with the best
 proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
-corrective reparses all count; compiles are free. With scripted LLM and
-compiler mocks a session is byte-deterministic.
+corrective reparses all count; compiles are free. A faulty reply is
+salvaged before another call is paid for: a cut-off plan keeps its
+complete steps, and an altered statement is put back. With scripted LLM
+and compiler mocks a session is byte-deterministic.
 
 Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
 which version it filters by in ``ObjectiveSpec.filter_version``; what a
 theorem's statement is in ``tokenizer.statement_of``, which
 ``statement_preserved`` applies to each candidate, scanning each proof
-text once; the budget, the transport retry and the trace in ``_Ledger``;
+text once; what a plan reply holds, whole or cut off, in ``_parse_plan``
+(a cut-off array's complete steps in ``prompts.leading_json_items``);
+putting an altered statement back in ``_extract_candidate``; the budget,
+the transport retry and the trace in ``_Ledger``;
 one step's refactor, compile and debug rounds, its acceptance and its one
 ``step_skipped`` in ``run_session``'s ``attempt``; the target toolchain,
 the one every check compiles under, at the top of ``run_session``; the
@@ -54,6 +59,7 @@ from .prompts import (
     extract_json_payload,
     format_history,
     format_strategies,
+    leading_json_items,
     render,
 )
 from .retrieval import ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
@@ -222,12 +228,28 @@ def _validate_steps(payload, proof: str) -> PlanResult:
     return PlanResult(steps, warnings)
 
 
+def _parse_plan(raw: str, proof: str) -> PlanResult | None:
+    """The plan in ``raw``: its whole JSON payload, else the complete steps
+    at the head of a cut-off array; None when it holds neither."""
+    payload = extract_json_payload(raw)
+    if payload is not None:
+        return _validate_steps(payload, proof)
+    kept = leading_json_items(raw)
+    if not kept:
+        return None
+    result = _validate_steps(kept, proof)
+    result.warnings.insert(
+        0, f"plan reply incomplete: kept {len(kept)} complete steps")
+    return result
+
+
 def plan(proof: str, retrieved: list[dict], history: list[str], llm,
          deps_context: str = "") -> PlanResult:
     """Ask the planner for refactoring steps and validate the reply.
 
-    An unparseable reply gets one corrective reparse (a fresh LLM call); a
-    second failure yields the empty plan.
+    A reply cut off mid-array keeps its complete steps. A reply with no
+    complete step gets one corrective reparse (a fresh LLM call), whose
+    reply is read the same way; a second failure yields the empty plan.
     """
     prompt = render(
         "planner",
@@ -238,17 +260,16 @@ def plan(proof: str, retrieved: list[dict], history: list[str], llm,
     )
     messages = [{"role": "user", "content": prompt}]
     raw = llm.complete(messages)
-    payload = extract_json_payload(raw)
-    if payload is None:
+    result = _parse_plan(raw, proof)
+    if result is None:
         retry = messages + [
             {"role": "assistant", "content": raw},
             {"role": "user", "content": CORRECTIVE_SUFFIX},
         ]
-        raw = llm.complete(retry)
-        payload = extract_json_payload(raw)
-        if payload is None:
+        result = _parse_plan(llm.complete(retry), proof)
+        if result is None:
             return PlanResult([], ["plan unparseable after corrective retry"])
-    return _validate_steps(payload, proof)
+    return result
 
 
 # A session guards every candidate against its current proof; the memo
@@ -281,20 +302,33 @@ def statement_preserved(original: str, candidate: str) -> bool:
         return False
 
 
-def _extract_candidate(raw: str, original: str) -> str:
+def _extract_candidate(raw: str, original: str) -> tuple[str, bool]:
+    """The reply's candidate, and whether its statement was put back: an
+    altered one whose declaration splits gets ``original``'s text through
+    the statement's ``:=`` in place of its own (``statement_of``)."""
     candidate = extract_fenced_block(raw, "lean4")
     if candidate is None:
         candidate = extract_fenced_block(raw, "lean")
     if candidate is None:
         raise StepFailed("reply contains no fenced lean4 block")
-    if not statement_preserved(original, candidate):
+    if statement_preserved(original, candidate):
+        return candidate, False
+    held = _statement_of(original)
+    try:
+        own_prefix = statement_of(candidate)[0]
+    except MalformedDeclaration:
+        own_prefix = None
+    if held is None or own_prefix is None:
         raise StatementMutation("candidate altered the theorem statement")
-    return candidate
+    candidate = held[0] + candidate[len(own_prefix):]
+    assert statement_preserved(original, candidate)
+    return candidate, True
 
 
 def refactor_step(proof: str, step: PlanStep, llm,
-                  deps_context: str = "") -> str:
-    """Execute one planned step; returns the candidate proof text."""
+                  deps_context: str = "") -> tuple[str, bool]:
+    """Execute one planned step; returns the candidate proof text and
+    whether its statement was put back."""
     prompt = render(
         "refactor",
         proof=proof,
@@ -330,9 +364,10 @@ def splice_error_markers(candidate: str,
 
 
 def debug(candidate: str, compile_result: CompileResult, original: str,
-          llm, prev_round_num: int = 1) -> str:
-    """One localized repair round from compiler feedback; the repaired
-    candidate must keep ``original``'s statement."""
+          llm, prev_round_num: int = 1) -> tuple[str, bool]:
+    """One localized repair round from compiler feedback; returns the
+    repaired candidate, with ``original``'s statement, and whether that
+    statement was put back."""
     if compile_result.verdict == Verdict.TIMEOUT:
         marked = candidate
         errors_text = "compilation timed out"
@@ -441,19 +476,27 @@ def run_session(
 
     def attempt(step: PlanStep, proof: str,
                 length: int) -> tuple[str, int, int] | None:
-        """Refactor, compile and debug one step. Returns the candidate,
-        its length and its debug rounds when it compiles and is shorter
-        than ``proof``; otherwise records the step's one ``step_skipped``
-        and returns None."""
+        """Refactor, compile and debug one step, with a ``warning`` for
+        each candidate whose statement was put back. Returns the
+        candidate, its length and its debug rounds when it compiles and
+        is shorter than ``proof``; otherwise records the step's one
+        ``step_skipped`` and returns None."""
         rounds = 0
         try:
-            candidate = refactor_step(proof, step, ledger, deps_context)
-            result = compile_candidate(candidate)
-            while not result.ok and rounds < config.max_debug_rounds:
-                rounds += 1
-                candidate = debug(candidate, result, proof, ledger, rounds)
-                ledger.add("debug_round", {"round": rounds})
+            candidate, restored = refactor_step(proof, step, ledger,
+                                                deps_context)
+            while True:
+                if restored:
+                    ledger.add("warning", {"message": "candidate altered "
+                                           "the theorem statement; put the "
+                                           "statement back"})
                 result = compile_candidate(candidate)
+                if result.ok or rounds == config.max_debug_rounds:
+                    break
+                rounds += 1
+                candidate, restored = debug(candidate, result, proof, ledger,
+                                            rounds)
+                ledger.add("debug_round", {"round": rounds})
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc)}
             if rounds:

@@ -26,23 +26,31 @@ def _opener(tag: str) -> re.Pattern:
     return re.compile(r"```" + re.escape(tag) + r"[ \t]*\n")
 
 
-def extract_fenced_block(text: str, tag: str) -> str | None:
-    """Content of the LAST ``` fence with the given tag, or None.
-
-    Taking the last block tolerates models that restate the input before
-    answering. A block runs from its opener's newline to the next ```;
-    the search for the next opener resumes after that close. An opener
-    with no close after it ends the search: no later opener has one.
-    """
+def _fences(text: str, tag: str):
+    """(start, close) of each fence with the given tag, in order: its
+    content runs from its opener's newline to the next ```, and the search
+    for the next opener resumes after that close. An opener with no close
+    after it, ``close`` -1, ends the search: no later opener has one."""
     opener = _opener(tag)
-    block = None
     pos = 0
     while (m := opener.search(text, pos)) is not None:
         close = text.find("```", m.end())
+        yield m.end(), close
         if close < 0:
-            break
-        block = text[m.end():close]
+            return
         pos = close + 3
+
+
+def extract_fenced_block(text: str, tag: str) -> str | None:
+    """Content of the LAST closed ``` fence with the given tag, or None.
+
+    Taking the last block tolerates models that restate the input before
+    answering.
+    """
+    block = None
+    for start, close in _fences(text, tag):
+        if close >= 0:
+            block = text[start:close]
     return None if block is None else block.rstrip("\n")
 
 
@@ -57,8 +65,44 @@ def extract_json_payload(text: str):
             return None
     try:
         return json.loads(block)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):   # nested too deep
         return None
+
+
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def leading_json_items(text: str) -> list:
+    """The complete elements at the head of the array in the LAST ```json
+    fence, closed or not, for a reply cut off mid-array; [] when there is
+    none.
+
+    The array runs to the fence's close, or to the end of the text when
+    the fence never closes. An element counts only when a ``,`` or the
+    closing ``]`` follows it, so a number cut short is not kept.
+    """
+    fences = list(_fences(text, "json"))
+    if not fences:
+        return []
+    start, close = fences[-1]
+    block = text[start:] if close < 0 else text[start:close]
+    pos = _JSON_SPACE.match(block).end()
+    if not block.startswith("[", pos):
+        return []
+    items = []
+    while True:
+        pos = _JSON_SPACE.match(block, pos + 1).end()
+        try:
+            item, pos = _DECODER.raw_decode(block, pos)
+        except (json.JSONDecodeError, RecursionError):
+            return items
+        pos = _JSON_SPACE.match(block, pos).end()
+        if not block.startswith((",", "]"), pos):
+            return items
+        items.append(item)
+        if block[pos] == "]":
+            return items
 
 
 def format_strategies(entries: list[dict]) -> str:

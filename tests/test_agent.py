@@ -268,10 +268,22 @@ class CountingEmbedder:
         return self.inner.embed(texts)
 
 
+def _steps(*spans: tuple[int, int]) -> str:
+    """A plan's JSON array, one step per (line_start, line_end)."""
+    return json.dumps([{"line_start": a, "line_end": b, "title": "drop",
+                        "reduction": "high",
+                        "description": "remove redundant lines"}
+                       for a, b in spans])
+
+
 def _plan(line_start: int, line_end: int) -> str:
-    step = {"line_start": line_start, "line_end": line_end, "title": "drop",
-            "reduction": "high", "description": "remove redundant lines"}
-    return "```json\n" + json.dumps([step]) + "\n```"
+    return "```json\n" + _steps((line_start, line_end)) + "\n```"
+
+
+def _cut_plan(payload: str, cut: int, closed: bool) -> str:
+    """A plan reply whose array stops after ``cut`` characters, as a reply
+    cut off by its token limit does, with or without the closing fence."""
+    return "```json\n" + payload[:cut] + ("\n```" if closed else "")
 
 
 def _candidate(proof: str) -> str:
@@ -465,9 +477,19 @@ def test_the_merge_keeps_each_strategys_best_span_and_the_top_k(monkeypatch):
 
 
 EMPTY_PLAN = "```json\n[]\n```"
+# SHORTER and FAILING with another statement: put back, they are those two.
 MUTATED = "theorem t : 1 + 1 = 3 := by\n  norm_num\n  rfl"
+MUTATED_FAILING = FAILING.replace("1 + 1 = 2", "1 + 1 = 3")
+# No top-level := ends its statement, so it cannot be put back.
+UNSPLITTABLE = "theorem t : 1 + 1 = 2 by\n  norm_num\n  rfl"
+TWO_STEPS = _steps((2, 5), (3, 4))
+# Cut inside the second step, and inside the first.
+CUT_PLAN = _cut_plan(TWO_STEPS, TWO_STEPS.index("line_end", 60), closed=True)
+CUT_BEFORE_ANY_STEP = _cut_plan(TWO_STEPS, 20, closed=False)
+UNCLOSED_PLAN = _cut_plan(_steps((2, 5)), None, closed=False)
 START = ["session_start", "retrieval", "plan_issued", "step_attempted"]
 ADOPTED = START + ["compile_result", "adoption", "termination"]
+SALVAGED = ["session_start", "retrieval", "warning"] + ADOPTED[2:]
 # One skipped step, then a replan on the unchanged proof that comes back empty.
 REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
 
@@ -495,10 +517,38 @@ REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED, ["StepFailed"],
                      id="StepFailed"),
-        pytest.param([_plan(2, 5), _candidate(MUTATED), EMPTY_PLAN], {},
+        pytest.param([_plan(2, 5), _candidate(UNSPLITTABLE), EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED,
                      ["StatementMutation"], id="StatementMutation"),
+        pytest.param([_plan(2, 5), _candidate(MUTATED), EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, SHORTER, 3,
+                     START + ["warning", "compile_result", "adoption",
+                              "retrieval", "plan_empty", "termination"],
+                     [], id="statement_restored"),
+        pytest.param([_plan(2, 5), _candidate(FAILING), _candidate(MUTATED)],
+                     {"target_length": 5, "max_debug_rounds": 1},
+                     Termination.TARGET_REACHED, SHORTER, 3,
+                     START + ["compile_result", "debug_round", "warning"]
+                     + ADOPTED[4:], [], id="statement_restored_in_debug"),
+        pytest.param([_plan(2, 5), _candidate(MUTATED_FAILING), EMPTY_PLAN],
+                     {}, Termination.NO_VIABLE_PLAN, PROOF, 3,
+                     START + ["warning", "compile_result", "step_skipped"]
+                     + REPLANNED, ["no compiling candidate"],
+                     id="restored_statement_fails_to_compile"),
+        pytest.param([CUT_PLAN, _candidate(SHORTER)], {"target_length": 5},
+                     Termination.TARGET_REACHED, SHORTER, 2, SALVAGED, [],
+                     id="plan_cut_off"),
+        pytest.param([UNCLOSED_PLAN, _candidate(SHORTER)],
+                     {"target_length": 5}, Termination.TARGET_REACHED,
+                     SHORTER, 2, SALVAGED, [], id="plan_fence_unclosed"),
+        pytest.param([CUT_BEFORE_ANY_STEP, _plan(2, 5), _candidate(SHORTER)],
+                     {"target_length": 5}, Termination.TARGET_REACHED,
+                     SHORTER, 3, ADOPTED, [], id="plan_cut_before_any_step"),
+        pytest.param(["```json\n" + "[" * 100_000 + "\n```", EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, PROOF, 2,
+                     ["session_start", "retrieval", "plan_empty",
+                      "termination"], [], id="plan_nested_too_deep"),
         pytest.param([_plan(2, 5), _candidate(FAILING), EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["compile_result", "step_skipped"] + REPLANNED,
@@ -521,6 +571,32 @@ def test_scripted_session(script, config, termination, final, calls, kinds,
     assert [e.kind for e in result.trace.events] == kinds
     assert [e.detail["reason"]
             for e in result.trace.of_kind("step_skipped")] == skipped
+
+
+@pytest.mark.parametrize("reply, kept, corrective", [
+    pytest.param(CUT_PLAN, 1, 0, id="cut_in_second_step"),
+    pytest.param(UNCLOSED_PLAN, 1, 0, id="one_step_unclosed"),
+    pytest.param(_cut_plan(TWO_STEPS, None, closed=False), 2, 0,
+                 id="two_steps_unclosed"),
+    pytest.param(CUT_BEFORE_ANY_STEP, 0, 1, id="cut_in_first_step"),
+])
+def test_a_cut_off_plan_keeps_its_complete_steps(reply, kept, corrective):
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([reply, EMPTY_PLAN])
+    result = run_session(PROOF, "", AgentConfig(target_length=1), bank,
+                         index, llm, compiler)
+    asked_again = [m for m in llm.calls
+                   if m[-1]["content"] == agent.CORRECTIVE_SUFFIX]
+    assert len(asked_again) == corrective
+    warnings = [e.detail["message"]
+                for e in result.trace.of_kind("warning")]
+    if kept:
+        issued = result.trace.of_kind("plan_issued")[0].detail["steps"]
+        assert issued == json.loads(TWO_STEPS)[:kept]
+        assert warnings == [f"plan reply incomplete: kept {kept} complete "
+                            "steps"]
+    else:
+        assert result.trace.of_kind("plan_empty") and not warnings
 
 
 def test_checks_run_on_the_objectives_target_version():
@@ -761,10 +837,25 @@ def test_parallel_sessions_over_one_bank_and_index_match_a_sequential_run():
 
 # --- the five promises, as one property ---------------------------------------
 
-PLANS = st.builds(lambda a, n: _plan(a, a + n), st.integers(1, 5),
+SPANS = st.builds(lambda a, n: (a, a + n), st.integers(1, 5),
                   st.integers(0, 2))
+
+
+@st.composite
+def cut_plans(draw):
+    """A plan of one to three steps cut at a drawn offset, its fence
+    closed or not."""
+    payload = _steps(*draw(st.lists(SPANS, min_size=1, max_size=3)))
+    return _cut_plan(payload, draw(st.integers(0, len(payload))),
+                     draw(st.booleans()))
+
+
+PLANS = st.one_of(SPANS.map(lambda span: _plan(*span)), cut_plans())
+# MUTATED and MUTATED_FAILING get their statement put back, and the
+# latter then fails to compile.
 CANDIDATES = st.sampled_from([_candidate(p) for p in
-                              (SHORTER, NATIVE_ONLY, FAILING, PROOF, MUTATED)])
+                              (SHORTER, NATIVE_ONLY, FAILING, PROOF, MUTATED,
+                               MUTATED_FAILING, UNSPLITTABLE)])
 # Unparseable text, a transport failure, and a candidate outside any fence.
 NOISE = st.sampled_from(["no json here", {"error": "transport"}, SHORTER])
 STEPS = st.one_of(CANDIDATES, CANDIDATES, NOISE)

@@ -3,6 +3,7 @@ agent renders."""
 
 from __future__ import annotations
 
+import json
 import re
 from importlib import resources
 
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from prooftidy import agent
 from prooftidy.agent import AgentConfig, PlanStep, refactor_step, run_session
 from prooftidy.llm import ScriptedLLM
-from prooftidy.prompts import _load, extract_fenced_block, extract_json_payload, render
+from prooftidy.prompts import (
+    _load,
+    extract_fenced_block,
+    extract_json_payload,
+    leading_json_items,
+    render,
+)
 
 from test_agent import FAILING, PROOF, SHORTER, _candidate, _plan, _world
 
@@ -68,7 +75,8 @@ def test_fenced_block_edge_cases(text, block):
 ])
 def test_refactor_reply_falls_back_from_lean4_to_lean(reply, candidate):
     step = PlanStep(2, 5, "drop", "high", "remove redundant lines")
-    assert refactor_step(PROOF, step, ScriptedLLM([reply])) == candidate
+    assert refactor_step(PROOF, step, ScriptedLLM([reply])) == (candidate,
+                                                                 False)
 
 
 @pytest.mark.parametrize("reply, payload", [
@@ -81,6 +89,58 @@ def test_refactor_reply_falls_back_from_lean4_to_lean(reply, candidate):
 ])
 def test_json_payload_falls_back_to_a_bare_document(reply, payload):
     assert extract_json_payload(reply) == payload
+
+
+def test_json_payload_nested_too_deep_is_no_payload():
+    deep = "[" * 100_000 + "]" * 100_000
+    assert extract_json_payload("```json\n" + deep + "\n```") is None
+    assert leading_json_items("```json\n[1, " + deep) == [1]
+
+
+@pytest.mark.parametrize("reply, items", [
+    ("```json\n[1, 2]\n```", [1, 2]),
+    ("Plan:\n```json\n[1, 2\n```", [1]),       # closed fence, cut array
+    ("Plan:\n```json\n[1, 2]", [1, 2]),         # the fence never closes
+    ("```json\n[1, {\"a\": 2}, 3", [1, {"a": 2}]),
+    ('```json\n["ab", "c', ["ab"]),               # cut inside a string
+    ("```json\n[1, 12", [1]),                     # no delimiter after 12
+    ("```json\n[ [1, [2]] ,[3, 4", [[1, [2]]]),   # a nested array
+    ("```json\n[1,]", [1]),
+    ("```json\n[]\n```", []),
+    ("```json\n{\"a\": [1, 2", []),              # not an array
+    ("[1, 2", []),                                # no opener
+    ("[1, 2]", []),
+    ("```json\n[1]\n```\n```json\n[2, 3", [2]),  # the last opener wins
+    ("```json\n[1, 2\n```\n```json\n[3]\n```", [3]),
+    ("```json\n[1]```json\n[2, 3", [1]),         # a close opens no fence
+])
+def test_leading_json_items(reply, items):
+    assert leading_json_items(reply) == items
+
+
+JSON_ITEMS = st.recursive(
+    st.integers(-10**6, 10**6) | st.booleans() | st.none()
+    | st.text(alphabet="ab \\\"é", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab", max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(JSON_ITEMS, max_size=5), st.data())
+def test_leading_json_items_keeps_each_element_a_delimiter_follows(items,
+                                                                   data):
+    parts = [json.dumps(item, ensure_ascii=False) for item in items]
+    payload = "[" + ", ".join(parts) + "]"
+    cut = data.draw(st.integers(0, len(payload)))
+    closed = data.draw(st.booleans())
+    reply = "Plan:\n```json\n" + payload[:cut] + ("\n```" if closed else "")
+    # Element i is followed by its delimiter at this offset.
+    ends = []
+    for part in parts:
+        ends.append((ends[-1] + 2 if ends else 1) + len(part))
+    kept = sum(end < cut for end in ends)
+    assert leading_json_items(reply) == items[:kept]
 
 
 def test_render_raises_on_a_missing_placeholder():
