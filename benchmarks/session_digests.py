@@ -14,8 +14,9 @@ loads, rechecks and indexes the bank; then every theorem runs once through
 The environment is pinned as ``sessionbench/run.py`` pins it.
 
 Prints one JSON object: workload name -> one entry per theorem, in order,
-each the SHA-256 of the session's ``to_json()``, its LLM calls and its
-compiles. A session that raises has ``"error"`` in place of the digest.
+each the SHA-256 of the session's ``to_json()``, its tokens saved (initial
+minus final length), its LLM calls and its compiles. A session that raises
+has ``"error"`` in place of the digest and the tokens saved.
 Two runs agree byte for byte exactly when the sessions do:
 
     cmp <(python3 benchmarks/session_digests.py --root . --seed 1) \\
@@ -60,8 +61,11 @@ def digests(workload, seed: int) -> list[dict]:
             try:
                 result = run_session(theorem["proof"], "", bench.config,
                                      bench.bank, bench.index, llm, bench.oracle)
-                entry = {"sha256": hashlib.sha256(
-                    result.to_json().encode("utf-8")).hexdigest()}
+                entry = {
+                    "sha256": hashlib.sha256(
+                        result.to_json().encode("utf-8")).hexdigest(),
+                    "tokens_saved": result.initial_length - result.final_length,
+                }
             except Exception as exc:
                 entry = {"error": f"{type(exc).__name__}: {exc}"}
             entry.update(llm_calls=llm.calls,

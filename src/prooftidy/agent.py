@@ -2,13 +2,14 @@
 
 One session drives a single theorem: segment the current proof, retrieve
 strategies per segment under the user's objective, ask the planner for a
-step sequence, execute steps with the refactorer, debug failed candidates a
-bounded number of rounds, and adopt a candidate only when it compiles and
-is strictly shorter. Adoption triggers replanning; the loop stops on budget
-exhaustion, on reaching the target length, or when the planner has nothing
-left to propose. A fault outside the process (a missing toolchain, an
-exhausted script, an unreachable provider) ends the session with the best
-proof so far.
+step sequence, and run its steps bottom-up as one chain of drafts, each
+asked of the refactorer against the previous draft. The chain is compiled
+once, debugged a bounded number of rounds, and adopted only when it
+compiles and is strictly shorter. Every plan is followed by a replan; the
+loop stops on budget exhaustion, on reaching the target length, or when
+the planner has nothing left to propose. A fault outside the process (a
+missing toolchain, an exhausted script, an unreachable provider) ends the
+session with the best proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. A faulty reply is
@@ -23,12 +24,14 @@ theorem's statement is in ``tokenizer.statement_of``, which
 text once; what a plan reply holds, whole or cut off, in ``_parse_plan``
 (a cut-off array's complete steps in ``prompts.leading_json_items``);
 putting an altered statement back in ``_extract_candidate``; the budget,
-the transport retry and the trace in ``_Ledger``;
-one step's refactor, compile and debug rounds, its acceptance and its one
-``step_skipped`` in ``run_session``'s ``attempt``; the target toolchain,
-the one every check compiles under, at the top of ``run_session``; the
-session's compile memo, one check per distinct source, in its
-``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
+the transport retry and the trace in ``_Ledger``; a plan's chain, its
+order and where it stops, in ``run_session``'s loop; one step's draft and
+its ``step_skipped`` in its ``draft``; the chain's compile and debug
+rounds, its acceptance and its ``step_skipped`` in ``verify``; the target
+toolchain, the one every check compiles under, at the top of
+``run_session``; the session's compile memo, one check per distinct
+source, in its ``compile_source``; which faults end a session, in
+``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
 class AgentConfig:
     budget: int = 30                 # LLM calls
     target_length: int = 5           # stop once the proof is this short
-    max_debug_rounds: int = 3        # repair attempts per failed step
+    max_debug_rounds: int = 3        # repair attempts per plan's chain
     objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
     toolchain_version: str | None = None   # None: objective's, else compiler's
 
@@ -222,9 +225,6 @@ def _validate_steps(payload, proof: str) -> PlanResult:
             )
             continue
         steps.append(step)
-    starts = [s.line_start for s in steps]
-    if starts != sorted(starts):
-        warnings.append("plan not sorted top-to-bottom; keeping model order")
     return PlanResult(steps, warnings)
 
 
@@ -437,6 +437,17 @@ def run_session(
 ) -> SessionResult:
     """Run the full refactoring loop for one theorem.
 
+    Each round retrieves strategies for the current proof and asks for a
+    plan. Its steps run bottom-up (descending ``line_start``, ties in the
+    plan's order), so a draft never renumbers the lines of a step still
+    to run. Each step's draft is asked against the previous one and is
+    kept only when it is strictly shorter; nothing is compiled yet. The
+    chain stops early once a draft edits a line above its step, or
+    reaches ``target_length``. The chain is then compiled once, debugged
+    up to ``max_debug_rounds`` rounds, and adopted when it compiles on the
+    target and is shorter than the current proof. If the budget runs out
+    mid-plan, the drafts so far are still compiled and may be adopted.
+
     The input proof must compile under the target toolchain; sessions are
     strictly sequential internally, but many sessions may run in parallel
     over a shared bank and index.
@@ -474,39 +485,62 @@ def run_session(
         ledger.add("compile_result", detail)
         return result
 
-    def attempt(step: PlanStep, proof: str,
-                length: int) -> tuple[str, int, int] | None:
-        """Refactor, compile and debug one step, with a ``warning`` for
-        each candidate whose statement was put back. Returns the
-        candidate, its length and its debug rounds when it compiles and
-        is shorter than ``proof``; otherwise records the step's one
-        ``step_skipped`` and returns None."""
-        rounds = 0
+    def warn_restored() -> None:
+        ledger.add("warning", {"message": "candidate altered the theorem "
+                               "statement; put the statement back"})
+
+    def draft(step: PlanStep, chain: str,
+              length: int) -> tuple[str, int] | None:
+        """Ask for ``step`` against the chain's text, compiling nothing.
+        Returns the draft and its length when it is strictly shorter than
+        ``chain``; otherwise records the step's one ``step_skipped`` and
+        returns None."""
         try:
-            candidate, restored = refactor_step(proof, step, ledger,
+            candidate, restored = refactor_step(chain, step, ledger,
                                                 deps_context)
+        except (StepFailed, StatementMutation) as exc:
+            skipped = {"reason": type(exc).__name__, "message": str(exc)}
+        else:
+            if restored:
+                warn_restored()
+            candidate_length = proof_length(candidate)
+            if candidate_length < length:
+                return candidate, candidate_length
+            skipped = {"reason": "candidate not shorter",
+                       "candidate_length": candidate_length}
+        ledger.add("step_skipped", skipped)
+        return None
+
+    def verify(chain: str, chain_length: int, proof: str,
+               length: int) -> tuple[str, int, int] | None:
+        """Compile a plan's chain of drafts, and debug it while it fails,
+        for up to ``max_debug_rounds`` rounds that the budget still has.
+        Returns the result, its length and its debug rounds when it
+        compiles and is shorter than ``proof``; otherwise records the
+        chain's one ``step_skipped`` and returns None."""
+        candidate, rounds = chain, 0
+        try:
             while True:
-                if restored:
-                    ledger.add("warning", {"message": "candidate altered "
-                                           "the theorem statement; put the "
-                                           "statement back"})
                 result = compile_candidate(candidate)
-                if result.ok or rounds == config.max_debug_rounds:
+                if (result.ok or rounds == config.max_debug_rounds
+                        or ledger.used >= config.budget):
                     break
                 rounds += 1
                 candidate, restored = debug(candidate, result, proof, ledger,
                                             rounds)
                 ledger.add("debug_round", {"round": rounds})
+                if restored:
+                    warn_restored()
         except (StepFailed, StatementMutation) as exc:
-            skipped = {"reason": type(exc).__name__, "message": str(exc)}
-            if rounds:
-                skipped["debug_rounds"] = rounds
+            skipped = {"reason": type(exc).__name__, "message": str(exc),
+                       "debug_rounds": rounds}
         else:
             if not result.ok:
                 skipped = {"reason": "no compiling candidate",
                            "debug_rounds": rounds}
             else:
-                candidate_length = proof_length(candidate)
+                candidate_length = (proof_length(candidate) if rounds
+                                    else chain_length)
                 if candidate_length < length:
                     return candidate, candidate_length, rounds
                 skipped = {"reason": "candidate not shorter",
@@ -583,23 +617,41 @@ def run_session(
                 "steps": [dict(vars(s)) for s in plan_result.steps],
             })
 
-            for step in plan_result.steps:
+            # Bottom-up, ties in model order: a draft never renumbers the
+            # lines of a step still to run.
+            chain, chain_length = current, current_length
+            drafted: list[PlanStep] = []
+            exhausted = False
+            for step in sorted(plan_result.steps, key=lambda s: -s.line_start):
                 ledger.add("step_attempted", {"step": dict(vars(step))})
-                adopted = attempt(step, current, current_length)
-                if adopted is None:
+                try:
+                    made = draft(step, chain, chain_length)
+                except _OutOfBudget:
+                    exhausted = True
+                    break
+                if made is None:
                     continue
+                above = step.line_start - 1
+                edited_above = (made[0].split("\n", above)[:above]
+                                != chain.split("\n", above)[:above])
+                chain, chain_length = made
+                drafted.append(step)
+                if edited_above or chain_length <= config.target_length:
+                    break
+            # With the budget spent, the drafts so far are still compiled:
+            # compiles are free.
+            adopted = (verify(chain, chain_length, current, current_length)
+                       if drafted else None)
+            if adopted is not None:
                 current, current_length, rounds = adopted
-                history.append(
-                    f"({step.title} @ {step.line_start}-{step.line_end}, "
-                    f"Success)"
-                )
+                history.extend(f"({s.title} @ {s.line_start}-{s.line_end}, "
+                               f"Success)" for s in drafted)
                 ledger.add("adoption", {
-                    "step": dict(vars(step)),
+                    "steps": [dict(vars(s)) for s in drafted],
                     "new_length": current_length,
                     "debug_rounds": rounds,
                 })
-                break  # replan on the updated proof
-            else:
+            elif not exhausted:
                 history.append(
                     f"(plan of {len(plan_result.steps)} steps, Failed)"
                 )

@@ -233,9 +233,6 @@ STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
     pytest.param([dict(STEP, reduction="huge"), STEP], [(2, 3)],
                  ["step 0: unknown reduction 'huge', dropped"],
                  id="unknown_reduction"),
-    pytest.param([dict(STEP, line_start=3), STEP], [(3, 3), (2, 3)],
-                 ["plan not sorted top-to-bottom; keeping model order"],
-                 id="not_sorted"),
 ])
 def test_validate_steps_refusals(payload, kept, warnings):
     proof = "theorem t : P := by\n  norm_num\n  rfl"
@@ -251,6 +248,9 @@ PROOF = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
 FAILING = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
            "  exact bogus")
 SHORTER = "theorem t : 1 + 1 = 2 := by\n  norm_num\n  rfl"
+# PROOF without its line 4, and SHORTER's lines with line 2 back.
+MIDDLE = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
+          "  norm_num\n  rfl")
 # Compiles on the compiler's default toolchain and fails on v4.22.0.
 NATIVE_ONLY = "theorem t : 1 + 1 = 2 := by\n  decide"
 
@@ -297,8 +297,8 @@ SCRIPT = [_plan(2, 5), _candidate(FAILING), {"error": "transport"},
 
 def _world():
     """A three-strategy bank, its index over a counting embedder, and a
-    compiler that passes PROOF and SHORTER, fails FAILING, and passes
-    NATIVE_ONLY on every toolchain but v4.22.0."""
+    compiler that passes PROOF, MIDDLE and SHORTER, fails FAILING, and
+    passes NATIVE_ONLY on every toolchain but v4.22.0."""
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i, when_to_apply=f"pattern {i}") for i in range(3))},
         registry=REGISTRY)
@@ -309,7 +309,8 @@ def _world():
     failure = CompileResult(Verdict.FAILURE, diagnostics=(
         Diagnostic(3, 2, "error", "unknown id"),))
     compiler = MockCompiler(
-        by_source={PROOF: ok, SHORTER: ok, FAILING: failure, NATIVE_ONLY: ok},
+        by_source={PROOF: ok, MIDDLE: ok, SHORTER: ok, FAILING: failure,
+                   NATIVE_ONLY: ok},
         by_version={"v4.22.0": {NATIVE_ONLY: failure}},
     )
     return bank, index, compiler, embedder
@@ -367,8 +368,9 @@ def test_a_step_in_the_trace_is_a_plain_dict_equal_to_asdict():
     result, _ = _session()
     steps = [step for e in result.trace.of_kind("plan_issued")
              for step in e.detail["steps"]]
-    steps += [e.detail["step"] for e in result.trace.events
-              if e.kind in ("step_attempted", "adoption")]
+    steps += [e.detail["step"] for e in result.trace.of_kind("step_attempted")]
+    steps += [step for e in result.trace.of_kind("adoption")
+              for step in e.detail["steps"]]
     assert len(steps) == 5  # two plans of one step, two attempts, an adoption
     for step in steps:
         assert type(step) is dict
@@ -492,6 +494,12 @@ ADOPTED = START + ["compile_result", "adoption", "termination"]
 SALVAGED = ["session_start", "retrieval", "warning"] + ADOPTED[2:]
 # One skipped step, then a replan on the unchanged proof that comes back empty.
 REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
+# Run bottom-up, its steps ask for lines 4-5 of PROOF, giving MIDDLE, then
+# for lines 2-3 of MIDDLE, giving SHORTER.
+CHAIN_PLAN = "```json\n" + _steps((2, 3), (4, 5)) + "\n```"
+CHAINED = START + ["step_attempted"] + ADOPTED[4:]
+# Tied steps run in model order: 2-5, then 2-3.
+TIED_PLAN = "```json\n" + _steps((2, 5), (2, 3)) + "\n```"
 
 
 @pytest.mark.parametrize(
@@ -555,8 +563,24 @@ REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
                      ["no compiling candidate"], id="no_compiling_candidate"),
         pytest.param([_plan(2, 5), _candidate(PROOF), EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
-                     START + ["compile_result", "step_skipped"] + REPLANNED,
+                     START + ["step_skipped"] + REPLANNED,
                      ["candidate not shorter"], id="candidate_not_shorter"),
+        pytest.param([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
+                     {"target_length": 5}, Termination.TARGET_REACHED,
+                     SHORTER, 3, CHAINED, [], id="chain_of_two_drafts"),
+        pytest.param([CHAIN_PLAN, _candidate(MIDDLE)], {"budget": 2},
+                     Termination.BUDGET_EXHAUSTED, MIDDLE, 2, CHAINED, [],
+                     id="budget_spent_after_the_first_draft"),
+        pytest.param([TIED_PLAN, _candidate(FAILING)],
+                     {"budget": 2, "max_debug_rounds": 1},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 2,
+                     CHAINED[:-2] + ["step_skipped", "termination"],
+                     ["no compiling candidate"],
+                     id="budget_spent_after_a_failing_draft"),
+        pytest.param([CHAIN_PLAN, _candidate(SHORTER)], {"budget": 1},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 1,
+                     START + ["termination"], [],
+                     id="budget_spent_before_the_first_draft"),
     ])
 def test_scripted_session(script, config, termination, final, calls, kinds,
                           skipped):
@@ -631,17 +655,93 @@ def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict):
     assert result.final_proof == PROOF
 
 
-def test_a_candidate_equal_to_the_input_is_not_compiled_again():
+@pytest.mark.parametrize("draft", [PROOF, PROOF + "\n  rfl"],
+                         ids=["equal", "longer"])
+def test_a_draft_that_is_not_shorter_is_not_compiled(draft):
     bank, index, compiler, _ = _world()
     config = AgentConfig(target_length=1, max_debug_rounds=0)
-    script = [_plan(2, 5), _candidate(PROOF), EMPTY_PLAN]
+    script = [_plan(2, 5), _candidate(draft), EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          compiler)
     assert [source for _, source in compiler.calls] == [PROOF]
-    assert [e.detail for e in result.trace.of_kind("compile_result")] == [
-        {"verdict": "success", "cached": True}]
-    assert [e.detail["reason"] for e in result.trace.of_kind("step_skipped")
-            ] == ["candidate not shorter"]
+    assert result.trace.of_kind("compile_result") == []
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "candidate not shorter",
+         "candidate_length": proof_length(draft)}]
+
+
+# --- a plan runs as one chain of drafts ---------------------------------------
+
+def _refactor_targets(llm) -> list[str]:
+    """The ``Target lines`` of each refactor prompt, in call order."""
+    return [line.removeprefix("Target lines: ") for messages in llm.calls
+            for line in messages[0]["content"].split("\n")
+            if line.startswith("Target lines: ")]
+
+
+def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile():
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
+    config = AgentConfig(target_length=5, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    assert result.calls_used == 3
+    assert _refactor_targets(llm) == ["4-5", "2-3"]
+    # The second step is asked against the first one's draft.
+    assert MIDDLE in llm.calls[2][0]["content"]
+    assert [source for _, source in compiler.calls] == [PROOF, SHORTER]
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail == {
+        "steps": json.loads(_steps((4, 5), (2, 3))),
+        "new_length": proof_length(SHORTER), "debug_rounds": 0}
+
+
+@pytest.mark.parametrize("spans, targets", [
+    ([(2, 3), (4, 5)], ["4-5", "2-3"]),
+    ([(4, 5), (2, 3)], ["4-5", "2-3"]),
+    ([(2, 5), (2, 3), (4, 4)], ["4-4", "2-5", "2-3"]),
+], ids=["top_down", "bottom_up", "tie_in_model_order"])
+def test_a_plans_steps_run_bottom_up(spans, targets):
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM(["```json\n" + _steps(*spans) + "\n```"]
+                      + ["no fenced block"] * len(spans) + [EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert _refactor_targets(llm) == targets
+
+
+def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
+    # SHORTER drops line 4 as asked, and line 2 above it as well.
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([CHAIN_PLAN, _candidate(SHORTER), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    assert _refactor_targets(llm) == ["4-5"]
+    assert [e.detail["steps"] for e in result.trace.of_kind("adoption")] == [
+        json.loads(_steps((4, 5)))]
+    assert [e.kind for e in result.trace.events] == ADOPTED[:-1] + [
+        "retrieval", "plan_empty", "termination"]
+
+
+def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
+    bank, index, compiler, _ = _world()
+    # The tied step's draft is FAILING again once its statement is put
+    # back, so it is not shorter than the chain; each debug round keeps it.
+    llm = ScriptedLLM([TIED_PLAN, _candidate(FAILING),
+                       _candidate(MUTATED_FAILING), _candidate(FAILING),
+                       _candidate(FAILING), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=2)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == PROOF
+    assert result.trace.of_kind("adoption") == []
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "candidate not shorter",
+         "candidate_length": proof_length(FAILING)},
+        {"reason": "no compiling candidate", "debug_rounds": 2}]
+    assert [e.detail for e in result.trace.of_kind("plan_failed")] == [
+        {"steps": 2}]
+    assert "- (plan of 2 steps, Failed)" in llm.calls[-1][0]["content"]
 
 
 # --- faults from outside the process -----------------------------------------
@@ -854,16 +954,27 @@ PLANS = st.one_of(SPANS.map(lambda span: _plan(*span)), cut_plans())
 # MUTATED and MUTATED_FAILING get their statement put back, and the
 # latter then fails to compile.
 CANDIDATES = st.sampled_from([_candidate(p) for p in
-                              (SHORTER, NATIVE_ONLY, FAILING, PROOF, MUTATED,
-                               MUTATED_FAILING, UNSPLITTABLE)])
+                              (SHORTER, MIDDLE, NATIVE_ONLY, FAILING, PROOF,
+                               MUTATED, MUTATED_FAILING, UNSPLITTABLE)])
 # Unparseable text, a transport failure, and a candidate outside any fence.
 NOISE = st.sampled_from(["no json here", {"error": "transport"}, SHORTER])
 STEPS = st.one_of(CANDIDATES, CANDIDATES, NOISE)
-# A plan reply then a step reply, each noise one time in three; or a plan,
-# a failing candidate and the reply to its first debug round.
+
+@st.composite
+def chains(draw):
+    """A plan of two or three steps, then one step reply per step: a
+    chain of shorter, failing, restored and not-shorter drafts."""
+    spans = draw(st.lists(SPANS, min_size=2, max_size=3))
+    return ["```json\n" + _steps(*spans) + "\n```"] + draw(
+        st.lists(STEPS, min_size=len(spans), max_size=len(spans)))
+
+
+# A plan reply then a step reply, each noise one time in three; a plan, a
+# failing candidate and the reply to its first debug round; or a chain.
 EXCHANGES = st.one_of(
     st.tuples(st.one_of(PLANS, PLANS, NOISE), STEPS),
     st.tuples(PLANS, st.just(_candidate(FAILING)), STEPS),
+    chains(),
 )
 
 
@@ -871,7 +982,7 @@ EXCHANGES = st.one_of(
 def sessions(draw):
     budget = draw(st.integers(0, 8))
     # At least one reply per call the budget allows: the script never runs
-    # out, as every exchange holds two or three replies.
+    # out, as every exchange holds two to four replies.
     exchanges = draw(st.lists(EXCHANGES, min_size=(budget + 1) // 2,
                               max_size=(budget + 1) // 2 + 2))
     script = [reply for exchange in exchanges for reply in exchange]

@@ -38,5 +38,6 @@ def test_digests_repeat_with_no_error_within_the_budget(session_digests):
         assert len(first) == small.sessions
         for entry in first:
             assert "error" not in entry, (name, entry)
+            assert entry["tokens_saved"] >= 0
             assert 0 <= entry["llm_calls"] <= small.budget
             assert entry["compiles"] >= 1      # the input's precheck
