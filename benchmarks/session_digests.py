@@ -15,7 +15,8 @@ The environment is pinned as ``sessionbench/run.py`` pins it.
 
 Prints one JSON object: workload name -> one entry per theorem, in order,
 each the SHA-256 of the session's ``to_json()``, its tokens saved (initial
-minus final length), its LLM calls and its compiles. A session that raises
+minus final length), its LLM calls, those calls by role (``Responder``'s
+``calls_by_role``) and its compiles. A session that raises
 has ``"error"`` in place of the digest and the tokens saved.
 Two runs agree byte for byte exactly when the sessions do:
 
@@ -69,6 +70,7 @@ def digests(workload, seed: int) -> list[dict]:
             except Exception as exc:
                 entry = {"error": f"{type(exc).__name__}: {exc}"}
             entry.update(llm_calls=llm.calls,
+                         calls_by_role=dict(sorted(llm.calls_by_role.items())),
                          compiles=bench.oracle.checks - checks)
             entries.append(entry)
     return entries

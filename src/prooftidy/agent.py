@@ -6,13 +6,17 @@ step sequence, and run its steps bottom-up as one chain of drafts, each
 asked of the refactorer against the previous draft. The chain is compiled
 once, debugged a bounded number of rounds, and adopted only when it
 compiles and is strictly shorter. Every plan is followed by a replan; the
-loop stops on budget exhaustion, on reaching the target length, or when
-the planner has nothing left to propose. A fault outside the process (a
+loop stops with fewer than two calls left (a round needs one for its plan
+and one for a step), on reaching the target length, or when the planner
+has nothing left to propose. A fault outside the process (a
 missing toolchain, an exhausted script, an unreachable provider) ends the
 session with the best proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
-corrective reparses all count; compiles are free. A faulty reply is
+corrective reparses all count; compiles are free. A plan with more
+steps than calls left asks only as many as the calls pay for, the ones
+the planner rates highest (``REDUCTION_LEVELS`` order, ties in plan
+order). A faulty reply is
 salvaged before another call is paid for: a cut-off plan keeps its
 complete steps, and an altered statement is put back. With scripted LLM
 and compiler mocks a session is byte-deterministic.
@@ -22,10 +26,12 @@ which version it filters by in ``ObjectiveSpec.filter_version``; what a
 theorem's statement is in ``tokenizer.statement_of``, which
 ``statement_preserved`` applies to each candidate, scanning each proof
 text once; what a plan reply holds, whole or cut off, in ``_parse_plan``
-(a cut-off array's complete steps in ``prompts.leading_json_items``);
+(a cut-off array's complete steps in ``prompts.leading_json_items``), and
+which of its steps are kept, disjoint and in range, in ``_validate_steps``;
 putting an altered statement back in ``_extract_candidate``; the budget,
-the transport retry and the trace in ``_Ledger``; a plan's chain, its
-order and where it stops, in ``run_session``'s loop; one step's draft and
+the transport retry and the trace in ``_Ledger``; whether a round may
+start, which steps of a plan the budget pays for, the chain's order and
+where it stops, in ``run_session``'s loop; one step's draft and
 its ``step_skipped`` in its ``draft``; the chain's compile and debug
 rounds, its acceptance and its ``step_skipped`` in ``verify``; the target
 toolchain, the one every check compiles under, at the top of
@@ -70,7 +76,7 @@ from .tokenizer import line_count, proof_length, segment, statement_of
 
 
 class Termination(str, Enum):
-    BUDGET_EXHAUSTED = "budget_exhausted"
+    BUDGET_EXHAUSTED = "budget_exhausted"  # under two calls left for a round
     TARGET_REACHED = "target_reached"
     NO_VIABLE_PLAN = "no_viable_plan"
     CONVERGED = "converged"
@@ -91,7 +97,7 @@ OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
 
 @dataclass(frozen=True)
 class AgentConfig:
-    budget: int = 30                 # LLM calls
+    budget: int = 30                 # LLM calls; a round needs two left
     target_length: int = 5           # stop once the proof is this short
     max_debug_rounds: int = 3        # repair attempts per plan's chain
     objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
@@ -223,6 +229,12 @@ def _validate_steps(payload, proof: str) -> PlanResult:
                 f"step {i}: lines {step.line_start}-{step.line_end} outside "
                 f"the proof's {n_lines} lines, dropped"
             )
+            continue
+        # Disjoint steps run bottom-up keep each other's line numbers.
+        if any(step.line_start <= kept.line_end
+               and kept.line_start <= step.line_end for kept in steps):
+            warnings.append(f"step {i}: lines {step.line_start}-"
+                            f"{step.line_end} overlap a kept step, dropped")
             continue
         steps.append(step)
     return PlanResult(steps, warnings)
@@ -437,16 +449,26 @@ def run_session(
 ) -> SessionResult:
     """Run the full refactoring loop for one theorem.
 
-    Each round retrieves strategies for the current proof and asks for a
-    plan. Its steps run bottom-up (descending ``line_start``, ties in the
-    plan's order), so a draft never renumbers the lines of a step still
+    A round starts only with at least two calls left, one for the plan
+    and one for a step; with fewer, the session ends ``budget_exhausted``
+    before it segments, embeds or retrieves. Each round retrieves
+    strategies for the current proof and asks for a plan, whose steps are
+    disjoint (``_validate_steps`` drops a step overlapping one kept before
+    it). Each step costs a call: when a plan has more steps than calls
+    left, only that many are asked, the ones rated highest by
+    ``reduction`` (``REDUCTION_LEVELS`` order, ties in the plan's order),
+    and its ``plan_issued`` event lists the positions of the others
+    (``unasked``). The asked steps run bottom-up (descending
+    ``line_start``), so a draft never renumbers the lines of a step still
     to run. Each step's draft is asked against the previous one and is
     kept only when it is strictly shorter; nothing is compiled yet. The
     chain stops early once a draft edits a line above its step, or
     reaches ``target_length``. The chain is then compiled once, debugged
     up to ``max_debug_rounds`` rounds, and adopted when it compiles on the
     target and is shorter than the current proof. If the budget runs out
-    mid-plan, the drafts so far are still compiled and may be adopted.
+    mid-plan (a transport retry spends a call too), the drafts so far are
+    still compiled and may be adopted. A plan cut by the budget, before
+    it was asked or while it ran, records no ``plan_failed``.
 
     The input proof must compile under the target toolchain; sessions are
     strictly sequential internally, but many sessions may run in parallel
@@ -572,14 +594,16 @@ def run_session(
                 f"{[d.message for d in precheck.errors()][:3]}"
             )
         while True:
-            if ledger.used >= config.budget:
-                termination = Termination.BUDGET_EXHAUSTED
-                break
-            if current_length <= config.target_length:
+            left = config.budget - ledger.used
+            # With no call left the session ends exhausted, at the target too.
+            if left and current_length <= config.target_length:
                 # Every adoption is strictly shorter.
                 termination = (Termination.TARGET_REACHED
                                if current_length < initial_length
                                else Termination.CONVERGED)
+                break
+            if left < 2:  # a round needs one plan and one step
+                termination = Termination.BUDGET_EXHAUSTED
                 break
 
             spans = segment(current, list(CHUNK_SIZES))
@@ -613,16 +637,28 @@ def run_session(
                 ledger.add("plan_empty", {})
                 termination = Termination.NO_VIABLE_PLAN
                 break
-            ledger.add("plan_issued", {
-                "steps": [dict(vars(s)) for s in plan_result.steps],
-            })
+            # Each step costs a call: with fewer calls left than steps, ask
+            # the best-rated ones, ties in plan order.
+            steps = plan_result.steps
+            ranked = sorted(range(len(steps)), key=lambda i:
+                            REDUCTION_LEVELS.index(steps[i].reduction))
+            left = config.budget - ledger.used
+            asked, unasked = ranked[:left], sorted(ranked[left:])
+            issued = {"steps": [dict(vars(s)) for s in steps]}
+            if unasked:
+                issued["unasked"] = unasked
+            ledger.add("plan_issued", issued)
 
-            # Bottom-up, ties in model order: a draft never renumbers the
-            # lines of a step still to run.
+            # Bottom-up: a draft never renumbers the lines of a step still
+            # to run, since a plan's steps are disjoint.
             chain, chain_length = current, current_length
             drafted: list[PlanStep] = []
-            exhausted = False
-            for step in sorted(plan_result.steps, key=lambda s: -s.line_start):
+            exhausted = bool(unasked)  # the budget cut this plan
+            for step in sorted((steps[i] for i in asked),
+                               key=lambda s: -s.line_start):
+                if ledger.used >= config.budget:  # transport retries spent it
+                    exhausted = True
+                    break
                 ledger.add("step_attempted", {"step": dict(vars(step))})
                 try:
                     made = draft(step, chain, chain_length)
@@ -652,10 +688,8 @@ def run_session(
                     "debug_rounds": rounds,
                 })
             elif not exhausted:
-                history.append(
-                    f"(plan of {len(plan_result.steps)} steps, Failed)"
-                )
-                ledger.add("plan_failed", {"steps": len(plan_result.steps)})
+                history.append(f"(plan of {len(steps)} steps, Failed)")
+                ledger.add("plan_failed", {"steps": len(steps)})
     except _OutOfBudget:
         termination = Termination.BUDGET_EXHAUSTED
     except OUTSIDE_FAULTS as exc:

@@ -24,7 +24,7 @@ from prooftidy.agent import (
     splice_error_markers,
     statement_preserved,
 )
-from prooftidy.bank import Bank
+from prooftidy.bank import REDUCTION_LEVELS, Bank
 from prooftidy.compiler import (
     CompileRequest,
     CompileResult,
@@ -233,15 +233,34 @@ STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
     pytest.param([dict(STEP, reduction="huge"), STEP], [(2, 3)],
                  ["step 0: unknown reduction 'huge', dropped"],
                  id="unknown_reduction"),
+    pytest.param([STEP, dict(STEP, line_start=3, line_end=5),
+                  dict(STEP, line_start=4, line_end=5)], [(2, 3), (4, 5)],
+                 ["step 1: lines 3-5 overlap a kept step, dropped"],
+                 id="step_overlapping_a_kept_step"),
 ])
 def test_validate_steps_refusals(payload, kept, warnings):
-    proof = "theorem t : P := by\n  norm_num\n  rfl"
+    proof = "theorem t : P := by\n  norm_num\n  rfl\n  rfl\n  rfl"
     result = _validate_steps(payload, proof)
     assert [(s.line_start, s.line_end) for s in result.steps] == kept
     assert result.warnings == warnings
 
 
 # --- scripted sessions -------------------------------------------------------
+
+def _refactor_targets(llm) -> list[str]:
+    """The ``Target lines`` of each refactor prompt, in call order."""
+    return [line.removeprefix("Target lines: ") for messages in llm.calls
+            for line in messages[0]["content"].split("\n")
+            if line.startswith("Target lines: ")]
+
+
+def _assert_each_attempted_step_is_asked(result, llm) -> None:
+    """The call after each ``step_attempted`` event is a refactor call."""
+    asked = {i for i, messages in enumerate(llm.calls)
+             if "\nTarget lines: " in messages[0]["content"]}
+    assert {e.calls_used for e in result.trace.of_kind("step_attempted")} \
+        <= asked
+
 
 PROOF = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
          "  norm_num\n  simp only []\n  rfl")
@@ -268,12 +287,13 @@ class CountingEmbedder:
         return self.inner.embed(texts)
 
 
-def _steps(*spans: tuple[int, int]) -> str:
-    """A plan's JSON array, one step per (line_start, line_end)."""
+def _steps(*spans: tuple) -> str:
+    """A plan's JSON array, one step per (line_start, line_end), rated
+    high, or per (line_start, line_end, reduction)."""
     return json.dumps([{"line_start": a, "line_end": b, "title": "drop",
-                        "reduction": "high",
+                        "reduction": rated[0] if rated else "high",
                         "description": "remove redundant lines"}
-                       for a, b in spans])
+                       for a, b, *rated in spans])
 
 
 def _plan(line_start: int, line_end: int) -> str:
@@ -383,13 +403,15 @@ def test_session_json_is_byte_identical_across_reruns():
     assert first.to_json() == second.to_json()
 
 
-@pytest.mark.parametrize("budget", range(len(SCRIPT) + 1))
+@pytest.mark.parametrize("budget", range(len(SCRIPT) + 2))
 def test_session_never_exceeds_budget(budget):
     result, _ = _session(budget=budget)
     assert result.calls_used <= budget
     assert all(e.calls_used <= budget for e in result.trace.events)
     exhausted = result.termination == Termination.BUDGET_EXHAUSTED
-    assert exhausted == (budget < len(SCRIPT))
+    # The script's last reply, the empty plan, is asked only with two calls
+    # left: one for the plan and one for a step.
+    assert exhausted == (budget < len(SCRIPT) + 1)
 
 
 def test_empty_version_filter_warns_once_per_span_every_round():
@@ -484,11 +506,11 @@ MUTATED = "theorem t : 1 + 1 = 3 := by\n  norm_num\n  rfl"
 MUTATED_FAILING = FAILING.replace("1 + 1 = 2", "1 + 1 = 3")
 # No top-level := ends its statement, so it cannot be put back.
 UNSPLITTABLE = "theorem t : 1 + 1 = 2 by\n  norm_num\n  rfl"
-TWO_STEPS = _steps((2, 5), (3, 4))
+TWO_STEPS = _steps((2, 3), (4, 5))
 # Cut inside the second step, and inside the first.
 CUT_PLAN = _cut_plan(TWO_STEPS, TWO_STEPS.index("line_end", 60), closed=True)
 CUT_BEFORE_ANY_STEP = _cut_plan(TWO_STEPS, 20, closed=False)
-UNCLOSED_PLAN = _cut_plan(_steps((2, 5)), None, closed=False)
+UNCLOSED_PLAN = _cut_plan(_steps((2, 3)), None, closed=False)
 START = ["session_start", "retrieval", "plan_issued", "step_attempted"]
 ADOPTED = START + ["compile_result", "adoption", "termination"]
 SALVAGED = ["session_start", "retrieval", "warning"] + ADOPTED[2:]
@@ -498,8 +520,13 @@ REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
 # for lines 2-3 of MIDDLE, giving SHORTER.
 CHAIN_PLAN = "```json\n" + _steps((2, 3), (4, 5)) + "\n```"
 CHAINED = START + ["step_attempted"] + ADOPTED[4:]
-# Tied steps run in model order: 2-5, then 2-3.
-TIED_PLAN = "```json\n" + _steps((2, 5), (2, 3)) + "\n```"
+# Run bottom-up, its steps ask for lines 3-5, then for line 2.
+SPLIT_PLAN = "```json\n" + _steps((3, 5), (2, 2)) + "\n```"
+# Three steps, of which a budget of three asks two: by rating, 4-5 and 2-2.
+RATED_PLAN = "```json\n" + _steps((2, 2, "high"), (3, 3, "low"),
+                                  (4, 5, "medium")) + "\n```"
+# Equal ratings keep the plan's order: 4-5 and 2-2 again.
+EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
 
 
 @pytest.mark.parametrize(
@@ -519,8 +546,19 @@ TIED_PLAN = "```json\n" + _steps((2, 5), (2, 3)) + "\n```"
                      ["session_start", "retrieval", "plan_empty",
                       "termination"], [], id="no_viable_plan"),
         pytest.param([_plan(2, 5), _candidate(SHORTER)], {"budget": 1},
-                     Termination.BUDGET_EXHAUSTED, PROOF, 1,
-                     START + ["termination"], [], id="budget_exhausted"),
+                     Termination.BUDGET_EXHAUSTED, PROOF, 0,
+                     ["session_start", "termination"], [],
+                     id="budget_exhausted"),
+        pytest.param([_plan(2, 5), _candidate(SHORTER), EMPTY_PLAN],
+                     {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 2,
+                     ADOPTED[:-1] + ["termination"], [],
+                     id="one_call_left_asks_no_plan"),
+        pytest.param([RATED_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
+                     {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 3,
+                     CHAINED, [], id="plan_over_budget_asks_its_best_rated"),
+        pytest.param([EVEN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
+                     {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 3,
+                     CHAINED, [], id="equal_ratings_over_budget"),
         pytest.param([_plan(2, 5), "no fenced block", EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED, ["StepFailed"],
@@ -568,18 +606,20 @@ TIED_PLAN = "```json\n" + _steps((2, 5), (2, 3)) + "\n```"
         pytest.param([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
                      {"target_length": 5}, Termination.TARGET_REACHED,
                      SHORTER, 3, CHAINED, [], id="chain_of_two_drafts"),
-        pytest.param([CHAIN_PLAN, _candidate(MIDDLE)], {"budget": 2},
-                     Termination.BUDGET_EXHAUSTED, MIDDLE, 2, CHAINED, [],
+        pytest.param([CHAIN_PLAN, {"error": "transport"}, _candidate(MIDDLE)],
+                     {"budget": 3}, Termination.BUDGET_EXHAUSTED, MIDDLE, 3,
+                     START + ["warning"] + ADOPTED[4:], [],
                      id="budget_spent_after_the_first_draft"),
-        pytest.param([TIED_PLAN, _candidate(FAILING)],
+        pytest.param([SPLIT_PLAN, _candidate(FAILING)],
                      {"budget": 2, "max_debug_rounds": 1},
                      Termination.BUDGET_EXHAUSTED, PROOF, 2,
-                     CHAINED[:-2] + ["step_skipped", "termination"],
+                     START + ["compile_result", "step_skipped", "termination"],
                      ["no compiling candidate"],
                      id="budget_spent_after_a_failing_draft"),
-        pytest.param([CHAIN_PLAN, _candidate(SHORTER)], {"budget": 1},
-                     Termination.BUDGET_EXHAUSTED, PROOF, 1,
-                     START + ["termination"], [],
+        pytest.param([CUT_BEFORE_ANY_STEP, CHAIN_PLAN], {"budget": 2},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 2,
+                     ["session_start", "retrieval", "plan_issued",
+                      "termination"], [],
                      id="budget_spent_before_the_first_draft"),
     ])
 def test_scripted_session(script, config, termination, final, calls, kinds,
@@ -587,8 +627,9 @@ def test_scripted_session(script, config, termination, final, calls, kinds,
     bank, index, compiler, _ = _world()
     config = AgentConfig(**{"target_length": 1, "max_debug_rounds": 0,
                             **config})
-    result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
-                         compiler)
+    llm = ScriptedLLM(script)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    _assert_each_attempted_step_is_asked(result, llm)
     assert result.termination == termination
     assert result.final_proof == final
     assert result.calls_used == calls
@@ -672,13 +713,6 @@ def test_a_draft_that_is_not_shorter_is_not_compiled(draft):
 
 # --- a plan runs as one chain of drafts ---------------------------------------
 
-def _refactor_targets(llm) -> list[str]:
-    """The ``Target lines`` of each refactor prompt, in call order."""
-    return [line.removeprefix("Target lines: ") for messages in llm.calls
-            for line in messages[0]["content"].split("\n")
-            if line.startswith("Target lines: ")]
-
-
 def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile():
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
@@ -696,18 +730,28 @@ def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile():
         "new_length": proof_length(SHORTER), "debug_rounds": 0}
 
 
-@pytest.mark.parametrize("spans, targets", [
-    ([(2, 3), (4, 5)], ["4-5", "2-3"]),
-    ([(4, 5), (2, 3)], ["4-5", "2-3"]),
-    ([(2, 5), (2, 3), (4, 4)], ["4-4", "2-5", "2-3"]),
-], ids=["top_down", "bottom_up", "tie_in_model_order"])
-def test_a_plans_steps_run_bottom_up(spans, targets):
+@pytest.mark.parametrize("plan, budget, targets", [
+    (CHAIN_PLAN, 30, ["4-5", "2-3"]),
+    ("```json\n" + _steps((4, 5), (2, 3)) + "\n```", 30, ["4-5", "2-3"]),
+    # 2-3 overlaps 3-4, and 4-5 overlaps both 3-4 and 5-5.
+    ("```json\n" + _steps((3, 4), (2, 3), (5, 5), (4, 5)) + "\n```", 30,
+     ["5-5", "3-4"]),
+    (RATED_PLAN, 3, ["4-5", "2-2"]),
+    (EVEN_PLAN, 3, ["4-5", "2-2"]),
+], ids=["top_down", "bottom_up", "overlapping_steps_dropped",
+        "best_rated_within_budget", "equal_ratings_in_plan_order"])
+def test_a_plans_steps_run_bottom_up(plan, budget, targets):
     bank, index, compiler, _ = _world()
-    llm = ScriptedLLM(["```json\n" + _steps(*spans) + "\n```"]
-                      + ["no fenced block"] * len(spans) + [EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
-    run_session(PROOF, "", config, bank, index, llm, compiler)
+    llm = ScriptedLLM([plan] + ["no fenced block"] * len(targets)
+                      + [EMPTY_PLAN])
+    config = AgentConfig(budget=budget, target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert _refactor_targets(llm) == targets
+    # The event lists the positions of the steps the budget did not ask.
+    issued = result.trace.of_kind("plan_issued")[0].detail
+    assert issued.get("unasked", []) == [
+        i for i, s in enumerate(issued["steps"])
+        if f"{s['line_start']}-{s['line_end']}" not in targets]
 
 
 def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
@@ -726,9 +770,9 @@ def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
 
 def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
     bank, index, compiler, _ = _world()
-    # The tied step's draft is FAILING again once its statement is put
+    # The second step's draft is FAILING again once its statement is put
     # back, so it is not shorter than the chain; each debug round keeps it.
-    llm = ScriptedLLM([TIED_PLAN, _candidate(FAILING),
+    llm = ScriptedLLM([SPLIT_PLAN, _candidate(FAILING),
                        _candidate(MUTATED_FAILING), _candidate(FAILING),
                        _candidate(FAILING), EMPTY_PLAN])
     config = AgentConfig(target_length=1, max_debug_rounds=2)
@@ -960,12 +1004,20 @@ CANDIDATES = st.sampled_from([_candidate(p) for p in
 NOISE = st.sampled_from(["no json here", {"error": "transport"}, SHORTER])
 STEPS = st.one_of(CANDIDATES, CANDIDATES, NOISE)
 
+# Two to four one-line steps, disjoint, so a plan keeps them all.
+DISJOINT = st.lists(st.integers(2, 5), min_size=2, max_size=4,
+                    unique=True).map(lambda lines: [(a, a) for a in lines])
+
+
 @st.composite
-def chains(draw):
-    """A plan of two or three steps, then one step reply per step: a
-    chain of shorter, failing, restored and not-shorter drafts."""
-    spans = draw(st.lists(SPANS, min_size=2, max_size=3))
-    return ["```json\n" + _steps(*spans) + "\n```"] + draw(
+def chains(draw, spans=st.lists(SPANS, min_size=2, max_size=3) | DISJOINT):
+    """A plan of two to four steps, overlapping or not, each with a drawn
+    rating, then one step reply per step: a chain of shorter, failing,
+    restored and not-shorter drafts."""
+    spans = draw(spans)
+    rated = [span + (draw(st.sampled_from(REDUCTION_LEVELS)),)
+             for span in spans]
+    return ["```json\n" + _steps(*rated) + "\n```"] + draw(
         st.lists(STEPS, min_size=len(spans), max_size=len(spans)))
 
 
@@ -980,11 +1032,16 @@ EXCHANGES = st.one_of(
 
 @st.composite
 def sessions(draw):
-    budget = draw(st.integers(0, 8))
+    # One time in two, the first plan has more steps than the budget
+    # leaves calls for: a budget of 2..n for n disjoint steps.
+    first = draw(st.just([]) | chains(DISJOINT))
+    budget = draw(st.integers(2, len(first) - 1) if first
+                  else st.integers(0, 8))
     # At least one reply per call the budget allows: the script never runs
-    # out, as every exchange holds two to four replies.
-    exchanges = draw(st.lists(EXCHANGES, min_size=(budget + 1) // 2,
-                              max_size=(budget + 1) // 2 + 2))
+    # out, as every exchange holds two to five replies.
+    exchanges = [first] + draw(st.lists(EXCHANGES,
+                                        min_size=(budget + 1) // 2,
+                                        max_size=(budget + 1) // 2 + 2))
     script = [reply for exchange in exchanges for reply in exchange]
     target = draw(st.sampled_from([None, "v4.22.0"]))
     modes = [ObjectiveSpec(), ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME)]
@@ -1028,5 +1085,10 @@ def test_session_keeps_its_five_promises(drawn):
     # 4. LLM calls, transport failures included, never pass the budget.
     assert result.calls_used == len(llm.calls) <= config.budget
     assert all(e.calls_used <= config.budget for e in result.trace.events)
+    # A round starts only with a call for its plan and one for a step, and
+    # a step is attempted only when it is asked.
+    assert all(e.calls_used <= config.budget - 2
+               for e in result.trace.of_kind("retrieval"))
+    _assert_each_attempted_step_is_asked(result, llm)
     # 5. A re-run is byte-identical.
     assert _run(script, config)[0].to_json() == result.to_json()

@@ -40,4 +40,5 @@ def test_digests_repeat_with_no_error_within_the_budget(session_digests):
             assert "error" not in entry, (name, entry)
             assert entry["tokens_saved"] >= 0
             assert 0 <= entry["llm_calls"] <= small.budget
+            assert sum(entry["calls_by_role"].values()) == entry["llm_calls"]
             assert entry["compiles"] >= 1      # the input's precheck
