@@ -4,13 +4,16 @@ One session drives a single theorem: segment the current proof, retrieve
 strategies per segment under the user's objective, ask the planner for a
 step sequence, and run its steps bottom-up as one chain of drafts, each
 asked of the refactorer against the previous draft. The chain is compiled
-once, debugged a bounded number of rounds, and adopted only when it
-compiles and is strictly shorter. Every plan is followed by a replan; the
-loop stops with fewer than two calls left (a round needs one for its plan
-and one for a step), on reaching the target length, or when the planner
-has nothing left to propose. A fault outside the process (a
-missing toolchain, an exhausted script, an unreachable provider) ends the
-session with the best proof so far.
+once. While it fails, the lines it changed that an error flags are put
+back as the proof had them, at no LLM call; only when that gives no
+shorter proof that compiles is the debugger asked, a bounded number of
+rounds. A result is adopted only when it compiles and is strictly
+shorter. Every plan is followed by a replan; the loop stops with fewer
+than two calls left (a round needs one for its plan and one for a step),
+on reaching the target length, or when the planner has nothing left to
+propose. A fault outside the process (a missing toolchain, an exhausted
+script, an unreachable provider) ends the session with the best proof so
+far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. A plan with more
@@ -32,8 +35,12 @@ putting an altered statement back in ``_extract_candidate``; the budget,
 the transport retry and the trace in ``_Ledger``; whether a round may
 start, which steps of a plan the budget pays for, the chain's order and
 where it stops, in ``run_session``'s loop; one step's draft and
-its ``step_skipped`` in its ``draft``; the chain's compile and debug
-rounds, its acceptance and its ``step_skipped`` in ``verify``; the target
+its ``step_skipped`` in its ``draft``; which lines of a failing candidate
+are put back in ``_revert_flagged``, and whether that text is taken (it
+keeps the statement, is shorter and compiles) in its ``revert``; the
+chain's compile, the revert tried on every failing candidate before the
+debugger, the debug rounds, the acceptance and the chain's
+``step_skipped`` in ``verify``; the target
 toolchain, the one every check compiles under, at the top of
 ``run_session``; the session's compile memo, one check per distinct
 source, in its ``compile_source``; which faults end a session, in
@@ -42,6 +49,7 @@ source, in its ``compile_source``; which faults end a session, in
 
 from __future__ import annotations
 
+import difflib
 import functools
 import json
 from dataclasses import asdict, dataclass, field
@@ -99,7 +107,7 @@ OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
 class AgentConfig:
     budget: int = 30                 # LLM calls; a round needs two left
     target_length: int = 5           # stop once the proof is this short
-    max_debug_rounds: int = 3        # repair attempts per plan's chain
+    max_debug_rounds: int = 3        # debugger calls per chain; reverts are free
     objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
     toolchain_version: str | None = None   # None: objective's, else compiler's
 
@@ -375,6 +383,40 @@ def splice_error_markers(candidate: str,
     return "\n".join(lines)
 
 
+def _revert_flagged(candidate: str, proof: str,
+                    diagnostics: Iterable[Diagnostic]) -> str | None:
+    """``candidate`` with each line that an error flags and the draft
+    changed put back as ``proof`` has it.
+
+    The lines are aligned by ``difflib``; a flagged line in a ``replace``
+    hunk becomes that hunk's most alike ``proof`` line (the highest
+    ``SequenceMatcher.ratio``, the first of equal ones). Lines are
+    numbered as Lean numbers them, by ``\n`` alone, and every other line
+    is kept byte for byte. None when no flagged line lies in a
+    ``replace`` hunk, as for a timeout, which flags no line.
+    """
+    flagged = {d.line for d in diagnostics if d.severity == "error"}
+    if not flagged:
+        return None
+    old, new = proof.split("\n"), candidate.split("\n")
+    reverted = False
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, old, new, autojunk=False).get_opcodes():
+        if tag != "replace":
+            continue
+        for j in range(j1, j2):
+            if j + 1 in flagged:
+                # A matcher caches what it learns of its second sequence.
+                alike = difflib.SequenceMatcher(None, b=new[j])
+                ratios = []
+                for line in old[i1:i2]:
+                    alike.set_seq1(line)
+                    ratios.append(alike.ratio())
+                new[j] = old[i1 + ratios.index(max(ratios))]
+                reverted = True
+    return "\n".join(new) if reverted else None
+
+
 def debug(candidate: str, compile_result: CompileResult, original: str,
           llm, prev_round_num: int = 1) -> tuple[str, bool]:
     """One localized repair round from compiler feedback; returns the
@@ -463,9 +505,14 @@ def run_session(
     to run. Each step's draft is asked against the previous one and is
     kept only when it is strictly shorter; nothing is compiled yet. The
     chain stops early once a draft edits a line above its step, or
-    reaches ``target_length``. The chain is then compiled once, debugged
-    up to ``max_debug_rounds`` rounds, and adopted when it compiles on the
-    target and is shorter than the current proof. If the budget runs out
+    reaches ``target_length``. The chain is then compiled once. While it
+    fails, the lines it changed that an error flags are put back as the
+    current proof has them, at no call; that text is adopted when it keeps
+    the statement, is shorter and compiles, and records a ``revert``.
+    Otherwise the debugger is asked about the failing text, up to
+    ``max_debug_rounds`` rounds, and each failing reply is tried the same
+    way. A result is adopted when it compiles on the target and is
+    shorter than the current proof. If the budget runs out
     mid-plan (a transport retry spends a call too), the drafts so far are
     still compiled and may be adopted. A plan cut by the budget, before
     it was asked or while it ran, records no ``plan_failed``.
@@ -533,18 +580,46 @@ def run_session(
         ledger.add("step_skipped", skipped)
         return None
 
+    def revert(candidate: str, result: CompileResult, proof: str,
+               length: int) -> tuple[str, int] | None:
+        """``candidate`` with the lines its errors flag put back as
+        ``proof`` has them (``_revert_flagged``), and its length, when it
+        keeps ``proof``'s statement, is shorter than ``length`` and then
+        compiles; records the ``revert`` with the lines put back.
+        Otherwise None. Spends no LLM call."""
+        reverted = _revert_flagged(candidate, proof, result.diagnostics)
+        if reverted is None or not statement_preserved(proof, reverted):
+            return None
+        reverted_length = proof_length(reverted)
+        if reverted_length >= length or not compile_source(reverted)[0].ok:
+            return None
+        # A put-back line replaces one line, so the line numbers hold.
+        ledger.add("revert", {"lines": [
+            n for n, (was, now) in enumerate(zip(candidate.split("\n"),
+                                                 reverted.split("\n")), 1)
+            if was != now]})
+        return reverted, reverted_length
+
     def verify(chain: str, chain_length: int, proof: str,
                length: int) -> tuple[str, int, int] | None:
-        """Compile a plan's chain of drafts, and debug it while it fails,
-        for up to ``max_debug_rounds`` rounds that the budget still has.
-        Returns the result, its length and its debug rounds when it
-        compiles and is shorter than ``proof``; otherwise records the
-        chain's one ``step_skipped`` and returns None."""
+        """Compile a plan's chain of drafts. While it fails, try its
+        ``revert``, then ask the debugger about the failing text, for up
+        to ``max_debug_rounds`` rounds that the budget still has; each
+        failing reply is tried the same way. The revert runs with the
+        budget spent too, since compiles are free. Returns the result, its
+        length and its debug rounds when it compiles and is shorter than
+        ``proof``; otherwise records the chain's one ``step_skipped`` and
+        returns None."""
         candidate, rounds = chain, 0
         try:
             while True:
                 result = compile_candidate(candidate)
-                if (result.ok or rounds == config.max_debug_rounds
+                if result.ok:
+                    break
+                reverted = revert(candidate, result, proof, length)
+                if reverted is not None:
+                    return (*reverted, rounds)
+                if (rounds == config.max_debug_rounds
                         or ledger.used >= config.budget):
                     break
                 rounds += 1

@@ -200,14 +200,6 @@ class ToolchainRegistry:
                             _typed(item, "root", str, None, non_empty=True)))
         return cls(entries=tuple(entries))
 
-    def to_file(self, path: str | Path) -> None:
-        data = {
-            "schema_version": 1,
-            "toolchains": [{"version": v, "root": r} for v, r in self.entries],
-        }
-        with replacing(Path(path)) as fh:
-            fh.write((json.dumps(data, indent=2) + "\n").encode("utf-8"))
-
 
 @dataclass
 class Bank:
@@ -680,10 +672,6 @@ def read_pairs(path: str | Path,
     reader = _RecordReader(registry)
     return (pair for _, pair in _read_records(Path(path) / PAIRS_FILENAME,
                                               reader.pair))
-
-
-def strategy_id_for(title: str, description: str, when_to_apply: str) -> str:
-    return content_id("strategy", title, description, when_to_apply)
 
 
 def pair_id_for(statement: str, long_proof: str, short_proof: str) -> str:

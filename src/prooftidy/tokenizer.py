@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import random
 import re
 import zlib
 from dataclasses import dataclass
@@ -343,28 +342,3 @@ def segment(proof: str, sizes: list[int]) -> list[ProofSpan]:
     spans.append(_span_for(lines, 1, n))
     return spans
 
-
-def jitter_boundaries(
-    span: ProofSpan,
-    document: str,
-    max_jitter: int,
-    seed: int,
-) -> ProofSpan:
-    """Shift both span boundaries by independent uniform offsets.
-
-    Offsets are drawn from [-max_jitter, +max_jitter], clamped to the
-    document's line range, and reordered if they cross. Deterministic for a
-    fixed seed.
-    """
-    if max_jitter < 0:
-        raise ValueError("max_jitter must be >= 0")
-    rng = random.Random(seed)
-    lines = _lines(document) or [""]
-    n = len(lines)
-    start = span.line_start + rng.randint(-max_jitter, max_jitter)
-    end = span.line_end + rng.randint(-max_jitter, max_jitter)
-    start = min(max(start, 1), n)
-    end = min(max(end, 1), n)
-    if start > end:
-        start, end = end, start
-    return _span_for(lines, start, end)

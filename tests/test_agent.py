@@ -199,6 +199,50 @@ def test_error_markers_number_lines_as_lean_does(candidate, line, marked):
     assert got.replace("<error>", "").replace("</error>", "") == candidate
 
 
+def _errors(*lines: int, severity: str = "error") -> list[Diagnostic]:
+    return [Diagnostic(line, 2, severity, "unknown identifier")
+            for line in lines]
+
+
+# Lean numbers lines by "\n" alone; the carriage return, the form feed and
+# the trailing tab are bytes a put-back must keep.
+REVERT_PROOF = ("theorem t : P := by\r\n  have h : a := by\x0c simp\n"
+                "  exact Nat.pos_of_ne_zero h\n  rfl\t")
+# Deletes line 2 and renames the name on line 3, now line 2.
+REVERT_DRAFT = "theorem t : P := by\r\n  exact Nat.pos_iff_ne_zero h\n  rfl\t"
+# Its lines 2-4 are one hunk, drafted as two lines that both break.
+TWO_BROKEN_PROOF = ("theorem t : P := by\n  simp at h\n  clear x\n"
+                    "  exact foo_bar h\n  rfl")
+TWO_BROKEN_DRAFT = ("theorem t : P := by\n  simp at h'\n  exact foo_baz h\n"
+                    "  rfl")
+
+
+@pytest.mark.parametrize("proof, candidate, diagnostics, reverted", [
+    pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(2),
+                 "theorem t : P := by\r\n  exact Nat.pos_of_ne_zero h\n"
+                 "  rfl\t", id="changed_line_put_back"),
+    pytest.param(TWO_BROKEN_PROOF, TWO_BROKEN_DRAFT, _errors(2, 3),
+                 "theorem t : P := by\n  simp at h\n  exact foo_bar h\n  rfl",
+                 id="two_lines_in_one_hunk"),
+    # "  xa" and "  ya" are equally alike to "  xy": the first one wins.
+    pytest.param("t\n  xa\n  ya\n  rfl", "t\n  xy\n  rfl", _errors(2),
+                 "t\n  xa\n  rfl", id="first_of_equally_alike"),
+    pytest.param("t\n  ya\n  xa\n  rfl", "t\n  xy\n  rfl", _errors(2),
+                 "t\n  ya\n  rfl", id="first_of_equally_alike_swapped"),
+    pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(1, 3, 4), None,
+                 id="unchanged_lines_and_none_past_the_end"),
+    pytest.param(REVERT_PROOF,
+                 REVERT_PROOF.replace("  rfl", "  skip\n  rfl"), _errors(4),
+                 None, id="inserted_line"),
+    pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(2, severity="warning"),
+                 None, id="warning_only"),
+    pytest.param(REVERT_PROOF, REVERT_DRAFT, [], None, id="no_diagnostics"),
+])
+def test_revert_flagged_puts_back_only_broken_changed_lines(
+        proof, candidate, diagnostics, reverted):
+    assert agent._revert_flagged(candidate, proof, diagnostics) == reverted
+
+
 def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
     # Three lines to Lean; str.splitlines would see a fourth at the \x0c.
     proof = "theorem t : P := by\n  -- see\x0cnote\n  exact bad"
@@ -272,6 +316,13 @@ MIDDLE = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
           "  norm_num\n  rfl")
 # Compiles on the compiler's default toolchain and fails on v4.22.0.
 NATIVE_ONLY = "theorem t : 1 + 1 = 2 := by\n  decide"
+# PROOF without its line 4, and with line 3 naming hx, which the compiler
+# flags; line 3 put back as PROOF has it gives MIDDLE, two tokens shorter.
+RENAMED = ("theorem t : 1 + 1 = 2 := by\n  have h : 2 = 2 := rfl\n"
+           "  norm_num at hx\n  rfl")
+# PROOF with its line 4 cut short, which the compiler flags; line 4 put
+# back gives PROOF, which is not shorter.
+SIMP_CUT = PROOF.replace("simp only []", "simp")
 
 
 class CountingEmbedder:
@@ -315,10 +366,17 @@ SCRIPT = [_plan(2, 5), _candidate(FAILING), {"error": "transport"},
           _plan(2, 4), _candidate(SHORTER), "```json\n[]\n```"]
 
 
+def _flagged(line: int) -> CompileResult:
+    return CompileResult(Verdict.FAILURE, diagnostics=tuple(_errors(line)))
+
+
 def _world():
     """A three-strategy bank, its index over a counting embedder, and a
-    compiler that passes PROOF, MIDDLE and SHORTER, fails FAILING, and
-    passes NATIVE_ONLY on every toolchain but v4.22.0."""
+    compiler that passes PROOF, MIDDLE and SHORTER, fails FAILING, RENAMED
+    and SIMP_CUT, and passes NATIVE_ONLY on every toolchain but v4.22.0.
+
+    FAILING and NATIVE_ONLY fail on line 1, which no draft changes, so no
+    line of theirs is put back and the debugger is asked."""
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i, when_to_apply=f"pattern {i}") for i in range(3))},
         registry=REGISTRY)
@@ -327,10 +385,11 @@ def _world():
     embedder.batches.clear()
     ok = CompileResult(Verdict.SUCCESS)
     failure = CompileResult(Verdict.FAILURE, diagnostics=(
-        Diagnostic(3, 2, "error", "unknown id"),))
+        Diagnostic(1, 25, "error", "unsolved goals"),))
     compiler = MockCompiler(
         by_source={PROOF: ok, MIDDLE: ok, SHORTER: ok, FAILING: failure,
-                   NATIVE_ONLY: ok},
+                   NATIVE_ONLY: ok, RENAMED: _flagged(3),
+                   SIMP_CUT: _flagged(4)},
         by_version={"v4.22.0": {NATIVE_ONLY: failure}},
     )
     return bank, index, compiler, embedder
@@ -616,6 +675,17 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
                      START + ["compile_result", "step_skipped", "termination"],
                      ["no compiling candidate"],
                      id="budget_spent_after_a_failing_draft"),
+        pytest.param([_plan(2, 5), _candidate(RENAMED), EMPTY_PLAN], {},
+                     Termination.NO_VIABLE_PLAN, MIDDLE, 3,
+                     START + ["compile_result", "revert", "adoption",
+                              "retrieval", "plan_empty", "termination"], [],
+                     id="revert_with_no_debug_rounds"),
+        pytest.param([_plan(2, 5), _candidate(RENAMED)],
+                     {"budget": 2, "max_debug_rounds": 1},
+                     Termination.BUDGET_EXHAUSTED, MIDDLE, 2,
+                     START + ["compile_result", "revert", "adoption",
+                              "termination"], [],
+                     id="revert_with_the_budget_spent"),
         pytest.param([CUT_BEFORE_ANY_STEP, CHAIN_PLAN], {"budget": 2},
                      Termination.BUDGET_EXHAUSTED, PROOF, 2,
                      ["session_start", "retrieval", "plan_issued",
@@ -786,6 +856,79 @@ def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
     assert [e.detail for e in result.trace.of_kind("plan_failed")] == [
         {"steps": 2}]
     assert "- (plan of 2 steps, Failed)" in llm.calls[-1][0]["content"]
+
+
+# --- putting back the lines a draft broke ------------------------------------
+
+def _debugger_prompts(llm) -> list[str]:
+    return [messages[0]["content"] for messages in llm.calls
+            if "Candidate with error markers" in messages[0]["content"]]
+
+
+def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call():
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([_plan(2, 5), _candidate(RENAMED), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=3)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == MIDDLE
+    assert result.final_length == proof_length(MIDDLE)
+    assert result.calls_used == 3
+    assert _debugger_prompts(llm) == []
+    assert [source for _, source in compiler.calls] == [PROOF, RENAMED,
+                                                         MIDDLE]
+    assert [e.detail for e in result.trace.of_kind("revert")] == [
+        {"lines": [3]}]
+    assert result.trace.of_kind("debug_round") == []
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail["new_length"] == proof_length(MIDDLE)
+    assert adoption.detail["debug_rounds"] == 0
+
+
+@pytest.mark.parametrize("draft, revert_fails, compiled", [
+    # Line 4 put back gives PROOF, which is not shorter and is not
+    # compiled again.
+    (SIMP_CUT, False, [PROOF, SIMP_CUT, SHORTER]),
+    (RENAMED, True, [PROOF, RENAMED, MIDDLE, SHORTER]),
+], ids=["revert_not_shorter", "revert_fails_to_compile"])
+def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
+        draft, revert_fails, compiled):
+    bank, index, compiler, _ = _world()
+    if revert_fails:
+        compiler.by_source[MIDDLE] = _flagged(3)
+    llm = ScriptedLLM([_plan(2, 5), _candidate(draft), _candidate(SHORTER)])
+    config = AgentConfig(target_length=5, max_debug_rounds=1)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    assert [source for _, source in compiler.calls] == compiled
+    assert result.trace.of_kind("revert") == []
+    # The debugger is asked about the draft itself, not its revert.
+    (prompt,) = _debugger_prompts(llm)
+    assert splice_error_markers(
+        draft, compiler.by_source[draft].errors()) in prompt
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail["debug_rounds"] == 1
+
+
+def test_a_revert_that_alters_the_statement_is_not_taken():
+    # The draft breaks its statement over lines 1-2 elsewhere, keeping the
+    # statement; putting back line 2 alone would drop its "+".
+    proof = "theorem t : 1 +\n  1 = 2 := by\n  norm_num\n  simp only []\n  rfl"
+    draft = "theorem t : 1\n  + 1 = 2 := by\n  norm_num\n  rfl"
+    altered = "theorem t : 1\n  1 = 2 := by\n  norm_num\n  rfl"
+    assert agent._revert_flagged(draft, proof, _errors(2)) == altered
+    assert not statement_preserved(proof, altered)
+    bank, index, _, _ = _world()
+    ok = CompileResult(Verdict.SUCCESS)
+    compiler = MockCompiler(by_source={proof: ok, draft: _flagged(2),
+                                       altered: ok})
+    llm = ScriptedLLM([_plan(4, 4), _candidate(draft), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(proof, "", config, bank, index, llm, compiler)
+    assert result.final_proof == proof
+    assert [source for _, source in compiler.calls] == [proof, draft]
+    assert result.trace.of_kind("revert") == []
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "no compiling candidate", "debug_rounds": 0}]
 
 
 # --- faults from outside the process -----------------------------------------
@@ -996,10 +1139,12 @@ def cut_plans(draw):
 
 PLANS = st.one_of(SPANS.map(lambda span: _plan(*span)), cut_plans())
 # MUTATED and MUTATED_FAILING get their statement put back, and the
-# latter then fails to compile.
+# latter then fails to compile. RENAMED and SIMP_CUT fail on a line they
+# changed: the first is put back, the second goes to the debugger.
 CANDIDATES = st.sampled_from([_candidate(p) for p in
                               (SHORTER, MIDDLE, NATIVE_ONLY, FAILING, PROOF,
-                               MUTATED, MUTATED_FAILING, UNSPLITTABLE)])
+                               MUTATED, MUTATED_FAILING, UNSPLITTABLE,
+                               RENAMED, SIMP_CUT)])
 # Unparseable text, a transport failure, and a candidate outside any fence.
 NOISE = st.sampled_from(["no json here", {"error": "transport"}, SHORTER])
 STEPS = st.one_of(CANDIDATES, CANDIDATES, NOISE)

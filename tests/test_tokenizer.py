@@ -17,7 +17,6 @@ from prooftidy.tokenizer import (
     ProofSpan,
     _line_tokens,
     _lines,
-    jitter_boundaries,
     lex,
     line_count,
     proof_length,
@@ -302,8 +301,6 @@ def test_lines_break_at_newline_only_as_lean_counts_them(brk):
         # No span starts or ends inside line 2.
         assert ("see" in span.text) == (f"see{brk}note" in span.text)
     assert spans[-1] == ProofSpan(1, 3, proof)
-    whole = jitter_boundaries(ProofSpan(1, 3, proof), proof, 0, seed=1)
-    assert whole.text == proof
 
 
 @pytest.mark.parametrize("text, count", [
@@ -398,26 +395,3 @@ def test_a_blank_line_is_a_cut_once_the_window_holds_half_its_size(size):
     lines = [""] + filler[:shortest - 2] + ["   "] + filler
     assert _ranges(_windows(lines, size)[:1]) == [(1, shortest)]
 
-
-# --- jitter_boundaries -------------------------------------------------------
-
-def test_jitter_zero_is_identity():
-    doc = "a\nb\nc\nd\ne"
-    span = ProofSpan(2, 4, "b\nc\nd")
-    assert jitter_boundaries(span, doc, 0, seed=1) == span
-
-
-def test_jitter_clamps_to_document():
-    doc = "a\nb\nc\nd\ne"
-    span = ProofSpan(1, 5, doc)
-    for seed in range(50):
-        out = jitter_boundaries(span, doc, 10, seed=seed)
-        assert 1 <= out.line_start <= out.line_end <= 5
-
-
-def test_jitter_deterministic_under_seed():
-    doc = "\n".join(f"l{i}" for i in range(30))
-    span = ProofSpan(10, 20, "")
-    a = jitter_boundaries(span, doc, 3, seed=42)
-    b = jitter_boundaries(span, doc, 3, seed=42)
-    assert a == b
