@@ -25,9 +25,10 @@ NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
          "abs_sub_lt_iff", "pow_two")
 
 
-def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic], str]:
+def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
+                                  tuple[str, list[int]]]:
     """A proof of ``n_lines`` lines, its draft, the draft's diagnostics and
-    the draft with its flagged line put back."""
+    the draft with its flagged line put back, with that line's number."""
     rng = random.Random(n_lines)
     lines = ["theorem t (a b : ℕ) (h : a ≤ b) : a * a ≤ b * b := by"]
     for j in range(1, n_lines - 1):
@@ -47,7 +48,8 @@ def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic], str]:
     draft[renamed] = draft[renamed].replace(name, name + "_old")
     diagnostics = [Diagnostic(renamed + 1, 4, "error",
                               f"unknown identifier '{name}_old'")]
-    return "\n".join(lines), "\n".join(draft), diagnostics, "\n".join(kept)
+    return ("\n".join(lines), "\n".join(draft), diagnostics,
+            ("\n".join(kept), [renamed + 1]))
 
 
 @pytest.mark.parametrize("n_lines", [45, 300])

@@ -19,32 +19,31 @@ The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. A plan with more
 steps than calls left asks only as many as the calls pay for, the ones
 the planner rates highest (``REDUCTION_LEVELS`` order, ties in plan
-order). A faulty reply is
-salvaged before another call is paid for: a cut-off plan keeps its
-complete steps, and an altered statement is put back. With scripted LLM
-and compiler mocks a session is byte-deterministic.
+order). A faulty reply is salvaged before another call is paid for: a
+cut-off plan keeps its complete steps, and an altered statement is put
+back. With scripted LLM and compiler mocks a session is byte-deterministic.
 
 Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
 which version it filters by in ``ObjectiveSpec.filter_version``; what a
 theorem's statement is in ``tokenizer.statement_of``, which
-``statement_preserved`` applies to each candidate, scanning each proof
-text once; what a plan reply holds, whole or cut off, in ``_parse_plan``
-(a cut-off array's complete steps in ``prompts.leading_json_items``), and
-which of its steps are kept, disjoint and in range, in ``_validate_steps``;
-putting an altered statement back in ``_extract_candidate``; the budget,
-the transport retry and the trace in ``_Ledger``; whether a round may
-start, which steps of a plan the budget pays for, the chain's order and
-where it stops, in ``run_session``'s loop; one step's draft and
-its ``step_skipped`` in its ``draft``; which lines of a failing candidate
-are put back in ``_revert_flagged``, and whether that text is taken (it
-keeps the statement, is shorter and compiles) in its ``revert``; the
-chain's compile, the revert tried on every failing candidate before the
-debugger, the debug rounds, the acceptance and the chain's
-``step_skipped`` in ``verify``; the target
-toolchain, the one every check compiles under, at the top of
-``run_session``; the session's compile memo, one check per distinct
-source, in its ``compile_source``; which faults end a session, in
-``OUTSIDE_FAULTS``.
+``statement_preserved`` applies against the session's input, scanning
+each text once; what a plan reply holds, whole or cut off, in
+``_parse_plan`` (a cut-off array's complete steps in
+``prompts.leading_json_items``), and which of its steps are kept,
+disjoint and in range, in ``_validate_steps``; a refactor or debugger
+reply's candidate, with an altered statement put back as the input has
+it, in ``_extract_candidate``, read by ``run_session``'s ``candidate_of``;
+the budget (``left``), the transport retry and the trace in ``_Ledger``;
+whether a round may start, which steps of a plan the budget pays for,
+the chain's order and where it stops, in ``run_session``'s loop; one
+step's draft and its ``step_skipped`` in its ``draft``; which lines of a
+failing candidate are put back in ``_revert_flagged``, and whether that
+text is taken (it keeps the input's statement, is shorter and compiles)
+in its ``revert``; the chain's compile, the revert tried on every failing
+candidate before the debugger, the debug rounds, the acceptance and the
+chain's ``step_skipped`` in ``verify``; the target toolchain, in
+``run_session``; the compile memo, one check per source, in its
+``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -174,13 +173,18 @@ class _Ledger:
 
     def __init__(self, llm, budget: int):
         self._llm = llm
-        self.budget = budget
+        self._budget = budget
         self.used = 0
         self.trace = SessionTrace()
 
+    @property
+    def left(self) -> int:
+        """The calls the budget still pays for."""
+        return self._budget - self.used
+
     def complete(self, messages) -> str:
         while True:
-            if self.used >= self.budget:
+            if not self.left:
                 raise _OutOfBudget()
             self.used += 1
             try:
@@ -189,7 +193,7 @@ class _Ledger:
                 self.add("warning", {"message": f"llm transport retry: {exc}"})
 
     def add(self, kind: str, detail: dict) -> None:
-        assert self.used <= self.budget, "LLM call counter exceeded the budget"
+        assert self.left >= 0, "LLM call counter exceeded the budget"
         self.trace.events.append(TraceEvent(kind, detail, self.used))
 
 
@@ -292,8 +296,8 @@ def plan(proof: str, retrieved: list[dict], history: list[str], llm,
     return result
 
 
-# A session guards every candidate against its current proof; the memo
-# holds the proofs of a few sessions running in parallel.
+# A session guards every candidate against its input, so it scans that
+# statement once; the memo holds the inputs of a few parallel sessions.
 @functools.lru_cache(maxsize=8)
 def _statement_of(original: str) -> tuple[str, str] | None:
     """``statement_of(original)``; None for a malformed declaration."""
@@ -346,9 +350,8 @@ def _extract_candidate(raw: str, original: str) -> tuple[str, bool]:
 
 
 def refactor_step(proof: str, step: PlanStep, llm,
-                  deps_context: str = "") -> tuple[str, bool]:
-    """Execute one planned step; returns the candidate proof text and
-    whether its statement was put back."""
+                  deps_context: str = "") -> str:
+    """The refactorer's reply to one planned step on ``proof``."""
     prompt = render(
         "refactor",
         proof=proof,
@@ -359,8 +362,7 @@ def refactor_step(proof: str, step: PlanStep, llm,
         reduction=step.reduction,
         description=step.description,
     )
-    raw = llm.complete([{"role": "user", "content": prompt}])
-    return _extract_candidate(raw, proof)
+    return llm.complete([{"role": "user", "content": prompt}])
 
 
 def splice_error_markers(candidate: str,
@@ -384,9 +386,10 @@ def splice_error_markers(candidate: str,
 
 
 def _revert_flagged(candidate: str, proof: str,
-                    diagnostics: Iterable[Diagnostic]) -> str | None:
+                    diagnostics: Iterable[Diagnostic]
+                    ) -> tuple[str, list[int]] | None:
     """``candidate`` with each line that an error flags and the draft
-    changed put back as ``proof`` has it.
+    changed put back as ``proof`` has it, and those lines' numbers.
 
     The lines are aligned by ``difflib``; a flagged line in a ``replace``
     hunk becomes that hunk's most alike ``proof`` line (the highest
@@ -399,7 +402,7 @@ def _revert_flagged(candidate: str, proof: str,
     if not flagged:
         return None
     old, new = proof.split("\n"), candidate.split("\n")
-    reverted = False
+    lines = []
     for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
             None, old, new, autojunk=False).get_opcodes():
         if tag != "replace":
@@ -413,15 +416,14 @@ def _revert_flagged(candidate: str, proof: str,
                     alike.set_seq1(line)
                     ratios.append(alike.ratio())
                 new[j] = old[i1 + ratios.index(max(ratios))]
-                reverted = True
-    return "\n".join(new) if reverted else None
+                lines.append(j + 1)
+    return ("\n".join(new), lines) if lines else None
 
 
-def debug(candidate: str, compile_result: CompileResult, original: str,
-          llm, prev_round_num: int = 1) -> tuple[str, bool]:
-    """One localized repair round from compiler feedback; returns the
-    repaired candidate, with ``original``'s statement, and whether that
-    statement was put back."""
+def debug(candidate: str, compile_result: CompileResult, llm,
+          prev_round_num: int = 1) -> str:
+    """The debugger's reply to one localized repair round on ``candidate``,
+    from its compiler feedback."""
     if compile_result.verdict == Verdict.TIMEOUT:
         marked = candidate
         errors_text = "compilation timed out"
@@ -437,8 +439,7 @@ def debug(candidate: str, compile_result: CompileResult, original: str,
         marked_candidate=marked,
         errors=errors_text,
     )
-    raw = llm.complete([{"role": "user", "content": prompt}])
-    return _extract_candidate(raw, original)
+    return llm.complete([{"role": "user", "content": prompt}])
 
 
 def _merge_retrievals(
@@ -507,15 +508,16 @@ def run_session(
     chain stops early once a draft edits a line above its step, or
     reaches ``target_length``. The chain is then compiled once. While it
     fails, the lines it changed that an error flags are put back as the
-    current proof has them, at no call; that text is adopted when it keeps
-    the statement, is shorter and compiles, and records a ``revert``.
+    current proof has them, at no call, and a ``revert`` records whether
+    that text is taken: it keeps the statement, is shorter and compiles.
     Otherwise the debugger is asked about the failing text, up to
     ``max_debug_rounds`` rounds, and each failing reply is tried the same
-    way. A result is adopted when it compiles on the target and is
-    shorter than the current proof. If the budget runs out
-    mid-plan (a transport retry spends a call too), the drafts so far are
-    still compiled and may be adopted. A plan cut by the budget, before
-    it was asked or while it ran, records no ``plan_failed``.
+    way. Every reply is guarded against the input's statement. A result
+    is adopted when it compiles on the target and is shorter than the
+    current proof. If the budget runs out mid-plan (a transport retry
+    spends a call too), the drafts so far are still compiled and may be
+    adopted. A plan cut by the budget, before it was asked or while it
+    ran, records no ``plan_failed``.
 
     The input proof must compile under the target toolchain; sessions are
     strictly sequential internally, but many sessions may run in parallel
@@ -524,8 +526,7 @@ def run_session(
     Raises:
         PreconditionFailed: the input proof does not compile.
     """
-    embedder = getattr(index, "embedder", None)
-    if embedder is None:
+    if index.embedder is None:
         raise ValueError("index must be built with StrategyIndex.build "
                          "(it carries the query embedder)")
     # Every check compiles on the target toolchain: the one the config
@@ -538,25 +539,24 @@ def run_session(
     # kept, a timeout is.
     compiled: dict[str, CompileResult] = {}
 
-    def compile_source(source: str) -> tuple[CompileResult, bool]:
-        """The check of ``source``, and whether the memo already held it."""
+    def compile_source(source: str) -> tuple[CompileResult, dict]:
+        """The check of ``source``, and its verdict as a trace detail,
+        ``cached`` when the memo already held it."""
         if source in compiled:
-            return compiled[source], True
+            result = compiled[source]
+            return result, {"verdict": result.verdict.value, "cached": True}
         result = compiled[source] = compiler.check(CompileRequest(
             source=source, toolchain_version=version))
-        return result, False
+        return result, {"verdict": result.verdict.value}
 
-    def compile_candidate(candidate: str) -> CompileResult:
-        result, cached = compile_source(candidate)
-        detail = {"verdict": result.verdict.value}
-        if cached:
-            detail["cached"] = True
-        ledger.add("compile_result", detail)
-        return result
-
-    def warn_restored() -> None:
-        ledger.add("warning", {"message": "candidate altered the theorem "
-                               "statement; put the statement back"})
+    def candidate_of(raw: str) -> str:
+        """A refactor or debugger reply's candidate, guarded against the
+        input; warns when its statement was put back."""
+        candidate, restored = _extract_candidate(raw, proof)
+        if restored:
+            ledger.add("warning", {"message": "candidate altered the theorem "
+                                   "statement; put the statement back"})
+        return candidate
 
     def draft(step: PlanStep, chain: str,
               length: int) -> tuple[str, int] | None:
@@ -565,13 +565,11 @@ def run_session(
         ``chain``; otherwise records the step's one ``step_skipped`` and
         returns None."""
         try:
-            candidate, restored = refactor_step(chain, step, ledger,
-                                                deps_context)
+            candidate = candidate_of(refactor_step(chain, step, ledger,
+                                                   deps_context))
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc)}
         else:
-            if restored:
-                warn_restored()
             candidate_length = proof_length(candidate)
             if candidate_length < length:
                 return candidate, candidate_length
@@ -580,54 +578,55 @@ def run_session(
         ledger.add("step_skipped", skipped)
         return None
 
-    def revert(candidate: str, result: CompileResult, proof: str,
-               length: int) -> tuple[str, int] | None:
-        """``candidate`` with the lines its errors flag put back as
-        ``proof`` has them (``_revert_flagged``), and its length, when it
-        keeps ``proof``'s statement, is shorter than ``length`` and then
-        compiles; records the ``revert`` with the lines put back.
-        Otherwise None. Spends no LLM call."""
-        reverted = _revert_flagged(candidate, proof, result.diagnostics)
-        if reverted is None or not statement_preserved(proof, reverted):
+    def revert(candidate: str,
+               result: CompileResult) -> tuple[str, int] | None:
+        """``candidate`` with the lines its errors flag put back as the
+        current proof has them (``_revert_flagged``), and its length, when
+        it keeps the input's statement, is shorter and then compiles;
+        otherwise None, and its ``revert`` says why (``rejected``, and a
+        failed compile's verdict). Spends no LLM call."""
+        put_back = _revert_flagged(candidate, current, result.diagnostics)
+        if put_back is None:
             return None
+        reverted, lines = put_back
         reverted_length = proof_length(reverted)
-        if reverted_length >= length or not compile_source(reverted)[0].ok:
-            return None
-        # A put-back line replaces one line, so the line numbers hold.
-        ledger.add("revert", {"lines": [
-            n for n, (was, now) in enumerate(zip(candidate.split("\n"),
-                                                 reverted.split("\n")), 1)
-            if was != now]})
-        return reverted, reverted_length
+        detail = {"lines": lines}
+        if not statement_preserved(proof, reverted):
+            detail["rejected"] = "statement altered"
+        elif reverted_length >= current_length:
+            detail["rejected"] = "not shorter"
+        else:
+            check, verdict = compile_source(reverted)
+            if not check.ok:
+                detail.update(rejected="does not compile", **verdict)
+        ledger.add("revert", detail)
+        return None if "rejected" in detail else (reverted, reverted_length)
 
-    def verify(chain: str, chain_length: int, proof: str,
-               length: int) -> tuple[str, int, int] | None:
+    def verify(chain: str, chain_length: int) -> tuple[str, int, int] | None:
         """Compile a plan's chain of drafts. While it fails, try its
         ``revert``, then ask the debugger about the failing text, for up
         to ``max_debug_rounds`` rounds that the budget still has; each
         failing reply is tried the same way. The revert runs with the
         budget spent too, since compiles are free. Returns the result, its
         length and its debug rounds when it compiles and is shorter than
-        ``proof``; otherwise records the chain's one ``step_skipped`` and
-        returns None."""
+        the current proof; otherwise records the chain's one
+        ``step_skipped`` and returns None."""
         candidate, rounds = chain, 0
         try:
             while True:
-                result = compile_candidate(candidate)
+                result, verdict = compile_source(candidate)
+                ledger.add("compile_result", verdict)
                 if result.ok:
                     break
-                reverted = revert(candidate, result, proof, length)
+                reverted = revert(candidate, result)
                 if reverted is not None:
                     return (*reverted, rounds)
-                if (rounds == config.max_debug_rounds
-                        or ledger.used >= config.budget):
+                if rounds == config.max_debug_rounds or not ledger.left:
                     break
                 rounds += 1
-                candidate, restored = debug(candidate, result, proof, ledger,
-                                            rounds)
+                raw = debug(candidate, result, ledger, rounds)
                 ledger.add("debug_round", {"round": rounds})
-                if restored:
-                    warn_restored()
+                candidate = candidate_of(raw)
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc),
                        "debug_rounds": rounds}
@@ -638,7 +637,7 @@ def run_session(
             else:
                 candidate_length = (proof_length(candidate) if rounds
                                     else chain_length)
-                if candidate_length < length:
+                if candidate_length < current_length:
                     return candidate, candidate_length, rounds
                 skipped = {"reason": "candidate not shorter",
                            "candidate_length": candidate_length}
@@ -669,7 +668,7 @@ def run_session(
                 f"{[d.message for d in precheck.errors()][:3]}"
             )
         while True:
-            left = config.budget - ledger.used
+            left = ledger.left
             # With no call left the session ends exhausted, at the target too.
             if left and current_length <= config.target_length:
                 # Every adoption is strictly shorter.
@@ -685,7 +684,7 @@ def run_session(
             fresh = list(dict.fromkeys(
                 s.text for s in spans if s.text not in retrieved))
             if fresh:
-                for text, vector in zip(fresh, embedder.embed(fresh)):
+                for text, vector in zip(fresh, index.embedder.embed(fresh)):
                     retrieved[text] = retrieve(index, bank, vector,
                                                config.objective)
             per_span = [(span, retrieved[span.text]) for span in spans]
@@ -717,7 +716,7 @@ def run_session(
             steps = plan_result.steps
             ranked = sorted(range(len(steps)), key=lambda i:
                             REDUCTION_LEVELS.index(steps[i].reduction))
-            left = config.budget - ledger.used
+            left = ledger.left
             asked, unasked = ranked[:left], sorted(ranked[left:])
             issued = {"steps": [dict(vars(s)) for s in steps]}
             if unasked:
@@ -731,7 +730,7 @@ def run_session(
             exhausted = bool(unasked)  # the budget cut this plan
             for step in sorted((steps[i] for i in asked),
                                key=lambda s: -s.line_start):
-                if ledger.used >= config.budget:  # transport retries spent it
+                if not ledger.left:  # transport retries spent it
                     exhausted = True
                     break
                 ledger.add("step_attempted", {"step": dict(vars(step))})
@@ -751,8 +750,7 @@ def run_session(
                     break
             # With the budget spent, the drafts so far are still compiled:
             # compiles are free.
-            adopted = (verify(chain, chain_length, current, current_length)
-                       if drafted else None)
+            adopted = verify(chain, chain_length) if drafted else None
             if adopted is not None:
                 current, current_length, rounds = adopted
                 history.extend(f"({s.title} @ {s.line_start}-{s.line_end}, "

@@ -219,16 +219,16 @@ TWO_BROKEN_DRAFT = ("theorem t : P := by\n  simp at h'\n  exact foo_baz h\n"
 
 @pytest.mark.parametrize("proof, candidate, diagnostics, reverted", [
     pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(2),
-                 "theorem t : P := by\r\n  exact Nat.pos_of_ne_zero h\n"
-                 "  rfl\t", id="changed_line_put_back"),
+                 ("theorem t : P := by\r\n  exact Nat.pos_of_ne_zero h\n"
+                  "  rfl\t", [2]), id="changed_line_put_back"),
     pytest.param(TWO_BROKEN_PROOF, TWO_BROKEN_DRAFT, _errors(2, 3),
-                 "theorem t : P := by\n  simp at h\n  exact foo_bar h\n  rfl",
-                 id="two_lines_in_one_hunk"),
+                 ("theorem t : P := by\n  simp at h\n  exact foo_bar h\n"
+                  "  rfl", [2, 3]), id="two_lines_in_one_hunk"),
     # "  xa" and "  ya" are equally alike to "  xy": the first one wins.
     pytest.param("t\n  xa\n  ya\n  rfl", "t\n  xy\n  rfl", _errors(2),
-                 "t\n  xa\n  rfl", id="first_of_equally_alike"),
+                 ("t\n  xa\n  rfl", [2]), id="first_of_equally_alike"),
     pytest.param("t\n  ya\n  xa\n  rfl", "t\n  xy\n  rfl", _errors(2),
-                 "t\n  ya\n  rfl", id="first_of_equally_alike_swapped"),
+                 ("t\n  ya\n  rfl", [2]), id="first_of_equally_alike_swapped"),
     pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(1, 3, 4), None,
                  id="unchanged_lines_and_none_past_the_end"),
     pytest.param(REVERT_PROOF,
@@ -622,6 +622,12 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED, ["StepFailed"],
                      id="StepFailed"),
+        # The billed debugger call is a round before its reply is read.
+        pytest.param([_plan(2, 5), _candidate(FAILING), "no fenced block",
+                      EMPTY_PLAN], {"max_debug_rounds": 1},
+                     Termination.NO_VIABLE_PLAN, PROOF, 4,
+                     START + ["compile_result", "debug_round", "step_skipped"]
+                     + REPLANNED, ["StepFailed"], id="StepFailed_in_debug"),
         pytest.param([_plan(2, 5), _candidate(UNSPLITTABLE), EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED,
@@ -884,14 +890,16 @@ def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call():
     assert adoption.detail["debug_rounds"] == 0
 
 
-@pytest.mark.parametrize("draft, revert_fails, compiled", [
+@pytest.mark.parametrize("draft, revert_fails, compiled, reverted", [
     # Line 4 put back gives PROOF, which is not shorter and is not
     # compiled again.
-    (SIMP_CUT, False, [PROOF, SIMP_CUT, SHORTER]),
-    (RENAMED, True, [PROOF, RENAMED, MIDDLE, SHORTER]),
+    (SIMP_CUT, False, [PROOF, SIMP_CUT, SHORTER],
+     {"lines": [4], "rejected": "not shorter"}),
+    (RENAMED, True, [PROOF, RENAMED, MIDDLE, SHORTER],
+     {"lines": [3], "rejected": "does not compile", "verdict": "failure"}),
 ], ids=["revert_not_shorter", "revert_fails_to_compile"])
 def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
-        draft, revert_fails, compiled):
+        draft, revert_fails, compiled, reverted):
     bank, index, compiler, _ = _world()
     if revert_fails:
         compiler.by_source[MIDDLE] = _flagged(3)
@@ -900,7 +908,10 @@ def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     assert [source for _, source in compiler.calls] == compiled
-    assert result.trace.of_kind("revert") == []
+    assert [e.detail for e in result.trace.of_kind("revert")] == [reverted]
+    # Every compile after the precheck is in the trace, the revert's too.
+    verdicts = [e for e in result.trace.events if "verdict" in e.detail]
+    assert len(verdicts) == len(compiled) - 1
     # The debugger is asked about the draft itself, not its revert.
     (prompt,) = _debugger_prompts(llm)
     assert splice_error_markers(
@@ -915,7 +926,7 @@ def test_a_revert_that_alters_the_statement_is_not_taken():
     proof = "theorem t : 1 +\n  1 = 2 := by\n  norm_num\n  simp only []\n  rfl"
     draft = "theorem t : 1\n  + 1 = 2 := by\n  norm_num\n  rfl"
     altered = "theorem t : 1\n  1 = 2 := by\n  norm_num\n  rfl"
-    assert agent._revert_flagged(draft, proof, _errors(2)) == altered
+    assert agent._revert_flagged(draft, proof, _errors(2)) == (altered, [2])
     assert not statement_preserved(proof, altered)
     bank, index, _, _ = _world()
     ok = CompileResult(Verdict.SUCCESS)
@@ -926,9 +937,48 @@ def test_a_revert_that_alters_the_statement_is_not_taken():
     result = run_session(proof, "", config, bank, index, llm, compiler)
     assert result.final_proof == proof
     assert [source for _, source in compiler.calls] == [proof, draft]
-    assert result.trace.of_kind("revert") == []
+    assert [e.detail for e in result.trace.of_kind("revert")] == [
+        {"lines": [2], "rejected": "statement altered"}]
     assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
         {"reason": "no compiling candidate", "debug_rounds": 0}]
+
+
+# --- every reply is read against the input -----------------------------------
+
+def test_a_session_scans_its_inputs_statement_once(monkeypatch):
+    scanned = []
+
+    def counted(text):
+        scanned.append(text)
+        return statement_of(text)
+
+    monkeypatch.setattr(agent, "statement_of", counted)
+    agent._statement_of.cache_clear()
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
+    config = AgentConfig(target_length=5, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    # Both drafts start with the input's header, so neither is scanned.
+    assert scanned == [PROOF]
+
+
+def test_a_put_back_statement_is_the_inputs_after_a_header_rewrite():
+    # MIDDLE with a doubled space in its header: same statement, new bytes.
+    spaced = MIDDLE.replace("t : 1", "t :  1")
+    bank, index, compiler, _ = _world()
+    compiler.by_source[spaced] = CompileResult(Verdict.SUCCESS)
+    # The second round's reply alters the statement and drops line 2.
+    llm = ScriptedLLM([_plan(4, 4), _candidate(spaced), _plan(2, 2),
+                       _candidate(MUTATED), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert [e.detail["new_length"] for e in result.trace.of_kind("adoption")] \
+        == [proof_length(spaced), proof_length(SHORTER)]
+    # The input's header comes back, not the adopted proof's.
+    assert result.final_proof == SHORTER
+    assert [e.detail["message"] for e in result.trace.of_kind("warning")] == [
+        "candidate altered the theorem statement; put the statement back"]
 
 
 # --- faults from outside the process -----------------------------------------

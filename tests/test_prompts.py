@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prooftidy import agent
-from prooftidy.agent import AgentConfig, PlanStep, refactor_step, run_session
+from prooftidy.agent import AgentConfig, _extract_candidate, run_session
 from prooftidy.llm import ScriptedLLM
 from prooftidy.prompts import (
     _load,
@@ -74,9 +74,7 @@ def test_fenced_block_edge_cases(text, block):
     ("```lean4\n" + SHORTER + "\n```\n```lean\n" + PROOF + "\n```", SHORTER),
 ])
 def test_refactor_reply_falls_back_from_lean4_to_lean(reply, candidate):
-    step = PlanStep(2, 5, "drop", "high", "remove redundant lines")
-    assert refactor_step(PROOF, step, ScriptedLLM([reply])) == (candidate,
-                                                                 False)
+    assert _extract_candidate(reply, PROOF) == (candidate, False)
 
 
 @pytest.mark.parametrize("reply, payload", [
