@@ -9,7 +9,9 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 a long ``longproof_compile`` proof. The draft is what the session
 benchmark's faulty refactorer writes: it deletes a step's three lines and
 puts back an old lemma name on a line further down, which the compiler
-flags. The step runs only after a compile has failed.
+flags. The session passes the failing check's ``errors()``, so the
+draft's one diagnostic is an error. The step runs only after a compile
+has failed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
 
 def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
                                   tuple[str, list[int]]]:
-    """A proof of ``n_lines`` lines, its draft, the draft's diagnostics and
+    """A proof of ``n_lines`` lines, its draft, the draft's errors and
     the draft with its flagged line put back, with that line's number."""
     rng = random.Random(n_lines)
     lines = ["theorem t (a b : ℕ) (h : a ≤ b) : a * a ≤ b * b := by"]
@@ -46,13 +48,13 @@ def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
     name = next(n for n in NAMES if n in kept[renamed])
     draft = list(kept)
     draft[renamed] = draft[renamed].replace(name, name + "_old")
-    diagnostics = [Diagnostic(renamed + 1, 4, "error",
-                              f"unknown identifier '{name}_old'")]
-    return ("\n".join(lines), "\n".join(draft), diagnostics,
+    errors = [Diagnostic(renamed + 1, 4, "error",
+                         f"unknown identifier '{name}_old'")]
+    return ("\n".join(lines), "\n".join(draft), errors,
             ("\n".join(kept), [renamed + 1]))
 
 
 @pytest.mark.parametrize("n_lines", [45, 300])
 def test_revert_flagged(benchmark, n_lines):
-    proof, draft, diagnostics, reverted = _draft(n_lines)
-    assert benchmark(_revert_flagged, draft, proof, diagnostics) == reverted
+    proof, draft, errors, reverted = _draft(n_lines)
+    assert benchmark(_revert_flagged, draft, proof, errors) == reverted

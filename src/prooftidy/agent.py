@@ -27,23 +27,25 @@ Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
 which version it filters by in ``ObjectiveSpec.filter_version``; what a
 theorem's statement is in ``tokenizer.statement_of``, which
 ``statement_preserved`` applies against the session's input, scanning
-each text once; what a plan reply holds, whole or cut off, in
-``_parse_plan`` (a cut-off array's complete steps in
-``prompts.leading_json_items``), and which of its steps are kept,
+each text once; each text's length in ``run_session``'s ``length`` memo;
+what an error is in ``CompileResult.errors()``; what a plan reply holds,
+whole or cut off, in ``_parse_plan`` (a cut-off array's complete steps
+in ``prompts.leading_json_items``), and which of its steps are kept,
 disjoint and in range, in ``_validate_steps``; a refactor or debugger
 reply's candidate, with an altered statement put back as the input has
 it, in ``_extract_candidate``, read by ``run_session``'s ``candidate_of``;
 the budget (``left``), the transport retry and the trace in ``_Ledger``;
-whether a round may start, which steps of a plan the budget pays for,
-the chain's order and where it stops, in ``run_session``'s loop; one
-step's draft and its ``step_skipped`` in its ``draft``; which lines of a
-failing candidate are put back in ``_revert_flagged``, and whether that
-text is taken (it keeps the input's statement, is shorter and compiles)
-in its ``revert``; the chain's compile, the revert tried on every failing
+which inputs a session refuses, the target toolchain, whether a round
+may start, which steps of a plan the budget pays for, the chain's order
+and where it stops, in ``run_session``; one step's refactor call and
+its ``step_skipped`` in its ``draft``; which flagged lines of a failing
+candidate are put back in ``_revert_flagged``, and whether that text is
+taken (it keeps the input's statement, is shorter and compiles) in its
+``revert``; the chain's compile, the revert tried on every failing
 candidate before the debugger, the debug rounds, the acceptance and the
-chain's ``step_skipped`` in ``verify``; the target toolchain, in
-``run_session``; the compile memo, one check per source, in its
-``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
+chain's ``step_skipped`` in ``verify``; the compile memo, one check per
+source, in its ``compile_source``; which faults end a session, in
+``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ from .prompts import (
     render,
 )
 from .retrieval import ObjectiveSpec, RankedStrategy, StrategyIndex, retrieve
-from .tokenizer import line_count, proof_length, segment, statement_of
+from .tokenizer import (LENGTH_FAILURE_SENTINEL, line_count, proof_length,
+                        segment, statement_of)
 
 
 class Termination(str, Enum):
@@ -349,32 +352,13 @@ def _extract_candidate(raw: str, original: str) -> tuple[str, bool]:
     return candidate, True
 
 
-def refactor_step(proof: str, step: PlanStep, llm,
-                  deps_context: str = "") -> str:
-    """The refactorer's reply to one planned step on ``proof``."""
-    prompt = render(
-        "refactor",
-        proof=proof,
-        deps=deps_context or "(none provided)",
-        line_start=step.line_start,
-        line_end=step.line_end,
-        title=step.title,
-        reduction=step.reduction,
-        description=step.description,
-    )
-    return llm.complete([{"role": "user", "content": prompt}])
-
-
-def splice_error_markers(candidate: str,
-                         diagnostics: list[Diagnostic]) -> str:
-    """Wrap each offending span (diagnostic column to end of line) in
+def splice_error_markers(candidate: str, errors: list[Diagnostic]) -> str:
+    """Wrap each error's span (its column to end of line) in
     <error></error> markers. Lines are numbered as Lean numbers them, by
     ``\n`` alone, so every byte outside the markers is kept."""
     lines = candidate.split("\n")
     by_line: dict[int, int] = {}
-    for d in diagnostics:
-        if d.severity != "error":
-            continue
+    for d in errors:
         if 1 <= d.line <= len(lines):
             col = by_line.get(d.line)
             by_line[d.line] = d.column if col is None else min(col, d.column)
@@ -385,11 +369,10 @@ def splice_error_markers(candidate: str,
     return "\n".join(lines)
 
 
-def _revert_flagged(candidate: str, proof: str,
-                    diagnostics: Iterable[Diagnostic]
+def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
                     ) -> tuple[str, list[int]] | None:
-    """``candidate`` with each line that an error flags and the draft
-    changed put back as ``proof`` has it, and those lines' numbers.
+    """``candidate`` with each line that one of ``errors`` flags and the
+    draft changed put back as ``proof`` has it, and those lines' numbers.
 
     The lines are aligned by ``difflib``; a flagged line in a ``replace``
     hunk becomes that hunk's most alike ``proof`` line (the highest
@@ -398,7 +381,7 @@ def _revert_flagged(candidate: str, proof: str,
     is kept byte for byte. None when no flagged line lies in a
     ``replace`` hunk, as for a timeout, which flags no line.
     """
-    flagged = {d.line for d in diagnostics if d.severity == "error"}
+    flagged = {d.line for d in errors}
     if not flagged:
         return None
     old, new = proof.split("\n"), candidate.split("\n")
@@ -524,7 +507,9 @@ def run_session(
     over a shared bank and index.
 
     Raises:
-        PreconditionFailed: the input proof does not compile.
+        PreconditionFailed: before any call, compile or embedding, the
+            input has no statement or measures ``LENGTH_FAILURE_SENTINEL``;
+            after its one compile, the input proof does not compile.
     """
     if index.embedder is None:
         raise ValueError("index must be built with StrategyIndex.build "
@@ -533,6 +518,14 @@ def run_session(
     # names, else the compiler's default.
     version = (config.toolchain_version or config.objective.target_version
                or compiler.default_version)
+    # Each text is measured once; ``proof_length`` is looked up here, so a
+    # wrapper installed over the module's name sees every measurement.
+    length = functools.cache(proof_length)
+    initial_length = length(proof)
+    if _statement_of(proof) is None:
+        raise PreconditionFailed("input is not a declaration with a statement")
+    if initial_length == LENGTH_FAILURE_SENTINEL:
+        raise PreconditionFailed("input proof's length cannot be measured")
     ledger = _Ledger(llm, config.budget)
     # Source text -> its check. Version and timeout are fixed for the
     # session, so the source alone is the key; a check that raises is not
@@ -558,59 +551,57 @@ def run_session(
                                    "statement; put the statement back"})
         return candidate
 
-    def draft(step: PlanStep, chain: str,
-              length: int) -> tuple[str, int] | None:
-        """Ask for ``step`` against the chain's text, compiling nothing.
-        Returns the draft and its length when it is strictly shorter than
-        ``chain``; otherwise records the step's one ``step_skipped`` and
-        returns None."""
+    def draft(step: PlanStep, chain: str) -> str | None:
+        """Ask the refactorer for ``step`` against the chain's text,
+        compiling nothing. Returns the draft when it is strictly shorter
+        than ``chain``; otherwise records the step's one ``step_skipped``
+        and returns None."""
+        prompt = render("refactor", proof=chain,
+                        deps=deps_context or "(none provided)", **vars(step))
         try:
-            candidate = candidate_of(refactor_step(chain, step, ledger,
-                                                   deps_context))
+            candidate = candidate_of(
+                ledger.complete([{"role": "user", "content": prompt}]))
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc)}
         else:
-            candidate_length = proof_length(candidate)
-            if candidate_length < length:
-                return candidate, candidate_length
+            if length(candidate) < length(chain):
+                return candidate
             skipped = {"reason": "candidate not shorter",
-                       "candidate_length": candidate_length}
+                       "candidate_length": length(candidate)}
         ledger.add("step_skipped", skipped)
         return None
 
-    def revert(candidate: str,
-               result: CompileResult) -> tuple[str, int] | None:
+    def revert(candidate: str, result: CompileResult) -> str | None:
         """``candidate`` with the lines its errors flag put back as the
-        current proof has them (``_revert_flagged``), and its length, when
-        it keeps the input's statement, is shorter and then compiles;
-        otherwise None, and its ``revert`` says why (``rejected``, and a
-        failed compile's verdict). Spends no LLM call."""
-        put_back = _revert_flagged(candidate, current, result.diagnostics)
+        current proof has them (``_revert_flagged``), when that keeps the
+        input's statement, is shorter and then compiles; otherwise None,
+        and its ``revert`` says why (``rejected``, and a failed compile's
+        verdict). Spends no LLM call."""
+        put_back = _revert_flagged(candidate, current, result.errors())
         if put_back is None:
             return None
         reverted, lines = put_back
-        reverted_length = proof_length(reverted)
         detail = {"lines": lines}
         if not statement_preserved(proof, reverted):
             detail["rejected"] = "statement altered"
-        elif reverted_length >= current_length:
+        elif length(reverted) >= length(current):
             detail["rejected"] = "not shorter"
         else:
             check, verdict = compile_source(reverted)
             if not check.ok:
                 detail.update(rejected="does not compile", **verdict)
         ledger.add("revert", detail)
-        return None if "rejected" in detail else (reverted, reverted_length)
+        return None if "rejected" in detail else reverted
 
-    def verify(chain: str, chain_length: int) -> tuple[str, int, int] | None:
+    def verify(chain: str) -> tuple[str, int] | None:
         """Compile a plan's chain of drafts. While it fails, try its
         ``revert``, then ask the debugger about the failing text, for up
         to ``max_debug_rounds`` rounds that the budget still has; each
         failing reply is tried the same way. The revert runs with the
-        budget spent too, since compiles are free. Returns the result, its
-        length and its debug rounds when it compiles and is shorter than
-        the current proof; otherwise records the chain's one
-        ``step_skipped`` and returns None."""
+        budget spent too, since compiles are free. Returns the result and
+        its debug rounds when it compiles and is shorter than the current
+        proof; otherwise records the chain's one ``step_skipped`` and
+        returns None."""
         candidate, rounds = chain, 0
         try:
             while True:
@@ -620,7 +611,7 @@ def run_session(
                     break
                 reverted = revert(candidate, result)
                 if reverted is not None:
-                    return (*reverted, rounds)
+                    return reverted, rounds
                 if rounds == config.max_debug_rounds or not ledger.left:
                     break
                 rounds += 1
@@ -634,19 +625,15 @@ def run_session(
             if not result.ok:
                 skipped = {"reason": "no compiling candidate",
                            "debug_rounds": rounds}
+            elif length(candidate) < length(current):
+                return candidate, rounds
             else:
-                candidate_length = (proof_length(candidate) if rounds
-                                    else chain_length)
-                if candidate_length < current_length:
-                    return candidate, candidate_length, rounds
                 skipped = {"reason": "candidate not shorter",
-                           "candidate_length": candidate_length}
+                           "candidate_length": length(candidate)}
         ledger.add("step_skipped", skipped)
         return None
 
-    initial_length = proof_length(proof)
     current = proof
-    current_length = initial_length
     history: list[str] = []
     # Span text -> its retrieval. Every query of a session sees the same
     # index and objective, so a span text is embedded and retrieved once.
@@ -670,10 +657,10 @@ def run_session(
         while True:
             left = ledger.left
             # With no call left the session ends exhausted, at the target too.
-            if left and current_length <= config.target_length:
+            if left and length(current) <= config.target_length:
                 # Every adoption is strictly shorter.
                 termination = (Termination.TARGET_REACHED
-                               if current_length < initial_length
+                               if length(current) < initial_length
                                else Termination.CONVERGED)
                 break
             if left < 2:  # a round needs one plan and one step
@@ -725,7 +712,7 @@ def run_session(
 
             # Bottom-up: a draft never renumbers the lines of a step still
             # to run, since a plan's steps are disjoint.
-            chain, chain_length = current, current_length
+            chain = current
             drafted: list[PlanStep] = []
             exhausted = bool(unasked)  # the budget cut this plan
             for step in sorted((steps[i] for i in asked),
@@ -735,29 +722,29 @@ def run_session(
                     break
                 ledger.add("step_attempted", {"step": dict(vars(step))})
                 try:
-                    made = draft(step, chain, chain_length)
+                    made = draft(step, chain)
                 except _OutOfBudget:
                     exhausted = True
                     break
                 if made is None:
                     continue
                 above = step.line_start - 1
-                edited_above = (made[0].split("\n", above)[:above]
+                edited_above = (made.split("\n", above)[:above]
                                 != chain.split("\n", above)[:above])
-                chain, chain_length = made
+                chain = made
                 drafted.append(step)
-                if edited_above or chain_length <= config.target_length:
+                if edited_above or length(chain) <= config.target_length:
                     break
             # With the budget spent, the drafts so far are still compiled:
             # compiles are free.
-            adopted = verify(chain, chain_length) if drafted else None
+            adopted = verify(chain) if drafted else None
             if adopted is not None:
-                current, current_length, rounds = adopted
+                current, rounds = adopted
                 history.extend(f"({s.title} @ {s.line_start}-{s.line_end}, "
                                f"Success)" for s in drafted)
                 ledger.add("adoption", {
                     "steps": [dict(vars(s)) for s in drafted],
-                    "new_length": current_length,
+                    "new_length": length(current),
                     "debug_rounds": rounds,
                 })
             elif not exhausted:
@@ -771,11 +758,11 @@ def run_session(
         termination = Termination.ENVIRONMENT_ERROR
 
     ledger.add("termination", {"reason": termination.value})
-    assert current_length <= initial_length
+    assert length(current) <= initial_length
     return SessionResult(
         final_proof=current,
         initial_length=initial_length,
-        final_length=current_length,
+        final_length=length(current),
         calls_used=ledger.used,
         termination=termination,
         trace=ledger.trace,

@@ -350,10 +350,10 @@ def _typed(record: dict, key: str, kind: type, line: int | None,
     return value
 
 
-def _compile_reduction(record: dict, key: str, line: int) -> float | None:
+def _compile_reduction(record: dict, key: str, line: int) -> float:
+    """``record[key]``, which the caller found not None, as a finite
+    float no greater than 1."""
     value = record[key]
-    if value is None:
-        return None
     if type(value) not in (float, int):  # a bool is no number here
         raise SchemaError("compile reduction must be a number or null",
                           field=key, line=line)

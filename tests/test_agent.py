@@ -199,8 +199,8 @@ def test_error_markers_number_lines_as_lean_does(candidate, line, marked):
     assert got.replace("<error>", "").replace("</error>", "") == candidate
 
 
-def _errors(*lines: int, severity: str = "error") -> list[Diagnostic]:
-    return [Diagnostic(line, 2, severity, "unknown identifier")
+def _errors(*lines: int) -> list[Diagnostic]:
+    return [Diagnostic(line, 2, "error", "unknown identifier")
             for line in lines]
 
 
@@ -217,7 +217,9 @@ TWO_BROKEN_DRAFT = ("theorem t : P := by\n  simp at h'\n  exact foo_baz h\n"
                     "  rfl")
 
 
-@pytest.mark.parametrize("proof, candidate, diagnostics, reverted", [
+# A check's errors are ``CompileResult.errors()``: a session passes only
+# those, so every case here passes error diagnostics.
+@pytest.mark.parametrize("proof, candidate, errors, reverted", [
     pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(2),
                  ("theorem t : P := by\r\n  exact Nat.pos_of_ne_zero h\n"
                   "  rfl\t", [2]), id="changed_line_put_back"),
@@ -234,13 +236,11 @@ TWO_BROKEN_DRAFT = ("theorem t : P := by\n  simp at h'\n  exact foo_baz h\n"
     pytest.param(REVERT_PROOF,
                  REVERT_PROOF.replace("  rfl", "  skip\n  rfl"), _errors(4),
                  None, id="inserted_line"),
-    pytest.param(REVERT_PROOF, REVERT_DRAFT, _errors(2, severity="warning"),
-                 None, id="warning_only"),
     pytest.param(REVERT_PROOF, REVERT_DRAFT, [], None, id="no_diagnostics"),
 ])
 def test_revert_flagged_puts_back_only_broken_changed_lines(
-        proof, candidate, diagnostics, reverted):
-    assert agent._revert_flagged(candidate, proof, diagnostics) == reverted
+        proof, candidate, errors, reverted):
+    assert agent._revert_flagged(candidate, proof, errors) == reverted
 
 
 def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
@@ -920,6 +920,26 @@ def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
     assert adoption.detail["debug_rounds"] == 1
 
 
+def test_a_failing_check_with_only_warnings_goes_to_the_debugger():
+    # RENAMED's changed line 3 carries a warning: no error flags a line,
+    # so nothing is put back and the debugger is asked.
+    bank, index, compiler, _ = _world()
+    compiler.by_source[RENAMED] = CompileResult(Verdict.FAILURE, diagnostics=(
+        Diagnostic(3, 2, "warning", "unused variable"),))
+    llm = ScriptedLLM([_plan(2, 5), _candidate(RENAMED), _candidate(SHORTER)])
+    config = AgentConfig(target_length=5, max_debug_rounds=1)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    assert [source for _, source in compiler.calls] == [PROOF, RENAMED,
+                                                         SHORTER]
+    assert result.trace.of_kind("revert") == []
+    (prompt,) = _debugger_prompts(llm)
+    # Unmarked, and with no message: the warning is no error.
+    assert RENAMED in prompt and "compilation failed" in prompt
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail["debug_rounds"] == 1
+
+
 def test_a_revert_that_alters_the_statement_is_not_taken():
     # The draft breaks its statement over lines 1-2 elsewhere, keeping the
     # statement; putting back line 2 alone would drop its "+".
@@ -1078,6 +1098,20 @@ def test_a_candidate_utf8_cannot_encode_fails_its_compile(tmp_path,
         {"reason": "no compiling candidate", "debug_rounds": 0}]
     assert lake.saved("seen.lean") == PROOF  # lake compiled the input alone
     assert lake.scratch_left() == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f : Nat := by\n  exact 1",
+    # The statement reads, but the length split counts the string's "(".
+    'theorem t : "(" = "(" := by\n  rfl',
+], ids=["no_statement", "unmeasurable"])
+def test_an_input_the_session_cannot_work_on_is_refused(source):
+    bank, index, compiler, embedder = _world()
+    llm = ScriptedLLM([_plan(2, 2)] * 6)
+    with pytest.raises(PreconditionFailed):
+        run_session(source, "", AgentConfig(budget=6), bank, index, llm,
+                    compiler)
+    assert llm.calls == compiler.calls == embedder.batches == []
 
 
 def test_an_input_that_fails_to_compile_is_refused():

@@ -337,6 +337,26 @@ def test_bad_pair_compile_reduction_rejected(tmp_path, reduction):
     assert err.value.field == "compile_reduction"
 
 
+@pytest.mark.parametrize("filename, field, value", [
+    ("strategies.jsonl", "median_compile_reduction", 1),
+    ("pairs.jsonl", "compile_reduction", 0),
+])
+def test_an_integer_compile_reduction_loads_as_a_float(tmp_path, filename,
+                                                       field, value):
+    save(tmp_path)
+    path = tmp_path / filename
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(json.dumps(record) + "\n")
+    if filename == "strategies.jsonl":
+        (strategy,) = load_bank(tmp_path, REGISTRY).strategies.values()
+        loaded = strategy.median_compile_reduction
+    else:
+        (pair,) = read_pairs(tmp_path, REGISTRY)
+        loaded = pair.compile_reduction
+    assert type(loaded) is float and loaded == value
+
+
 def test_schema_error_reports_line(tmp_path):
     save(tmp_path, 2)
     lines = (tmp_path / "strategies.jsonl").read_text().splitlines()
@@ -804,8 +824,9 @@ def span_past_the_proof(text):
     return json.dumps(record) + "\n"
 
 
-# Every pairs.jsonl case of the schema tests above, then blank and
-# whitespace-only lines before a bad record or a repeated one.
+# Every pairs.jsonl case of the schema tests above, both version_status
+# checks, then blank and whitespace-only lines before a bad record or a
+# repeated one.
 PAIR_FILE_EDITS = [
     *(pytest.param(with_field(field, value), id=f"shape-{field}-{i}")
       for i, (filename, field, value) in enumerate(WRONG_SHAPES)
@@ -815,6 +836,10 @@ PAIR_FILE_EDITS = [
       if filename == "pairs.jsonl"),
     pytest.param(lambda text: text * 2, id="duplicate"),
     pytest.param(span_past_the_proof, id="span_outside_proof"),
+    pytest.param(with_field("version_status", {"v0.0.0": "compiles"}),
+                 id="version_status-unregistered_version"),
+    pytest.param(with_field("version_status", {"v4.16.0": "maybe"}),
+                 id="version_status-unknown_status"),
     pytest.param(lambda text: "\n  \n" + text + "\t\n\n{not json\n",
                  id="blank_lines_then_bad_json"),
     pytest.param(lambda text: " \n" + text + "\n \t \n" + text,

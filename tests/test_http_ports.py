@@ -2,7 +2,8 @@
 
 The stub is a ``ThreadingHTTPServer`` on a free port. Each test installs
 a handler that maps a request body to (status, reply body); the server
-records every body it received, in arrival order.
+records every body it received, and its ``Authorization`` header, in
+arrival order.
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ class Stub:
         self.url = f"http://127.0.0.1:{port}/v1"
         self.handler = lambda body: (500, {"error": "no handler"})
         self.received: list[dict] = []
+        self.authorizations: list[str | None] = []
         self._lock = threading.Lock()
 
-    def answer(self, body: dict) -> tuple[int, object]:
+    def answer(self, body: dict,
+               authorization: str | None) -> tuple[int, object]:
         with self._lock:
             self.received.append(body)
+            self.authorizations.append(authorization)
         return self.handler(body)
 
 
@@ -60,7 +64,8 @@ def stub(monkeypatch):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers["Content-Length"])
-            status, reply = stub.answer(json.loads(self.rfile.read(length)))
+            status, reply = stub.answer(json.loads(self.rfile.read(length)),
+                                        self.headers.get("Authorization"))
             data = json.dumps(reply).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -176,8 +181,9 @@ def test_a_loaded_bank_posts_only_the_texts_it_has_not_embedded(stub, tmp_path):
                           np.delete(cold._matrix, 2, axis=0))
 
 
-def chat(stub: Stub) -> HttpChatLLM:
-    return HttpChatLLM(endpoint=stub.url, model="m", timeout=10.0)
+def chat(stub: Stub, **overrides) -> HttpChatLLM:
+    return HttpChatLLM(**{"endpoint": stub.url, "model": "m", "timeout": 10.0,
+                          **overrides})
 
 
 def test_chat_returns_the_reply_text(stub):
@@ -187,6 +193,33 @@ def test_chat_returns_the_reply_text(stub):
     assert chat(stub).complete(messages) == "```lean4\nrfl\n```"
     assert stub.received == [{"model": "m", "messages": messages,
                               "temperature": 1.0}]
+
+
+TOKEN_ENV = "PROOFTIDY_TEST_TOKEN"
+
+
+@pytest.mark.parametrize("token, auth_token_env, sent", [
+    ("s3cret", TOKEN_ENV, "Bearer s3cret"),
+    (None, TOKEN_ENV, None),
+    ("", TOKEN_ENV, None),
+    ("s3cret", None, None),
+], ids=["set", "unset", "empty", "no_variable"])
+@pytest.mark.parametrize("port", ["chat", "embedder"])
+def test_a_set_token_is_sent_as_a_bearer_header(stub, monkeypatch, port,
+                                                token, auth_token_env, sent):
+    if token is None:
+        monkeypatch.delenv(TOKEN_ENV, raising=False)
+    else:
+        monkeypatch.setenv(TOKEN_ENV, token)
+    if port == "chat":
+        stub.handler = lambda body: (
+            200, {"choices": [{"message": {"content": "rfl"}}]})
+        chat(stub, auth_token_env=auth_token_env).complete(
+            [{"role": "user", "content": "shorten"}])
+    else:
+        stub.handler = lambda body: (200, embeddings(body["input"]))
+        embedder(stub, auth_token_env=auth_token_env).embed(["t1"])
+    assert stub.authorizations == [sent]
 
 
 @pytest.mark.parametrize("status, reply", [

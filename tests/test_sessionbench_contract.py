@@ -86,6 +86,27 @@ def test_the_benchmarks_sessions_run_on_each_workload(bench_modules, tmp_path,
     assert bench.problems == []
 
 
+@pytest.mark.parametrize("name", ["bank10k_length", "longproof_compile",
+                                  "repair_version"])
+def test_a_traced_session_reaches_every_traced_name(bench_modules, tmp_path,
+                                                    monkeypatch, name):
+    # A memo or an inlined call that bypasses a name the tracer wraps
+    # would report that layer as 0 in a traced run, and fail nothing else.
+    gen, _ = bench_modules
+    monkeypatch.syspath_prepend(str(SESSIONBENCH))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    w = write_small(gen, name, tmp_path)
+    bench = run.Bench(w, 1, tmp_path)
+    bench.setup()
+    tracer = tracing.Tracer()
+    for i in range(len(bench.theorems)):
+        assert bench.session(i, tracer)["problems"] == [], (name, i)
+    expected = {span for _, _, span in tracing.PROGRAM_CALLS} | {
+        tracing.SESSION, "llm.complete", "compiler.check", "embeddings.embed"}
+    assert expected - set(tracer.names) == set()
+
+
 def test_a_duplicate_pair_fails_the_set_up_in_recheck(bench_modules,
                                                       tmp_path):
     gen, _ = bench_modules
