@@ -8,7 +8,11 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 LLM call: ``format_strategies`` over the default k = 8 retrieved entries,
 ``format_history`` over four past rounds, and ``render("planner", ...)``
 around research-style proofs of about 2, 8 and 16 kB (the tokenizer
-benchmark's proofs). ``test_extract_json_payload`` parses a planner reply
+benchmark's proofs). ``test_render_debugger`` times the prompt a debug
+round builds on the same proofs with three errors: ``splice_error_markers``,
+the listed messages and ``render("debugger", ...)``; no session of the
+session benchmark asks the debugger, so it times this path alone.
+``test_extract_json_payload`` parses a planner reply
 of 1, 8 and 32 steps, written as the session benchmark's responder writes
 it: a line of prose, then an indented array in a ```json fence.
 ``test_leading_json_items`` salvages the same replies cut at half their
@@ -23,6 +27,8 @@ import json
 
 import pytest
 
+from prooftidy.agent import splice_error_markers
+from prooftidy.compiler import Diagnostic
 from prooftidy.prompts import (
     extract_fenced_block,
     extract_json_payload,
@@ -69,6 +75,25 @@ def test_render_planner(benchmark, kb):
 
     result = benchmark(planner_prompt)
     assert text in result and "similarity 0.430" in result
+
+
+@pytest.mark.parametrize("kb", SIZES_KB)
+def test_render_debugger(benchmark, kb):
+    text = proof(kb)
+    n_lines = text.count("\n") + 1
+    errors = [Diagnostic(n_lines * i // 4, 2, "error",
+                         f"unknown identifier 'h{i}'") for i in (1, 2, 3)]
+
+    def debugger_prompt():
+        return render("debugger", prev_round_num=1,
+                      marked_candidate=splice_error_markers(text, errors),
+                      errors="\n".join(
+                          f"line {d.line}, column {d.column}: {d.message}"
+                          for d in errors))
+
+    result = benchmark(debugger_prompt)
+    marked = splice_error_markers(text, errors)
+    assert marked.count("<error>") == 3 and marked in result
 
 
 def reply(n_steps: int) -> str:

@@ -37,15 +37,16 @@ it, in ``_extract_candidate``, read by ``run_session``'s ``candidate_of``;
 the budget (``left``), the transport retry and the trace in ``_Ledger``;
 which inputs a session refuses, the target toolchain, whether a round
 may start, which steps of a plan the budget pays for, the chain's order
-and where it stops, in ``run_session``; one step's refactor call and
-its ``step_skipped`` in its ``draft``; which flagged lines of a failing
-candidate are put back in ``_revert_flagged``, and whether that text is
-taken (it keeps the input's statement, is shorter and compiles) in its
-``revert``; the chain's compile, the revert tried on every failing
-candidate before the debugger, the debug rounds, the acceptance and the
-chain's ``step_skipped`` in ``verify``; the compile memo, one check per
-source, in its ``compile_source``; which faults end a session, in
-``OUTSIDE_FAULTS``.
+and where it stops, in ``run_session``; the planner's call, its
+corrective reparse and its warnings in its ``plan``; one step's refactor
+call and its ``step_skipped`` in its ``draft``; which flagged lines of a
+failing candidate are put back in ``_revert_flagged``, and whether that
+text is taken (it keeps the input's statement, is shorter and compiles)
+in its ``revert``; the chain's compile, the revert tried on every
+failing candidate before the debugger, the debugger's call, the debug
+rounds, the acceptance and the chain's ``step_skipped`` in ``verify``;
+the compile memo, one check per source, in its ``compile_source``; which
+faults end a session, in ``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -200,12 +201,6 @@ class _Ledger:
         self.trace.events.append(TraceEvent(kind, detail, self.used))
 
 
-@dataclass
-class PlanResult:
-    steps: list[PlanStep]
-    warnings: list[str] = field(default_factory=list)
-
-
 def _line_number(value) -> int:
     """A plan step's line number, which must be a JSON integer: a float,
     a string or a boolean is no line."""
@@ -214,9 +209,12 @@ def _line_number(value) -> int:
     return value
 
 
-def _validate_steps(payload, proof: str) -> PlanResult:
+def _validate_steps(payload, proof: str
+                    ) -> tuple[list[PlanStep], list[str]]:
+    """The payload's steps that are well formed, in range and disjoint,
+    and a warning for each step dropped."""
     if not isinstance(payload, list):
-        return PlanResult([], ["plan payload is not a list"])
+        return [], ["plan payload is not a list"]
     n_lines = line_count(proof)
     steps: list[PlanStep] = []
     warnings: list[str] = []
@@ -252,51 +250,23 @@ def _validate_steps(payload, proof: str) -> PlanResult:
                             f"{step.line_end} overlap a kept step, dropped")
             continue
         steps.append(step)
-    return PlanResult(steps, warnings)
+    return steps, warnings
 
 
-def _parse_plan(raw: str, proof: str) -> PlanResult | None:
-    """The plan in ``raw``: its whole JSON payload, else the complete steps
-    at the head of a cut-off array; None when it holds neither."""
+def _parse_plan(raw: str, proof: str
+                ) -> tuple[list[PlanStep], list[str]] | None:
+    """The steps and warnings of the plan in ``raw``: its whole JSON
+    payload, else the complete steps at the head of a cut-off array; None
+    when it holds neither."""
     payload = extract_json_payload(raw)
     if payload is not None:
         return _validate_steps(payload, proof)
     kept = leading_json_items(raw)
     if not kept:
         return None
-    result = _validate_steps(kept, proof)
-    result.warnings.insert(
-        0, f"plan reply incomplete: kept {len(kept)} complete steps")
-    return result
-
-
-def plan(proof: str, retrieved: list[dict], history: list[str], llm,
-         deps_context: str = "") -> PlanResult:
-    """Ask the planner for refactoring steps and validate the reply.
-
-    A reply cut off mid-array keeps its complete steps. A reply with no
-    complete step gets one corrective reparse (a fresh LLM call), whose
-    reply is read the same way; a second failure yields the empty plan.
-    """
-    prompt = render(
-        "planner",
-        proof=proof,
-        deps=deps_context or "(none provided)",
-        strategies=format_strategies(retrieved),
-        history=format_history(history),
-    )
-    messages = [{"role": "user", "content": prompt}]
-    raw = llm.complete(messages)
-    result = _parse_plan(raw, proof)
-    if result is None:
-        retry = messages + [
-            {"role": "assistant", "content": raw},
-            {"role": "user", "content": CORRECTIVE_SUFFIX},
-        ]
-        result = _parse_plan(llm.complete(retry), proof)
-        if result is None:
-            return PlanResult([], ["plan unparseable after corrective retry"])
-    return result
+    steps, warnings = _validate_steps(kept, proof)
+    return steps, [f"plan reply incomplete: kept {len(kept)} complete steps",
+                   *warnings]
 
 
 # A session guards every candidate against its input, so it scans that
@@ -403,28 +373,6 @@ def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
     return ("\n".join(new), lines) if lines else None
 
 
-def debug(candidate: str, compile_result: CompileResult, llm,
-          prev_round_num: int = 1) -> str:
-    """The debugger's reply to one localized repair round on ``candidate``,
-    from its compiler feedback."""
-    if compile_result.verdict == Verdict.TIMEOUT:
-        marked = candidate
-        errors_text = "compilation timed out"
-    else:
-        errors = compile_result.errors()
-        marked = splice_error_markers(candidate, errors)
-        errors_text = "\n".join(
-            f"line {d.line}, column {d.column}: {d.message}" for d in errors
-        ) or "compilation failed"
-    prompt = render(
-        "debugger",
-        prev_round_num=prev_round_num,
-        marked_candidate=marked,
-        errors=errors_text,
-    )
-    return llm.complete([{"role": "user", "content": prompt}])
-
-
 def _merge_retrievals(
     per_span: Iterable[tuple[object, list[RankedStrategy]]], k: int
 ) -> list[tuple[RankedStrategy, object]]:
@@ -527,6 +475,7 @@ def run_session(
     if initial_length == LENGTH_FAILURE_SENTINEL:
         raise PreconditionFailed("input proof's length cannot be measured")
     ledger = _Ledger(llm, config.budget)
+    deps = deps_context or "(none provided)"
     # Source text -> its check. Version and timeout are fixed for the
     # session, so the source alone is the key; a check that raises is not
     # kept, a timeout is.
@@ -551,13 +500,33 @@ def run_session(
                                    "statement; put the statement back"})
         return candidate
 
+    def plan(strategies: list[dict]) -> list[PlanStep]:
+        """Ask the planner for steps on the current proof and record its
+        reply's warnings. A reply with no complete step gets one corrective
+        reparse, a fresh call read the same way; a second failure gives no
+        step."""
+        messages = [{"role": "user", "content": render(
+            "planner", proof=current, deps=deps,
+            strategies=format_strategies(strategies),
+            history=format_history(history))}]
+        raw = ledger.complete(messages)
+        parsed = _parse_plan(raw, current)
+        if parsed is None:
+            parsed = _parse_plan(ledger.complete(messages + [
+                {"role": "assistant", "content": raw},
+                {"role": "user", "content": CORRECTIVE_SUFFIX},
+            ]), current) or ([], ["plan unparseable after corrective retry"])
+        steps, warnings = parsed
+        for warning in warnings:
+            ledger.add("warning", {"message": warning})
+        return steps
+
     def draft(step: PlanStep, chain: str) -> str | None:
         """Ask the refactorer for ``step`` against the chain's text,
         compiling nothing. Returns the draft when it is strictly shorter
         than ``chain``; otherwise records the step's one ``step_skipped``
         and returns None."""
-        prompt = render("refactor", proof=chain,
-                        deps=deps_context or "(none provided)", **vars(step))
+        prompt = render("refactor", proof=chain, deps=deps, **vars(step))
         try:
             candidate = candidate_of(
                 ledger.complete([{"role": "user", "content": prompt}]))
@@ -596,12 +565,13 @@ def run_session(
     def verify(chain: str) -> tuple[str, int] | None:
         """Compile a plan's chain of drafts. While it fails, try its
         ``revert``, then ask the debugger about the failing text, for up
-        to ``max_debug_rounds`` rounds that the budget still has; each
-        failing reply is tried the same way. The revert runs with the
-        budget spent too, since compiles are free. Returns the result and
-        its debug rounds when it compiles and is shorter than the current
-        proof; otherwise records the chain's one ``step_skipped`` and
-        returns None."""
+        to ``max_debug_rounds`` rounds that the budget still has: the text
+        with its errors marked and listed, or, after a timeout, unmarked
+        with ``compilation timed out``. Each failing reply is tried the
+        same way. The revert runs with the budget spent too, since
+        compiles are free. Returns the result and its debug rounds when it
+        compiles and is shorter than the current proof; otherwise records
+        the chain's one ``step_skipped`` and returns None."""
         candidate, rounds = chain, 0
         try:
             while True:
@@ -615,7 +585,15 @@ def run_session(
                 if rounds == config.max_debug_rounds or not ledger.left:
                     break
                 rounds += 1
-                raw = debug(candidate, result, ledger, rounds)
+                timeout = result.verdict == Verdict.TIMEOUT
+                errors = [] if timeout else result.errors()
+                prompt = render(
+                    "debugger", prev_round_num=rounds,
+                    marked_candidate=splice_error_markers(candidate, errors),
+                    errors="compilation timed out" if timeout else "\n".join(
+                        f"line {d.line}, column {d.column}: {d.message}"
+                        for d in errors) or "compilation failed")
+                raw = ledger.complete([{"role": "user", "content": prompt}])
                 ledger.add("debug_round", {"round": rounds})
                 candidate = candidate_of(raw)
         except (StepFailed, StatementMutation) as exc:
@@ -690,17 +668,13 @@ def run_session(
                 "strategy_ids": [r.strategy_id for r, _ in merged],
             })
 
-            plan_result = plan(current, _strategy_entries(merged, bank),
-                               history, ledger, deps_context)
-            for warning in plan_result.warnings:
-                ledger.add("warning", {"message": warning})
-            if not plan_result.steps:
+            steps = plan(_strategy_entries(merged, bank))
+            if not steps:
                 ledger.add("plan_empty", {})
                 termination = Termination.NO_VIABLE_PLAN
                 break
             # Each step costs a call: with fewer calls left than steps, ask
             # the best-rated ones, ties in plan order.
-            steps = plan_result.steps
             ranked = sorted(range(len(steps)), key=lambda i:
                             REDUCTION_LEVELS.index(steps[i].reduction))
             left = ledger.left

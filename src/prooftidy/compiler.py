@@ -322,7 +322,7 @@ class LeanCompiler(_CompilerCore):
             verdict = Verdict.SUCCESS
         else:
             verdict = Verdict.FAILURE
-            if not any(d.severity == "error" for d in diagnostics):
+            if not CompileResult(verdict, diagnostics).errors():
                 tail = output.strip().splitlines()[-1] if output.strip() else "compiler failed"
                 diagnostics = diagnostics + (Diagnostic(1, 0, "error", tail),)
         import_time = elaboration_time = None

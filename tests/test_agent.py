@@ -248,10 +248,8 @@ def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
     proof = "theorem t : P := by\n  -- see\x0cnote\n  exact bad"
     step = {"line_start": 4, "line_end": 4, "title": "t", "reduction": "low",
             "description": "d"}
-    result = _validate_steps([step], proof)
-    assert result.steps == []
-    assert result.warnings == [
-        "step 0: lines 4-4 outside the proof's 3 lines, dropped"]
+    assert _validate_steps([step], proof) == ([], [
+        "step 0: lines 4-4 outside the proof's 3 lines, dropped"])
 
 
 @pytest.mark.parametrize("line_start", [2.9, 2.0, True, "2", None])
@@ -260,9 +258,9 @@ def test_a_plan_step_with_a_non_integer_line_number_is_dropped(line_start):
     proof = "theorem t : P := by\n  norm_num\n  rfl"
     step = {"line_start": line_start, "line_end": 3, "title": "t",
             "reduction": "low", "description": "d"}
-    result = _validate_steps([step, dict(step, line_start=2)], proof)
-    assert [(s.line_start, s.line_end) for s in result.steps] == [(2, 3)]
-    assert result.warnings == ["step 0: malformed fields, dropped"]
+    steps, warnings = _validate_steps([step, dict(step, line_start=2)], proof)
+    assert [(s.line_start, s.line_end) for s in steps] == [(2, 3)]
+    assert warnings == ["step 0: malformed fields, dropped"]
 
 
 STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
@@ -284,9 +282,9 @@ STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
 ])
 def test_validate_steps_refusals(payload, kept, warnings):
     proof = "theorem t : P := by\n  norm_num\n  rfl\n  rfl\n  rfl"
-    result = _validate_steps(payload, proof)
-    assert [(s.line_start, s.line_end) for s in result.steps] == kept
-    assert result.warnings == warnings
+    steps, dropped = _validate_steps(payload, proof)
+    assert [(s.line_start, s.line_end) for s in steps] == kept
+    assert dropped == warnings
 
 
 # --- scripted sessions -------------------------------------------------------
@@ -366,6 +364,9 @@ SCRIPT = [_plan(2, 5), _candidate(FAILING), {"error": "transport"},
           _plan(2, 4), _candidate(SHORTER), "```json\n[]\n```"]
 
 
+UNSOLVED = Diagnostic(1, 25, "error", "unsolved goals")
+
+
 def _flagged(line: int) -> CompileResult:
     return CompileResult(Verdict.FAILURE, diagnostics=tuple(_errors(line)))
 
@@ -384,8 +385,7 @@ def _world():
     index = StrategyIndex.build(bank, embedder)
     embedder.batches.clear()
     ok = CompileResult(Verdict.SUCCESS)
-    failure = CompileResult(Verdict.FAILURE, diagnostics=(
-        Diagnostic(1, 25, "error", "unsolved goals"),))
+    failure = CompileResult(Verdict.FAILURE, diagnostics=(UNSOLVED,))
     compiler = MockCompiler(
         by_source={PROOF: ok, MIDDLE: ok, SHORTER: ok, FAILING: failure,
                    NATIVE_ONLY: ok, RENAMED: _flagged(3),
@@ -740,6 +740,19 @@ def test_a_cut_off_plan_keeps_its_complete_steps(reply, kept, corrective):
         assert result.trace.of_kind("plan_empty") and not warnings
 
 
+def test_an_unparseable_plan_is_asked_again_after_its_own_exchange():
+    bank, index, compiler, _ = _world()
+    reply = "I see no way to shorten this proof."
+    llm = ScriptedLLM([reply, EMPTY_PLAN])
+    result = run_session(PROOF, "", AgentConfig(target_length=1), bank,
+                         index, llm, compiler)
+    first, second = llm.calls
+    assert [m["role"] for m in first] == ["user"]
+    assert second == [first[0], {"role": "assistant", "content": reply},
+                      {"role": "user", "content": agent.CORRECTIVE_SUFFIX}]
+    assert result.termination == Termination.NO_VIABLE_PLAN
+
+
 def test_checks_run_on_the_objectives_target_version():
     # The objective alone names the target: a candidate that compiles only
     # on the compiler's default toolchain must not be adopted.
@@ -869,6 +882,34 @@ def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
 def _debugger_prompts(llm) -> list[str]:
     return [messages[0]["content"] for messages in llm.calls
             if "Candidate with error markers" in messages[0]["content"]]
+
+
+@pytest.mark.parametrize("verdict, diagnostics, marked, messages", [
+    pytest.param(Verdict.FAILURE,
+                 (UNSOLVED, Diagnostic(2, 2, "warning", "unused variable")),
+                 splice_error_markers(FAILING, [UNSOLVED]),
+                 "line 1, column 25: unsolved goals", id="failure"),
+    pytest.param(Verdict.FAILURE, (), FAILING, "compilation failed",
+                 id="failure_without_diagnostics"),
+    pytest.param(Verdict.TIMEOUT, (), FAILING, "compilation timed out",
+                 id="timeout"),
+    # A timeout's diagnostics are not trusted: the candidate goes unmarked.
+    pytest.param(Verdict.TIMEOUT, (UNSOLVED,), FAILING,
+                 "compilation timed out", id="timeout_with_an_error"),
+])
+def test_the_debugger_is_shown_the_candidate_as_its_verdict_allows(
+        verdict, diagnostics, marked, messages):
+    bank, index, compiler, _ = _world()
+    compiler.by_source[FAILING] = CompileResult(verdict, diagnostics)
+    llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(FAILING),
+                       EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    run_session(PROOF, "", config, bank, index, llm, compiler)
+    (prompt,) = _debugger_prompts(llm)
+    head, listed = prompt.split("\n## Compiler messages\n\n")
+    assert head.split("## Candidate with error markers\n\n")[1] == (
+        marked + "\n")
+    assert listed.split("\n\n")[0] == messages
 
 
 def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call():

@@ -350,6 +350,11 @@ def test_lean_success_runs_lake_env_lean_on_a_scratch_file(tmp_path, monkeypatch
                  id="no_diagnostic"),
     pytest.param("exit 1", (Diagnostic(1, 0, "error", "compiler failed"),),
                  id="no_output"),
+    pytest.param('echo "Main.lean:2:2: warning: unused variable"\n'
+                 'echo "lean exited" >&2\nexit 1',
+                 (Diagnostic(2, 2, "warning", "unused variable"),
+                  Diagnostic(1, 0, "error", "lean exited")),
+                 id="warning_only"),
 ])
 def test_lean_failure_diagnostics(tmp_path, monkeypatch, body, diagnostics):
     lake = FakeLake(tmp_path, monkeypatch, body)
