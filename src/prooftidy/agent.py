@@ -35,11 +35,14 @@ disjoint and in range, in ``_validate_steps``; a refactor or debugger
 reply's candidate, with an altered statement put back as the input has
 it, in ``_extract_candidate``, read by ``run_session``'s ``candidate_of``;
 the budget (``left``), the transport retry and the trace in ``_Ledger``;
-which inputs a session refuses, the target toolchain, whether a round
-may start, which steps of a plan the budget pays for, the chain's order
-and where it stops, in ``run_session``; the planner's call, its
-corrective reparse and its warnings in its ``plan``; one step's refactor
-call and its ``step_skipped`` in its ``draft``; which flagged lines of a
+which of the spans' retrieved strategies the planner sees, and the ids
+its ``retrieval`` event records, in ``_planner_strategies``; which
+inputs a session refuses, the target toolchain, whether a round may
+start, which steps of a plan the budget pays for, the chain's order and
+where it stops, in ``run_session``; the planner's call, its corrective
+reparse and its warnings in its ``plan``; whether one step may still be
+asked, its ``step_attempted``, its refactor call and its
+``step_skipped`` in its ``draft``; which flagged lines of a
 failing candidate are put back in ``_revert_flagged``, and whether that
 text is taken (it keeps the input's statement, is shorter and compiles)
 in its ``revert``; the chain's compile, the revert tried on every
@@ -62,7 +65,6 @@ from .bank import REDUCTION_LEVELS, Bank
 from .compiler import CompileRequest, CompileResult, Diagnostic, Verdict
 from .errors import (
     LLMTransportError,
-    MalformedDeclaration,
     PreconditionFailed,
     ProviderContractViolation,
     ProviderRejected,
@@ -115,12 +117,12 @@ class AgentConfig:
     toolchain_version: str | None = None   # None: objective's, else compiler's
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        if self.target_length <= 0:
-            raise ValueError("target_length must be positive")
-        if self.max_debug_rounds < 0:
-            raise ValueError("max_debug_rounds must be >= 0")
+        # A bool is no count, as for a plan step's line numbers.
+        for name, least in (("budget", 0), ("target_length", 1),
+                            ("max_debug_rounds", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if (self.toolchain_version and self.objective.target_version
                 and self.toolchain_version != self.objective.target_version):
             raise ValueError("toolchain_version and objective.target_version "
@@ -273,11 +275,8 @@ def _parse_plan(raw: str, proof: str
 # statement once; the memo holds the inputs of a few parallel sessions.
 @functools.lru_cache(maxsize=8)
 def _statement_of(original: str) -> tuple[str, str] | None:
-    """``statement_of(original)``; None for a malformed declaration."""
-    try:
-        return statement_of(original)
-    except MalformedDeclaration:
-        return None
+    """``statement_of(original)``, memoised."""
+    return statement_of(original)
 
 
 def statement_preserved(original: str, candidate: str) -> bool:
@@ -293,10 +292,8 @@ def statement_preserved(original: str, candidate: str) -> bool:
     prefix, statement = held
     if candidate.startswith(prefix):
         return True
-    try:
-        return statement_of(candidate)[1] == statement
-    except MalformedDeclaration:
-        return False
+    own = statement_of(candidate)
+    return own is not None and own[1] == statement
 
 
 def _extract_candidate(raw: str, original: str) -> tuple[str, bool]:
@@ -310,14 +307,10 @@ def _extract_candidate(raw: str, original: str) -> tuple[str, bool]:
         raise StepFailed("reply contains no fenced lean4 block")
     if statement_preserved(original, candidate):
         return candidate, False
-    held = _statement_of(original)
-    try:
-        own_prefix = statement_of(candidate)[0]
-    except MalformedDeclaration:
-        own_prefix = None
-    if held is None or own_prefix is None:
+    held, own = _statement_of(original), statement_of(candidate)
+    if held is None or own is None:
         raise StatementMutation("candidate altered the theorem statement")
-    candidate = held[0] + candidate[len(own_prefix):]
+    candidate = held[0] + candidate[len(own[0]):]
     assert statement_preserved(original, candidate)
     return candidate, True
 
@@ -373,27 +366,22 @@ def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
     return ("\n".join(new), lines) if lines else None
 
 
-def _merge_retrievals(
-    per_span: Iterable[tuple[object, list[RankedStrategy]]], k: int
-) -> list[tuple[RankedStrategy, object]]:
-    """Deduplicate the spans' results by strategy id, keeping the
-    best-scoring hit (the first of equal ones) and its span; sort by
-    descending similarity, then id; truncate to k."""
-    best: dict[str, RankedStrategy] = {}
-    span_of: dict[str, object] = {}
+def _planner_strategies(
+    per_span: Iterable[tuple[object, list[RankedStrategy]]], k: int,
+    bank: Bank,
+) -> tuple[list[dict], list[str]]:
+    """The planner's strategy entries and their ids: the spans' hits
+    deduplicated by strategy id, each the best-scoring one (the first of
+    equal ones) with its span, sorted by descending similarity, then id,
+    and truncated to k."""
+    best: dict[str, tuple[RankedStrategy, object]] = {}
     for span, results in per_span:
         for ranked in results:
-            sid = ranked.strategy_id
-            held = best.get(sid)
-            if held is None or ranked.similarity > held.similarity:
-                best[sid] = ranked
-                span_of[sid] = span
-    merged = sorted(best.values(),
-                    key=lambda r: (-r.similarity, r.strategy_id))
-    return [(ranked, span_of[ranked.strategy_id]) for ranked in merged[:k]]
-
-
-def _strategy_entries(merged, bank: Bank) -> list[dict]:
+            held = best.get(ranked.strategy_id)
+            if held is None or ranked.similarity > held[0].similarity:
+                best[ranked.strategy_id] = ranked, span
+    merged = sorted(best.values(), key=lambda hit: (
+        -hit[0].similarity, hit[0].strategy_id))[:k]
     entries = []
     for ranked, span in merged:
         strategy = bank.strategies[ranked.strategy_id]
@@ -409,7 +397,7 @@ def _strategy_entries(merged, bank: Bank) -> list[dict]:
             "line_start": span.line_start,
             "line_end": span.line_end,
         })
-    return entries
+    return entries, [ranked.strategy_id for ranked, _ in merged]
 
 
 def run_session(
@@ -522,10 +510,14 @@ def run_session(
         return steps
 
     def draft(step: PlanStep, chain: str) -> str | None:
-        """Ask the refactorer for ``step`` against the chain's text,
-        compiling nothing. Returns the draft when it is strictly shorter
-        than ``chain``; otherwise records the step's one ``step_skipped``
-        and returns None."""
+        """Record ``step``'s ``step_attempted`` and ask the refactorer
+        for it against the chain's text, compiling nothing; with no call
+        left, raise ``_OutOfBudget`` before recording. Returns the draft
+        when it is strictly shorter than ``chain``; otherwise records the
+        step's one ``step_skipped`` and returns None."""
+        if not ledger.left:
+            raise _OutOfBudget()
+        ledger.add("step_attempted", {"step": dict(vars(step))})
         prompt = render("refactor", proof=chain, deps=deps, **vars(step))
         try:
             candidate = candidate_of(
@@ -663,12 +655,11 @@ def run_session(
                                        "retrieval",
                             "span": [span.line_start, span.line_end],
                         })
-            merged = _merge_retrievals(per_span, config.objective.k)
-            ledger.add("retrieval", {
-                "strategy_ids": [r.strategy_id for r, _ in merged],
-            })
+            strategies, ids = _planner_strategies(
+                per_span, config.objective.k, bank)
+            ledger.add("retrieval", {"strategy_ids": ids})
 
-            steps = plan(_strategy_entries(merged, bank))
+            steps = plan(strategies)
             if not steps:
                 ledger.add("plan_empty", {})
                 termination = Termination.NO_VIABLE_PLAN
@@ -691,11 +682,7 @@ def run_session(
             exhausted = bool(unasked)  # the budget cut this plan
             for step in sorted((steps[i] for i in asked),
                                key=lambda s: -s.line_start):
-                if not ledger.left:  # transport retries spent it
-                    exhausted = True
-                    break
-                ledger.add("step_attempted", {"step": dict(vars(step))})
-                try:
+                try:  # transport retries may have spent the budget
                     made = draft(step, chain)
                 except _OutOfBudget:
                     exhausted = True

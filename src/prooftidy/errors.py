@@ -27,12 +27,6 @@ class UnknownVersion(ProoftidyError):
     """A toolchain version identifier is not in the registry."""
 
 
-# --- tokenizer --------------------------------------------------------------
-
-class MalformedDeclaration(ProoftidyError):
-    """No theorem/lemma/example header with a top-level `:=` was found."""
-
-
 # --- retrieval --------------------------------------------------------------
 
 class DegenerateVector(ProoftidyError):

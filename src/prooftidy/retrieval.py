@@ -110,6 +110,8 @@ class ObjectiveSpec:
     k: int = 8
 
     def __post_init__(self):
+        # A member stays, its value becomes it; anything else is refused.
+        object.__setattr__(self, "mode", ObjectiveMode(self.mode))
         if self.mode == ObjectiveMode.VERSION and not self.target_version:
             raise ValueError("version objective requires target_version")
         if self.k <= 0 or self.pool_size <= 0:

@@ -17,8 +17,6 @@ import re
 import zlib
 from dataclasses import dataclass
 
-from .errors import MalformedDeclaration
-
 log = logging.getLogger(__name__)
 
 #: Spaced operator sequences re-joined into single tokens, in application order.
@@ -99,19 +97,17 @@ def remove_comments(source: str) -> str:
     return "".join(out)
 
 
-def split_declaration(statement_and_proof: str) -> int:
+def split_declaration(statement_and_proof: str) -> int | None:
     """Return the offset just past the ``:=`` that ends the declaration.
 
     The declaration ends at the first ``:=`` occurring at zero nesting depth
     of ``()[]{}⟨⟩`` after the theorem/lemma/example keyword; the proof is
-    ``text[offset:]``.
-
-    Raises:
-        MalformedDeclaration: no header keyword, or no top-level ``:=``.
+    ``text[offset:]``. None when there is no header keyword or no
+    top-level ``:=``.
     """
     m = _DECL_KEYWORD_RE.search(statement_and_proof)
     if m is None:
-        raise MalformedDeclaration("no theorem/lemma/example header found")
+        return None
     depth = 0
     i = m.end()
     n = len(statement_and_proof)
@@ -124,7 +120,7 @@ def split_declaration(statement_and_proof: str) -> int:
         elif depth == 0 and statement_and_proof.startswith(":=", i):
             return i + 2
         i += 1
-    raise MalformedDeclaration("no top-level ':=' after declaration header")
+    return None
 
 
 _BINDER_KEYWORDS = ("let", "have", "letI", "haveI")
@@ -133,10 +129,11 @@ _CHAR_LITERAL_RE = re.compile(
     r"'(?:\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|.)|[^\\'\n])'")
 
 
-def statement_of(source: str) -> tuple[str, str]:
+def statement_of(source: str) -> tuple[str, str] | None:
     """``source`` through the ``:=`` that ends its statement, and the
     statement without comments, each whitespace run one space and none at
-    either end.
+    either end; None when there is no header keyword or no ``:=`` ending
+    the statement.
 
     The statement guard's scanner. :func:`split_declaration` and
     :func:`remove_comments` must keep the published metric's quirks; this
@@ -149,10 +146,6 @@ def statement_of(source: str) -> tuple[str, str]:
     comment, literal and ``«»`` name skipped there closes inside it, and
     its last two characters are ``:=``. So any text that starts with the
     prefix has the same statement.
-
-    Raises:
-        MalformedDeclaration: no header keyword, or no ``:=`` ending the
-            statement.
     """
     kept: list[str] = []
     kept_from = 0
@@ -205,9 +198,7 @@ def statement_of(source: str) -> tuple[str, str]:
             i += 2
             continue
         i += 1
-    if not header:
-        raise MalformedDeclaration("no theorem/lemma/example header found")
-    raise MalformedDeclaration("no ':=' ending the statement")
+    return None
 
 
 _SPACED_OPERATORS = tuple((" ".join(op), op) for op in LEAN_OPERATORS)
@@ -269,12 +260,15 @@ def proof_length(statement_and_proof: str) -> int:
     """Token count of the proof part of a full declaration.
 
     Comments are removed, the declaration is split off at its top-level
-    ``:=``, and the remainder is lexed. Any failure yields the sentinel
-    ``LENGTH_FAILURE_SENTINEL`` rather than an exception.
+    ``:=``, and the remainder is lexed. A text that does not split, or
+    any other failure, yields the sentinel ``LENGTH_FAILURE_SENTINEL``
+    rather than an exception.
     """
     try:
         cleaned = remove_comments(statement_and_proof)
         offset = split_declaration(cleaned)
+        if offset is None:
+            return LENGTH_FAILURE_SENTINEL
         return sum(map(len, lex(cleaned[offset:])))
     except Exception:
         return LENGTH_FAILURE_SENTINEL

@@ -34,7 +34,6 @@ from prooftidy.compiler import (
 )
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
-    MalformedDeclaration,
     PreconditionFailed,
     ProviderContractViolation,
     RetryableProviderError,
@@ -103,18 +102,15 @@ def test_guard_sees_through_literals(original, candidate):
     "theorem t : P /- never closed := by rfl",
 ])
 def test_statement_of_rejects_unsplittable(source):
-    with pytest.raises(MalformedDeclaration):
-        statement_of(source)
+    assert statement_of(source) is None
 
 
 def two_scan_statement_preserved(original: str, candidate: str) -> bool:
     """The guard's rule with both texts scanned: the normalised statements
     are equal, and the original's is well formed."""
     def normalized(text):
-        try:
-            return statement_of(text)[1]
-        except MalformedDeclaration:
-            return None
+        held = statement_of(text)
+        return None if held is None else held[1]
     expected = normalized(original)
     return expected is not None and expected == normalized(candidate)
 
@@ -148,10 +144,8 @@ snippets = st.sampled_from(STATEMENT_PIECES + BODY_PIECES) | st.text(
 
 
 def statement_end(source: str) -> int | None:
-    try:
-        return len(statement_of(source)[0])
-    except MalformedDeclaration:
-        return None
+    held = statement_of(source)
+    return None if held is None else len(held[0])
 
 
 @settings(max_examples=400, deadline=None)
@@ -697,6 +691,12 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
                      ["session_start", "retrieval", "plan_issued",
                       "termination"], [],
                      id="budget_spent_before_the_first_draft"),
+        # The draft's transport retry spends the last call.
+        pytest.param([_plan(2, 5), {"error": "transport"}], {"budget": 2},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 2,
+                     ["session_start", "retrieval", "plan_issued",
+                      "step_attempted", "warning", "termination"], [],
+                     id="budget_spent_by_the_drafts_retry"),
     ])
 def test_scripted_session(script, config, termination, final, calls, kinds,
                           skipped):
@@ -1163,7 +1163,8 @@ def test_an_input_that_fails_to_compile_is_refused():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("budget", -1), ("target_length", 0), ("max_debug_rounds", -1)])
+    ("budget", -1), ("target_length", 0), ("max_debug_rounds", -1),
+    ("budget", 2.5), ("max_debug_rounds", 1.5), ("target_length", True)])
 def test_config_rejects_an_out_of_range_setting(field, value):
     with pytest.raises(ValueError, match=field):
         AgentConfig(**{field: value})

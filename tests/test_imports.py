@@ -93,3 +93,27 @@ def test_the_scan_sees_a_private_name_imported_from_a_sibling():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_in(source: str) -> set[str]:
+    """Every name that ``source`` imports, loads or reads as an attribute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_error_class_is_named_in_another_module():
+    # With every import read, a class that no other module names has no
+    # raiser and no handler left.
+    errors = ROOT / "src" / "prooftidy" / "errors.py"
+    named = set().union(*(names_in(path.read_text(encoding="utf-8"))
+                          for path in PACKAGE if path != errors))
+    defined = [node.name for node in ast.parse(errors.read_text(
+        encoding="utf-8")).body if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in named] == []

@@ -481,6 +481,10 @@ def test_objective_spec_validation():
         ObjectiveSpec(mode=ObjectiveMode.VERSION)
     with pytest.raises(ValueError):
         ObjectiveSpec(k=10, pool_size=5)
+    with pytest.raises(ValueError):
+        ObjectiveSpec(mode="fast")
+    # A mode's string value is read as the member it names.
+    assert ObjectiveSpec(mode="compile_time").mode is ObjectiveMode.COMPILE_TIME
 
 
 @pytest.mark.parametrize("mode, target, expected", [

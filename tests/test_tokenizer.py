@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prooftidy.errors import MalformedDeclaration
 from prooftidy.tokenizer import (
     LEAN_OPERATORS,
     LENGTH_FAILURE_SENTINEL,
@@ -83,13 +82,11 @@ def test_split_skips_nested_assignment():
 
 
 def test_split_rejects_non_theorem():
-    with pytest.raises(MalformedDeclaration):
-        split_declaration("def x")
+    assert split_declaration("def x") is None
 
 
 def test_split_rejects_missing_assignment():
-    with pytest.raises(MalformedDeclaration):
-        split_declaration("theorem t : P")
+    assert split_declaration("theorem t : P") is None
 
 
 def test_split_handles_anonymous_constructor_brackets():
