@@ -43,13 +43,14 @@ where it stops, in ``run_session``; the planner's call, its corrective
 reparse and its warnings in its ``plan``; whether one step may still be
 asked, its ``step_attempted``, its refactor call and its
 ``step_skipped`` in its ``draft``; which flagged lines of a
-failing candidate are put back in ``_revert_flagged``, and whether that
-text is taken (it keeps the input's statement, is shorter and compiles)
-in its ``revert``; the chain's compile, the revert tried on every
-failing candidate before the debugger, the debugger's call, the debug
-rounds, the acceptance and the chain's ``step_skipped`` in ``verify``;
-the compile memo, one check per source, in its ``compile_source``; which
-faults end a session, in ``OUTSIDE_FAULTS``.
+failing candidate are put back in ``_revert_flagged``; whether a text
+may replace the current proof, be it a chain, a debugger reply or a
+put-back text, in its ``admit``, the one acceptance rule; the chain's
+compile, the put-back tried before each debugger call, the debugger's
+call, the debug rounds, the chain's ``step_skipped`` and the one
+``adoption`` in its ``verify``, the one place that adopts; the compile
+memo, one check per source, in its ``compile_source``; which faults end
+a session, in ``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -427,13 +428,13 @@ def run_session(
     chain stops early once a draft edits a line above its step, or
     reaches ``target_length``. The chain is then compiled once. While it
     fails, the lines it changed that an error flags are put back as the
-    current proof has them, at no call, and a ``revert`` records whether
-    that text is taken: it keeps the statement, is shorter and compiles.
-    Otherwise the debugger is asked about the failing text, up to
-    ``max_debug_rounds`` rounds, and each failing reply is tried the same
-    way. Every reply is guarded against the input's statement. A result
-    is adopted when it compiles on the target and is shorter than the
-    current proof. If the budget runs out mid-plan (a transport retry
+    current proof has them, at no call; otherwise the debugger is asked
+    about the failing text, up to ``max_debug_rounds`` rounds, and each
+    failing reply is tried the same way. Every reply is guarded against
+    the input's statement. ``admit`` is the one rule for whether a text
+    replaces the current proof: it keeps the input's statement, is
+    strictly shorter and compiles on the target. ``verify`` is the one
+    place that adopts. If the budget runs out mid-plan (a transport retry
     spends a call too), the drafts so far are still compiled and may be
     adopted. A plan cut by the budget, before it was asked or while it
     ran, records no ``plan_failed``.
@@ -532,49 +533,53 @@ def run_session(
         ledger.add("step_skipped", skipped)
         return None
 
-    def revert(candidate: str, result: CompileResult) -> str | None:
-        """``candidate`` with the lines its errors flag put back as the
-        current proof has them (``_revert_flagged``), when that keeps the
-        input's statement, is shorter and then compiles; otherwise None,
-        and its ``revert`` says why (``rejected``, and a failed compile's
-        verdict). Spends no LLM call."""
-        put_back = _revert_flagged(candidate, current, result.errors())
-        if put_back is None:
-            return None
-        reverted, lines = put_back
-        detail = {"lines": lines}
-        if not statement_preserved(proof, reverted):
-            detail["rejected"] = "statement altered"
-        elif length(reverted) >= length(current):
-            detail["rejected"] = "not shorter"
-        else:
-            check, verdict = compile_source(reverted)
-            if not check.ok:
-                detail.update(rejected="does not compile", **verdict)
-        ledger.add("revert", detail)
-        return None if "rejected" in detail else reverted
+    def admit(text: str) -> dict:
+        """The one acceptance rule: ``{}`` when ``text`` may replace the
+        current proof, since it keeps the input's statement, is strictly
+        shorter and compiles on the target, checked in that order;
+        otherwise why not (``rejected``, and a failed compile's verdict).
+        Spends no LLM call."""
+        if not statement_preserved(proof, text):
+            return {"rejected": "statement altered"}
+        if length(text) >= length(current):
+            return {"rejected": "not shorter"}
+        check, verdict = compile_source(text)
+        return {} if check.ok else {"rejected": "does not compile", **verdict}
 
-    def verify(chain: str) -> tuple[str, int] | None:
-        """Compile a plan's chain of drafts. While it fails, try its
-        ``revert``, then ask the debugger about the failing text, for up
-        to ``max_debug_rounds`` rounds that the budget still has: the text
-        with its errors marked and listed, or, after a timeout, unmarked
-        with ``compilation timed out``. Each failing reply is tried the
-        same way. The revert runs with the budget spent too, since
-        compiles are free. Returns the result and its debug rounds when it
-        compiles and is shorter than the current proof; otherwise records
-        the chain's one ``step_skipped`` and returns None."""
-        candidate, rounds = chain, 0
+    def verify(chain: str, drafted: list[PlanStep]) -> bool:
+        """Compile the chain of ``drafted`` steps and adopt what ``admit``
+        takes: the one place that sets ``current``, extends ``history``
+        and records an ``adoption``. While the text fails, its flagged
+        lines are put back (``_revert_flagged``), with the budget spent
+        too, and a ``revert`` records ``admit``'s answer; else the
+        debugger is asked, for up to ``max_debug_rounds`` rounds the
+        budget has, about the text with its errors marked and listed, or
+        after a timeout unmarked with ``compilation timed out``; each
+        failing reply is tried the same way. Returns whether it adopted;
+        otherwise records the chain's one ``step_skipped``."""
+        nonlocal current
+        candidate, rounds, skipped = chain, 0, None
         try:
             while True:
                 result, verdict = compile_source(candidate)
                 ledger.add("compile_result", verdict)
                 if result.ok:
+                    # A reply keeps the statement, so only its length fails.
+                    if admit(candidate):
+                        skipped = {"reason": "candidate not shorter",
+                                   "candidate_length": length(candidate)}
                     break
-                reverted = revert(candidate, result)
-                if reverted is not None:
-                    return reverted, rounds
+                put_back = _revert_flagged(candidate, current, result.errors())
+                if put_back is not None:
+                    reverted, lines = put_back
+                    rejected = admit(reverted)
+                    ledger.add("revert", {"lines": lines, **rejected})
+                    if not rejected:
+                        candidate = reverted
+                        break
                 if rounds == config.max_debug_rounds or not ledger.left:
+                    skipped = {"reason": "no compiling candidate",
+                               "debug_rounds": rounds}
                     break
                 rounds += 1
                 timeout = result.verdict == Verdict.TIMEOUT
@@ -591,17 +596,18 @@ def run_session(
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc),
                        "debug_rounds": rounds}
-        else:
-            if not result.ok:
-                skipped = {"reason": "no compiling candidate",
-                           "debug_rounds": rounds}
-            elif length(candidate) < length(current):
-                return candidate, rounds
-            else:
-                skipped = {"reason": "candidate not shorter",
-                           "candidate_length": length(candidate)}
-        ledger.add("step_skipped", skipped)
-        return None
+        if skipped:
+            ledger.add("step_skipped", skipped)
+            return False
+        current = candidate
+        history.extend(f"({s.title} @ {s.line_start}-{s.line_end}, Success)"
+                       for s in drafted)
+        ledger.add("adoption", {
+            "steps": [dict(vars(s)) for s in drafted],
+            "new_length": length(current),
+            "debug_rounds": rounds,
+        })
+        return True
 
     current = proof
     history: list[str] = []
@@ -698,17 +704,7 @@ def run_session(
                     break
             # With the budget spent, the drafts so far are still compiled:
             # compiles are free.
-            adopted = verify(chain) if drafted else None
-            if adopted is not None:
-                current, rounds = adopted
-                history.extend(f"({s.title} @ {s.line_start}-{s.line_end}, "
-                               f"Success)" for s in drafted)
-                ledger.add("adoption", {
-                    "steps": [dict(vars(s)) for s in drafted],
-                    "new_length": length(current),
-                    "debug_rounds": rounds,
-                })
-            elif not exhausted:
+            if not (drafted and verify(chain, drafted)) and not exhausted:
                 history.append(f"(plan of {len(steps)} steps, Failed)")
                 ledger.add("plan_failed", {"steps": len(steps)})
     except _OutOfBudget:

@@ -114,8 +114,11 @@ class ObjectiveSpec:
         object.__setattr__(self, "mode", ObjectiveMode(self.mode))
         if self.mode == ObjectiveMode.VERSION and not self.target_version:
             raise ValueError("version objective requires target_version")
-        if self.k <= 0 or self.pool_size <= 0:
-            raise ValueError("k and pool_size must be positive")
+        # A bool is no count, as for ``AgentConfig``'s.
+        for name in ("k", "pool_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.k > self.pool_size:
             raise ValueError("k must not exceed pool_size")
 

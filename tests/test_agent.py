@@ -697,6 +697,14 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
                      ["session_start", "retrieval", "plan_issued",
                       "step_attempted", "warning", "termination"], [],
                      id="budget_spent_by_the_drafts_retry"),
+        # The debugger call's transport retry spends the last call: the
+        # plan is cut by the budget, so it is neither skipped nor failed.
+        pytest.param([_plan(2, 5), _candidate(FAILING),
+                      {"error": "transport"}],
+                     {"budget": 3, "max_debug_rounds": 1},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 3,
+                     START + ["compile_result", "warning", "termination"], [],
+                     id="budget_spent_by_the_debuggers_retry"),
     ])
 def test_scripted_session(script, config, termination, final, calls, kinds,
                           skipped):
@@ -961,6 +969,45 @@ def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
     assert adoption.detail["debug_rounds"] == 1
 
 
+def test_a_debugger_reply_whose_revert_is_taken_counts_its_round():
+    # FAILING fails on line 1, which no revert puts back; the debugger's
+    # RENAMED fails on its changed line 3, which put back gives MIDDLE.
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(RENAMED),
+                       EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == MIDDLE
+    assert [source for _, source in compiler.calls] == [PROOF, FAILING,
+                                                         RENAMED, MIDDLE]
+    assert [e.detail for e in result.trace.of_kind("revert")] == [
+        {"lines": [3]}]
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail == {"steps": json.loads(_steps((2, 5))),
+                               "new_length": proof_length(MIDDLE),
+                               "debug_rounds": 1}
+    assert result.trace.of_kind("step_skipped") == []
+
+
+def test_a_debugger_reply_that_is_not_shorter_is_skipped_with_its_length():
+    # The debugger answers FAILING with PROOF itself: it compiles (the
+    # precheck's check, from the memo) but is not shorter.
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(PROOF),
+                       EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == PROOF
+    assert result.trace.of_kind("adoption") == []
+    assert [e.detail for e in result.trace.of_kind("compile_result")] == [
+        {"verdict": "failure"}, {"verdict": "success", "cached": True}]
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "candidate not shorter",
+         "candidate_length": proof_length(PROOF)}]
+    assert [e.detail for e in result.trace.of_kind("plan_failed")] == [
+        {"steps": 1}]
+
+
 def test_a_failing_check_with_only_warnings_goes_to_the_debugger():
     # RENAMED's changed line 3 carries a warning: no error flags a line,
     # so nothing is put back and the debugger is asked.
@@ -1045,7 +1092,9 @@ def test_a_put_back_statement_is_the_inputs_after_a_header_rewrite():
 # --- faults from outside the process -----------------------------------------
 
 # Not in the compiler's script.
-UNCOVERED = "theorem t : 1 + 1 = 2 := by\n  rfl"
+UNCOVERED = "theorem t : 1 + 1 = 2 := by\n  simp"
+# UNCOVERED with its line 2 put back as SHORTER has it.
+UNCOVERED_REVERTED = "theorem t : 1 + 1 = 2 := by\n  norm_num"
 # Adopt SHORTER, then replan and try a step that reaches UNCOVERED.
 ADOPT_THEN_UNCOVERED = [_plan(2, 5), _candidate(SHORTER), _plan(2, 3),
                         _candidate(UNCOVERED)]
@@ -1069,6 +1118,15 @@ def _check_fails_on(source: str, exc: Exception):
         compiler, "check", exc, lambda req: req.source == source)
 
 
+def _revert_check_fails(exc: Exception):
+    """UNCOVERED fails on its changed line 2, and the check of its revert
+    raises ``exc``."""
+    def fault(compiler, embedder):
+        compiler.by_source[UNCOVERED] = _flagged(2)
+        _check_fails_on(UNCOVERED_REVERTED, exc)(compiler, embedder)
+    return fault
+
+
 def _embed_fails_after_one_batch(exc: Exception):
     return lambda compiler, embedder: _raise_on(
         embedder, "embed", exc, lambda texts: bool(embedder.batches))
@@ -1081,6 +1139,9 @@ def _embed_fails_after_one_batch(exc: Exception):
                  "ToolchainMissing", SECOND_ROUND, id="ToolchainMissing"),
     pytest.param(_check_fails_on(UNCOVERED, OSError(28, "No space left")),
                  "OSError", SECOND_ROUND, id="OSError"),
+    pytest.param(_revert_check_fails(ToolchainMissing("no lake")),
+                 "ToolchainMissing", SECOND_ROUND + ["compile_result"],
+                 id="ToolchainMissing_in_a_revert"),
     pytest.param(_embed_fails_after_one_batch(
                      ProviderContractViolation("3 vectors for 4 texts")),
                  "ProviderContractViolation", ["adoption"],

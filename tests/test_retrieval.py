@@ -483,6 +483,11 @@ def test_objective_spec_validation():
         ObjectiveSpec(k=10, pool_size=5)
     with pytest.raises(ValueError):
         ObjectiveSpec(mode="fast")
+    # A count must be an integer, and a bool is none.
+    for field, value in (("k", 2.5), ("pool_size", 8.5), ("k", True),
+                         ("pool_size", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ObjectiveSpec(**{field: value})
     # A mode's string value is read as the member it names.
     assert ObjectiveSpec(mode="compile_time").mode is ObjectiveMode.COMPILE_TIME
 
