@@ -8,8 +8,12 @@ The mock backend replays ``CompileResult``s given in code, keyed by
 source (optionally per toolchain version) or consumed in order, which
 makes the whole agent loop testable offline and byte-deterministic.
 
-Plain checks may run concurrently up to a configured limit. Profiling and
-heartbeat counting run alone: one at a time, and with no check running.
+Checks run concurrently up to a configured limit, and a heartbeat count
+is one of them: Lean's count of elaboration work is deterministic, so it
+needs no quiet machine. Profiling times the wall clock, so it runs alone:
+one profile at a time, with no check beside it. Both backends keep the
+same rule for a measurement: profile times and a heartbeat count are read
+only from a compile that succeeded.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -45,7 +49,7 @@ HEARTBEAT_DIRECTIVES = (
 SCRATCH_DIR_NAME = ".refactor-scratch"
 
 DEFAULT_TIMEOUT = 300.0
-DEFAULT_PROFILE_RUNS = 5
+PROFILE_RUNS = 5
 
 
 class Verdict(str, Enum):
@@ -69,19 +73,23 @@ class CompileRequest:
     source: str
     toolchain_version: str
     want_profile: bool = False
-    want_heartbeats: bool = False
 
 
 @dataclass(frozen=True)
 class CompileResult:
+    """One compile's outcome. Every request fills ``verdict`` and
+    ``diagnostics``, and the real backend ``wall_time_total``. Only a
+    successful ``profile`` fills ``import_time`` and ``elaboration_time``
+    (means over its runs, as is ``wall_time_total``). ``heartbeats`` is
+    filled only by a successful compile that reports a count, as every
+    ``count_heartbeats`` request's must."""
+
     verdict: Verdict
     diagnostics: tuple[Diagnostic, ...] = ()
     wall_time_total: float | None = None
     import_time: float | None = None
     elaboration_time: float | None = None
     heartbeats: int | None = None
-    wall_samples: tuple[float, ...] | None = None
-    elaboration_samples: tuple[float, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -132,8 +140,14 @@ def parse_diagnostics(output: str) -> list[Diagnostic]:
     return [Diagnostic(**record) for record in records]
 
 
-def parse_profile_categories(output: str) -> dict[str, float]:
-    """Category -> seconds from the profiler's cumulative section."""
+def parse_profile_times(output: str,
+                        wall_total: float) -> tuple[float, float]:
+    """(import_time, elaboration_time) from the profiler's cumulative section.
+
+    Import time sums the categories named ``import...``; elaboration is
+    everything else, the wall total minus import, clamped at zero to absorb
+    sub-tick rounding.
+    """
     lines = output.splitlines()
     try:
         start = next(i for i, line in enumerate(lines)
@@ -151,26 +165,14 @@ def parse_profile_categories(output: str) -> dict[str, float]:
     if not categories:
         raise ProfileParseError("cumulative profiling section is empty",
                                 raw_output=output)
-    return categories
-
-
-def split_profile_times(categories: dict[str, float],
-                        wall_total: float) -> tuple[float, float]:
-    """(import_time, elaboration_time): import categories vs. everything else.
-
-    Elaboration is wall total minus import, clamped at zero to absorb
-    sub-tick rounding.
-    """
     import_time = sum(v for k, v in categories.items()
                       if k.startswith("import"))
     return import_time, max(wall_total - import_time, 0.0)
 
 
-def parse_heartbeats(output: str) -> int:
+def parse_heartbeats(output: str) -> int | None:
     m = _HEARTBEAT_RE.search(output)
-    if not m:
-        raise HeartbeatParseError("no heartbeat count in compiler output")
-    return int(m.group(1))
+    return int(m.group(1)) if m else None
 
 
 class _CompilerCore:
@@ -195,50 +197,42 @@ class _CompilerCore:
         finally:
             self._check_slots.release()
 
-    @contextmanager
-    def _alone(self):
-        """Run a measurement with no other measurement or check beside it:
-        hold the measurement lock and every check slot."""
+    def profile(self, req: CompileRequest) -> CompileResult:
+        """``PROFILE_RUNS`` profiled compiles, with the mean of each time.
+
+        They run alone: under the measurement lock and holding every check
+        slot, so no other profile or check runs beside them. The first run
+        that does not succeed is returned as is.
+        """
+        req = replace(req, want_profile=True)
+        results: list[CompileResult] = []
         with self._measurement_lock:
             for _ in range(self._max_concurrent):
                 self._check_slots.acquire()
             try:
-                yield
+                for _ in range(PROFILE_RUNS):
+                    result = self._run(req)
+                    if not result.ok:
+                        return result
+                    results.append(result)
             finally:
                 for _ in range(self._max_concurrent):
                     self._check_slots.release()
-
-    def profile(self, req: CompileRequest,
-                runs: int = DEFAULT_PROFILE_RUNS) -> CompileResult:
-        """Serialized repeated profiling; samples back mean/std reporting.
-        The first run that does not succeed is returned as is."""
-        if runs < 1:
-            raise ValueError("runs must be >= 1")
-        req = replace(req, want_profile=True)
-        results: list[CompileResult] = []
-        with self._alone():
-            for _ in range(runs):
-                result = self._run(req)
-                if result.verdict != Verdict.SUCCESS:
-                    return result
-                results.append(result)
-        walls = tuple(r.wall_time_total for r in results)
-        elaborations = tuple(r.elaboration_time for r in results)
         return replace(
             results[-1],
-            wall_time_total=sum(walls) / runs,
-            import_time=sum(r.import_time for r in results) / runs,
-            elaboration_time=sum(elaborations) / runs,
-            wall_samples=walls,
-            elaboration_samples=elaborations,
+            wall_time_total=sum(r.wall_time_total for r in results) / PROFILE_RUNS,
+            import_time=sum(r.import_time for r in results) / PROFILE_RUNS,
+            elaboration_time=sum(r.elaboration_time for r in results) / PROFILE_RUNS,
         )
 
     def count_heartbeats(self, req: CompileRequest) -> CompileResult:
-        """Compile ``req.source`` under the heartbeat directives."""
-        wrapped = replace(req, source=heartbeat_wrapper(req.source),
-                          want_heartbeats=True)
-        with self._alone():
-            return self._run(wrapped)
+        """A check of ``req.source`` under the heartbeat directives. A
+        compile that fails comes back with no count; one that succeeds and
+        reports none raises ``HeartbeatParseError``."""
+        result = self.check(replace(req, source=heartbeat_wrapper(req.source)))
+        if result.ok and result.heartbeats is None:
+            raise HeartbeatParseError("no heartbeat count in compiler output")
+        return result
 
     def cross_version_matrix(self, source: str,
                              versions: Sequence[str]) -> dict[str, Verdict]:
@@ -285,14 +279,10 @@ class LeanCompiler(_CompilerCore):
     def default_version(self) -> str:
         return self.registry.native_version
 
-    def _resolve_root(self, version: str) -> Path:
-        root = self.registry.root_for(version)
+    def _run(self, req: CompileRequest) -> CompileResult:
+        root = self.registry.root_for(req.toolchain_version)
         if not root.is_dir():
             raise ToolchainMissing(f"environment root {root} does not exist")
-        return root
-
-    def _run(self, req: CompileRequest) -> CompileResult:
-        root = self._resolve_root(req.toolchain_version)
         try:
             source = req.source.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -318,27 +308,21 @@ class LeanCompiler(_CompilerCore):
         wall = time.monotonic() - started
         output = proc.stdout + "\n" + proc.stderr
         diagnostics = tuple(parse_diagnostics(output))
-        if proc.returncode == 0:
-            verdict = Verdict.SUCCESS
-        else:
-            verdict = Verdict.FAILURE
-            if not CompileResult(verdict, diagnostics).errors():
+        if proc.returncode != 0:
+            if not CompileResult(Verdict.FAILURE, diagnostics).errors():
                 tail = output.strip().splitlines()[-1] if output.strip() else "compiler failed"
                 diagnostics = diagnostics + (Diagnostic(1, 0, "error", tail),)
+            return CompileResult(Verdict.FAILURE, diagnostics, wall_time_total=wall)
         import_time = elaboration_time = None
-        if req.want_profile and verdict == Verdict.SUCCESS:
-            categories = parse_profile_categories(output)
-            import_time, elaboration_time = split_profile_times(categories, wall)
-        heartbeats = None
-        if req.want_heartbeats:
-            heartbeats = parse_heartbeats(output)
+        if req.want_profile:
+            import_time, elaboration_time = parse_profile_times(output, wall)
         return CompileResult(
-            verdict=verdict,
+            verdict=Verdict.SUCCESS,
             diagnostics=diagnostics,
             wall_time_total=wall,
             import_time=import_time,
             elaboration_time=elaboration_time,
-            heartbeats=heartbeats,
+            heartbeats=parse_heartbeats(output),
         )
 
 

@@ -1,5 +1,5 @@
 """Compiler port tests: parsers, heartbeat wrapper, scripted mock, and the
-shared core's measurement rule."""
+shared core's rules for checks and measurements."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from prooftidy import compiler as compiler_module
 from prooftidy.bank import ToolchainRegistry
 from prooftidy.compiler import (
     HEARTBEAT_DIRECTIVES,
+    PROFILE_RUNS,
     SCRATCH_DIR_NAME,
     CompileRequest,
     CompileResult,
@@ -27,8 +28,7 @@ from prooftidy.compiler import (
     heartbeat_wrapper,
     parse_diagnostics,
     parse_heartbeats,
-    parse_profile_categories,
-    split_profile_times,
+    parse_profile_times,
 )
 from prooftidy.errors import (
     HeartbeatParseError,
@@ -113,28 +113,26 @@ def test_parse_diagnostics_equals_the_three_exit_parse(lines, ending):
 
 def test_profile_transcript_fixture_splits_import():
     raw = (FIXTURES / "profile_transcript_a.txt").read_text()
-    categories = parse_profile_categories(raw)
-    import_time, elaboration = split_profile_times(categories, wall_total=2.0)
+    import_time, elaboration = parse_profile_times(raw, wall_total=2.0)
     assert import_time == pytest.approx(1.20)
     assert elaboration == pytest.approx(0.80)
 
 
 def test_profile_units_converted():
-    raw = "cumulative profiling times:\n\tparsing 11.1ms\n\timport 1.5s\n"
-    categories = parse_profile_categories(raw)
-    assert categories["parsing"] == pytest.approx(0.0111)
-    assert categories["import"] == pytest.approx(1.5)
+    raw = ("cumulative profiling times:\n\tparsing 1.5s\n\timport 250ms\n"
+           "\timport olean 0.01min\n")
+    assert parse_profile_times(raw, wall_total=2.0) == pytest.approx((0.85, 1.15))
 
 
 def test_profile_parse_error_keeps_raw_output():
     with pytest.raises(ProfileParseError) as err:
-        parse_profile_categories("no timings here")
+        parse_profile_times("no timings here", wall_total=1.0)
     assert err.value.raw_output == "no timings here"
 
 
 def test_split_clamps_elaboration_at_zero():
-    _, elaboration = split_profile_times({"import": 3.0}, wall_total=2.5)
-    assert elaboration == 0.0
+    raw = "cumulative profiling times:\n\timport 3s\n"
+    assert parse_profile_times(raw, wall_total=2.5) == (3.0, 0.0)
 
 
 # --- heartbeats ----------------------------------------------------------------
@@ -152,8 +150,7 @@ def test_heartbeat_count_parsed():
 
 
 def test_heartbeat_missing_count_raises():
-    with pytest.raises(HeartbeatParseError):
-        parse_heartbeats("info: nothing to see")
+    assert parse_heartbeats("info: nothing to see") is None
 
 
 # --- scripted mock ---------------------------------------------------------------
@@ -210,34 +207,27 @@ def test_mock_profile_constant_times_zero_std():
     source = "theorem t : True := trivial"
     compiler = MockCompiler(by_source={
         source: ok_entry(wall=2.0, import_time=0.5)})
-    result = compiler.profile(request(source), runs=5)
+    result = compiler.profile(request(source))
     assert result.elaboration_time == pytest.approx(1.5)
-    assert result.elaboration_samples == (1.5,) * 5
-    assert result.wall_samples == (2.0,) * 5
+    assert result.wall_time_total == pytest.approx(2.0)
+    assert compiler.calls == [("v4.24.0", source)] * PROFILE_RUNS
 
 
 def test_mock_profile_means_import_time_with_the_wall_time():
-    compiler = MockCompiler(sequence=[ok_entry(wall=2.0, import_time=0.5),
-                                      ok_entry(wall=3.0, import_time=1.5)])
-    result = compiler.profile(request("x"), runs=2)
-    assert result.wall_time_total == pytest.approx(2.5)
-    assert result.import_time == pytest.approx(1.0)
+    compiler = MockCompiler(sequence=[
+        ok_entry(wall=float(wall), import_time=wall / 4)
+        for wall in range(1, PROFILE_RUNS + 1)])
+    result = compiler.profile(request("x"))
+    assert result.wall_time_total == pytest.approx((PROFILE_RUNS + 1) / 2)
+    assert result.import_time == pytest.approx((PROFILE_RUNS + 1) / 8)
     assert result.import_time + result.elaboration_time == pytest.approx(
         result.wall_time_total)
 
 
 def test_mock_profile_stops_at_a_failed_run():
     compiler = MockCompiler(sequence=[fail_entry(1, 0, "boom"), ok_entry()])
-    assert compiler.profile(request("x"), runs=2).verdict == Verdict.FAILURE
+    assert compiler.profile(request("x")).verdict == Verdict.FAILURE
     assert compiler.check(request("y")).verdict == Verdict.SUCCESS
-
-
-@pytest.mark.parametrize("runs", [0, -1])
-def test_mock_profile_rejects_fewer_than_one_run(runs):
-    compiler = MockCompiler(sequence=[ok_entry()])
-    with pytest.raises(ValueError):
-        compiler.profile(request("x"), runs=runs)
-    assert compiler.calls == []
 
 
 def test_mock_heartbeats_scripted():
@@ -246,6 +236,20 @@ def test_mock_heartbeats_scripted():
         heartbeat_wrapper(decl): ok_entry(heartbeats=36300)})
     result = compiler.count_heartbeats(request(decl))
     assert result.heartbeats == 36300
+
+
+def test_mock_heartbeat_count_of_a_failing_compile_is_its_failure():
+    decl = "theorem t : True := trivial"
+    failure = fail_entry(2, 2, "unsolved goals")
+    compiler = MockCompiler(by_source={heartbeat_wrapper(decl): failure})
+    assert compiler.count_heartbeats(request(decl)) == failure
+
+
+def test_mock_heartbeat_count_missing_from_a_success_raises():
+    decl = "theorem t : True := trivial"
+    compiler = MockCompiler(by_source={heartbeat_wrapper(decl): ok_entry()})
+    with pytest.raises(HeartbeatParseError):
+        compiler.count_heartbeats(request(decl))
 
 
 def test_mock_cross_version_matrix():
@@ -371,12 +375,10 @@ def test_lean_profile_passes_the_flag_and_parses_the_times(tmp_path, monkeypatch
                     'echo "  import 0.1ms"\n'
                     'echo "  elaboration 0.2ms"')
     assert lake.compiler.check(lean_request()).verdict == Verdict.FAILURE
-    result = lake.compiler.profile(lean_request(), runs=2)
+    result = lake.compiler.profile(lean_request())
     assert result.verdict == Verdict.SUCCESS
     assert result.import_time == pytest.approx(1e-4)
-    assert len(result.wall_samples) == 2
-    assert result.elaboration_samples == pytest.approx(
-        [wall - 1e-4 for wall in result.wall_samples])
+    assert result.elaboration_time == pytest.approx(result.wall_time_total - 1e-4)
     assert lake.saved("args").split()[:3] == ["env", "lean", "--profile"]
 
 
@@ -389,6 +391,26 @@ def test_lean_count_heartbeats_wraps_the_source(tmp_path, monkeypatch):
     seen = lake.saved("seen.lean")
     assert seen == heartbeat_wrapper(SOURCE)
     assert seen.startswith("\n".join(HEARTBEAT_DIRECTIVES) + "\n")
+
+
+def test_lean_heartbeat_count_of_a_failing_compile_is_its_failure(tmp_path,
+                                                                  monkeypatch):
+    # The count a failed compile prints is not read: only a success's is.
+    lake = FakeLake(tmp_path, monkeypatch,
+                    'echo "$last:3:2: error: unsolved goals"\n'
+                    'echo "$last:1:0: info: Used 99 heartbeats"\nexit 1')
+    result = lake.compiler.count_heartbeats(lean_request())
+    assert (result.verdict, result.heartbeats) == (Verdict.FAILURE, None)
+    assert result.diagnostics == (Diagnostic(3, 2, "error", "unsolved goals"),
+                                  Diagnostic(1, 0, "info", "Used 99 heartbeats"))
+
+
+def test_lean_heartbeat_count_missing_from_a_success_raises(tmp_path,
+                                                           monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    with pytest.raises(HeartbeatParseError):
+        lake.compiler.count_heartbeats(lean_request())
+    assert lake.saved("seen.lean") == heartbeat_wrapper(SOURCE)
 
 
 def test_a_source_utf8_cannot_encode_fails_without_a_compile(tmp_path,
@@ -419,6 +441,21 @@ def test_a_write_that_fails_leaves_no_scratch_directory(tmp_path, monkeypatch):
         lake.compiler.check(lean_request())
     assert not (lake.dir / "args").exists()
     assert lake.scratch_left() == []
+
+
+def test_lean_cross_version_matrix_survives_the_environments_that_raise(
+        tmp_path, monkeypatch):
+    lake = FakeLake(tmp_path, monkeypatch, "exit 0")
+    compiler = LeanCompiler(ToolchainRegistry(entries=(
+        ("v4.24.0", str(lake.root)),
+        ("v4.22.0", str(tmp_path / "gone")),  # ToolchainMissing
+    )))
+    matrix = compiler.cross_version_matrix(
+        SOURCE, ["v4.22.0", "v4.99.0", "v4.24.0"])  # v4.99.0: UnknownVersion
+    assert matrix == {"v4.22.0": Verdict.ENVIRONMENT_ERROR,
+                      "v4.99.0": Verdict.ENVIRONMENT_ERROR,
+                      "v4.24.0": Verdict.SUCCESS}
+    assert lake.saved("seen.lean") == SOURCE
 
 
 def test_lean_missing_root_is_a_missing_toolchain(tmp_path):
@@ -485,17 +522,17 @@ def test_lean_timeout_kills_every_process_of_the_compile(tmp_path, monkeypatch):
     lambda: MockCompiler(),
 ], ids=["lean", "mock"])
 def test_measurements_run_with_no_check_beside_them(make):
+    # A heartbeat count is a check; only profiling runs alone.
     compiler = make()
     lock = threading.Lock()
     running: list[str] = []
     overlaps: list[list[str]] = []
 
     def fake_run(req):
-        kind = ("profile" if req.want_profile
-                else "heartbeats" if req.want_heartbeats else "check")
+        kind = "profile" if req.want_profile else "check"
         with lock:
             running.append(kind)
-            if len(running) > 1 and any(k != "check" for k in running):
+            if len(running) > 1 and "profile" in running:
                 overlaps.append(list(running))
         time.sleep(0.002)
         with lock:
@@ -517,7 +554,7 @@ def test_measurements_run_with_no_check_beside_them(make):
     try:
         time.sleep(0.01)
         for _ in range(3):
-            assert compiler.profile(request("x"), runs=3).wall_samples == (1.0,) * 3
+            assert compiler.profile(request("x")).wall_time_total == 1.0
             assert compiler.count_heartbeats(request("x")).heartbeats == 7
     finally:
         stop.set()
@@ -525,3 +562,62 @@ def test_measurements_run_with_no_check_beside_them(make):
             thread.join(timeout=5)
     assert not any(thread.is_alive() for thread in checkers)
     assert overlaps == []
+
+
+def test_a_heartbeat_count_runs_beside_a_check():
+    compiler = LeanCompiler(REGISTRY, max_concurrent=3)
+    checking, counted = threading.Event(), threading.Event()
+
+    def fake_run(req):
+        if req.source.startswith(HEARTBEAT_DIRECTIVES[0]):
+            counted.set()
+            return CompileResult(Verdict.SUCCESS, heartbeats=7)
+        # The check holds its slot until the count has run.
+        checking.set()
+        return CompileResult(Verdict.SUCCESS if counted.wait(timeout=5)
+                             else Verdict.TIMEOUT)
+
+    compiler._run = fake_run
+    verdicts: list[Verdict] = []
+    checker = threading.Thread(
+        target=lambda: verdicts.append(compiler.check(request("x")).verdict))
+    checker.start()
+    assert checking.wait(timeout=5)
+    assert compiler.count_heartbeats(request("x")).heartbeats == 7
+    checker.join(timeout=5)
+    assert verdicts == [Verdict.SUCCESS]
+
+
+def test_checks_and_heartbeat_counts_never_exceed_the_cap():
+    compiler = LeanCompiler(REGISTRY, max_concurrent=3)
+    lock = threading.Lock()
+    in_flight = peak = 0
+    full = threading.Event()  # set once the cap is first reached
+
+    def fake_run(req):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+            if in_flight == 3:
+                full.set()
+        full.wait(timeout=5)
+        time.sleep(0.001)
+        with lock:
+            in_flight -= 1
+        return CompileResult(Verdict.SUCCESS, heartbeats=7)
+
+    compiler._run = fake_run
+
+    def work():
+        for _ in range(3):
+            compiler.check(request("x"))
+            compiler.count_heartbeats(request("x"))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert peak == 3
