@@ -15,7 +15,10 @@ call (for a load, the loaded bank included). ``test_build_index`` times
 ``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``:
 the bank is built in memory, so every text is embedded (a cold build).
 ``test_build_index_persisted`` times the warm build over the same bank
-saved and loaded, whose vectors file an untimed first build wrote.
+saved and loaded, whose vectors file an untimed first build wrote. Both
+record the ``tracemalloc`` peak of one untimed build (the index it
+returns included): the cold one in memory, and for the loaded bank the
+first build, which embeds every text and writes the file, and a warm one.
 ``test_setup`` times, as one number, the set-up the session benchmark
 runs: ``load_bank``, ``recheck`` and a warm ``StrategyIndex.build`` over
 the 10⁴-strategy bank. ``load_bank``, ``recheck`` and the set-up run a
@@ -137,6 +140,8 @@ def test_recheck(benchmark, tmp_path, n):
 
 
 def test_build_index(benchmark):
+    benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        StrategyIndex.build, bank(10_000), MockEmbedder())
     index = benchmark(StrategyIndex.build, bank(10_000), MockEmbedder())
     assert len(index) == 10_000
 
@@ -144,7 +149,10 @@ def test_build_index(benchmark):
 def test_build_index_persisted(benchmark, tmp_path):
     save(10_000, tmp_path)
     loaded = load_bank(tmp_path, REGISTRY)
-    StrategyIndex.build(loaded, MockEmbedder())
+    benchmark.extra_info["cold_tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        StrategyIndex.build, loaded, MockEmbedder())
+    benchmark.extra_info["warm_tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        StrategyIndex.build, loaded, MockEmbedder())
     index = benchmark(StrategyIndex.build, loaded, MockEmbedder())
     assert len(index) == 10_000
 

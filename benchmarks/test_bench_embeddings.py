@@ -4,9 +4,12 @@ Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_embeddings.py
 
-Times one ``MockEmbedder.embed`` call and one ``_check_batch`` of its
-vectors over 244 texts, the texts a traced ``longproof_compile`` session
-embeds on average. A text is a seeded window of one to eight tactic lines.
+Times one ``MockEmbedder.embed`` call over 244 texts, the texts a traced
+``longproof_compile`` session embeds on average, and one ``_check_batch``
+of those 244 vectors. ``_check_batch`` takes them as a list of 1-D
+arrays, the form in which ``HttpEmbedder`` parses a reply, and returns
+them stacked as one (244 × 32) array. A text is a seeded window of one to
+eight tactic lines.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ def test_embed(benchmark):
     embedder = MockEmbedder()
     batch = texts()
     result = benchmark(embedder.embed, batch)
-    assert len(result) == N_TEXTS
+    assert result.shape == (N_TEXTS, embedder.dimension)
 
 
 def test_check_batch(benchmark):
     embedder = MockEmbedder()
-    vectors = embedder.embed(texts())
-    benchmark(_check_batch, vectors, N_TEXTS, embedder.dimension)
+    vectors = list(embedder.embed(texts()))
+    batch = benchmark(_check_batch, vectors, N_TEXTS, embedder.dimension)
+    assert batch.shape == (N_TEXTS, embedder.dimension)

@@ -52,8 +52,7 @@ def world(n: int) -> tuple[Bank, StrategyIndex, np.ndarray]:
             compatibility_set=frozenset({TARGET} if i % 2 else ()),
         )
     bank = Bank(strategies=strategies, registry=REGISTRY)
-    index = StrategyIndex(list(strategies),
-                          list(rng.standard_normal((n, DIMENSION))))
+    index = StrategyIndex(list(strategies), rng.standard_normal((n, DIMENSION)))
     return bank, index, rng.standard_normal(DIMENSION)
 
 

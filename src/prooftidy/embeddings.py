@@ -31,6 +31,11 @@ from .llm import post_json
 class EmbeddingProvider(Protocol):
     """Anything that maps a list of texts to fixed-dimension vectors.
 
+    ``embed`` returns one float64 array of shape (len(texts), dimension),
+    row i the vector of text i, (0, dimension) for no texts. The caller
+    owns it: ``StrategyIndex`` takes it over and normalises it in place,
+    so a provider returns a new array on every call.
+
     ``model`` names the mapping: two providers with equal ``model`` and
     ``dimension`` must give equal vectors for equal texts, because
     ``StrategyIndex.build`` reuses stored vectors under that key.
@@ -39,10 +44,18 @@ class EmbeddingProvider(Protocol):
     model: str
     dimension: int
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
-def _check_batch(vectors: list[np.ndarray], n_texts: int, dimension: int) -> None:
+def _check_batch(vectors: list[np.ndarray], n_texts: int,
+                 dimension: int) -> np.ndarray:
+    """The provider's ``vectors`` for ``n_texts`` texts (at least one) as
+    one (n_texts × dimension) array.
+
+    Raises:
+        ProviderContractViolation: a count or dimension is wrong, or a
+            vector is non-finite or all zero.
+    """
     if len(vectors) != n_texts:
         raise ProviderContractViolation(
             f"provider returned {len(vectors)} vectors for {n_texts} texts"
@@ -52,12 +65,12 @@ def _check_batch(vectors: list[np.ndarray], n_texts: int, dimension: int) -> Non
             raise ProviderContractViolation(
                 f"provider returned dimension {v.shape} != ({dimension},)"
             )
-    if vectors:
-        stacked = np.stack(vectors)
-        if not np.isfinite(stacked).all():
-            raise ProviderContractViolation("provider returned non-finite values")
-        if not stacked.any(axis=1).all():
-            raise ProviderContractViolation("provider returned an all-zero vector")
+    stacked = np.stack(vectors)
+    if not np.isfinite(stacked).all():
+        raise ProviderContractViolation("provider returned non-finite values")
+    if not stacked.any(axis=1).all():
+        raise ProviderContractViolation("provider returned an all-zero vector")
+    return stacked
 
 
 class MockEmbedder:
@@ -76,21 +89,26 @@ class MockEmbedder:
     def model(self) -> str:
         return f"mock-seed{self.seed}"
 
-    def _vector_for(self, text: str) -> np.ndarray:
-        key = f"{self.seed}\x00{text}".encode("utf-8", "surrogatepass")
-        digest = hashlib.sha256(key).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
-        v = rng.standard_normal(self.dimension)
-        norm = math.sqrt(v @ v)  # exactly np.linalg.norm for 1-D float64
-        if norm == 0.0:  # astronomically unlikely; keep the contract total
-            v[0] = 1.0
-            norm = 1.0
-        return v / norm
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         # One finite unit vector per text by construction, so unlike a
         # provider's reply the batch needs no _check_batch.
-        return [self._vector_for(t) for t in texts]
+        matrix = np.empty((len(texts), self.dimension))
+        norms = []
+        for row, text in zip(matrix, texts):
+            key = f"{self.seed}\x00{text}".encode("utf-8", "surrogatepass")
+            digest = hashlib.sha256(key).digest()
+            rng = np.random.Generator(
+                np.random.PCG64(int.from_bytes(digest[:8], "big")))
+            rng.standard_normal(out=row)
+            norm = math.sqrt(row @ row)  # exactly np.linalg.norm for 1-D float64
+            if norm == 0.0:  # astronomically unlikely; keep the contract total
+                row[0] = 1.0
+                norm = 1.0
+            norms.append(norm)
+        # One division of the whole array: per element the same IEEE
+        # division as each row's own ``row / norm``, and faster.
+        matrix /= np.array(norms).reshape(-1, 1)
+        return matrix
 
 
 @dataclass
@@ -107,7 +125,7 @@ class HttpEmbedder:
     timeout: float = 60.0
     retry_backoff: float = 1.0
 
-    def _post_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def _post_batch(self, texts: Sequence[str]) -> np.ndarray:
         last_error: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
             try:
@@ -117,8 +135,7 @@ class HttpEmbedder:
                                     "embedding")
                 vectors = [np.asarray(item["embedding"], dtype=np.float64)
                            for item in payload["data"]]
-                _check_batch(vectors, len(texts), self.dimension)
-                return vectors
+                return _check_batch(vectors, len(texts), self.dimension)
             except (ProviderContractViolation, ProviderRejected):
                 raise
             except Exception as exc:  # transport / HTTP / payload shape
@@ -130,9 +147,17 @@ class HttpEmbedder:
             attempts=self.max_attempts,
         )
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         size = self.batch_size
-        batches = [texts[i:i + size] for i in range(0, len(texts), size)]
+        matrix = np.empty((len(texts), self.dimension))
+
+        def fill(start: int) -> None:
+            # Each batch writes its rows as it arrives, so the batches are
+            # never held all at once beside the result.
+            matrix[start:start + size] = self._post_batch(
+                texts[start:start + size])
+
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            results = list(pool.map(self._post_batch, batches))
-        return [v for batch in results for v in batch]
+            # list() reads every result, so a batch's error is raised here.
+            list(pool.map(fill, range(0, len(texts), size)))
+        return matrix

@@ -54,14 +54,16 @@ digest of each ``when_to_apply`` text in index order, the float64
 vectors, the model and the dimension. A build reuses the stored vector of
 every text whose digest it finds there and embeds the rest in one call,
 so a warm build embeds nothing and its matrix is bit-identical to a cold
-one. The file is outside input: it is loaded without pickles, and one
-that cannot be read, or whose model, dimension, dtype, shape, digest
-count, finiteness or non-zero rows do not check out, is ignored as if
-absent. When the stored texts were not exactly the bank's, in order, the
-build rewrites the file through ``bank.replacing``, so concurrent builds
-and readers see a whole file or none. A directory that cannot be written
-(read-only, full) costs one logged warning per build; the index is
-returned all the same.
+one. The file is outside input: it is loaded without pickles, every
+member is read header-first (its dtype, order and shape, and the bytes
+they name against the member's size, are checked before any array is
+allocated), and one that cannot be read, or whose model, dimension,
+dtype, shape, digest count, finiteness or non-zero rows do not check
+out, is ignored as if absent. When the stored texts were not exactly
+the bank's, in order, the build rewrites the file through
+``bank.replacing``, so concurrent builds and readers see a whole file or
+none. A directory that cannot be written (read-only, full) costs one
+logged warning per build; the index is returned all the same.
 
 Also hosts ``cosine``, the plain similarity that tests check the index
 against, and the retrieval-model training loss, a pure function of
@@ -78,7 +80,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
-from zipfile import BadZipFile
+from zipfile import BadZipFile, ZipFile
 
 import numpy as np
 
@@ -178,12 +180,22 @@ def _with_norm(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v, norm
 
 
+#: Rows per ``np.linalg.norm`` call in ``_unit_rows``: its ``x*x``
+#: temporary is this many rows (256 KiB at d = 32), not the matrix's size.
+_NORM_BLOCK = 1024
+
+
 def _unit_rows(matrix: np.ndarray, what: str) -> None:
     """Divide each row of the 2-D float64 ``matrix`` by its norm, in place,
     prescaling a row whose norm is outside ``_SAFE_NORMS``; a non-finite or
-    all-zero row raises ``DegenerateVector``."""
+    all-zero row raises ``DegenerateVector``. A row's norm depends on that
+    row alone, so computing them ``_NORM_BLOCK`` rows at a time gives the
+    bits of one ``np.linalg.norm`` over the whole matrix."""
+    norms = np.empty((len(matrix), 1))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        for start in range(0, len(matrix), _NORM_BLOCK):
+            block = slice(start, start + _NORM_BLOCK)
+            norms[block] = np.linalg.norm(matrix[block], axis=1, keepdims=True)
     extreme = ~((norms >= _SAFE_NORMS[0]) & (norms <= _SAFE_NORMS[1]))[:, 0]
     if extreme.any():
         rows = _prescaled(matrix[extreme], what)
@@ -248,29 +260,27 @@ class StrategyIndex:
     concurrent queries once built.
     """
 
-    def __init__(self, ids: Sequence[str],
-                 vectors: Sequence[np.ndarray] | np.ndarray,
+    def __init__(self, ids: Sequence[str], vectors: np.ndarray,
                  embedder: EmbeddingProvider | None = None):
-        """``vectors`` is one vector per id: a sequence of 1-D arrays, which
-        the index stacks, or a 2-D array. A float64 array is taken over, not
-        copied: the index divides it by its row norms in place. The first
-        stage of a query reads a float32 copy of its transpose.
+        """``vectors`` is one 2-D array, row i the vector of ``ids[i]``, as
+        ``EmbeddingProvider.embed`` returns it. The index takes it over: a
+        float64 array is not copied but divided by its row norms in place
+        (any other array is converted first). The first stage of a query
+        reads a float32 copy of its transpose.
 
         Raises:
+            ValueError: ``vectors`` is not 2-D or has not one row per id.
             DegenerateVector: a vector is all zero or has a non-finite
                 component.
         """
-        if len(ids) != len(vectors):
+        self._matrix = np.asarray(vectors, dtype=np.float64)
+        if self._matrix.ndim != 2:
+            raise ValueError("vectors must be a 2-D array")
+        if len(ids) != len(self._matrix):
             raise ValueError("ids and vectors must have equal length")
         self._ids = list(ids)
         self.embedder = embedder  # query-side provider, set by build()
-        if len(vectors):
-            self._matrix = np.asarray(vectors, dtype=np.float64)
-            if self._matrix.ndim != 2:
-                raise ValueError("vectors must be one 1-D vector per id")
-            _unit_rows(self._matrix, "index entry")  # no second float64 copy
-        else:
-            self._matrix = np.zeros((0, 0))
+        _unit_rows(self._matrix, "index entry")
         self._keys32 = np.ascontiguousarray(self._matrix.T, dtype=np.float32)
         self._margin = 4 * (self._matrix.shape[1] + 2) * 2.0 ** -24
         # Position of each id in ascending id order: the tie-break key.
@@ -367,17 +377,19 @@ def _read_vectors(path: Path, embedder: EmbeddingProvider
                   ) -> tuple[np.ndarray, np.ndarray] | None:
     """The (digests, vectors) stored at ``path`` for ``embedder``; None when
     the file is absent, unreadable or fails a check."""
+    model = np.array(embedder.model)
+    dimension = np.array(embedder.dimension)
     try:
-        # NpzFile, not np.load: a bare .npy or a pickle is no vectors file.
-        with open(path, "rb") as fh, np.lib.npyio.NpzFile(
-                fh, allow_pickle=False) as data:
-            digests = data["digests"]
-            if (data["model"].tolist() != embedder.model
-                    or data["dimension"].tolist() != embedder.dimension
-                    or digests.shape[1:] != (_DIGEST_SIZE,)):
+        # ZipFile, not np.load: a bare .npy or a pickle is no vectors file.
+        with ZipFile(path) as archive:
+            if (_read_member(archive, "model", model.dtype, ()) != model
+                    or _read_member(archive, "dimension", dimension.dtype,
+                                    ()) != dimension):
                 return None
-            with data.zip.open("vectors.npy") as member:
-                vectors = _read_matrix(member, (len(digests), embedder.dimension))
+            digests = _read_member(archive, "digests", np.dtype(np.uint8),
+                                   (None, _DIGEST_SIZE))
+            vectors = _read_member(archive, "vectors", np.dtype(np.float64),
+                                   (len(digests), embedder.dimension))
     # zipfile raises RuntimeError, or its subclass NotImplementedError, for
     # a header that flags encryption or an unknown method or version.
     except (BadZipFile, EOFError, OSError, KeyError, ValueError, RuntimeError):
@@ -391,52 +403,64 @@ def _read_vectors(path: Path, embedder: EmbeddingProvider
 _READ_CHUNK = 1 << 16
 
 
-def _read_matrix(member, shape: tuple[int, int]) -> np.ndarray:
-    """The C-order float64 array of ``shape`` that the ``.npy`` file
-    ``member`` holds, read straight into place a chunk at a time: numpy's
+def _read_member(archive: ZipFile, name: str, dtype: np.dtype,
+                 shape: tuple[int | None, ...]) -> np.ndarray:
+    """The C-order array of ``dtype`` that member ``<name>.npy`` of
+    ``archive`` holds, read straight into place a chunk at a time: numpy's
     reader would hold all its bytes twice.
 
+    The header is checked before anything is allocated: its dtype, its
+    order, its shape against ``shape`` (None matches any length) and the
+    bytes that shape names against the member's size. So a damaged header
+    costs no allocation of the size it names.
+
     Raises:
-        ValueError: the header names another shape, order or dtype, or the
-            data is short or runs on.
+        KeyError: there is no such member.
+        ValueError: the format version or header is not the expected one,
+            the header names another size than the member's, or the data
+            is short.
     """
-    if np.lib.format.read_magic(member) != (1, 0):
-        raise ValueError("unexpected .npy format version")
-    if np.lib.format.read_array_header_1_0(member) != (shape, False,
-                                                       np.dtype(np.float64)):
-        raise ValueError("unexpected array header")
-    matrix = np.empty(shape)
-    out = matrix.reshape(-1).view(np.uint8)
-    for start in range(0, out.size, _READ_CHUNK):
-        chunk = out[start:start + _READ_CHUNK]
-        if member.readinto(chunk) != chunk.size:
-            raise ValueError("array data cut short")
-    # The last chunk ended the member, which made zipfile check its CRC;
-    # bytes beyond the array would have left the CRC unchecked.
-    if member.read(1):
-        raise ValueError("data after the array")
-    return matrix
+    info = archive.getinfo(f"{name}.npy")
+    with archive.open(info) as member:
+        if np.lib.format.read_magic(member) != (1, 0):
+            raise ValueError("unexpected .npy format version")
+        found, fortran, found_dtype = np.lib.format.read_array_header_1_0(
+            member)
+        if (fortran or found_dtype != dtype or len(found) != len(shape)
+                or any(n not in (None, m) for n, m in zip(shape, found))):
+            raise ValueError("unexpected array header")
+        nbytes = math.prod(found) * dtype.itemsize
+        if member.tell() + nbytes != info.file_size:
+            raise ValueError("array size does not match its member")
+        array = np.empty(found, dtype)
+        out = array.reshape(-1).view(np.uint8)
+        for start in range(0, out.size, _READ_CHUNK):
+            chunk = out[start:start + _READ_CHUNK]
+            if member.readinto(chunk) != chunk.size:
+                raise ValueError("array data cut short")
+    # Reading a member to its end made zipfile check its CRC.
+    return array
 
 
 def _vectors_for(texts: list[str], digests: np.ndarray,
                  stored: tuple[np.ndarray, np.ndarray] | None,
                  embedder: EmbeddingProvider) -> np.ndarray:
     """Raw vectors for ``texts``: each stored row whose digest matches, and
-    one ``embed`` call for the texts that have none."""
-    rows: list[int | None] = [None] * len(texts)
+    one ``embed`` call for the texts that have none. When no text has a
+    stored row, the array ``embed`` returned is the result, uncopied."""
+    rows = np.full(len(texts), -1, dtype=np.intp)
     if stored is not None:
         row_of = {d.tobytes(): row for row, d in enumerate(stored[0])}
-        rows = [row_of.get(d.tobytes()) for d in digests]
-    missing = [i for i, row in enumerate(rows) if row is None]
+        rows[:] = [row_of.get(d.tobytes(), -1) for d in digests]
+    missing = (rows < 0).nonzero()[0]
     fresh = embedder.embed([texts[i] for i in missing])
-    # Allocated after the embed call, which may hold a stacked copy of
-    # its batch while it checks it.
-    matrix = np.empty((len(texts), embedder.dimension))
-    for i, vector in zip(missing, fresh, strict=True):
-        matrix[i] = vector
-    for i, row in enumerate(rows):
-        if row is not None:
-            matrix[i] = stored[1][row]
+    if len(missing) == len(texts):
+        return fresh
+    # Gathered after the embed call, whose own allocations then do not add
+    # to this array's; the placeholder row 0 of each missing text is
+    # overwritten.
+    matrix = stored[1].take(np.maximum(rows, 0), axis=0)
+    matrix[missing] = fresh
     return matrix
 
 

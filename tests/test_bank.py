@@ -892,6 +892,11 @@ def test_registry_unknown_version():
         REGISTRY.root_for("v0.0.0")
 
 
+def test_an_empty_registry_has_no_native_version():
+    with pytest.raises(UnknownVersion, match="registry is empty"):
+        ToolchainRegistry(entries=()).native_version
+
+
 def test_registry_reads_its_file(tmp_path):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps({"schema_version": 1, "toolchains": [

@@ -130,6 +130,13 @@ def test_profile_parse_error_keeps_raw_output():
     assert err.value.raw_output == "no timings here"
 
 
+def test_profile_header_with_no_category_line_is_a_parse_error():
+    raw = "cumulative profiling times:\nelaboration took 12ms\n"
+    with pytest.raises(ProfileParseError, match="section is empty") as err:
+        parse_profile_times(raw, wall_total=1.0)
+    assert err.value.raw_output == raw
+
+
 def test_split_clamps_elaboration_at_zero():
     raw = "cumulative profiling times:\n\timport 3s\n"
     assert parse_profile_times(raw, wall_total=2.5) == (3.0, 0.0)

@@ -15,16 +15,26 @@ TEXTS = ["", "rfl", "  simp only [Nat.add_comm] at h₁", "obtain ⟨w, hw⟩ :=
          "∀ x ∈ s, f x ≤ g x", "日本語", "emoji 🙂", "a\nb\tc\x00d"]
 
 
-@pytest.mark.parametrize("dimension, seed, digest", [
-    (32, 0, "56e09610a54dff428618e8bcbba51b2d9f2205bcdae44da3f59fb683b3cab284"),
-    (7, 3, "027b4de442a97b929f7f3a68fed45113382ee2c17b2e1e2975260016ced66777"),
-])
-def test_mock_embedder_vectors_are_pinned_bit_for_bit(dimension, seed, digest):
+#: 2001 texts: numbered lines, the empty text and a lone surrogate.
+MANY_TEXTS = [f"text {i} ∀" for i in range(1999)] + ["", "a \ud800 b"]
+
+
+@pytest.mark.parametrize("texts, dimension, seed, digest", [
+    (TEXTS, 32, 0,
+     "56e09610a54dff428618e8bcbba51b2d9f2205bcdae44da3f59fb683b3cab284"),
+    (TEXTS, 7, 3,
+     "027b4de442a97b929f7f3a68fed45113382ee2c17b2e1e2975260016ced66777"),
+    (MANY_TEXTS, 32, 0,
+     "fd1d267bc6f41a2a518e9241cdcb53a18d421331f03be60872b98305b06fa005"),
+], ids=["d32", "d7", "many"])
+def test_mock_embedder_vectors_are_pinned_bit_for_bit(texts, dimension, seed,
+                                                      digest):
     # Indexes and benchmark results are built from these vectors: any
-    # change to seeding, sampling or normalisation shows here.
-    vectors = MockEmbedder(dimension=dimension, seed=seed).embed(TEXTS)
-    raw = b"".join(v.astype("<f8").tobytes() for v in vectors)
-    assert hashlib.sha256(raw).hexdigest() == digest
+    # change to seeding, sampling or normalisation shows here. The digests
+    # were taken when ``embed`` returned one 1-D array per text.
+    vectors = MockEmbedder(dimension=dimension, seed=seed).embed(texts)
+    assert vectors.dtype == np.dtype("<f8")
+    assert hashlib.sha256(vectors.tobytes()).hexdigest() == digest
 
 
 def _unit(dimension: int) -> np.ndarray:
@@ -46,3 +56,9 @@ def test_check_batch_rejects_a_broken_batch(vectors, n_texts):
     with pytest.raises(ProviderContractViolation):
         _check_batch(vectors, n_texts, 4)
 
+
+def test_check_batch_returns_the_batch_as_one_array():
+    vectors = [_unit(4), -_unit(4)]
+    batch = _check_batch(vectors, 2, 4)
+    assert (batch.dtype, batch.shape) == (np.float64, (2, 4))
+    assert np.array_equal(batch, np.stack(vectors))

@@ -111,6 +111,25 @@ def test_embedder_retries_a_server_error_then_succeeds(stub):
                                              vector_for("t2")]
 
 
+@pytest.mark.parametrize("provider", ["mock", "http"])
+def test_embed_returns_a_new_float64_row_per_text(provider, request):
+    if provider == "mock":
+        port = embeddings_module.MockEmbedder(dimension=DIMENSION)
+    else:
+        stub = request.getfixturevalue("stub")
+        stub.handler = lambda body: (200, embeddings(body["input"]))
+        port = embedder(stub, batch_size=2)
+    texts = ["t1", "t2", "t3"]
+    first = port.embed(texts)
+    assert (first.dtype, first.shape) == (np.float64, (3, DIMENSION))
+    empty = port.embed([])
+    assert (empty.dtype, empty.shape) == (np.float64, (0, DIMENSION))
+    # The caller owns the result: changing it changes no later result.
+    expected = first.copy()
+    first *= 2.0
+    assert np.array_equal(port.embed(texts), expected)
+
+
 def test_embedder_gives_up_after_its_attempts(stub):
     stub.handler = lambda body: (500, {"error": "down"})
     with pytest.raises(RetryableProviderError) as err:

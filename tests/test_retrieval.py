@@ -5,16 +5,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import logging
 import math
 import os
+import struct
 import sys
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prooftidy.bank import Bank, load_bank, save_bank
@@ -26,10 +28,12 @@ from prooftidy.errors import (
     UnknownVersion,
 )
 from prooftidy.retrieval import (
+    _NORM_BLOCK,
     ObjectiveMode,
     ObjectiveSpec,
     RankedStrategy,
     StrategyIndex,
+    _unit_rows,
     contrastive_loss,
     cosine,
     retrieve,
@@ -127,7 +131,7 @@ class ScaledEmbedder:
 
     def embed(self, texts):
         vectors = MockEmbedder(dimension=16, seed=3).embed(texts)
-        return [v * (i + 1.5) for i, v in enumerate(vectors)]
+        return vectors * (np.arange(len(texts)) + 1.5)[:, None]
 
 
 def test_index_takes_over_a_2d_array_without_a_copy():
@@ -138,11 +142,39 @@ def test_index_takes_over_a_2d_array_without_a_copy():
     assert ranked(index, np.array([0.0, 1.0, 0.0]), 1)[0].strategy_id == "b"
 
 
+@pytest.mark.parametrize("ids, vectors, message", [
+    (["a", "b"], np.eye(3), "equal length"),
+    (["a"], np.ones(3), "2-D"),
+    (["a"], np.ones((1, 1, 3)), "2-D"),
+], ids=["unequal", "one_dimensional", "three_dimensional"])
+def test_index_refuses_vectors_that_are_not_one_row_per_id(ids, vectors,
+                                                           message):
+    with pytest.raises(ValueError, match=message):
+        StrategyIndex(ids, vectors)
+
+
+@given(n=st.integers(0, 3 * _NORM_BLOCK), dimension=st.sampled_from([1, 7, 32]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=_NORM_BLOCK - 1, dimension=32, seed=0)
+@example(n=_NORM_BLOCK, dimension=32, seed=0)
+@example(n=_NORM_BLOCK + 1, dimension=32, seed=0)
+@settings(max_examples=30, deadline=None)
+def test_unit_rows_in_blocks_match_one_norm_over_the_matrix_bit_for_bit(
+        n, dimension, seed):
+    rng = np.random.default_rng(seed)
+    # Rows of magnitudes 2**-40 .. 2**40, all inside the safe norms.
+    matrix = rng.standard_normal((n, dimension)) * np.exp2(
+        rng.integers(-40, 41, size=(n, 1)))
+    expected = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    _unit_rows(matrix, "row")
+    assert matrix.tobytes() == expected.tobytes()
+
+
 def test_index_rows_are_the_vectors_over_their_norms_bit_for_bit():
     bank = make_bank_with(make_strategy(i, when_to_apply=f"pattern {i}")
                           for i in range(5))
     index = StrategyIndex.build(bank, ScaledEmbedder())
-    raw = np.stack(ScaledEmbedder().embed([f"pattern {i}" for i in range(5)]))
+    raw = ScaledEmbedder().embed([f"pattern {i}" for i in range(5)])
     assert np.array_equal(
         index._matrix, raw / np.linalg.norm(raw, axis=1, keepdims=True))
     assert hashlib.sha256(index._matrix.tobytes()).hexdigest() == (
@@ -197,7 +229,7 @@ def test_top_k_larger_than_index_returns_all():
 
 
 def test_top_k_empty_index():
-    index = StrategyIndex([], [])
+    index = StrategyIndex([], np.empty((0, 1)))
     rows, sims = index.top_k(np.array([1.0]), 1)
     assert (rows.dtype, rows.shape) == (np.intp, (0,))
     assert (sims.dtype, sims.shape) == (np.float64, (0,))
@@ -415,7 +447,7 @@ def test_retrieve_version_mode_can_be_empty():
 ], ids=["length", "compile_time", "version", "compile_time+version"])
 def test_retrieve_over_an_empty_index_is_empty(spec):
     # Even a query that a non-empty index would reject selects nothing.
-    index = StrategyIndex([], [])
+    index = StrategyIndex([], np.empty((0, 3)))
     assert retrieve(index, make_bank_with([]), np.zeros(3), spec) == []
 
 
@@ -692,6 +724,18 @@ def test_loss_masks_high_scoring_false_negative():
     assert contrastive_loss(q1[None, :], c1[None, :], 0.05, 0.1) == 0.0
 
 
+@pytest.mark.parametrize("queries, positives, margin, message", [
+    (np.ones((2, 4)), np.ones((3, 4)), 0.1, "equal-shape"),
+    (np.ones(4), np.ones(4), 0.1, "equal-shape"),
+    (np.ones((0, 4)), np.ones((0, 4)), 0.1, "at least one pair"),
+    (np.ones((2, 4)), np.ones((2, 4)), -0.1, "margin"),
+], ids=["unequal_shapes", "one_dimensional", "empty_batch", "negative_margin"])
+def test_loss_refuses_a_bad_batch_or_margin(queries, positives, margin,
+                                            message):
+    with pytest.raises(ValueError, match=message):
+        contrastive_loss(queries, positives, temperature=0.1, margin=margin)
+
+
 def test_loss_invalid_temperature():
     q = np.ones((2, 4))
     with pytest.raises(ValueError):
@@ -780,7 +824,8 @@ def test_mock_embedder_deterministic():
 
 
 def test_mock_embedder_empty_input():
-    assert MockEmbedder().embed([]) == []
+    vectors = MockEmbedder().embed([])
+    assert (vectors.dtype, vectors.shape) == (np.float64, (0, 32))
 
 
 def test_mock_embedder_dimension_and_norm():
@@ -797,8 +842,7 @@ def test_provider_contract_violation_detectable():
         def embed(self, texts):
             from prooftidy.embeddings import _check_batch
             vectors = [np.ones(4) for _ in texts]
-            _check_batch(vectors, len(texts), self.dimension)
-            return vectors
+            return _check_batch(vectors, len(texts), self.dimension)
 
     with pytest.raises(ProviderContractViolation):
         BadProvider().embed(["x"])
@@ -932,6 +976,54 @@ def _append_to_vectors(path):
             archive.writestr(name, data)
 
 
+def _member_header(name, shape):
+    """A corruption: member ``name``'s header names ``shape``; its data is
+    kept as it was."""
+    def corrupt(path):
+        with zipfile.ZipFile(path) as archive:
+            members = {n: archive.read(n) for n in archive.namelist()}
+        array = np.load(io.BytesIO(members[name]), allow_pickle=False)
+        header = np.lib.format.header_data_from_array_1_0(array)
+        fh = io.BytesIO()
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": shape})
+        members[name] = fh.getvalue() + array.tobytes()
+        with zipfile.ZipFile(path, "w") as archive:
+            for n, data in members.items():
+                archive.writestr(n, data)
+    return corrupt
+
+
+def _vectors_in_format_2(path):
+    with zipfile.ZipFile(path) as archive:
+        members = {n: archive.read(n) for n in archive.namelist()}
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, _stored(path, "vectors"), version=(2, 0))
+    members["vectors.npy"] = fh.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for n, data in members.items():
+            archive.writestr(n, data)
+
+
+def _vectors_cut_short(path):
+    # vectors.npy stored 8 bytes short, with the CRC of the bytes kept, and
+    # a central directory entry that claims the full size: zipfile reads
+    # the short member to its end without an error.
+    with zipfile.ZipFile(path) as archive:
+        members = {n: archive.read(n) for n in archive.namelist()}
+    full = len(members["vectors.npy"])
+    members["vectors.npy"] = members["vectors.npy"][:-8]
+    with zipfile.ZipFile(path, "w") as archive:
+        for n, data in members.items():
+            archive.writestr(n, data)
+    data = bytearray(path.read_bytes())
+    # The last occurrence of the name is in the central directory, whose
+    # entry holds it 46 bytes in and the uncompressed size 24 bytes in.
+    entry = data.rindex(b"vectors.npy") - 46
+    assert data[entry:entry + 4] == b"PK\x01\x02"
+    struct.pack_into("<I", data, entry + 24, full)
+    path.write_bytes(bytes(data))
+
+
 def _bare_npy(path):
     vectors = _stored(path, "vectors")
     with path.open("wb") as fh:
@@ -964,6 +1056,12 @@ CORRUPTIONS = {
     "one_digest_short": lambda p: _rewrite(p, digests=_stored(p, "digests")[:-1]),
     "scalar_digests": lambda p: _rewrite(p, digests=np.array(0, dtype=np.uint8)),
     "other_model": lambda p: _rewrite(p, model=np.array("mock-seed1")),
+    "format_version_2": _vectors_in_format_2,
+    "vectors_cut_short": _vectors_cut_short,
+    # A header naming a shape numpy's reader would allocate: 29.1 TiB.
+    "huge_digests": _member_header("digests.npy", (10 ** 12, 32)),
+    "huge_model": _member_header("model.npy", (10 ** 12,)),
+    "huge_dimension": _member_header("dimension.npy", (10 ** 12,)),
 }
 
 

@@ -273,6 +273,12 @@ def test_segment_empty_proof():
     assert spans == [ProofSpan(1, 1, "")]
 
 
+@pytest.mark.parametrize("sizes", [[], [0], [5, -1]])
+def test_segment_refuses_no_size_or_a_size_below_one(sizes):
+    with pytest.raises(ValueError, match="sizes must be non-empty"):
+        segment("a\nb", sizes)
+
+
 def test_segment_span_text_matches_lines():
     # Only "alpha" hashes to 0 mod 2, so it ends the first window and the
     # rest runs to the end of the proof.
