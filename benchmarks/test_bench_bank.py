@@ -11,7 +11,8 @@ lines; every fourth strategy and pair has no compile reduction.
 ``load_bank`` reads the strategies alone; ``recheck`` streams the pairs
 file and finds no discrepancy. ``test_load_bank`` and ``test_recheck``
 also record, in ``extra_info``, the ``tracemalloc`` peak of one untimed
-call (for a load, the loaded bank included). ``test_build_index`` times
+call (for a load, the loaded bank included); ``test_load_bank`` records
+as well the heap that one loaded bank holds. ``test_build_index`` times
 ``StrategyIndex.build`` over the 10⁴-strategy bank with ``MockEmbedder``:
 the bank is built in memory, so every text is embedded (a cold build).
 ``test_build_index_persisted`` times the warm build over the same bank
@@ -112,6 +113,18 @@ def tracemalloc_peak_mib(call, *args):
     return round(peak / 2**20, 3)
 
 
+def tracemalloc_held_mib(call, *args):
+    """The ``tracemalloc`` heap that one ``call(*args)`` leaves allocated
+    while its result is alive, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call(*args)  # noqa: F841 -- held while the heap is read
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round(held / 2**20, 3)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_save_bank(benchmark, tmp_path, n):
     saved, pairs = generated(n)
@@ -124,6 +137,8 @@ def test_save_bank(benchmark, tmp_path, n):
 def test_load_bank(benchmark, tmp_path, n):
     save(n, tmp_path)
     benchmark.extra_info["tracemalloc_peak_mib"] = tracemalloc_peak_mib(
+        load_bank, tmp_path, REGISTRY)
+    benchmark.extra_info["tracemalloc_held_mib"] = tracemalloc_held_mib(
         load_bank, tmp_path, REGISTRY)
     loaded = benchmark.pedantic(load_bank, (tmp_path, REGISTRY),
                                 rounds=ROUNDS[n])

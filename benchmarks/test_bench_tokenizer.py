@@ -8,11 +8,14 @@ Times ``remove_comments``, ``lex``, ``proof_length`` and ``segment`` on
 research-style proofs of about 2, 8 and 16 kB. A proof is one ``theorem`` header and a
 seeded ``by`` block of tactic lines with line comments, nested block
 comments and a few string literals; ``lex`` gets the proof with its
-comments already removed, as ``proof_length`` hands it on. ``lex`` and
-``proof_length`` start each round with an empty line memo, so they give
-the cold figure. ``test_session_pattern`` is what a session asks of the
-memo: the length of one proof, then of four candidates that each change
-one of its lines, from an empty memo per round. ``test_statement_preserved``
+comments already removed, as ``proof_length`` hands it on; it keeps no
+memo. ``proof_length`` starts each round with an empty line-count memo,
+so it gives the cold figure, and records in ``extra_info`` the
+``tracemalloc`` heap of a full memo (1024 distinct tactic lines, the
+lines themselves not counted). ``test_session_pattern`` is what a
+session asks of the memo: the length of one proof, then of four
+candidates that each change one of its lines, from an empty memo per
+round. ``test_statement_preserved``
 is what a session asks of the statement guard over one plan: the proof
 against five candidates, four that each change one tactic line and so
 repeat its statement bytes, and one that reformats the statement's
@@ -28,12 +31,13 @@ from __future__ import annotations
 
 import functools
 import random
+import tracemalloc
 
 import pytest
 
 from prooftidy.agent import _statement_of, statement_preserved
 from prooftidy.tokenizer import (
-    _line_tokens,
+    _line_length,
     lex,
     proof_length,
     remove_comments,
@@ -89,15 +93,33 @@ def test_remove_comments(benchmark, kb):
 def test_lex(benchmark, kb):
     cleaned = remove_comments(proof(kb))
     body = cleaned[split_declaration(cleaned):]
-    result = benchmark.pedantic(lex, (body,), setup=_line_tokens.cache_clear,
-                                rounds=ROUNDS)
+    result = benchmark.pedantic(lex, (body,), rounds=ROUNDS)
     assert sum(map(len, result)) > 0
+
+
+def full_memo_kib() -> float:
+    """The ``tracemalloc`` heap of the line-count memo filled with as many
+    distinct tactic lines as it holds, in KiB; the lines are made first."""
+    rng = random.Random(0)
+    lines: dict[str, None] = {}
+    while len(lines) < _line_length.cache_info().maxsize:
+        lines[_line(rng, len(lines)).split("\n")[0]] = None
+    _line_length.cache_clear()
+    tracemalloc.start()
+    try:
+        for line in lines:
+            _line_length(line)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round(held / 1024, 1)
 
 
 @pytest.mark.parametrize("kb", SIZES_KB)
 def test_proof_length(benchmark, kb):
+    benchmark.extra_info["full_memo_tracemalloc_kib"] = full_memo_kib()
     result = benchmark.pedantic(proof_length, (proof(kb),),
-                                setup=_line_tokens.cache_clear, rounds=ROUNDS)
+                                setup=_line_length.cache_clear, rounds=ROUNDS)
     assert 0 < result < 10 ** 9
 
 
@@ -120,7 +142,7 @@ def test_session_pattern(benchmark, kb):
     def lengths():
         return [proof_length(text) for text in texts]
 
-    result = benchmark.pedantic(lengths, setup=_line_tokens.cache_clear,
+    result = benchmark.pedantic(lengths, setup=_line_length.cache_clear,
                                 rounds=ROUNDS)
     assert all(0 < n < 10 ** 9 for n in result)
 

@@ -59,7 +59,7 @@ def content_id(*parts: str) -> str:
     return h.hexdigest()[:_ID_PREFIX_LEN]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Strategy:
     """A reusable refactoring pattern plus cluster-level metadata.
 
@@ -68,6 +68,9 @@ class Strategy:
     carries profiling data; such strategies rank last under the compile
     objective. An empty ``compatibility_set`` means "validated only on the
     bank's native toolchain".
+
+    Slotted, so a loaded bank's many records carry no per-instance
+    ``__dict__``.
     """
 
     id: str
@@ -582,9 +585,14 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 
 
 def save_bank(bank: Bank, path: str | Path,
-              pairs: Iterable[ProofPair] = ()) -> None:
+              pairs: Iterable[ProofPair] | None = None) -> None:
     """Write the bank's strategies and ``pairs`` as one-record-per-line
     files under ``path``.
+
+    With ``pairs`` None, the default, any pairs file already under
+    ``path`` is left as it is: a loaded ``Bank`` holds no pairs, so
+    saving it back over its own directory keeps them. An explicit empty
+    ``pairs`` writes an empty pairs file.
 
     A strategy that lists a member id twice raises ``ValueError`` before
     anything is written: ``load_bank`` would refuse its record.
@@ -597,7 +605,8 @@ def save_bank(bank: Bank, path: str | Path,
     root.mkdir(parents=True, exist_ok=True)
     _write_jsonl(root / STRATEGIES_FILENAME,
                  (s.to_dict() for s in bank.strategies.values()))
-    _write_jsonl(root / PAIRS_FILENAME, (p.to_dict() for p in pairs))
+    if pairs is not None:
+        _write_jsonl(root / PAIRS_FILENAME, (p.to_dict() for p in pairs))
 
 
 #: The C scanner that ``json.loads`` runs, called without its wrapper.

@@ -204,7 +204,6 @@ def statement_of(source: str) -> tuple[str, str] | None:
 _SPACED_OPERATORS = tuple((" ".join(op), op) for op in LEAN_OPERATORS)
 
 
-@functools.lru_cache(maxsize=1024)
 def _line_tokens(line: str) -> tuple[str, ...]:
     """One line's tokens: the character classes, then the operator re-join."""
     tokens: list[str] = []
@@ -231,6 +230,24 @@ def _line_tokens(line: str) -> tuple[str, ...]:
     return tuple(joined.split(" "))
 
 
+@functools.lru_cache(maxsize=1024)
+def _line_length(line: str) -> int:
+    """One line's token count, memoised on the line text (1024 entries):
+    a session measures many candidates that share most of their lines
+    with the current proof."""
+    return len(_line_tokens(line))
+
+
+def _metric_lines(proof_text: str) -> list[str]:
+    """The lines the metric counts: ``str.splitlines`` less one trailing
+    token-free (all-space) line, which the reference's join and re-split
+    swallows."""
+    lines = proof_text.splitlines()
+    if lines and not lines[-1].strip(" "):
+        lines.pop()
+    return lines
+
+
 def lex(proof_text: str) -> list[tuple[str, ...]]:
     """Tokenize proof text with the reference character classes: one
     tuple of tokens per line.
@@ -244,32 +261,28 @@ def lex(proof_text: str) -> list[tuple[str, ...]]:
     tokens is a single empty token (it counts one), and a trailing
     token-free line is dropped (it counts zero).
 
-    Lines are lexed by a pure function memoised on the line text (1024
-    entries): a session lexes many candidates that share most of their
-    lines with the current proof. The tuples are the memo's own.
+    Each call lexes every line afresh and returns new tuples; only the
+    counts that :func:`proof_length` sums are memoised.
     """
-    lines = list(map(_line_tokens, proof_text.splitlines()))
-    if lines and lines[-1] == ("",):
-        # The reference joins lines with "\n" and re-splits, which swallows
-        # exactly one trailing token-free line.
-        lines.pop()
-    return lines
+    return list(map(_line_tokens, _metric_lines(proof_text)))
 
 
 def proof_length(statement_and_proof: str) -> int:
     """Token count of the proof part of a full declaration.
 
     Comments are removed, the declaration is split off at its top-level
-    ``:=``, and the remainder is lexed. A text that does not split, or
-    any other failure, yields the sentinel ``LENGTH_FAILURE_SENTINEL``
-    rather than an exception.
+    ``:=``, and the remainder's lines are counted as :func:`lex` would
+    tokenize them. Each line's count comes from a process-wide memo of
+    1024 line texts, which holds counts, not tokens. A text that does not
+    split, or any other failure, yields the sentinel
+    ``LENGTH_FAILURE_SENTINEL`` rather than an exception.
     """
     try:
         cleaned = remove_comments(statement_and_proof)
         offset = split_declaration(cleaned)
         if offset is None:
             return LENGTH_FAILURE_SENTINEL
-        return sum(map(len, lex(cleaned[offset:])))
+        return sum(map(_line_length, _metric_lines(cleaned[offset:])))
     except Exception:
         return LENGTH_FAILURE_SENTINEL
 

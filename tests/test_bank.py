@@ -3,8 +3,10 @@ and the streamed recheck of the member pairs."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import statistics
 import tempfile
@@ -204,6 +206,54 @@ def test_a_loaded_bank_holds_no_pairs(tmp_path):
     loaded = load_bank(tmp_path, REGISTRY)
     assert not hasattr(loaded, "pairs")
     assert loaded.path == tmp_path
+
+
+def test_saving_a_loaded_bank_over_its_directory_keeps_its_pairs(tmp_path):
+    save(tmp_path, 3)
+    before = (tmp_path / "pairs.jsonl").read_bytes()
+    save_bank(load_bank(tmp_path, REGISTRY), tmp_path)
+    assert (tmp_path / "pairs.jsonl").read_bytes() == before
+    assert load_and_recheck(tmp_path) == []
+
+
+def test_an_explicit_empty_pairs_list_writes_an_empty_pairs_file(tmp_path):
+    save(tmp_path, 3)
+    save_bank(load_bank(tmp_path, REGISTRY), tmp_path, [])
+    assert (tmp_path / "pairs.jsonl").read_bytes() == b""
+
+
+def test_a_loaded_strategy_has_no_instance_dict(tmp_path):
+    save(tmp_path, 3)
+    for strategy in load_bank(tmp_path, REGISTRY).strategies.values():
+        assert not hasattr(strategy, "__dict__")
+
+
+def test_a_slotted_strategy_replaces_compares_hashes_and_pickles():
+    strategy = make_strategy(1)
+    changed = dataclasses.replace(strategy, title="Another title")
+    assert changed.title == "Another title"
+    assert changed == make_strategy(1, title="Another title") != strategy
+    assert dataclasses.replace(strategy) == strategy
+    assert hash(make_strategy(1)) == hash(strategy)
+    assert len({strategy, make_strategy(1), changed}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strategy.title = "mutated"
+    copy = pickle.loads(pickle.dumps(strategy))
+    assert copy == strategy and hash(copy) == hash(strategy)
+    assert copy.to_dict() == strategy.to_dict()
+
+
+def test_save_then_load_keeps_each_strategys_dict(tmp_path):
+    bank = Bank(strategies={s.id: s for s in (
+        make_strategy(0),
+        make_strategy(1, median_compile_reduction=None,
+                      compatibility_set=frozenset(),
+                      member_pair_ids=()),
+    )}, registry=REGISTRY)
+    save_bank(bank, tmp_path, [make_pair(0)])
+    loaded = load_bank(tmp_path, REGISTRY)
+    assert ({sid: s.to_dict() for sid, s in loaded.strategies.items()}
+            == {sid: s.to_dict() for sid, s in bank.strategies.items()})
 
 
 def test_concurrent_saves_to_one_directory_leave_a_whole_bank(tmp_path):

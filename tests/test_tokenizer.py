@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prooftidy import tokenizer
 from prooftidy.tokenizer import (
     LEAN_OPERATORS,
     LENGTH_FAILURE_SENTINEL,
     ProofSpan,
-    _line_tokens,
+    _line_length,
     _lines,
     lex,
     line_count,
@@ -201,19 +202,38 @@ def test_length_matches_reference_on_scanner_heavy_text(prefix, keyword,
 
 @given(st.lists(_fidelity_text, max_size=8), st.lists(_fidelity_text, max_size=8))
 @settings(max_examples=300, deadline=None)
-def test_lex_is_the_same_from_a_cold_or_a_warm_memo(lines, others):
-    text = "\n".join(lines)
-    _line_tokens.cache_clear()
-    cold = lex(text)
+def test_length_is_the_same_from_a_cold_a_warm_or_an_evicted_memo(lines,
+                                                                   others):
+    text = "theorem t : P := " + "\n".join(lines)
+    want = reference_proof_length(text)
+    _line_length.cache_clear()
+    assert proof_length(text) == want
     # Warm the memo with the same lines in other positions and neighbours.
-    lex("\n".join(others + lines[::-1] + [""]))
-    assert lex(text) == cold
+    proof_length("\n".join(["theorem t : P :="] + others + lines[::-1] + [""]))
+    assert proof_length(text) == want
+    # More distinct lines than the memo holds evict the ones it had.
+    proof_length("theorem t : P :=\n" + "\n".join(
+        f"evict {i}" for i in range(_line_length.cache_info().maxsize + 1)))
+    assert proof_length(text) == want
 
 
-def test_lex_returns_the_memos_own_tuples():
-    lines = ["x := y", "  simp"]
-    assert all(tokens is _line_tokens(line)
-               for tokens, line in zip(lex("\n".join(lines)), lines, strict=True))
+@pytest.mark.parametrize("body, count", [
+    ("rfl\n   ", 1),        # a last line of spaces only is dropped
+    ("rfl\n\t", 2),         # a last line holding a tab counts one token
+    ("rfl\n\nrfl", 3),      # an interior blank line counts one
+    ("rfl\n\n\n", 2),       # two trailing blank lines count one
+])
+def test_trailing_line_rule(body, count):
+    text = f"theorem t : P := {body}"
+    assert proof_length(text) == reference_proof_length(text) == count
+
+
+def test_length_failure_inside_the_metric_is_the_sentinel(monkeypatch):
+    def broken(text):
+        raise RuntimeError("unreadable")
+
+    monkeypatch.setattr(tokenizer, "remove_comments", broken)
+    assert proof_length("theorem t : 1 = 1 := by rfl") == LENGTH_FAILURE_SENTINEL
 
 
 def test_lex_token_class_is_isalnum_or_join_chars():
