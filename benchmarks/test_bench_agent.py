@@ -1,17 +1,27 @@
-"""Layer microbenchmark for the agent's free repair step.
+"""Layer microbenchmarks for the agent's two free repair steps.
 
 Run from the repository root; tier-1 ``testpaths`` do not collect them:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_agent.py
 
-``test_revert_flagged`` times ``agent._revert_flagged`` on a draft of a
-45-line and of a 300-line proof, the sizes of a ``repair_version`` and of
-a long ``longproof_compile`` proof. The draft is what the session
-benchmark's faulty refactorer writes: it deletes a step's three lines and
-puts back an old lemma name on a line further down, which the compiler
-flags. The session passes the failing check's ``errors()``, so the
-draft's one diagnostic is an error. The step runs only after a compile
-has failed.
+Both time a draft of a 45-line and of a 300-line proof, the sizes of a
+``repair_version`` and of a long ``longproof_compile`` proof. The draft is
+what the session benchmark's faulty refactorer writes: it deletes a
+step's three lines and puts back an old lemma name on a line further
+down, outside the step.
+
+``test_splice_step`` times ``agent._splice_step``, which every draft
+passes before any compile: on the draft as written, whose rename it puts
+back (``put_back``), and on the draft without the rename, which it
+returns as it is (``fast_path``), as it does almost every draft of the
+``bank10k_length`` and ``longproof_compile`` workloads.
+
+``test_revert_flagged`` times ``agent._revert_flagged`` on the draft as
+written, whose renamed line the compiler flags. The session passes the
+failing check's ``errors()``, so the draft's one diagnostic is an error.
+The step runs only after a compile has failed; in a session the splice
+has already put back a rename outside the step, so the revert meets only
+renames within a step's lines.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import random
 
 import pytest
 
-from prooftidy.agent import _revert_flagged
+from prooftidy.agent import PlanStep, _revert_flagged, _splice_step
 from prooftidy.compiler import Diagnostic
 
 NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
@@ -30,7 +40,9 @@ NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
 def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
                                   tuple[str, list[int]]]:
     """A proof of ``n_lines`` lines, its draft, the draft's errors and
-    the draft with its flagged line put back, with that line's number."""
+    the draft with its flagged line put back, with that line's number;
+    the draft's step is lines ``n_lines // 3 + 1`` to ``n_lines // 3 + 3``
+    (``_step``)."""
     rng = random.Random(n_lines)
     lines = ["theorem t (a b : ℕ) (h : a ≤ b) : a * a ≤ b * b := by"]
     for j in range(1, n_lines - 1):
@@ -58,3 +70,23 @@ def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
 def test_revert_flagged(benchmark, n_lines):
     proof, draft, errors, reverted = _draft(n_lines)
     assert benchmark(_revert_flagged, draft, proof, errors) == reverted
+
+
+def _step(n_lines: int) -> PlanStep:
+    """The step of ``_draft(n_lines)``: the three lines it deletes."""
+    at = n_lines // 3
+    return PlanStep(at + 1, at + 3, "drop", "high", "")
+
+
+@pytest.mark.parametrize("path", ["fast_path", "put_back"])
+@pytest.mark.parametrize("n_lines", [45, 300])
+def test_splice_step(benchmark, n_lines, path):
+    proof, draft, _, (kept, [renamed]) = _draft(n_lines)
+    step = _step(n_lines)
+    if path == "fast_path":
+        assert benchmark(_splice_step, proof, kept, step) == (
+            kept, None, False)
+    else:
+        # The renamed line lies below the step's three deleted lines.
+        assert benchmark(_splice_step, proof, draft, step) == (
+            kept, [renamed + 3], False)

@@ -3,25 +3,26 @@
 One session drives a single theorem: segment the current proof, retrieve
 strategies per segment under the user's objective, ask the planner for a
 step sequence, and run its steps bottom-up as one chain of drafts, each
-asked of the refactorer against the previous draft. The chain is compiled
-once. While it fails, the lines it changed that an error flags are put
-back as the proof had them, at no LLM call; only when that gives no
-shorter proof that compiles is the debugger asked, a bounded number of
-rounds. A result is adopted only when it compiles and is strictly
-shorter. Every plan is followed by a replan; the loop stops with fewer
-than two calls left (a round needs one for its plan and one for a step),
-on reaching the target length, or when the planner has nothing left to
-propose. A fault outside the process (a missing toolchain, an exhausted
-script, an unreachable provider) ends the session with the best proof so
-far.
+asked of the refactorer against the previous draft and keeping every
+line outside its step as that draft has it. The chain is compiled once.
+While it fails, the lines it changed that an error flags are put back as
+the proof had them, at no LLM call; only when that gives no shorter
+proof that compiles is the debugger asked, a bounded number of rounds.
+A result is adopted only when it compiles and is strictly shorter. Every
+plan is followed by a replan; the loop stops with fewer than two calls
+left (a round needs one for its plan and one for a step), on reaching
+the target length, or when the planner has nothing left to propose. A
+fault outside the process (a missing toolchain, an exhausted script, an
+unreachable provider) ends the session with the best proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
 corrective reparses all count; compiles are free. A plan with more
 steps than calls left asks only as many as the calls pay for, the ones
 the planner rates highest (``REDUCTION_LEVELS`` order, ties in plan
 order). A faulty reply is salvaged before another call is paid for: a
-cut-off plan keeps its complete steps, and an altered statement is put
-back. With scripted LLM and compiler mocks a session is byte-deterministic.
+cut-off plan keeps its complete steps, an altered statement is put back,
+and so is a draft's edit outside its step, before any compile. With
+scripted LLM and compiler mocks a session is byte-deterministic.
 
 Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
 which version it filters by in ``ObjectiveSpec.filter_version``; what a
@@ -42,15 +43,16 @@ start, which steps of a plan the budget pays for, the chain's order and
 where it stops, in ``run_session``; the planner's call, its corrective
 reparse and its warnings in its ``plan``; whether one step may still be
 asked, its ``step_attempted``, its refactor call and its
-``step_skipped`` in its ``draft``; which flagged lines of a
-failing candidate are put back in ``_revert_flagged``; whether a text
-may replace the current proof, be it a chain, a debugger reply or a
-put-back text, in its ``admit``, the one acceptance rule; the chain's
-compile, the put-back tried before each debugger call, the debugger's
-call, the debug rounds, the chain's ``step_skipped`` and the one
-``adoption`` in its ``verify``, the one place that adopts; the compile
-memo, one check per source, in its ``compile_source``; which faults end
-a session, in ``OUTSIDE_FAULTS``.
+``step_skipped`` in its ``draft``; which of a draft's edits lie outside
+its step and are put back, and whether a kept one reaches above it, in
+``_splice_step``; which flagged lines of a failing candidate are put back
+in ``_revert_flagged``; whether a text may replace the current proof, be
+it a chain, a debugger reply or a put-back text, in its ``admit``, the
+one acceptance rule; the chain's compile, the put-back tried before each
+debugger call, the debugger's call, the debug rounds, the chain's
+``step_skipped`` and the one ``adoption`` in its ``verify``, the one
+place that adopts; the compile memo, one check per source, in its
+``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -367,6 +369,39 @@ def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
     return ("\n".join(new), lines) if lines else None
 
 
+def _splice_step(chain: str, draft: str, step: PlanStep
+                 ) -> tuple[str, list[int] | None, bool]:
+    """``draft`` with every change outside ``step``'s lines put back as
+    ``chain`` has it, the numbers of the ``chain`` lines put back (None
+    when nothing is), and whether a kept change reaches above the step.
+
+    A draft that keeps the chain's lines above and below the step, around
+    any lines of its own, is returned as it is. Otherwise the lines are
+    aligned by ``difflib``, as in ``_revert_flagged``: a hunk whose chain
+    lines meet the step's is kept, as is an insertion from just before
+    the step's first line to just after its last; every other hunk is put
+    back. Lines are numbered as Lean numbers them, by ``\n`` alone, and
+    every kept line is kept byte for byte.
+    """
+    old, new = chain.split("\n"), draft.split("\n")
+    top, end = step.line_start - 1, step.line_end
+    bottom = len(new) - len(old) + end
+    if bottom >= top and new[:top] == old[:top] and new[bottom:] == old[end:]:
+        return draft, None, False
+    lines, restored, put_back, above = [], [], False, False
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, old, new, autojunk=False).get_opcodes():
+        if tag == "equal" or (top <= i1 <= end if tag == "insert"
+                              else i1 < end and i2 > top):
+            lines += new[j1:j2]
+            above = above or (tag != "equal" and i1 < top)
+        else:
+            lines += old[i1:i2]
+            restored += range(i1 + 1, i2 + 1)
+            put_back = True
+    return "\n".join(lines), restored if put_back else None, above
+
+
 def _planner_strategies(
     per_span: Iterable[tuple[object, list[RankedStrategy]]], k: int,
     bank: Bank,
@@ -423,21 +458,23 @@ def run_session(
     and its ``plan_issued`` event lists the positions of the others
     (``unasked``). The asked steps run bottom-up (descending
     ``line_start``), so a draft never renumbers the lines of a step still
-    to run. Each step's draft is asked against the previous one and is
-    kept only when it is strictly shorter; nothing is compiled yet. The
-    chain stops early once a draft edits a line above its step, or
-    reaches ``target_length``. The chain is then compiled once. While it
-    fails, the lines it changed that an error flags are put back as the
-    current proof has them, at no call; otherwise the debugger is asked
-    about the failing text, up to ``max_debug_rounds`` rounds, and each
-    failing reply is tried the same way. Every reply is guarded against
-    the input's statement. ``admit`` is the one rule for whether a text
-    replaces the current proof: it keeps the input's statement, is
-    strictly shorter and compiles on the target. ``verify`` is the one
-    place that adopts. If the budget runs out mid-plan (a transport retry
-    spends a call too), the drafts so far are still compiled and may be
-    adopted. A plan cut by the budget, before it was asked or while it
-    ran, records no ``plan_failed``.
+    to run. Each step's draft is asked against the previous one; its
+    edits outside the step's lines are put back as the previous one has
+    them, with a ``warning``, and it is kept only when it is then strictly
+    shorter; nothing is compiled yet. The chain stops early once a kept
+    edit reaches a line above its step (one change spanning the step's
+    first line and lines above it), or at ``target_length``. The chain is
+    then compiled once. While it fails, the lines it changed that an
+    error flags are put back as the current proof has them, at no call;
+    otherwise the debugger is asked about the failing text, up to
+    ``max_debug_rounds`` rounds, and each failing reply is tried the same
+    way. Every reply is guarded against the input's statement. ``admit``
+    is the one rule for whether a text replaces the current proof: it
+    keeps the input's statement, is strictly shorter and compiles on the
+    target. ``verify`` is the one place that adopts. If the budget runs
+    out mid-plan (a transport retry spends a call too), the drafts so far
+    are still compiled and may be adopted. A plan cut by the budget,
+    before it was asked or while it ran, records no ``plan_failed``.
 
     The input proof must compile under the target toolchain; sessions are
     strictly sequential internally, but many sessions may run in parallel
@@ -510,24 +547,36 @@ def run_session(
             ledger.add("warning", {"message": warning})
         return steps
 
-    def draft(step: PlanStep, chain: str) -> str | None:
+    def draft(step: PlanStep, chain: str) -> tuple[str, bool] | None:
         """Record ``step``'s ``step_attempted`` and ask the refactorer
         for it against the chain's text, compiling nothing; with no call
-        left, raise ``_OutOfBudget`` before recording. Returns the draft
-        when it is strictly shorter than ``chain``; otherwise records the
-        step's one ``step_skipped`` and returns None."""
+        left, raise ``_OutOfBudget`` before recording. The draft's edits
+        outside the step are put back as the chain has them
+        (``_splice_step``), with a ``warning`` naming the chain lines put
+        back; a put-back that alters the input's statement skips the step
+        as a ``StatementMutation``. Returns the draft, and whether a kept
+        edit reaches above the step, when it is strictly shorter than
+        ``chain``; otherwise records the step's one ``step_skipped`` and
+        returns None."""
         if not ledger.left:
             raise _OutOfBudget()
         ledger.add("step_attempted", {"step": dict(vars(step))})
         prompt = render("refactor", proof=chain, deps=deps, **vars(step))
         try:
-            candidate = candidate_of(
-                ledger.complete([{"role": "user", "content": prompt}]))
+            candidate, restored, above = _splice_step(chain, candidate_of(
+                ledger.complete([{"role": "user", "content": prompt}])), step)
+            if restored is not None:
+                if not statement_preserved(proof, candidate):
+                    raise StatementMutation("putting back the edits outside "
+                                            "the step altered the statement")
+                ledger.add("warning", {
+                    "message": "draft edited lines outside its step; put "
+                               "the chain's back", "lines": restored})
         except (StepFailed, StatementMutation) as exc:
             skipped = {"reason": type(exc).__name__, "message": str(exc)}
         else:
             if length(candidate) < length(chain):
-                return candidate
+                return candidate, above
             skipped = {"reason": "candidate not shorter",
                        "candidate_length": length(candidate)}
         ledger.add("step_skipped", skipped)
@@ -695,10 +744,7 @@ def run_session(
                     break
                 if made is None:
                     continue
-                above = step.line_start - 1
-                edited_above = (made.split("\n", above)[:above]
-                                != chain.split("\n", above)[:above])
-                chain = made
+                chain, edited_above = made
                 drafted.append(step)
                 if edited_above or length(chain) <= config.target_length:
                     break

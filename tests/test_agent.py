@@ -237,6 +237,80 @@ def test_revert_flagged_puts_back_only_broken_changed_lines(
     assert agent._revert_flagged(candidate, proof, errors) == reverted
 
 
+def _step(line_start: int, line_end: int) -> PlanStep:
+    return PlanStep(line_start, line_end, "drop", "high", "")
+
+
+SPLICE_CHAIN = "t\n  a\n  b\n  c\n  d"
+
+
+@pytest.mark.parametrize("chain, draft, step, spliced", [
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  d", (3, 4), None,
+                 id="step_lines_deleted"),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  B\n  B2\n  c\n  d", (3, 3), None,
+                 id="step_line_rewritten_as_two"),
+    # difflib aligns the deletion with the other "  y", outside the step.
+    pytest.param("t\n  x\n  y\n  y\n  z", "t\n  x\n  y\n  z", (3, 3), None,
+                 id="identical_line_deleted_at_the_steps_last_line"),
+    pytest.param("t\n  y\n  y\n  p\n  q", "t\n  y\n  p\n  q", (3, 4), None,
+                 id="identical_line_deleted_at_the_steps_first_line"),
+    # Lines 2-3 are one hunk: it meets the step, so it is kept whole.
+    pytest.param(SPLICE_CHAIN, "t\n  A\n  c\n  d", (3, 3),
+                 ("t\n  A\n  c\n  d", None, True), id="hunk_reaching_above"),
+    pytest.param(SPLICE_CHAIN, "t\n  A\n  b\n  d", (4, 4),
+                 ("t\n  a\n  b\n  d", [2], False), id="line_above_put_back"),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  c", (3, 3),
+                 ("t\n  a\n  c\n  d", [5], False), id="line_below_put_back"),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  b\n  c\n  N\n  d", (2, 2),
+                 (SPLICE_CHAIN, [], False), id="insertion_dropped"),
+    # Insertions just before and just after the step are its own.
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  N1\n  b\n  N2\n  c\n  D", (3, 3),
+                 ("t\n  a\n  N1\n  b\n  N2\n  c\n  d", [5], False),
+                 id="insertions_next_to_the_step_kept"),
+])
+def test_splice_step_keeps_only_the_steps_edits(chain, draft, step, spliced):
+    got = agent._splice_step(chain, draft, _step(*step))
+    if spliced is None:
+        assert got == (draft, None, False) and got[0] is draft
+    else:
+        assert got == spliced
+
+
+@st.composite
+def step_drafts(draw):
+    """A chain of distinct lines, a step, and a draft that rewrites the
+    step's lines and replaces or deletes some lines at least one line away
+    from it; the chain lines changed outside the step."""
+    n = draw(st.integers(1, 12))
+    chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
+    a = draw(st.integers(1, n))
+    b = draw(st.integers(a, n))
+    far = [i for i in range(1, n + 1) if i < a - 1 or i > b + 1]
+    changed = sorted(draw(st.sets(st.sampled_from(far))) if far else [])
+    inside = [f"  new {i}" for i in range(draw(st.integers(0, 3)))]
+    draft = []
+    for i, line in enumerate(chain, 1):
+        if i == a:
+            draft += inside
+        if a <= i <= b:
+            continue
+        if i in changed:
+            draft += draw(st.sampled_from([[], [f"  edit {i}"]]))
+        else:
+            draft.append(line)
+    return chain, (a, b), inside, draft, changed
+
+
+@given(step_drafts())
+def test_a_splice_keeps_every_line_outside_the_step(drawn):
+    chain, (a, b), inside, draft, changed = drawn
+    text, restored, above = agent._splice_step(
+        "\n".join(chain), "\n".join(draft), _step(a, b))
+    assert text == "\n".join(chain[:a - 1] + inside + chain[b:])
+    assert restored == (changed or None)
+    assert not above
+
+
 def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
     # Three lines to Lean; str.splitlines would see a fourth at the \x0c.
     proof = "theorem t : P := by\n  -- see\x0cnote\n  exact bad"
@@ -559,11 +633,12 @@ MUTATED = "theorem t : 1 + 1 = 3 := by\n  norm_num\n  rfl"
 MUTATED_FAILING = FAILING.replace("1 + 1 = 2", "1 + 1 = 3")
 # No top-level := ends its statement, so it cannot be put back.
 UNSPLITTABLE = "theorem t : 1 + 1 = 2 by\n  norm_num\n  rfl"
-TWO_STEPS = _steps((2, 3), (4, 5))
+# SHORTER edits lines 2-4 of PROOF: the first step's.
+TWO_STEPS = _steps((2, 4), (5, 5))
 # Cut inside the second step, and inside the first.
 CUT_PLAN = _cut_plan(TWO_STEPS, TWO_STEPS.index("line_end", 60), closed=True)
 CUT_BEFORE_ANY_STEP = _cut_plan(TWO_STEPS, 20, closed=False)
-UNCLOSED_PLAN = _cut_plan(_steps((2, 3)), None, closed=False)
+UNCLOSED_PLAN = _cut_plan(_steps((2, 4)), None, closed=False)
 START = ["session_start", "retrieval", "plan_issued", "step_attempted"]
 ADOPTED = START + ["compile_result", "adoption", "termination"]
 SALVAGED = ["session_start", "retrieval", "warning"] + ADOPTED[2:]
@@ -852,17 +927,76 @@ def test_a_plans_steps_run_bottom_up(plan, budget, targets):
 
 
 def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
-    # SHORTER drops line 4 as asked, and line 2 above it as well.
+    # NATIVE_ONLY replaces lines 2-5 with one line: the one hunk meets the
+    # step's lines 4-5, so it is kept, and reaches lines 2-3 above them.
     bank, index, compiler, _ = _world()
-    llm = ScriptedLLM([CHAIN_PLAN, _candidate(SHORTER), EMPTY_PLAN])
+    llm = ScriptedLLM([CHAIN_PLAN, _candidate(NATIVE_ONLY), EMPTY_PLAN])
     config = AgentConfig(target_length=1, max_debug_rounds=0)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
-    assert result.final_proof == SHORTER
+    assert result.final_proof == NATIVE_ONLY
     assert _refactor_targets(llm) == ["4-5"]
     assert [e.detail["steps"] for e in result.trace.of_kind("adoption")] == [
         json.loads(_steps((4, 5)))]
     assert [e.kind for e in result.trace.events] == ADOPTED[:-1] + [
         "retrieval", "plan_empty", "termination"]
+
+
+# --- a draft keeps every line outside its step --------------------------------
+
+PUT_BACK = "draft edited lines outside its step; put the chain's back"
+
+
+def test_a_drafts_edit_outside_its_step_is_put_back_before_the_compile():
+    # SHORTER drops line 4 as asked, and line 2 as well: line 2 comes back,
+    # which gives MIDDLE.
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([_plan(4, 4), _candidate(SHORTER), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == MIDDLE
+    assert [source for _, source in compiler.calls] == [PROOF, MIDDLE]
+    assert [e.detail for e in result.trace.of_kind("warning")] == [
+        {"message": PUT_BACK, "lines": [2]}]
+    assert [e.kind for e in result.trace.events] == START + [
+        "warning", "compile_result", "adoption", "retrieval", "plan_empty",
+        "termination"]
+
+
+def test_a_draft_that_edits_only_outside_its_step_is_not_compiled():
+    # MIDDLE drops line 4, below the step's lines 2-3: put back, it is PROOF.
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([_plan(2, 3), _candidate(MIDDLE), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == PROOF
+    assert [source for _, source in compiler.calls] == [PROOF]
+    assert [e.detail for e in result.trace.of_kind("warning")] == [
+        {"message": PUT_BACK, "lines": [4]}]
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "candidate not shorter",
+         "candidate_length": proof_length(PROOF)}]
+
+
+def test_a_put_back_that_would_alter_the_statement_skips_the_step():
+    # The draft moves the statement's "+" from line 1 to line 3, past the
+    # comment on line 2; the step holds line 1 alone, so putting back line
+    # 3 would leave "1 1 = 2".
+    proof = ("theorem t : 1 +\n  -- note\n  1 = 2 := by\n  norm_num\n"
+             "  simp only []\n  rfl")
+    draft = proof.replace("1 +\n", "1\n").replace("  1 = 2", "  + 1 = 2")
+    assert statement_preserved(proof, draft)
+    bank, index, _, _ = _world()
+    compiler = MockCompiler(by_source={proof: CompileResult(Verdict.SUCCESS)})
+    llm = ScriptedLLM([_plan(1, 1), _candidate(draft), EMPTY_PLAN])
+    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    result = run_session(proof, "", config, bank, index, llm, compiler)
+    assert result.final_proof == proof
+    assert [source for _, source in compiler.calls] == [proof]
+    assert result.trace.of_kind("warning") == []
+    assert [e.detail for e in result.trace.of_kind("step_skipped")] == [
+        {"reason": "StatementMutation",
+         "message": "putting back the edits outside the step altered the "
+                    "statement"}]
 
 
 def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
@@ -1030,7 +1164,8 @@ def test_a_failing_check_with_only_warnings_goes_to_the_debugger():
 
 def test_a_revert_that_alters_the_statement_is_not_taken():
     # The draft breaks its statement over lines 1-2 elsewhere, keeping the
-    # statement; putting back line 2 alone would drop its "+".
+    # statement, and drops line 4, all within its step's lines 1-4;
+    # putting back line 2 alone would drop its "+".
     proof = "theorem t : 1 +\n  1 = 2 := by\n  norm_num\n  simp only []\n  rfl"
     draft = "theorem t : 1\n  + 1 = 2 := by\n  norm_num\n  rfl"
     altered = "theorem t : 1\n  1 = 2 := by\n  norm_num\n  rfl"
@@ -1040,7 +1175,7 @@ def test_a_revert_that_alters_the_statement_is_not_taken():
     ok = CompileResult(Verdict.SUCCESS)
     compiler = MockCompiler(by_source={proof: ok, draft: _flagged(2),
                                        altered: ok})
-    llm = ScriptedLLM([_plan(4, 4), _candidate(draft), EMPTY_PLAN])
+    llm = ScriptedLLM([_plan(1, 4), _candidate(draft), EMPTY_PLAN])
     config = AgentConfig(target_length=1, max_debug_rounds=0)
     result = run_session(proof, "", config, bank, index, llm, compiler)
     assert result.final_proof == proof
@@ -1076,8 +1211,9 @@ def test_a_put_back_statement_is_the_inputs_after_a_header_rewrite():
     spaced = MIDDLE.replace("t : 1", "t :  1")
     bank, index, compiler, _ = _world()
     compiler.by_source[spaced] = CompileResult(Verdict.SUCCESS)
-    # The second round's reply alters the statement and drops line 2.
-    llm = ScriptedLLM([_plan(4, 4), _candidate(spaced), _plan(2, 2),
+    # The first round's step takes in the header; the second round's reply
+    # alters the statement and drops line 2.
+    llm = ScriptedLLM([_plan(1, 4), _candidate(spaced), _plan(2, 2),
                        _candidate(MUTATED), EMPTY_PLAN])
     config = AgentConfig(target_length=1, max_debug_rounds=0)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
