@@ -14,7 +14,11 @@ down, outside the step.
 passes before any compile: on the draft as written, whose rename it puts
 back (``put_back``), and on the draft without the rename, which it
 returns as it is (``fast_path``), as it does almost every draft of the
-``bank10k_length`` and ``longproof_compile`` workloads.
+``bank10k_length`` and ``longproof_compile`` workloads. Each is timed
+for one step and for a run of two (``two_steps``), whose draft also
+deletes the three lines of a second step, further down, in the same
+call, as a ``longproof_compile`` plan with more steps than calls left
+asks; its fast path finds the lines between the steps in the draft.
 
 ``test_revert_flagged`` times ``agent._revert_flagged`` on the draft as
 written, whose renamed line the compiler flags. The session passes the
@@ -37,12 +41,12 @@ NAMES = ("Nat.add_comm", "mul_le_mul", "sq_nonneg", "Finset.sum_le_sum",
          "abs_sub_lt_iff", "pow_two")
 
 
-def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
-                                  tuple[str, list[int]]]:
+def _draft(n_lines: int, n_steps: int = 1
+           ) -> tuple[str, str, list[Diagnostic], tuple[str, list[int]]]:
     """A proof of ``n_lines`` lines, its draft, the draft's errors and
     the draft with its flagged line put back, with that line's number;
-    the draft's step is lines ``n_lines // 3 + 1`` to ``n_lines // 3 + 3``
-    (``_step``)."""
+    the draft's steps (``_steps``) are the three lines after line
+    ``n_lines // 3`` and, for a second one, after line ``n_lines // 2``."""
     rng = random.Random(n_lines)
     lines = ["theorem t (a b : ℕ) (h : a ≤ b) : a * a ≤ b * b := by"]
     for j in range(1, n_lines - 1):
@@ -54,8 +58,8 @@ def _draft(n_lines: int) -> tuple[str, str, list[Diagnostic],
             f"  nlinarith [{name} a, sq_nonneg (a - {j})]",
         )))
     lines.append("  exact Nat.mul_le_mul h h")
-    at = n_lines // 3
-    kept = lines[:at] + lines[at + 3:]
+    deleted = {at + i for at in _starts(n_lines, n_steps) for i in range(3)}
+    kept = [line for i, line in enumerate(lines) if i not in deleted]
     renamed = 2 * len(kept) // 3
     name = next(n for n in NAMES if n in kept[renamed])
     draft = list(kept)
@@ -72,21 +76,27 @@ def test_revert_flagged(benchmark, n_lines):
     assert benchmark(_revert_flagged, draft, proof, errors) == reverted
 
 
-def _step(n_lines: int) -> PlanStep:
-    """The step of ``_draft(n_lines)``: the three lines it deletes."""
-    at = n_lines // 3
-    return PlanStep(at + 1, at + 3, "drop", "high", "")
+def _starts(n_lines: int, n_steps: int) -> list[int]:
+    """The line after which each step of ``_draft`` starts."""
+    return [n_lines // 3, n_lines // 2][:n_steps]
 
 
+def _steps(n_lines: int, n_steps: int) -> list[PlanStep]:
+    """The steps of ``_draft(n_lines, n_steps)``: the lines it deletes."""
+    return [PlanStep(at + 1, at + 3, "drop", "high", "")
+            for at in _starts(n_lines, n_steps)]
+
+
+@pytest.mark.parametrize("n_steps", [1, 2], ids=["one_step", "two_steps"])
 @pytest.mark.parametrize("path", ["fast_path", "put_back"])
 @pytest.mark.parametrize("n_lines", [45, 300])
-def test_splice_step(benchmark, n_lines, path):
-    proof, draft, _, (kept, [renamed]) = _draft(n_lines)
-    step = _step(n_lines)
+def test_splice_step(benchmark, n_lines, path, n_steps):
+    proof, draft, _, (kept, [renamed]) = _draft(n_lines, n_steps)
+    steps = _steps(n_lines, n_steps)
     if path == "fast_path":
-        assert benchmark(_splice_step, proof, kept, step) == (
+        assert benchmark(_splice_step, proof, kept, steps) == (
             kept, None, False)
     else:
-        # The renamed line lies below the step's three deleted lines.
-        assert benchmark(_splice_step, proof, draft, step) == (
-            kept, [renamed + 3], False)
+        # The renamed line lies below the steps' deleted lines.
+        assert benchmark(_splice_step, proof, draft, steps) == (
+            kept, [renamed + 3 * n_steps], False)

@@ -3,11 +3,12 @@
 One session drives a single theorem: segment the current proof, retrieve
 strategies per segment under the user's objective, ask the planner for a
 step sequence, and run its steps bottom-up as one chain of drafts, each
-asked of the refactorer against the previous draft and keeping every
-line outside its step as that draft has it. The chain is compiled once.
-While it fails, the lines it changed that an error flags are put back as
-the proof had them, at no LLM call; only when that gives no shorter
-proof that compiles is the debugger asked, a bounded number of rounds.
+asked of the refactorer for a run of steps against the previous draft
+and keeping every line outside those steps as that draft has it. The
+chain is compiled once. While it fails, the lines it changed that an
+error flags are put back as the proof had them, at no LLM call; only
+when that gives no shorter proof that compiles is the debugger asked, a
+bounded number of rounds.
 A result is adopted only when it compiles and is strictly shorter. Every
 plan is followed by a replan; the loop stops with fewer than two calls
 left (a round needs one for its plan and one for a step), on reaching
@@ -16,13 +17,14 @@ fault outside the process (a missing toolchain, an exhausted script, an
 unreachable provider) ends the session with the best proof so far.
 
 The budget unit is one LLM call — planner, refactorer, debugger, and
-corrective reparses all count; compiles are free. A plan with more
-steps than calls left asks only as many as the calls pay for, the ones
-the planner rates highest (``REDUCTION_LEVELS`` order, ties in plan
-order). A faulty reply is salvaged before another call is paid for: a
-cut-off plan keeps its complete steps, an altered statement is put back,
-and so is a draft's edit outside its step, before any compile. With
-scripted LLM and compiler mocks a session is byte-deterministic.
+corrective reparses all count; compiles are free. A plan's steps are
+packed, bottom-up, into as many contiguous runs as there are calls left
+(one step each when the calls suffice), each asked in one call, so no
+planned step goes unasked. A faulty reply is salvaged before another
+call is paid for: a cut-off plan keeps its complete steps, an altered
+statement is put back, and so is a draft's edit outside its steps,
+before any compile. With scripted LLM and compiler mocks a session is
+byte-deterministic.
 
 Where each rule lives: retrieval rules in ``retrieval.retrieve``, and
 which version it filters by in ``ObjectiveSpec.filter_version``; what a
@@ -39,20 +41,22 @@ the budget (``left``), the transport retry and the trace in ``_Ledger``;
 which of the spans' retrieved strategies the planner sees, and the ids
 its ``retrieval`` event records, in ``_planner_strategies``; which
 inputs a session refuses, the target toolchain, whether a round may
-start, which steps of a plan the budget pays for, the chain's order and
-where it stops, in ``run_session``; the planner's call, its corrective
-reparse and its warnings in its ``plan``; whether one step may still be
-asked, its ``step_attempted``, its refactor call and its
+start, how many runs a plan's steps are packed into, where the chain
+stops, in ``run_session``; the runs and their order in ``_runs``; a
+run's refactor prompt in ``_run_fields``; the planner's call, its
+corrective reparse and its warnings in its ``plan``; whether a run may
+still be asked, its steps' ``step_attempted``, its refactor call and its
 ``step_skipped`` in its ``draft``; which of a draft's edits lie outside
-its step and are put back, and whether a kept one reaches above it, in
-``_splice_step``; which flagged lines of a failing candidate are put back
-in ``_revert_flagged``; whether a text may replace the current proof, be
-it a chain, a debugger reply or a put-back text, in its ``admit``, the
-one acceptance rule; the chain's compile, the put-back tried before each
-debugger call, the debugger's call, the debug rounds, the chain's
-``step_skipped`` and the one ``adoption`` in its ``verify``, the one
-place that adopts; the compile memo, one check per source, in its
-``compile_source``; which faults end a session, in ``OUTSIDE_FAULTS``.
+its run's steps and are put back, and whether a kept one reaches above
+them, in ``_splice_step``; which flagged lines of a failing candidate
+are put back in ``_revert_flagged``; whether a text may replace the
+current proof, be it a chain, a debugger reply or a put-back text, in
+its ``admit``, the one acceptance rule; the chain's compile, the
+put-back tried before each debugger call, the debugger's call, the
+debug rounds, the chain's ``step_skipped`` and the one ``adoption`` in
+its ``verify``, the one place that adopts; the compile memo, one check
+per source, in its ``compile_source``; which faults end a session, in
+``OUTSIDE_FAULTS``.
 """
 
 from __future__ import annotations
@@ -369,30 +373,60 @@ def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
     return ("\n".join(new), lines) if lines else None
 
 
-def _splice_step(chain: str, draft: str, step: PlanStep
-                 ) -> tuple[str, list[int] | None, bool]:
-    """``draft`` with every change outside ``step``'s lines put back as
-    ``chain`` has it, the numbers of the ``chain`` lines put back (None
-    when nothing is), and whether a kept change reaches above the step.
+def _find_lines(lines: list[str], stretch: list[str], start: int,
+                stop: int) -> int:
+    """The first index from ``start`` at which ``stretch`` lies in
+    ``lines`` and ends by ``stop``; -1 when there is none."""
+    if not stretch:
+        return start
+    last = stop - len(stretch)
+    while start <= last:
+        try:
+            start = lines.index(stretch[0], start, last + 1)
+        except ValueError:
+            return -1
+        if lines[start:start + len(stretch)] == stretch:
+            return start
+        start += 1
+    return -1
 
-    A draft that keeps the chain's lines above and below the step, around
+
+def _splice_step(chain: str, draft: str, steps: Iterable[PlanStep]
+                 ) -> tuple[str, list[int] | None, bool]:
+    """``draft`` with every change outside the lines of ``steps``, a run
+    of disjoint steps, put back as ``chain`` has it, the numbers of the
+    ``chain`` lines put back (None when nothing is), and whether a kept
+    change reaches above the run's topmost step.
+
+    A draft that keeps the chain's lines above the topmost step and below
+    the lowest one, and each stretch between two steps in order, around
     any lines of its own, is returned as it is. Otherwise the lines are
     aligned by ``difflib``, as in ``_revert_flagged``: a hunk whose chain
-    lines meet the step's is kept, as is an insertion from just before
-    the step's first line to just after its last; every other hunk is put
+    lines meet a step's is kept, as is an insertion from just before a
+    step's first line to just after its last; every other hunk is put
     back. Lines are numbered as Lean numbers them, by ``\n`` alone, and
     every kept line is kept byte for byte.
     """
     old, new = chain.split("\n"), draft.split("\n")
-    top, end = step.line_start - 1, step.line_end
+    spans = sorted((s.line_start - 1, s.line_end) for s in steps)
+    top, end = spans[0][0], spans[-1][1]
     bottom = len(new) - len(old) + end
     if bottom >= top and new[:top] == old[:top] and new[bottom:] == old[end:]:
-        return draft, None, False
+        # Two identical lines around a step leave difflib free to blame
+        # the deletion of the lower one on the upper one, outside it.
+        at = top
+        for (_, b), (a, _) in zip(spans, spans[1:]):
+            at = _find_lines(new, old[b:a], at, bottom)
+            if at < 0:
+                break
+            at += a - b
+        else:
+            return draft, None, False
     lines, restored, put_back, above = [], [], False, False
     for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
             None, old, new, autojunk=False).get_opcodes():
-        if tag == "equal" or (top <= i1 <= end if tag == "insert"
-                              else i1 < end and i2 > top):
+        if tag == "equal" or any(a <= i1 <= b if tag == "insert"
+                                 else i1 < b and i2 > a for a, b in spans):
             lines += new[j1:j2]
             above = above or (tag != "equal" and i1 < top)
         else:
@@ -400,6 +434,34 @@ def _splice_step(chain: str, draft: str, step: PlanStep
             restored += range(i1 + 1, i2 + 1)
             put_back = True
     return "\n".join(lines), restored if put_back else None, above
+
+
+def _runs(steps: list[PlanStep], n: int) -> list[list[PlanStep]]:
+    """``steps`` bottom-up (descending ``line_start``) in ``n`` contiguous
+    runs whose sizes differ by at most one."""
+    ordered = sorted(steps, key=lambda s: -s.line_start)
+    k = len(ordered)
+    return [ordered[k * i // n:k * (i + 1) // n] for i in range(n)]
+
+
+def _run_fields(run: list[PlanStep]) -> dict:
+    """The refactor prompt's fields for ``run``. One step's are its own.
+    Several span the lines from the topmost step's first to the lowest
+    one's last, and one description names each step, top-down, as
+    ``lines a-b: <description>``."""
+    if len(run) == 1:
+        return vars(run[0])
+    run = sorted(run, key=lambda s: s.line_start)
+    return {
+        "line_start": run[0].line_start,
+        "line_end": run[-1].line_end,
+        "title": "; ".join(dict.fromkeys(s.title for s in run)),
+        "reduction": min((s.reduction for s in run),
+                         key=REDUCTION_LEVELS.index),
+        "description": " | ".join(
+            f"lines {s.line_start}-{s.line_end}: {s.description}"
+            for s in run),
+    }
 
 
 def _planner_strategies(
@@ -452,21 +514,22 @@ def run_session(
     before it segments, embeds or retrieves. Each round retrieves
     strategies for the current proof and asks for a plan, whose steps are
     disjoint (``_validate_steps`` drops a step overlapping one kept before
-    it). Each step costs a call: when a plan has more steps than calls
-    left, only that many are asked, the ones rated highest by
-    ``reduction`` (``REDUCTION_LEVELS`` order, ties in the plan's order),
-    and its ``plan_issued`` event lists the positions of the others
-    (``unasked``). The asked steps run bottom-up (descending
-    ``line_start``), so a draft never renumbers the lines of a step still
-    to run. Each step's draft is asked against the previous one; its
-    edits outside the step's lines are put back as the previous one has
-    them, with a ``warning``, and it is kept only when it is then strictly
-    shorter; nothing is compiled yet. The chain stops early once a kept
-    edit reaches a line above its step (one change spanning the step's
-    first line and lines above it), or at ``target_length``. The chain is
-    then compiled once. While it fails, the lines it changed that an
-    error flags are put back as the current proof has them, at no call;
-    otherwise the debugger is asked about the failing text, up to
+    it). The steps run bottom-up (descending ``line_start``), so a draft
+    never renumbers the lines of a step still to run, packed into
+    ``min(len(steps), calls left)`` contiguous runs whose sizes differ by
+    at most one (``_runs``): each run costs one call, so every step is
+    asked, and a one-step run is asked as the step alone. A run of
+    several steps gets one prompt whose target lines span the run and
+    whose description names each step's lines (``_run_fields``). Each
+    run's draft is asked against the previous one; its edits outside the
+    run's steps are put back as the previous one has them, with a
+    ``warning``, and it is kept only when it is then strictly shorter;
+    nothing is compiled yet. The chain stops early once a kept edit
+    reaches a line above its run's topmost step (one change spanning that
+    step's first line and lines above it), or at ``target_length``. The
+    chain is then compiled once. While it fails, the lines it changed
+    that an error flags are put back as the current proof has them, at no
+    call; otherwise the debugger is asked about the failing text, up to
     ``max_debug_rounds`` rounds, and each failing reply is tried the same
     way. Every reply is guarded against the input's statement. ``admit``
     is the one rule for whether a text replaces the current proof: it
@@ -547,24 +610,26 @@ def run_session(
             ledger.add("warning", {"message": warning})
         return steps
 
-    def draft(step: PlanStep, chain: str) -> tuple[str, bool] | None:
-        """Record ``step``'s ``step_attempted`` and ask the refactorer
-        for it against the chain's text, compiling nothing; with no call
-        left, raise ``_OutOfBudget`` before recording. The draft's edits
-        outside the step are put back as the chain has them
-        (``_splice_step``), with a ``warning`` naming the chain lines put
-        back; a put-back that alters the input's statement skips the step
-        as a ``StatementMutation``. Returns the draft, and whether a kept
-        edit reaches above the step, when it is strictly shorter than
-        ``chain``; otherwise records the step's one ``step_skipped`` and
-        returns None."""
+    def draft(run: list[PlanStep], chain: str) -> tuple[str, bool] | None:
+        """Record a ``step_attempted`` for each step of ``run`` and ask the
+        refactorer for the run in one call against the chain's text,
+        compiling nothing; with no call left, raise ``_OutOfBudget``
+        before recording. The draft's edits outside the run's steps are
+        put back as the chain has them (``_splice_step``), with a
+        ``warning`` naming the chain lines put back; a put-back that alters
+        the input's statement skips the run as a ``StatementMutation``.
+        Returns the draft, and whether a kept edit reaches above the run's
+        topmost step, when it is strictly shorter than ``chain``;
+        otherwise records the run's one ``step_skipped`` and returns
+        None."""
         if not ledger.left:
             raise _OutOfBudget()
-        ledger.add("step_attempted", {"step": dict(vars(step))})
-        prompt = render("refactor", proof=chain, deps=deps, **vars(step))
+        for step in run:
+            ledger.add("step_attempted", {"step": dict(vars(step))})
+        prompt = render("refactor", proof=chain, deps=deps, **_run_fields(run))
         try:
             candidate, restored, above = _splice_step(chain, candidate_of(
-                ledger.complete([{"role": "user", "content": prompt}])), step)
+                ledger.complete([{"role": "user", "content": prompt}])), run)
             if restored is not None:
                 if not statement_preserved(proof, candidate):
                     raise StatementMutation("putting back the edits outside "
@@ -719,33 +784,26 @@ def run_session(
                 ledger.add("plan_empty", {})
                 termination = Termination.NO_VIABLE_PLAN
                 break
-            # Each step costs a call: with fewer calls left than steps, ask
-            # the best-rated ones, ties in plan order.
-            ranked = sorted(range(len(steps)), key=lambda i:
-                            REDUCTION_LEVELS.index(steps[i].reduction))
-            left = ledger.left
-            asked, unasked = ranked[:left], sorted(ranked[left:])
-            issued = {"steps": [dict(vars(s)) for s in steps]}
-            if unasked:
-                issued["unasked"] = unasked
-            ledger.add("plan_issued", issued)
+            ledger.add("plan_issued",
+                       {"steps": [dict(vars(s)) for s in steps]})
 
             # Bottom-up: a draft never renumbers the lines of a step still
-            # to run, since a plan's steps are disjoint.
+            # to run, since a plan's steps are disjoint. Each run is one
+            # call, so every step is asked; with no call left, the one
+            # run's draft raises ``_OutOfBudget``.
             chain = current
             drafted: list[PlanStep] = []
-            exhausted = bool(unasked)  # the budget cut this plan
-            for step in sorted((steps[i] for i in asked),
-                               key=lambda s: -s.line_start):
+            exhausted = False  # the budget cut this plan
+            for run in _runs(steps, min(len(steps), ledger.left) or 1):
                 try:  # transport retries may have spent the budget
-                    made = draft(step, chain)
+                    made = draft(run, chain)
                 except _OutOfBudget:
                     exhausted = True
                     break
                 if made is None:
                     continue
                 chain, edited_above = made
-                drafted.append(step)
+                drafted += run
                 if edited_above or length(chain) <= config.target_length:
                     break
             # With the budget spent, the drafts so far are still compiled:

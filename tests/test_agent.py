@@ -242,34 +242,49 @@ def _step(line_start: int, line_end: int) -> PlanStep:
 
 
 SPLICE_CHAIN = "t\n  a\n  b\n  c\n  d"
+# Lines 2-3 and 8-9 are identical pairs; a run of steps 3-3 and 9-9
+# deletes the lower line of each.
+TWIN_CHAIN = "\n".join(["t"] + [f"  {c}" for c in "yybcdezzfghijk"])
+TWIN_DRAFT = "\n".join(["t"] + [f"  {c}" for c in "ybcdezfghijk"])
 
 
-@pytest.mark.parametrize("chain, draft, step, spliced", [
-    pytest.param(SPLICE_CHAIN, "t\n  a\n  d", (3, 4), None,
+@pytest.mark.parametrize("chain, draft, steps, spliced", [
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  d", [(3, 4)], None,
                  id="step_lines_deleted"),
-    pytest.param(SPLICE_CHAIN, "t\n  a\n  B\n  B2\n  c\n  d", (3, 3), None,
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  B\n  B2\n  c\n  d", [(3, 3)], None,
                  id="step_line_rewritten_as_two"),
     # difflib aligns the deletion with the other "  y", outside the step.
-    pytest.param("t\n  x\n  y\n  y\n  z", "t\n  x\n  y\n  z", (3, 3), None,
-                 id="identical_line_deleted_at_the_steps_last_line"),
-    pytest.param("t\n  y\n  y\n  p\n  q", "t\n  y\n  p\n  q", (3, 4), None,
-                 id="identical_line_deleted_at_the_steps_first_line"),
+    pytest.param("t\n  x\n  y\n  y\n  z", "t\n  x\n  y\n  z", [(3, 3)],
+                 None, id="identical_line_deleted_at_the_steps_last_line"),
+    pytest.param("t\n  y\n  y\n  p\n  q", "t\n  y\n  p\n  q", [(3, 4)],
+                 None, id="identical_line_deleted_at_the_steps_first_line"),
     # Lines 2-3 are one hunk: it meets the step, so it is kept whole.
-    pytest.param(SPLICE_CHAIN, "t\n  A\n  c\n  d", (3, 3),
+    pytest.param(SPLICE_CHAIN, "t\n  A\n  c\n  d", [(3, 3)],
                  ("t\n  A\n  c\n  d", None, True), id="hunk_reaching_above"),
-    pytest.param(SPLICE_CHAIN, "t\n  A\n  b\n  d", (4, 4),
+    pytest.param(SPLICE_CHAIN, "t\n  A\n  b\n  d", [(4, 4)],
                  ("t\n  a\n  b\n  d", [2], False), id="line_above_put_back"),
-    pytest.param(SPLICE_CHAIN, "t\n  a\n  c", (3, 3),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  c", [(3, 3)],
                  ("t\n  a\n  c\n  d", [5], False), id="line_below_put_back"),
-    pytest.param(SPLICE_CHAIN, "t\n  a\n  b\n  c\n  N\n  d", (2, 2),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  b\n  c\n  N\n  d", [(2, 2)],
                  (SPLICE_CHAIN, [], False), id="insertion_dropped"),
     # Insertions just before and just after the step are its own.
-    pytest.param(SPLICE_CHAIN, "t\n  a\n  N1\n  b\n  N2\n  c\n  D", (3, 3),
+    pytest.param(SPLICE_CHAIN, "t\n  a\n  N1\n  b\n  N2\n  c\n  D", [(3, 3)],
                  ("t\n  a\n  N1\n  b\n  N2\n  c\n  d", [5], False),
                  id="insertions_next_to_the_step_kept"),
+    # A run keeps each step's edits and puts back an edit between them.
+    pytest.param(SPLICE_CHAIN + "\n  e\n  f", "t\n  b\n  C\n  d\n  f",
+                 [(6, 6), (2, 2)],
+                 ("t\n  b\n  c\n  d\n  f", [4], False),
+                 id="run_edit_between_its_steps_put_back"),
+    # difflib alone blames both deletions on lines 2 and 8, outside.
+    pytest.param(TWIN_CHAIN, TWIN_DRAFT, [(9, 9), (3, 3)], None,
+                 id="run_deletes_the_lower_of_two_identical_lines"),
+    # The same draft as one step over lines 2-6 is that step's own.
+    pytest.param(SPLICE_CHAIN + "\n  e\n  f", "t\n  b\n  C\n  d\n  f",
+                 [(2, 6)], None, id="one_step_run"),
 ])
-def test_splice_step_keeps_only_the_steps_edits(chain, draft, step, spliced):
-    got = agent._splice_step(chain, draft, _step(*step))
+def test_splice_step_keeps_only_the_steps_edits(chain, draft, steps, spliced):
+    got = agent._splice_step(chain, draft, [_step(*s) for s in steps])
     if spliced is None:
         assert got == (draft, None, False) and got[0] is draft
     else:
@@ -278,37 +293,56 @@ def test_splice_step_keeps_only_the_steps_edits(chain, draft, step, spliced):
 
 @st.composite
 def step_drafts(draw):
-    """A chain of distinct lines, a step, and a draft that rewrites the
-    step's lines and replaces or deletes some lines at least one line away
-    from it; the chain lines changed outside the step."""
-    n = draw(st.integers(1, 12))
+    """A chain of distinct lines, a run of one to three disjoint steps,
+    and a draft that rewrites each step's lines and replaces or deletes
+    some lines at least one line away from every step; the chain lines
+    changed outside the steps."""
+    n = draw(st.integers(1, 14))
     chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
-    a = draw(st.integers(1, n))
-    b = draw(st.integers(a, n))
-    far = [i for i in range(1, n + 1) if i < a - 1 or i > b + 1]
+    spans, at = [], 1
+    while at <= n and len(spans) < 3 and (not spans or draw(st.booleans())):
+        a = draw(st.integers(at, min(n, at + 3)))
+        b = draw(st.integers(a, min(n, a + 2)))
+        spans.append((a, b))
+        at = b + 1
+    far = [i for i in range(1, n + 1)
+           if all(i < a - 1 or i > b + 1 for a, b in spans)]
     changed = sorted(draw(st.sets(st.sampled_from(far))) if far else [])
-    inside = [f"  new {i}" for i in range(draw(st.integers(0, 3)))]
-    draft = []
+    inside = {a: [f"  new {a}.{i}" for i in range(draw(st.integers(0, 3)))]
+              for a, _ in spans}
+    draft, kept = [], []
     for i, line in enumerate(chain, 1):
-        if i == a:
-            draft += inside
-        if a <= i <= b:
+        kept += inside.get(i, [])
+        draft += inside.get(i, [])
+        if any(a <= i <= b for a, b in spans):
             continue
+        kept.append(line)
         if i in changed:
             draft += draw(st.sampled_from([[], [f"  edit {i}"]]))
         else:
             draft.append(line)
-    return chain, (a, b), inside, draft, changed
+    return chain, spans, kept, draft, changed
 
 
 @given(step_drafts())
 def test_a_splice_keeps_every_line_outside_the_step(drawn):
-    chain, (a, b), inside, draft, changed = drawn
+    chain, spans, kept, draft, changed = drawn
     text, restored, above = agent._splice_step(
-        "\n".join(chain), "\n".join(draft), _step(a, b))
-    assert text == "\n".join(chain[:a - 1] + inside + chain[b:])
+        "\n".join(chain), "\n".join(draft), [_step(a, b) for a, b in spans])
+    assert text == "\n".join(kept)
     assert restored == (changed or None)
     assert not above
+
+
+@given(st.sets(st.integers(2, 40), min_size=1, max_size=8), st.data())
+def test_a_plans_steps_split_bottom_up_into_runs_of_near_equal_size(
+        lines, data):
+    steps = [_step(a, a) for a in sorted(lines)]
+    n = data.draw(st.integers(1, len(steps)))
+    runs = agent._runs(steps, n)
+    assert len(runs) == n and all(runs)
+    assert [s for run in runs for s in run] == steps[::-1]
+    assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
 
 def test_a_plan_step_beyond_the_last_lean_line_is_dropped():
@@ -648,13 +682,13 @@ REPLANNED = ["plan_failed", "retrieval", "plan_empty", "termination"]
 # for lines 2-3 of MIDDLE, giving SHORTER.
 CHAIN_PLAN = "```json\n" + _steps((2, 3), (4, 5)) + "\n```"
 CHAINED = START + ["step_attempted"] + ADOPTED[4:]
-# Run bottom-up, its steps ask for lines 3-5, then for line 2.
+# Run bottom-up, its steps ask for lines 3-5, then for line 2; with one
+# call left, both in one call for lines 2-5.
 SPLIT_PLAN = "```json\n" + _steps((3, 5), (2, 2)) + "\n```"
-# Three steps, of which a budget of three asks two: by rating, 4-5 and 2-2.
-RATED_PLAN = "```json\n" + _steps((2, 2, "high"), (3, 3, "low"),
-                                  (4, 5, "medium")) + "\n```"
-# Equal ratings keep the plan's order: 4-5 and 2-2 again.
-EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
+# Three steps with two calls left: bottom-up, 4-5 alone asks for MIDDLE,
+# then 3-3 and 2-2 in one call ask for SHORTER.
+PACKED_PLAN = "```json\n" + _steps((2, 2, "low"), (3, 3, "medium"),
+                                    (4, 5, "high")) + "\n```"
 
 
 @pytest.mark.parametrize(
@@ -681,12 +715,19 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
                      {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 2,
                      ADOPTED[:-1] + ["termination"], [],
                      id="one_call_left_asks_no_plan"),
-        pytest.param([RATED_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
+        pytest.param([PACKED_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
                      {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 3,
-                     CHAINED, [], id="plan_over_budget_asks_its_best_rated"),
-        pytest.param([EVEN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)],
-                     {"budget": 3}, Termination.BUDGET_EXHAUSTED, SHORTER, 3,
-                     CHAINED, [], id="equal_ratings_over_budget"),
+                     CHAINED[:4] + ["step_attempted"] + CHAINED[4:], [],
+                     id="plan_over_budget_packed_into_runs"),
+        pytest.param([CHAIN_PLAN, _candidate(SHORTER)],
+                     {"budget": 2}, Termination.BUDGET_EXHAUSTED, SHORTER, 2,
+                     CHAINED, [], id="plan_over_budget_in_one_run"),
+        # The corrective reparse spends the last call: no step is asked,
+        # and the plan cut by the budget records no plan_failed.
+        pytest.param([CUT_BEFORE_ANY_STEP, _plan(2, 5)], {"budget": 2},
+                     Termination.BUDGET_EXHAUSTED, PROOF, 2,
+                     START[:3] + ["termination"], [],
+                     id="plan_with_no_call_left"),
         pytest.param([_plan(2, 5), "no fenced block", EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 3,
                      START + ["step_skipped"] + REPLANNED, ["StepFailed"],
@@ -747,7 +788,9 @@ EVEN_PLAN = "```json\n" + _steps((4, 5), (2, 2), (3, 3)) + "\n```"
         pytest.param([SPLIT_PLAN, _candidate(FAILING)],
                      {"budget": 2, "max_debug_rounds": 1},
                      Termination.BUDGET_EXHAUSTED, PROOF, 2,
-                     START + ["compile_result", "step_skipped", "termination"],
+                     # Every step was asked, so the plan failed.
+                     START + ["step_attempted", "compile_result",
+                              "step_skipped", "plan_failed", "termination"],
                      ["no compiling candidate"],
                      id="budget_spent_after_a_failing_draft"),
         pytest.param([_plan(2, 5), _candidate(RENAMED), EMPTY_PLAN], {},
@@ -908,10 +951,11 @@ def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile():
     # 2-3 overlaps 3-4, and 4-5 overlaps both 3-4 and 5-5.
     ("```json\n" + _steps((3, 4), (2, 3), (5, 5), (4, 5)) + "\n```", 30,
      ["5-5", "3-4"]),
-    (RATED_PLAN, 3, ["4-5", "2-2"]),
-    (EVEN_PLAN, 3, ["4-5", "2-2"]),
+    # With fewer calls left than steps, the last runs hold one step more.
+    (PACKED_PLAN, 3, ["4-5", "2-3"]),
+    (SPLIT_PLAN, 2, ["2-5"]),
 ], ids=["top_down", "bottom_up", "overlapping_steps_dropped",
-        "best_rated_within_budget", "equal_ratings_in_plan_order"])
+        "three_steps_two_calls_left", "two_steps_one_call_left"])
 def test_a_plans_steps_run_bottom_up(plan, budget, targets):
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([plan] + ["no fenced block"] * len(targets)
@@ -919,11 +963,37 @@ def test_a_plans_steps_run_bottom_up(plan, budget, targets):
     config = AgentConfig(budget=budget, target_length=1, max_debug_rounds=0)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert _refactor_targets(llm) == targets
-    # The event lists the positions of the steps the budget did not ask.
+    # Every step is asked.
     issued = result.trace.of_kind("plan_issued")[0].detail
-    assert issued.get("unasked", []) == [
-        i for i, s in enumerate(issued["steps"])
-        if f"{s['line_start']}-{s['line_end']}" not in targets]
+    assert list(issued) == ["steps"]
+    assert len(result.trace.of_kind("step_attempted")) == len(issued["steps"])
+
+
+def test_a_plan_over_budget_asks_each_run_in_one_call():
+    bank, index, compiler, _ = _world()
+    llm = ScriptedLLM([PACKED_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
+    config = AgentConfig(budget=3, target_length=1, max_debug_rounds=0)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    assert result.final_proof == SHORTER
+    assert _refactor_targets(llm) == ["4-5", "2-3"]
+    # A one-step run's prompt is the step's own.
+    assert ("\nDescription: remove redundant lines\n"
+            in llm.calls[1][0]["content"])
+    # A run's prompt names each step, top-down, and its best rating.
+    assert ("\nTitle: drop\nExpected reduction: medium\nDescription: lines "
+            "2-2: remove redundant lines | lines 3-3: remove redundant lines\n"
+            ) in llm.calls[2][0]["content"]
+    bottom_up = json.loads(_steps((4, 5, "high"), (3, 3, "medium"),
+                                  (2, 2, "low")))
+    assert [e.detail["step"] for e in result.trace.of_kind(
+        "step_attempted")] == bottom_up
+    assert [e.calls_used for e in result.trace.of_kind("step_attempted")] == [
+        1, 2, 2]
+    (adoption,) = result.trace.of_kind("adoption")
+    assert adoption.detail["steps"] == bottom_up
+    assert result.trace.of_kind("plan_issued")[0].detail == {
+        "steps": json.loads(_steps((2, 2, "low"), (3, 3, "medium"),
+                                   (4, 5, "high")))}
 
 
 def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
@@ -1501,7 +1571,8 @@ EXCHANGES = st.one_of(
 @st.composite
 def sessions(draw):
     # One time in two, the first plan has more steps than the budget
-    # leaves calls for: a budget of 2..n for n disjoint steps.
+    # leaves calls for, so they are packed into runs: a budget of 2..n for
+    # n disjoint steps.
     first = draw(st.just([]) | chains(DISJOINT))
     budget = draw(st.integers(2, len(first) - 1) if first
                   else st.integers(0, 8))
