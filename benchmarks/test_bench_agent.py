@@ -14,15 +14,22 @@ down, outside the step.
 passes before any compile: on the draft as written, whose rename it puts
 back (``put_back``), and on the draft without the rename, which it
 returns as it is (``fast_path``), as it does almost every draft of the
-``bank10k_length`` and ``longproof_compile`` workloads. Each is timed
-for one step and for a run of two (``two_steps``), whose draft also
-deletes the three lines of a second step, further down, in the same
-call, as a ``longproof_compile`` plan with more steps than calls left
-asks; its fast path finds the lines between the steps in the draft.
+``bank10k_length`` and ``longproof_compile`` workloads. The fast path
+splits only the chain: it matches the draft's text against the chain's
+lines above and below the steps and, for a run, finds the lines between
+two steps with one ``str.find``. The put-back splits the draft too and
+walks ``agent._aligned``, whose ``difflib`` aligns only the lines between
+the common head, which stops at the topmost step, and the common tail,
+which stops at the rename. Each is timed for one step and for a run of
+two (``two_steps``), whose draft also deletes the three lines of a
+second step, further down, in the same call, as a ``longproof_compile``
+plan with more steps than calls left asks.
 
 ``test_revert_flagged`` times ``agent._revert_flagged`` on the draft as
 written, whose renamed line the compiler flags. The session passes the
 failing check's ``errors()``, so the draft's one diagnostic is an error.
+It too walks ``agent._aligned``, with no cap on the head or the tail, so
+``difflib`` aligns only the lines from the step's deletion to the rename.
 The step runs only after a compile has failed; in a session the splice
 has already put back a rename outside the step, so the revert meets only
 renames within a step's lines.

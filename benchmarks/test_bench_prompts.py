@@ -10,8 +10,9 @@ LLM call: ``format_strategies`` over the default k = 8 retrieved entries,
 around research-style proofs of about 2, 8 and 16 kB (the tokenizer
 benchmark's proofs). ``test_render_debugger`` times the prompt a debug
 round builds on the same proofs with three errors: ``splice_error_markers``,
-the listed messages and ``render("debugger", ...)``; no session of the
-session benchmark asks the debugger, so it times this path alone.
+the listed messages and ``render("debugger", ...)``; the session
+benchmark asks the debugger once at seeds 1-3 (``repair_version``, seed 1,
+theorem 56), so it times this path alone.
 ``test_extract_json_payload`` parses a planner reply
 of 1, 8 and 32 steps, written as the session benchmark's responder writes
 it: a line of prose, then an indented array in a ```json fence.

@@ -49,7 +49,8 @@ still be asked, its steps' ``step_attempted``, its refactor call and its
 ``step_skipped`` in its ``draft``; which of a draft's edits lie outside
 its run's steps and are put back, and whether a kept one reaches above
 them, in ``_splice_step``; which flagged lines of a failing candidate
-are put back in ``_revert_flagged``; whether a text may replace the
+are put back in ``_revert_flagged``; which chain line each draft line
+came from, for both, in ``_aligned``; whether a text may replace the
 current proof, be it a chain, a debugger reply or a put-back text, in
 its ``admit``, the one acceptance rule; the chain's compile, the
 put-back tried before each debugger call, the debugger's call, the
@@ -339,25 +340,42 @@ def splice_error_markers(candidate: str, errors: list[Diagnostic]) -> str:
     return "\n".join(lines)
 
 
+def _aligned(old: list[str], new: list[str], head_max: int, tail_max: int
+             ) -> list[tuple[str, int, int, int, int]]:
+    """``difflib`` opcodes from ``old`` to ``new``, the agent's one line
+    alignment. The first is their longest common head, of at most
+    ``head_max`` lines, the last their longest common tail after it, of at
+    most ``tail_max``, both ``equal`` and either empty; ``difflib`` aligns
+    only the lines between, so none is matched to a copy in either."""
+    head, stop = 0, min(head_max, len(old), len(new))
+    while head < stop and old[head] == new[head]:
+        head += 1
+    tail, stop = 0, min(tail_max, len(old) - head, len(new) - head)
+    while tail < stop and old[-1 - tail] == new[-1 - tail]:
+        tail += 1
+    i, j = len(old) - tail, len(new) - tail
+    return [("equal", 0, head, 0, head), *(
+        (tag, i1 + head, i2 + head, j1 + head, j2 + head)
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, old[head:i], new[head:j], autojunk=False).get_opcodes()),
+        ("equal", i, len(old), j, len(new))]
+
+
 def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
                     ) -> tuple[str, list[int]] | None:
     """``candidate`` with each line that one of ``errors`` flags and the
     draft changed put back as ``proof`` has it, and those lines' numbers.
 
-    The lines are aligned by ``difflib``; a flagged line in a ``replace``
+    The lines are aligned by ``_aligned``; a flagged line in a ``replace``
     hunk becomes that hunk's most alike ``proof`` line (the highest
     ``SequenceMatcher.ratio``, the first of equal ones). Lines are
     numbered as Lean numbers them, by ``\n`` alone, and every other line
     is kept byte for byte. None when no flagged line lies in a
     ``replace`` hunk, as for a timeout, which flags no line.
     """
-    flagged = {d.line for d in errors}
-    if not flagged:
-        return None
+    flagged, lines = {d.line for d in errors}, []
     old, new = proof.split("\n"), candidate.split("\n")
-    lines = []
-    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
-            None, old, new, autojunk=False).get_opcodes():
+    for tag, i1, i2, j1, j2 in _aligned(old, new, len(old), len(old)):
         if tag != "replace":
             continue
         for j in range(j1, j2):
@@ -373,24 +391,6 @@ def _revert_flagged(candidate: str, proof: str, errors: Iterable[Diagnostic]
     return ("\n".join(new), lines) if lines else None
 
 
-def _find_lines(lines: list[str], stretch: list[str], start: int,
-                stop: int) -> int:
-    """The first index from ``start`` at which ``stretch`` lies in
-    ``lines`` and ends by ``stop``; -1 when there is none."""
-    if not stretch:
-        return start
-    last = stop - len(stretch)
-    while start <= last:
-        try:
-            start = lines.index(stretch[0], start, last + 1)
-        except ValueError:
-            return -1
-        if lines[start:start + len(stretch)] == stretch:
-            return start
-        start += 1
-    return -1
-
-
 def _splice_step(chain: str, draft: str, steps: Iterable[PlanStep]
                  ) -> tuple[str, list[int] | None, bool]:
     """``draft`` with every change outside the lines of ``steps``, a run
@@ -401,39 +401,39 @@ def _splice_step(chain: str, draft: str, steps: Iterable[PlanStep]
     A draft that keeps the chain's lines above the topmost step and below
     the lowest one, and each stretch between two steps in order, around
     any lines of its own, is returned as it is. Otherwise the lines are
-    aligned by ``difflib``, as in ``_revert_flagged``: a hunk whose chain
-    lines meet a step's is kept, as is an insertion from just before a
-    step's first line to just after its last; every other hunk is put
-    back. Lines are numbered as Lean numbers them, by ``\n`` alone, and
-    every kept line is kept byte for byte.
+    aligned by ``_aligned``, its head and tail capped at the run: a hunk
+    whose chain lines meet a step's is kept, as is an insertion from just
+    before a step's first line to just after its last; every other hunk
+    is put back. Lines are numbered as Lean numbers them, by ``\n``
+    alone, and every kept line is kept byte for byte.
     """
-    old, new = chain.split("\n"), draft.split("\n")
+    old = chain.split("\n")
     spans = sorted((s.line_start - 1, s.line_end) for s in steps)
     top, end = spans[0][0], spans[-1][1]
-    bottom = len(new) - len(old) + end
-    if bottom >= top and new[:top] == old[:top] and new[bottom:] == old[end:]:
-        # Two identical lines around a step leave difflib free to blame
-        # the deletion of the lower one on the upper one, outside it.
-        at = top
+    # Lines as text: "\n", then each line and a "\n", so matches are whole.
+    text, head, tail = "\n".join(["", draft, ""]), *(
+        "\n".join(["", *lines, ""]) for lines in (old[:top], old[end:]))
+    at, stop = len(head) - 1, len(text) - len(tail) + 1
+    if at < stop and text.startswith(head) and text.endswith(tail):
         for (_, b), (a, _) in zip(spans, spans[1:]):
-            at = _find_lines(new, old[b:a], at, bottom)
+            stretch = "\n".join(["", *old[b:a], ""])
+            at = text.find(stretch, at, stop)
             if at < 0:
                 break
-            at += a - b
+            at += len(stretch) - 1
         else:
             return draft, None, False
-    lines, restored, put_back, above = [], [], False, False
-    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
-            None, old, new, autojunk=False).get_opcodes():
+    new = draft.split("\n")
+    lines, restored, above = [], None, False
+    for tag, i1, i2, j1, j2 in _aligned(old, new, top, len(old) - end):
         if tag == "equal" or any(a <= i1 <= b if tag == "insert"
                                  else i1 < b and i2 > a for a, b in spans):
             lines += new[j1:j2]
             above = above or (tag != "equal" and i1 < top)
         else:
             lines += old[i1:i2]
-            restored += range(i1 + 1, i2 + 1)
-            put_back = True
-    return "\n".join(lines), restored if put_back else None, above
+            restored = [*(restored or ()), *range(i1 + 1, i2 + 1)]
+    return "\n".join(lines), restored, above
 
 
 def _runs(steps: list[PlanStep], n: int) -> list[list[PlanStep]]:

@@ -282,6 +282,17 @@ TWIN_DRAFT = "\n".join(["t"] + [f"  {c}" for c in "ybcdezfghijk"])
     # The same draft as one step over lines 2-6 is that step's own.
     pytest.param(SPLICE_CHAIN + "\n  e\n  f", "t\n  b\n  C\n  d\n  f",
                  [(2, 6)], None, id="one_step_run"),
+    # An edit above the step: difflib alone would keep the lower "  y",
+    # outside the step, and blame the step's deletion on line 3.
+    pytest.param("t\n  a\n  y\n  y\n  z", "t\n  A\n  y\n  z", [(4, 4)],
+                 ("t\n  a\n  y\n  z", [2], False),
+                 id="edit_above_and_identical_line_deleted"),
+    # An edit below the run, whose steps each delete the upper of two
+    # identical lines; difflib alone blames the first deletion on line 2.
+    pytest.param("t\n  y\n  y\n  m\n  z\n  z\n  n\n  q",
+                 "t\n  y\n  m\n  z\n  n\n  Q", [(6, 6), (3, 3)],
+                 ("t\n  y\n  m\n  z\n  n\n  q", [8], False),
+                 id="edit_below_a_run_deleting_identical_lines"),
 ])
 def test_splice_step_keeps_only_the_steps_edits(chain, draft, steps, spliced):
     got = agent._splice_step(chain, draft, [_step(*s) for s in steps])
@@ -291,23 +302,21 @@ def test_splice_step_keeps_only_the_steps_edits(chain, draft, steps, spliced):
         assert got == spliced
 
 
-@st.composite
-def step_drafts(draw):
-    """A chain of distinct lines, a run of one to three disjoint steps,
-    and a draft that rewrites each step's lines and replaces or deletes
-    some lines at least one line away from every step; the chain lines
-    changed outside the steps."""
-    n = draw(st.integers(1, 14))
-    chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
-    spans, at = [], 1
+def _draw_spans(draw, n: int, first: int) -> list[tuple[int, int]]:
+    """One to three disjoint steps of a chain of ``n`` lines, top-down,
+    the first starting at line ``first`` or later."""
+    spans, at = [], first
     while at <= n and len(spans) < 3 and (not spans or draw(st.booleans())):
         a = draw(st.integers(at, min(n, at + 3)))
         b = draw(st.integers(a, min(n, a + 2)))
         spans.append((a, b))
         at = b + 1
-    far = [i for i in range(1, n + 1)
-           if all(i < a - 1 or i > b + 1 for a, b in spans)]
-    changed = sorted(draw(st.sets(st.sampled_from(far))) if far else [])
+    return spans
+
+
+def _draw_draft(draw, chain, spans, changed):
+    """The lines a splice must give, and a draft that rewrites each
+    step's lines and replaces or deletes the ``changed`` ones."""
     inside = {a: [f"  new {a}.{i}" for i in range(draw(st.integers(0, 3)))]
               for a, _ in spans}
     draft, kept = [], []
@@ -321,6 +330,22 @@ def step_drafts(draw):
             draft += draw(st.sampled_from([[], [f"  edit {i}"]]))
         else:
             draft.append(line)
+    return kept, draft
+
+
+@st.composite
+def step_drafts(draw):
+    """A chain of distinct lines, a run of one to three disjoint steps,
+    and a draft that rewrites each step's lines and replaces or deletes
+    some lines at least one line away from every step; the chain lines
+    changed outside the steps."""
+    n = draw(st.integers(1, 14))
+    chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
+    spans = _draw_spans(draw, n, 1)
+    far = [i for i in range(1, n + 1)
+           if all(i < a - 1 or i > b + 1 for a, b in spans)]
+    changed = sorted(draw(st.sets(st.sampled_from(far))) if far else [])
+    kept, draft = _draw_draft(draw, chain, spans, changed)
     return chain, spans, kept, draft, changed
 
 
@@ -332,6 +357,42 @@ def test_a_splice_keeps_every_line_outside_the_step(drawn):
     assert text == "\n".join(kept)
     assert restored == (changed or None)
     assert not above
+
+
+@given(st.data())
+def test_a_splice_keeps_a_deletion_of_the_lower_of_two_identical_lines(data):
+    # The topmost step's first line repeats the line above it, and the
+    # draft also edits lines at least two below the run.
+    n = data.draw(st.integers(5, 14))
+    chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
+    spans = _draw_spans(data.draw, n - 2, 3)
+    chain[spans[0][0] - 1] = chain[spans[0][0] - 2]
+    below = range(spans[-1][1] + 2, n + 1)
+    changed = sorted(data.draw(st.sets(st.sampled_from(below), min_size=1)))
+    kept, draft = _draw_draft(data.draw, chain, spans, changed)
+    text, restored, above = agent._splice_step(
+        "\n".join(chain), "\n".join(draft), [_step(a, b) for a, b in spans])
+    assert (text, restored, above) == ("\n".join(kept), changed, False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_a_draft_with_no_edit_outside_its_steps_is_returned_as_it_is(data):
+    # Each step's first line may repeat the line above it and its last
+    # line the line below it.
+    n = data.draw(st.integers(1, 14))
+    chain = ["t"] + [f"  line {i}" for i in range(2, n + 1)]
+    spans = _draw_spans(data.draw, n, 1)
+    for a, b in spans:
+        if a > 1 and data.draw(st.booleans()):
+            chain[a - 1] = chain[a - 2]
+        if b < n and data.draw(st.booleans()):
+            chain[b - 1] = chain[b]
+    _, draft = _draw_draft(data.draw, chain, spans, [])
+    draft = "\n".join(draft)
+    got = agent._splice_step("\n".join(chain), draft,
+                             [_step(a, b) for a, b in spans])
+    assert got == (draft, None, False) and got[0] is draft
 
 
 @given(st.sets(st.integers(2, 40), min_size=1, max_size=8), st.data())
