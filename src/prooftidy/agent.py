@@ -219,12 +219,10 @@ def _line_number(value) -> int:
     return value
 
 
-def _validate_steps(payload, proof: str
+def _validate_steps(payload: list, proof: str
                     ) -> tuple[list[PlanStep], list[str]]:
     """The payload's steps that are well formed, in range and disjoint,
     and a warning for each step dropped."""
-    if not isinstance(payload, list):
-        return [], ["plan payload is not a list"]
     n_lines = line_count(proof)
     steps: list[PlanStep] = []
     warnings: list[str] = []
@@ -266,10 +264,10 @@ def _validate_steps(payload, proof: str
 def _parse_plan(raw: str, proof: str
                 ) -> tuple[list[PlanStep], list[str]] | None:
     """The steps and warnings of the plan in ``raw``: its whole JSON
-    payload, else the complete steps at the head of a cut-off array; None
-    when it holds neither."""
+    payload when that is an array, else the complete steps at the head of
+    a cut-off array; None when it holds neither, as for an object."""
     payload = extract_json_payload(raw)
-    if payload is not None:
+    if isinstance(payload, list):
         return _validate_steps(payload, proof)
     kept = leading_json_items(raw)
     if not kept:

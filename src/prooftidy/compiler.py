@@ -11,9 +11,11 @@ makes the whole agent loop testable offline and byte-deterministic.
 Checks run concurrently up to a configured limit, and a heartbeat count
 is one of them: Lean's count of elaboration work is deterministic, so it
 needs no quiet machine. Profiling times the wall clock, so it runs alone:
-one profile at a time, with no check beside it. Both backends keep the
-same rule for a measurement: profile times and a heartbeat count are read
-only from a compile that succeeded.
+one profile at a time, with no check beside it. ``profile`` is the one
+path that profiles: the core hands a backend's ``_run`` the profile flag,
+false for every check. Both backends keep the same rule for a
+measurement: profile times and a heartbeat count are read only from a
+compile that succeeded.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class Diagnostic:
 class CompileRequest:
     source: str
     toolchain_version: str
-    want_profile: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,15 @@ def parse_heartbeats(output: str) -> int | None:
 
 class _CompilerCore:
     """Checks, measurements and the version matrix, shared by every
-    backend; a backend provides ``_run(req)``, one compile of one request."""
+    backend; a backend provides ``_run(req, profile)``, one compile of one
+    request, profiled when ``profile`` is true."""
 
     def __init__(self, max_concurrent: int = 4):
         self._max_concurrent = max_concurrent
         self._check_slots = threading.Semaphore(max_concurrent)
         self._measurement_lock = threading.Lock()
 
-    def _run(self, req: CompileRequest) -> CompileResult:
+    def _run(self, req: CompileRequest, profile: bool) -> CompileResult:
         raise NotImplementedError
 
     def check(self, req: CompileRequest) -> CompileResult:
@@ -193,7 +195,7 @@ class _CompilerCore:
         with self._measurement_lock:
             self._check_slots.acquire()
         try:
-            return self._run(req)
+            return self._run(req, profile=False)
         finally:
             self._check_slots.release()
 
@@ -204,14 +206,13 @@ class _CompilerCore:
         slot, so no other profile or check runs beside them. The first run
         that does not succeed is returned as is.
         """
-        req = replace(req, want_profile=True)
         results: list[CompileResult] = []
         with self._measurement_lock:
             for _ in range(self._max_concurrent):
                 self._check_slots.acquire()
             try:
                 for _ in range(PROFILE_RUNS):
-                    result = self._run(req)
+                    result = self._run(req, profile=True)
                     if not result.ok:
                         return result
                     results.append(result)
@@ -279,7 +280,7 @@ class LeanCompiler(_CompilerCore):
     def default_version(self) -> str:
         return self.registry.native_version
 
-    def _run(self, req: CompileRequest) -> CompileResult:
+    def _run(self, req: CompileRequest, profile: bool) -> CompileResult:
         root = self.registry.root_for(req.toolchain_version)
         if not root.is_dir():
             raise ToolchainMissing(f"environment root {root} does not exist")
@@ -294,7 +295,7 @@ class LeanCompiler(_CompilerCore):
             main = Path(scratch) / "Main.lean"
             main.write_bytes(source)
             cmd = ["lake", "env", "lean"]
-            if req.want_profile:
+            if profile:
                 cmd.append("--profile")
             cmd.append(str(main))
             started = time.monotonic()
@@ -314,7 +315,7 @@ class LeanCompiler(_CompilerCore):
                 diagnostics = diagnostics + (Diagnostic(1, 0, "error", tail),)
             return CompileResult(Verdict.FAILURE, diagnostics, wall_time_total=wall)
         import_time = elaboration_time = None
-        if req.want_profile:
+        if profile:
             import_time, elaboration_time = parse_profile_times(output, wall)
         return CompileResult(
             verdict=Verdict.SUCCESS,
@@ -350,7 +351,7 @@ class MockCompiler(_CompilerCore):
         self.default_version = default_version
         self.calls: list[tuple[str, str]] = []  # (version, source)
 
-    def _run(self, req: CompileRequest) -> CompileResult:
+    def _run(self, req: CompileRequest, profile: bool) -> CompileResult:
         version, source = req.toolchain_version, req.source
         self.calls.append((version, source))
         versioned = self.by_version.get(version, {})

@@ -92,7 +92,8 @@ class ScriptExhausted(ProoftidyError):
 # --- agent loop -------------------------------------------------------------
 
 class PreconditionFailed(ProoftidyError):
-    """The input proof does not compile, so the session cannot start."""
+    """The session cannot start: the input has no statement, its length
+    cannot be measured, or it does not compile."""
 
 
 class StepFailed(ProoftidyError):

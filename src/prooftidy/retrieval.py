@@ -51,19 +51,20 @@ vectors in the bank's directory, one uncompressed ``.npz`` file per
 embedder: ``index-vectors-<id>.npz``, where ``<id>`` is a short hash of
 the embedder's ``model`` and ``dimension``. The file holds the SHA-256
 digest of each ``when_to_apply`` text in index order, the float64
-vectors, the model and the dimension. A build reuses the stored vector of
-every text whose digest it finds there and embeds the rest in one call,
-so a warm build embeds nothing and its matrix is bit-identical to a cold
-one. The file is outside input: it is loaded without pickles, every
-member is read header-first (its dtype, order and shape, and the bytes
-they name against the member's size, are checked before any array is
-allocated), and one that cannot be read, or whose model, dimension,
-dtype, shape, digest count, finiteness or non-zero rows do not check
-out, is ignored as if absent. When the stored texts were not exactly
-the bank's, in order, the build rewrites the file through
-``bank.replacing``, so concurrent builds and readers see a whole file or
-none. A directory that cannot be written (read-only, full) costs one
-logged warning per build; the index is returned all the same.
+vectors, the model and the dimension. A build reads the file's vectors
+only when its digests are exactly the bank's, in order, so a warm build
+embeds nothing and its matrix is bit-identical to a cold one. Otherwise
+it embeds every text in one call, as a cold build does, and rewrites the
+file through ``bank.replacing``, so concurrent builds and readers see a
+whole file or none. The file is outside input: it is loaded without
+pickles, and each member's header (dtype, order, shape, and the bytes
+they name against the member's size) is checked against the shape the
+bank and the embedder expect before any array is allocated; the digests
+are compared before the vectors are read. A file that cannot be read, or
+whose model, dimension, digests, finiteness or non-zero rows do not check
+out, is ignored as if absent. A directory that cannot be written
+(read-only, full) costs one logged warning per build; the index is
+returned all the same.
 
 Also hosts ``cosine``, the plain similarity that tests check the index
 against, and the retrieval-model training loss, a pure function of
@@ -310,10 +311,10 @@ class StrategyIndex:
         key = content_id(embedder.model, str(embedder.dimension))
         path = Path(bank.path) / f"index-vectors-{key}.npz"
         digests = _digests(texts)
-        stored = _read_vectors(path, embedder)
-        if stored is not None and np.array_equal(stored[0], digests):
-            return cls(ids, stored[1], embedder=embedder)
-        matrix = _vectors_for(texts, digests, stored, embedder)
+        stored = _read_vectors(path, embedder, digests)
+        if stored is not None:
+            return cls(ids, stored, embedder=embedder)
+        matrix = embedder.embed(texts)
         _write_vectors(path, embedder, digests, matrix)
         return cls(ids, matrix, embedder=embedder)
 
@@ -373,10 +374,11 @@ def _digests(texts: list[str]) -> np.ndarray:
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), _DIGEST_SIZE)
 
 
-def _read_vectors(path: Path, embedder: EmbeddingProvider
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (digests, vectors) stored at ``path`` for ``embedder``; None when
-    the file is absent, unreadable or fails a check."""
+def _read_vectors(path: Path, embedder: EmbeddingProvider,
+                  digests: np.ndarray) -> np.ndarray | None:
+    """The vectors stored at ``path`` for ``embedder`` and the texts whose
+    ``digests`` these are; None when the file is absent, unreadable, for
+    other texts or fails a check."""
     model = np.array(embedder.model)
     dimension = np.array(embedder.dimension)
     try:
@@ -386,8 +388,9 @@ def _read_vectors(path: Path, embedder: EmbeddingProvider
                     or _read_member(archive, "dimension", dimension.dtype,
                                     ()) != dimension):
                 return None
-            digests = _read_member(archive, "digests", np.dtype(np.uint8),
-                                   (None, _DIGEST_SIZE))
+            if not np.array_equal(_read_member(
+                    archive, "digests", digests.dtype, digests.shape), digests):
+                return None
             vectors = _read_member(archive, "vectors", np.dtype(np.float64),
                                    (len(digests), embedder.dimension))
     # zipfile raises RuntimeError, or its subclass NotImplementedError, for
@@ -396,7 +399,7 @@ def _read_vectors(path: Path, embedder: EmbeddingProvider
         return None
     if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
         return None
-    return digests, vectors
+    return vectors
 
 
 #: Below glibc's mmap threshold, so each chunk reuses the last one's memory.
@@ -404,15 +407,15 @@ _READ_CHUNK = 1 << 16
 
 
 def _read_member(archive: ZipFile, name: str, dtype: np.dtype,
-                 shape: tuple[int | None, ...]) -> np.ndarray:
+                 shape: tuple[int, ...]) -> np.ndarray:
     """The C-order array of ``dtype`` that member ``<name>.npy`` of
     ``archive`` holds, read straight into place a chunk at a time: numpy's
     reader would hold all its bytes twice.
 
     The header is checked before anything is allocated: its dtype, its
-    order, its shape against ``shape`` (None matches any length) and the
-    bytes that shape names against the member's size. So a damaged header
-    costs no allocation of the size it names.
+    order, its shape against ``shape`` and the bytes that shape names
+    against the member's size. So a damaged header costs no allocation
+    of the size it names.
 
     Raises:
         KeyError: there is no such member.
@@ -426,8 +429,7 @@ def _read_member(archive: ZipFile, name: str, dtype: np.dtype,
             raise ValueError("unexpected .npy format version")
         found, fortran, found_dtype = np.lib.format.read_array_header_1_0(
             member)
-        if (fortran or found_dtype != dtype or len(found) != len(shape)
-                or any(n not in (None, m) for n, m in zip(shape, found))):
+        if fortran or found_dtype != dtype or found != shape:
             raise ValueError("unexpected array header")
         nbytes = math.prod(found) * dtype.itemsize
         if member.tell() + nbytes != info.file_size:
@@ -440,28 +442,6 @@ def _read_member(archive: ZipFile, name: str, dtype: np.dtype,
                 raise ValueError("array data cut short")
     # Reading a member to its end made zipfile check its CRC.
     return array
-
-
-def _vectors_for(texts: list[str], digests: np.ndarray,
-                 stored: tuple[np.ndarray, np.ndarray] | None,
-                 embedder: EmbeddingProvider) -> np.ndarray:
-    """Raw vectors for ``texts``: each stored row whose digest matches, and
-    one ``embed`` call for the texts that have none. When no text has a
-    stored row, the array ``embed`` returned is the result, uncopied."""
-    rows = np.full(len(texts), -1, dtype=np.intp)
-    if stored is not None:
-        row_of = {d.tobytes(): row for row, d in enumerate(stored[0])}
-        rows[:] = [row_of.get(d.tobytes(), -1) for d in digests]
-    missing = (rows < 0).nonzero()[0]
-    fresh = embedder.embed([texts[i] for i in missing])
-    if len(missing) == len(texts):
-        return fresh
-    # Gathered after the embed call, whose own allocations then do not add
-    # to this array's; the placeholder row 0 of each missing text is
-    # overwritten.
-    matrix = stored[1].take(np.maximum(rows, 0), axis=0)
-    matrix[missing] = fresh
-    return matrix
 
 
 def _write_vectors(path: Path, embedder: EmbeddingProvider,

@@ -431,8 +431,6 @@ STEP = {"line_start": 2, "line_end": 3, "title": "t", "reduction": "low",
 
 
 @pytest.mark.parametrize("payload, kept, warnings", [
-    pytest.param({"steps": [STEP]}, [], ["plan payload is not a list"],
-                 id="not_a_list"),
     pytest.param(["step", STEP], [(2, 3)], ["step 0: not an object, dropped"],
                  id="entry_not_an_object"),
     pytest.param([dict(STEP, reduction="huge"), STEP], [(2, 3)],
@@ -448,6 +446,21 @@ def test_validate_steps_refusals(payload, kept, warnings):
     steps, dropped = _validate_steps(payload, proof)
     assert [(s.line_start, s.line_end) for s in steps] == kept
     assert dropped == warnings
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(json.dumps({"steps": [STEP]}), id="bare_object"),
+    pytest.param("```json\n" + json.dumps({"steps": [STEP]}) + "\n```",
+                 id="fenced_object"),
+    pytest.param("```json\n" + json.dumps({"steps": []}) + "\n```",
+                 id="object_with_no_step"),
+    pytest.param("```json\n3\n```", id="number"),
+    pytest.param('```json\n"steps"\n```', id="string"),
+])
+def test_a_plan_payload_that_is_not_an_array_is_no_plan(raw):
+    # None, not an empty plan: the planner is asked once more.
+    proof = "theorem t : P := by\n  norm_num\n  rfl"
+    assert agent._parse_plan(raw, proof) is None
 
 
 # --- scripted sessions -------------------------------------------------------
@@ -734,6 +747,7 @@ TWO_STEPS = _steps((2, 4), (5, 5))
 CUT_PLAN = _cut_plan(TWO_STEPS, TWO_STEPS.index("line_end", 60), closed=True)
 CUT_BEFORE_ANY_STEP = _cut_plan(TWO_STEPS, 20, closed=False)
 UNCLOSED_PLAN = _cut_plan(_steps((2, 4)), None, closed=False)
+NOT_AN_ARRAY = "```json\n{\"steps\": " + _steps((2, 5)) + "}\n```"
 START = ["session_start", "retrieval", "plan_issued", "step_attempted"]
 ADOPTED = START + ["compile_result", "adoption", "termination"]
 SALVAGED = ["session_start", "retrieval", "warning"] + ADOPTED[2:]
@@ -827,6 +841,10 @@ PACKED_PLAN = "```json\n" + _steps((2, 2, "low"), (3, 3, "medium"),
         pytest.param([CUT_BEFORE_ANY_STEP, _plan(2, 5), _candidate(SHORTER)],
                      {"target_length": 5}, Termination.TARGET_REACHED,
                      SHORTER, 3, ADOPTED, [], id="plan_cut_before_any_step"),
+        # An object is no plan, so it is asked again.
+        pytest.param([NOT_AN_ARRAY, _plan(2, 5), _candidate(SHORTER)],
+                     {"target_length": 5}, Termination.TARGET_REACHED,
+                     SHORTER, 3, ADOPTED, [], id="plan_not_an_array"),
         pytest.param(["```json\n" + "[" * 100_000 + "\n```", EMPTY_PLAN], {},
                      Termination.NO_VIABLE_PLAN, PROOF, 2,
                      ["session_start", "retrieval", "plan_empty",

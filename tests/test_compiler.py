@@ -535,8 +535,8 @@ def test_measurements_run_with_no_check_beside_them(make):
     running: list[str] = []
     overlaps: list[list[str]] = []
 
-    def fake_run(req):
-        kind = "profile" if req.want_profile else "check"
+    def fake_run(req, profile):
+        kind = "profile" if profile else "check"
         with lock:
             running.append(kind)
             if len(running) > 1 and "profile" in running:
@@ -575,7 +575,7 @@ def test_a_heartbeat_count_runs_beside_a_check():
     compiler = LeanCompiler(REGISTRY, max_concurrent=3)
     checking, counted = threading.Event(), threading.Event()
 
-    def fake_run(req):
+    def fake_run(req, profile):
         if req.source.startswith(HEARTBEAT_DIRECTIVES[0]):
             counted.set()
             return CompileResult(Verdict.SUCCESS, heartbeats=7)
@@ -601,7 +601,7 @@ def test_checks_and_heartbeat_counts_never_exceed_the_cap():
     in_flight = peak = 0
     full = threading.Event()  # set once the cap is first reached
 
-    def fake_run(req):
+    def fake_run(req, profile):
         nonlocal in_flight, peak
         with lock:
             in_flight += 1

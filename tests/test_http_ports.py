@@ -177,7 +177,8 @@ def test_embedder_keeps_input_order_when_later_batches_answer_first(stub):
                           np.array([vector_for(t) for t in texts]))
 
 
-def test_a_loaded_bank_posts_only_the_texts_it_has_not_embedded(stub, tmp_path):
+def test_a_loaded_bank_posts_nothing_warm_and_every_text_after_an_edit(
+        stub, tmp_path):
     stub.handler = lambda body: (200, embeddings(body["input"]))
     texts = [f"t{i}" for i in range(5)]
     strategies = [make_strategy(i, when_to_apply=t) for i, t in enumerate(texts)]
@@ -193,7 +194,8 @@ def test_a_loaded_bank_posts_only_the_texts_it_has_not_embedded(stub, tmp_path):
     bank.strategies["s0002"] = dataclasses.replace(bank.strategies["s0002"],
                                                    when_to_apply="t9")
     edited = StrategyIndex.build(bank, embedder(stub))
-    assert [body["input"] for body in stub.received] == [["t9"]]
+    assert [body["input"] for body in stub.received] == [
+        ["t0", "t1", "t9", "t3", "t4"]]
     assert np.array_equal(edited._matrix[2], np.array([9.0, 1.0, 0.0])
                           / np.linalg.norm([9.0, 1.0, 0.0]))
     assert np.array_equal(np.delete(edited._matrix, 2, axis=0),

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prooftidy import retrieval
 from prooftidy.bank import Bank, load_bank, save_bank
 from prooftidy.embeddings import MockEmbedder
 from prooftidy.errors import (
@@ -891,14 +892,28 @@ def vectors_files(directory) -> list:
     return sorted(directory.glob("index-vectors-*"))
 
 
-def cold_matrix() -> np.ndarray:
+@pytest.fixture
+def members_read(monkeypatch) -> list[str]:
+    """The names of the vectors file's members that builds read, in order."""
+    names, read = [], retrieval._read_member
+
+    def recording(archive, name, dtype, shape):
+        names.append(name)
+        return read(archive, name, dtype, shape)
+
+    monkeypatch.setattr(retrieval, "_read_member", recording)
+    return names
+
+
+def cold_matrix(texts=TEXTS) -> np.ndarray:
     bank = make_bank_with(make_strategy(i, when_to_apply=text)
-                          for i, text in enumerate(TEXTS))
+                          for i, text in enumerate(texts))
     assert bank.path is None
     return StrategyIndex.build(bank, MockEmbedder())._matrix
 
 
-def test_a_warm_build_embeds_nothing_and_matches_a_cold_build(tmp_path):
+def test_a_warm_build_embeds_nothing_and_matches_a_cold_build(tmp_path,
+                                                             members_read):
     bank = saved_bank(tmp_path)
     assert bank.path == tmp_path
     first = RecordingEmbedder()
@@ -911,20 +926,34 @@ def test_a_warm_build_embeds_nothing_and_matches_a_cold_build(tmp_path):
     assert warm.texts == []
     assert np.array_equal(index._matrix, cold_matrix())
     assert vectors_files(tmp_path) == [path]
+    assert members_read == ["model", "dimension", "digests", "vectors"]
 
 
-def test_a_build_embeds_only_the_edited_text_and_follows_a_new_order(tmp_path):
+# Each a bank's strategies after a curator's change to the saved bank's.
+BANK_CHANGES = {
+    "text_edited": lambda ss: [dataclasses.replace(s, when_to_apply="new")
+                               if s.id == "s0002" else s for s in ss],
+    "reordered": lambda ss: ss[::-1],
+    "strategy_added": lambda ss: ss + [make_strategy(6, when_to_apply="new")],
+    "strategy_removed": lambda ss: [s for s in ss if s.id != "s0002"],
+}
+
+
+@pytest.mark.parametrize("change", BANK_CHANGES.values(), ids=BANK_CHANGES.keys())
+def test_a_bank_whose_texts_changed_is_embedded_whole_in_one_batch(
+        tmp_path, members_read, change):
     bank = saved_bank(tmp_path)
     StrategyIndex.build(bank, MockEmbedder())
-    edited = dataclasses.replace(bank.strategies["s0002"], when_to_apply="new")
-    bank.strategies = {s.id: (edited if s.id == "s0002" else s)
-                       for s in reversed(bank.strategies.values())}
+    (path,) = vectors_files(tmp_path)
+    bank.strategies = {s.id: s for s in change(list(bank.strategies.values()))}
+    texts = [s.when_to_apply for s in bank.strategies.values()]
     embedder = RecordingEmbedder()
     index = StrategyIndex.build(bank, embedder)
-    assert embedder.batches == [["new"]]
-    expected = StrategyIndex.build(dataclasses.replace(bank, path=None),
-                                   MockEmbedder())
-    assert np.array_equal(index._matrix, expected._matrix)
+    # The file holds other digests, so its vectors are not read.
+    assert members_read == ["model", "dimension", "digests"]
+    assert embedder.batches == [texts]
+    assert np.array_equal(index._matrix, cold_matrix(texts))
+    assert vectors_files(tmp_path) == [path]
     again = RecordingEmbedder()
     StrategyIndex.build(bank, again)
     assert again.texts == []
