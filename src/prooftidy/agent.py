@@ -109,6 +109,9 @@ class Termination(str, Enum):
 #: (the last window may hold fewer) and at most 2s.
 CHUNK_SIZES = (5, 10, 20)
 
+TARGET_LENGTH = 5     #: a session stops once the proof is this short
+MAX_DEBUG_ROUNDS = 3  #: debugger calls per chain; reverts are free
+
 #: Faults from outside the process that a port may raise. Each ends the
 #: session with the best proof so far and an ``environment_error`` event.
 OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
@@ -119,18 +122,13 @@ OUTSIDE_FAULTS = (ToolchainMissing, ScriptExhausted, OSError,
 @dataclass(frozen=True)
 class AgentConfig:
     budget: int = 30                 # LLM calls; a round needs two left
-    target_length: int = 5           # stop once the proof is this short
-    max_debug_rounds: int = 3        # debugger calls per chain; reverts are free
     objective: ObjectiveSpec = ObjectiveSpec()  # k caps the planner's strategies
     toolchain_version: str | None = None   # None: objective's, else compiler's
 
     def __post_init__(self):
         # A bool is no count, as for a plan step's line numbers.
-        for name, least in (("budget", 0), ("target_length", 1),
-                            ("max_debug_rounds", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}")
+        if type(self.budget) is not int or self.budget < 0:
+            raise ValueError("budget must be an integer >= 0")
         if (self.toolchain_version and self.objective.target_version
                 and self.toolchain_version != self.objective.target_version):
             raise ValueError("toolchain_version and objective.target_version "
@@ -524,11 +522,11 @@ def run_session(
     ``warning``, and it is kept only when it is then strictly shorter;
     nothing is compiled yet. The chain stops early once a kept edit
     reaches a line above its run's topmost step (one change spanning that
-    step's first line and lines above it), or at ``target_length``. The
+    step's first line and lines above it), or at ``TARGET_LENGTH``. The
     chain is then compiled once. While it fails, the lines it changed
     that an error flags are put back as the current proof has them, at no
     call; otherwise the debugger is asked about the failing text, up to
-    ``max_debug_rounds`` rounds, and each failing reply is tried the same
+    ``MAX_DEBUG_ROUNDS`` rounds, and each failing reply is tried the same
     way. Every reply is guarded against the input's statement. ``admit``
     is the one rule for whether a text replaces the current proof: it
     keeps the input's statement, is strictly shorter and compiles on the
@@ -664,7 +662,7 @@ def run_session(
         and records an ``adoption``. While the text fails, its flagged
         lines are put back (``_revert_flagged``), with the budget spent
         too, and a ``revert`` records ``admit``'s answer; else the
-        debugger is asked, for up to ``max_debug_rounds`` rounds the
+        debugger is asked, for up to ``MAX_DEBUG_ROUNDS`` rounds the
         budget has, about the text with its errors marked and listed, or
         after a timeout unmarked with ``compilation timed out``; each
         failing reply is tried the same way. Returns whether it adopted;
@@ -689,7 +687,7 @@ def run_session(
                     if not rejected:
                         candidate = reverted
                         break
-                if rounds == config.max_debug_rounds or not ledger.left:
+                if rounds == MAX_DEBUG_ROUNDS or not ledger.left:
                     skipped = {"reason": "no compiling candidate",
                                "debug_rounds": rounds}
                     break
@@ -745,7 +743,7 @@ def run_session(
         while True:
             left = ledger.left
             # With no call left the session ends exhausted, at the target too.
-            if left and length(current) <= config.target_length:
+            if left and length(current) <= TARGET_LENGTH:
                 # Every adoption is strictly shorter.
                 termination = (Termination.TARGET_REACHED
                                if length(current) < initial_length
@@ -802,7 +800,7 @@ def run_session(
                     continue
                 chain, edited_above = made
                 drafted += run
-                if edited_above or length(chain) <= config.target_length:
+                if edited_above or length(chain) <= TARGET_LENGTH:
                     break
             # With the budget spent, the drafts so far are still compiled:
             # compiles are free.

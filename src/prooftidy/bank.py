@@ -66,8 +66,10 @@ class Strategy:
     The six schema fields (title through potential_reduction) are mandatory
     and non-empty. ``median_compile_reduction`` is None when no member pair
     carries profiling data; such strategies rank last under the compile
-    objective. An empty ``compatibility_set`` means "validated only on the
-    bank's native toolchain".
+    objective. ``compatibility_set`` holds the toolchains the strategy was
+    validated on, and a version filter keeps a strategy only when it holds
+    the target: an empty set is kept on no toolchain, the native one too
+    (whether that rule changes is ROADMAP item 3's to decide).
 
     Slotted, so a loaded bank's many records carry no per-instance
     ``__dict__``.

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 from zipfile import BadZipFile, ZipFile
 
 import numpy as np
@@ -105,25 +105,19 @@ class ObjectiveSpec:
     ``target_version`` is required for the version mode; setting it together
     with the compile-time mode composes both rules (filter, then rerank).
     ``filter_version`` says which version's strategies retrieval keeps.
+    ``k`` and ``pool_size`` are constants, the same for every objective.
     """
 
     mode: ObjectiveMode = ObjectiveMode.LENGTH
     target_version: str | None = None
-    pool_size: int = 50
-    k: int = 8
+    k: ClassVar[int] = 8            # retrieved per query; caps the planner's
+    pool_size: ClassVar[int] = 50   # the pooled objectives' candidates, >= k
 
     def __post_init__(self):
         # A member stays, its value becomes it; anything else is refused.
         object.__setattr__(self, "mode", ObjectiveMode(self.mode))
         if self.mode == ObjectiveMode.VERSION and not self.target_version:
             raise ValueError("version objective requires target_version")
-        # A bool is no count, as for ``AgentConfig``'s.
-        for name in ("k", "pool_size"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if self.k > self.pool_size:
-            raise ValueError("k must not exceed pool_size")
 
     @property
     def filter_version(self) -> str | None:
@@ -464,10 +458,11 @@ def retrieve(
 ) -> list[RankedStrategy]:
     """Apply the retrieval rule selected by the objective.
 
-    Every objective selects through ``index.top_k``. length: the top k.
-    Otherwise the pool is the top ``pool_size``; ``filter_version``, when
-    set, keeps only the strategies whose compatibility set holds it, and
-    the compile-time objective then reorders the pool by annotated
+    Every objective selects through ``index.top_k``, with the constants
+    ``ObjectiveSpec.k`` and ``ObjectiveSpec.pool_size``. length: the top
+    k. Otherwise the pool is the top ``pool_size``; ``filter_version``,
+    when set, keeps only the strategies whose compatibility set holds it,
+    and the compile-time objective then reorders the pool by annotated
     compile reduction, best first, strategies without it last, ties in
     similarity order (the sort is stable). The pool stays a row array
     beside its similarities, filtered by a version mask and reordered by

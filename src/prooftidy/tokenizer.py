@@ -276,6 +276,9 @@ def proof_length(statement_and_proof: str) -> int:
     1024 line texts, which holds counts, not tokens. A text that does not
     split, or any other failure, yields the sentinel
     ``LENGTH_FAILURE_SENTINEL`` rather than an exception.
+    ``split_declaration`` counts brackets inside string and char literals
+    too, as ``tests/reference_metric.py`` does, so ``theorem t : "(" =
+    "(" := by\\n  rfl`` measures the sentinel and ``run_session`` refuses it.
     """
     try:
         cleaned = remove_comments(statement_and_proof)

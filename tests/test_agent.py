@@ -8,6 +8,7 @@ import sys
 import types
 from dataclasses import asdict
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -547,6 +548,26 @@ def _flagged(line: int) -> CompileResult:
     return CompileResult(Verdict.FAILURE, diagnostics=tuple(_errors(line)))
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _toy_session_constants():
+    """The proofs here are a few lines long: a session runs on to a target
+    length of 1 and asks the debugger no round, unless a test patches
+    other values. Module-scoped, so that property tests see it too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent, "TARGET_LENGTH", 1)
+        patch.setattr(agent, "MAX_DEBUG_ROUNDS", 0)
+        yield
+
+
+def _config(monkeypatch, target_length: int = 1, max_debug_rounds: int = 0,
+            **fields) -> AgentConfig:
+    """``AgentConfig(**fields)`` for a session with this target length and
+    these debug rounds, patched for the one test."""
+    monkeypatch.setattr(agent, "TARGET_LENGTH", target_length)
+    monkeypatch.setattr(agent, "MAX_DEBUG_ROUNDS", max_debug_rounds)
+    return AgentConfig(**fields)
+
+
 def _world():
     """A three-strategy bank, its index over a counting embedder, and a
     compiler that passes PROOF, MIDDLE and SHORTER, fails FAILING, RENAMED
@@ -574,8 +595,7 @@ def _world():
 def _session(objective: ObjectiveSpec = ObjectiveSpec(), budget: int = 30,
              toolchain_version: str | None = None):
     bank, index, compiler, embedder = _world()
-    config = AgentConfig(budget=budget, target_length=1, max_debug_rounds=0,
-                         objective=objective,
+    config = AgentConfig(budget=budget, objective=objective,
                          toolchain_version=toolchain_version)
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(SCRIPT),
                          compiler)
@@ -605,7 +625,7 @@ def test_an_adoption_re_embeds_only_the_windows_it_touched():
     compiler = MockCompiler(by_source={proof: ok, shorter: ok})
     script = [_plan(DELETED_LINE, DELETED_LINE), _candidate(shorter),
               "```json\n[]\n```"]
-    config = AgentConfig(budget=10, target_length=1, max_debug_rounds=0)
+    config = AgentConfig(budget=10)
     result = run_session(proof, "", config, bank, index, ScriptedLLM(script),
                          compiler)
     assert result.final_proof == shorter
@@ -705,11 +725,14 @@ def test_the_merge_keeps_each_strategys_best_span_and_the_top_k(monkeypatch):
                         results.get(text, []))
     bank = Bank(strategies={s.id: s for s in (
         make_strategy(i) for i in range(5))}, registry=REGISTRY)
+    monkeypatch.setattr(ObjectiveSpec, "k", 3)
     objective = ObjectiveSpec(mode=ObjectiveMode.VERSION,
-                              target_version="v4.22.0", k=3)
+                              target_version="v4.22.0")
     compiler = MockCompiler(by_source={proof: CompileResult(Verdict.SUCCESS)})
     llm = ScriptedLLM([EMPTY_PLAN])
-    result = run_session(proof, "", AgentConfig(objective=objective), bank,
+    config = _config(monkeypatch, target_length=5, max_debug_rounds=3,
+                     objective=objective)
+    result = run_session(proof, "", config, bank,
                          types.SimpleNamespace(embedder=EchoEmbedder()), llm,
                          compiler)
 
@@ -904,10 +927,9 @@ PACKED_PLAN = "```json\n" + _steps((2, 2, "low"), (3, 3, "medium"),
                      id="budget_spent_by_the_debuggers_retry"),
     ])
 def test_scripted_session(script, config, termination, final, calls, kinds,
-                          skipped):
+                          skipped, monkeypatch):
     bank, index, compiler, _ = _world()
-    config = AgentConfig(**{"target_length": 1, "max_debug_rounds": 0,
-                            **config})
+    config = _config(monkeypatch, **config)
     llm = ScriptedLLM(script)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     _assert_each_attempted_step_is_asked(result, llm)
@@ -926,11 +948,12 @@ def test_scripted_session(script, config, termination, final, calls, kinds,
                  id="two_steps_unclosed"),
     pytest.param(CUT_BEFORE_ANY_STEP, 0, 1, id="cut_in_first_step"),
 ])
-def test_a_cut_off_plan_keeps_its_complete_steps(reply, kept, corrective):
+def test_a_cut_off_plan_keeps_its_complete_steps(reply, kept, corrective,
+                                                  monkeypatch):
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([reply, EMPTY_PLAN])
-    result = run_session(PROOF, "", AgentConfig(target_length=1), bank,
-                         index, llm, compiler)
+    config = _config(monkeypatch, max_debug_rounds=3)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
     asked_again = [m for m in llm.calls
                    if m[-1]["content"] == agent.CORRECTIVE_SUFFIX]
     assert len(asked_again) == corrective
@@ -945,12 +968,13 @@ def test_a_cut_off_plan_keeps_its_complete_steps(reply, kept, corrective):
         assert result.trace.of_kind("plan_empty") and not warnings
 
 
-def test_an_unparseable_plan_is_asked_again_after_its_own_exchange():
+def test_an_unparseable_plan_is_asked_again_after_its_own_exchange(
+        monkeypatch):
     bank, index, compiler, _ = _world()
     reply = "I see no way to shorten this proof."
     llm = ScriptedLLM([reply, EMPTY_PLAN])
-    result = run_session(PROOF, "", AgentConfig(target_length=1), bank,
-                         index, llm, compiler)
+    config = _config(monkeypatch, max_debug_rounds=3)
+    result = run_session(PROOF, "", config, bank, index, llm, compiler)
     first, second = llm.calls
     assert [m["role"] for m in first] == ["user"]
     assert second == [first[0], {"role": "assistant", "content": reply},
@@ -964,8 +988,7 @@ def test_checks_run_on_the_objectives_target_version():
     bank, index, compiler, _ = _world()
     objective = ObjectiveSpec(mode=ObjectiveMode.VERSION,
                               target_version="v4.22.0")
-    config = AgentConfig(target_length=1, max_debug_rounds=0,
-                         objective=objective)
+    config = AgentConfig(objective=objective)
     script = [_plan(2, 5), _candidate(NATIVE_ONLY), EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          compiler)
@@ -976,10 +999,11 @@ def test_checks_run_on_the_objectives_target_version():
 # --- the session's compile memo ----------------------------------------------
 
 @pytest.mark.parametrize("verdict", ["failure", "timeout"])
-def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict):
+def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict,
+                                                           monkeypatch):
     bank, index, compiler, _ = _world()
     compiler.by_source[FAILING] = CompileResult(Verdict(verdict))
-    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    config = _config(monkeypatch, max_debug_rounds=1)
     script = [_plan(2, 5), _candidate(FAILING), _candidate(FAILING),
               EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
@@ -994,7 +1018,7 @@ def test_an_unchanged_debugger_reply_is_not_compiled_again(verdict):
                          ids=["equal", "longer"])
 def test_a_draft_that_is_not_shorter_is_not_compiled(draft):
     bank, index, compiler, _ = _world()
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     script = [_plan(2, 5), _candidate(draft), EMPTY_PLAN]
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          compiler)
@@ -1007,10 +1031,10 @@ def test_a_draft_that_is_not_shorter_is_not_compiled(draft):
 
 # --- a plan runs as one chain of drafts ---------------------------------------
 
-def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile():
+def test_a_two_step_plan_is_adopted_with_one_plan_and_one_compile(monkeypatch):
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
-    config = AgentConfig(target_length=5, max_debug_rounds=0)
+    config = _config(monkeypatch, target_length=5)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     assert result.calls_used == 3
@@ -1039,7 +1063,7 @@ def test_a_plans_steps_run_bottom_up(plan, budget, targets):
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([plan] + ["no fenced block"] * len(targets)
                       + [EMPTY_PLAN])
-    config = AgentConfig(budget=budget, target_length=1, max_debug_rounds=0)
+    config = AgentConfig(budget=budget)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert _refactor_targets(llm) == targets
     # Every step is asked.
@@ -1051,7 +1075,7 @@ def test_a_plans_steps_run_bottom_up(plan, budget, targets):
 def test_a_plan_over_budget_asks_each_run_in_one_call():
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([PACKED_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
-    config = AgentConfig(budget=3, target_length=1, max_debug_rounds=0)
+    config = AgentConfig(budget=3)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     assert _refactor_targets(llm) == ["4-5", "2-3"]
@@ -1080,7 +1104,7 @@ def test_a_draft_that_edits_a_line_above_its_step_ends_the_chain():
     # step's lines 4-5, so it is kept, and reaches lines 2-3 above them.
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([CHAIN_PLAN, _candidate(NATIVE_ONLY), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == NATIVE_ONLY
     assert _refactor_targets(llm) == ["4-5"]
@@ -1100,7 +1124,7 @@ def test_a_drafts_edit_outside_its_step_is_put_back_before_the_compile():
     # which gives MIDDLE.
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([_plan(4, 4), _candidate(SHORTER), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == MIDDLE
     assert [source for _, source in compiler.calls] == [PROOF, MIDDLE]
@@ -1115,7 +1139,7 @@ def test_a_draft_that_edits_only_outside_its_step_is_not_compiled():
     # MIDDLE drops line 4, below the step's lines 2-3: put back, it is PROOF.
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([_plan(2, 3), _candidate(MIDDLE), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == PROOF
     assert [source for _, source in compiler.calls] == [PROOF]
@@ -1137,7 +1161,7 @@ def test_a_put_back_that_would_alter_the_statement_skips_the_step():
     bank, index, _, _ = _world()
     compiler = MockCompiler(by_source={proof: CompileResult(Verdict.SUCCESS)})
     llm = ScriptedLLM([_plan(1, 1), _candidate(draft), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(proof, "", config, bank, index, llm, compiler)
     assert result.final_proof == proof
     assert [source for _, source in compiler.calls] == [proof]
@@ -1148,14 +1172,14 @@ def test_a_put_back_that_would_alter_the_statement_skips_the_step():
                     "statement"}]
 
 
-def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing():
+def test_a_chain_that_fails_after_its_debug_rounds_adopts_nothing(monkeypatch):
     bank, index, compiler, _ = _world()
     # The second step's draft is FAILING again once its statement is put
     # back, so it is not shorter than the chain; each debug round keeps it.
     llm = ScriptedLLM([SPLIT_PLAN, _candidate(FAILING),
                        _candidate(MUTATED_FAILING), _candidate(FAILING),
                        _candidate(FAILING), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=2)
+    config = _config(monkeypatch, max_debug_rounds=2)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == PROOF
     assert result.trace.of_kind("adoption") == []
@@ -1189,12 +1213,12 @@ def _debugger_prompts(llm) -> list[str]:
                  "compilation timed out", id="timeout_with_an_error"),
 ])
 def test_the_debugger_is_shown_the_candidate_as_its_verdict_allows(
-        verdict, diagnostics, marked, messages):
+        verdict, diagnostics, marked, messages, monkeypatch):
     bank, index, compiler, _ = _world()
     compiler.by_source[FAILING] = CompileResult(verdict, diagnostics)
     llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(FAILING),
                        EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    config = _config(monkeypatch, max_debug_rounds=1)
     run_session(PROOF, "", config, bank, index, llm, compiler)
     (prompt,) = _debugger_prompts(llm)
     head, listed = prompt.split("\n## Compiler messages\n\n")
@@ -1203,10 +1227,10 @@ def test_the_debugger_is_shown_the_candidate_as_its_verdict_allows(
     assert listed.split("\n\n")[0] == messages
 
 
-def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call():
+def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call(monkeypatch):
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([_plan(2, 5), _candidate(RENAMED), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=3)
+    config = _config(monkeypatch, max_debug_rounds=3)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == MIDDLE
     assert result.final_length == proof_length(MIDDLE)
@@ -1231,12 +1255,12 @@ def test_a_line_the_draft_broke_is_put_back_with_no_debugger_call():
      {"lines": [3], "rejected": "does not compile", "verdict": "failure"}),
 ], ids=["revert_not_shorter", "revert_fails_to_compile"])
 def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
-        draft, revert_fails, compiled, reverted):
+        draft, revert_fails, compiled, reverted, monkeypatch):
     bank, index, compiler, _ = _world()
     if revert_fails:
         compiler.by_source[MIDDLE] = _flagged(3)
     llm = ScriptedLLM([_plan(2, 5), _candidate(draft), _candidate(SHORTER)])
-    config = AgentConfig(target_length=5, max_debug_rounds=1)
+    config = _config(monkeypatch, target_length=5, max_debug_rounds=1)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     assert [source for _, source in compiler.calls] == compiled
@@ -1252,13 +1276,13 @@ def test_a_revert_not_taken_leaves_the_draft_to_the_debugger(
     assert adoption.detail["debug_rounds"] == 1
 
 
-def test_a_debugger_reply_whose_revert_is_taken_counts_its_round():
+def test_a_debugger_reply_whose_revert_is_taken_counts_its_round(monkeypatch):
     # FAILING fails on line 1, which no revert puts back; the debugger's
     # RENAMED fails on its changed line 3, which put back gives MIDDLE.
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(RENAMED),
                        EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    config = _config(monkeypatch, max_debug_rounds=1)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == MIDDLE
     assert [source for _, source in compiler.calls] == [PROOF, FAILING,
@@ -1272,13 +1296,14 @@ def test_a_debugger_reply_whose_revert_is_taken_counts_its_round():
     assert result.trace.of_kind("step_skipped") == []
 
 
-def test_a_debugger_reply_that_is_not_shorter_is_skipped_with_its_length():
+def test_a_debugger_reply_that_is_not_shorter_is_skipped_with_its_length(
+        monkeypatch):
     # The debugger answers FAILING with PROOF itself: it compiles (the
     # precheck's check, from the memo) but is not shorter.
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([_plan(2, 5), _candidate(FAILING), _candidate(PROOF),
                        EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=1)
+    config = _config(monkeypatch, max_debug_rounds=1)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == PROOF
     assert result.trace.of_kind("adoption") == []
@@ -1291,14 +1316,14 @@ def test_a_debugger_reply_that_is_not_shorter_is_skipped_with_its_length():
         {"steps": 1}]
 
 
-def test_a_failing_check_with_only_warnings_goes_to_the_debugger():
+def test_a_failing_check_with_only_warnings_goes_to_the_debugger(monkeypatch):
     # RENAMED's changed line 3 carries a warning: no error flags a line,
     # so nothing is put back and the debugger is asked.
     bank, index, compiler, _ = _world()
     compiler.by_source[RENAMED] = CompileResult(Verdict.FAILURE, diagnostics=(
         Diagnostic(3, 2, "warning", "unused variable"),))
     llm = ScriptedLLM([_plan(2, 5), _candidate(RENAMED), _candidate(SHORTER)])
-    config = AgentConfig(target_length=5, max_debug_rounds=1)
+    config = _config(monkeypatch, target_length=5, max_debug_rounds=1)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     assert [source for _, source in compiler.calls] == [PROOF, RENAMED,
@@ -1325,7 +1350,7 @@ def test_a_revert_that_alters_the_statement_is_not_taken():
     compiler = MockCompiler(by_source={proof: ok, draft: _flagged(2),
                                        altered: ok})
     llm = ScriptedLLM([_plan(1, 4), _candidate(draft), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(proof, "", config, bank, index, llm, compiler)
     assert result.final_proof == proof
     assert [source for _, source in compiler.calls] == [proof, draft]
@@ -1348,7 +1373,7 @@ def test_a_session_scans_its_inputs_statement_once(monkeypatch):
     agent._statement_of.cache_clear()
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM([CHAIN_PLAN, _candidate(MIDDLE), _candidate(SHORTER)])
-    config = AgentConfig(target_length=5, max_debug_rounds=0)
+    config = _config(monkeypatch, target_length=5)
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.final_proof == SHORTER
     # Both drafts start with the input's header, so neither is scanned.
@@ -1364,7 +1389,7 @@ def test_a_put_back_statement_is_the_inputs_after_a_header_rewrite():
     # alters the statement and drops line 2.
     llm = ScriptedLLM([_plan(1, 4), _candidate(spaced), _plan(2, 2),
                        _candidate(MUTATED), EMPTY_PLAN])
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert [e.detail["new_length"] for e in result.trace.of_kind("adoption")] \
         == [proof_length(spaced), proof_length(SHORTER)]
@@ -1440,7 +1465,7 @@ def test_an_outside_fault_ends_the_session_with_the_adopted_proof(
         fault, raised, kinds):
     bank, index, compiler, embedder = _world()
     fault(compiler, embedder)
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index,
                          ScriptedLLM(ADOPT_THEN_UNCOVERED), compiler)
     assert result.termination == Termination.ENVIRONMENT_ERROR
@@ -1476,7 +1501,7 @@ def test_a_candidate_utf8_cannot_encode_fails_its_compile(tmp_path,
     bank, index, _, _ = _world()
     lake = FakeLake(tmp_path, monkeypatch, "exit 0")
     script = [_plan(2, 5), _candidate(SHORTER + " -- \ud800"), EMPTY_PLAN]
-    config = AgentConfig(target_length=1, max_debug_rounds=0)
+    config = AgentConfig()
     result = run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                          lake.compiler)
     assert result.termination == Termination.NO_VIABLE_PLAN
@@ -1509,8 +1534,7 @@ def test_an_input_that_fails_to_compile_is_refused():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("budget", -1), ("target_length", 0), ("max_debug_rounds", -1),
-    ("budget", 2.5), ("max_debug_rounds", 1.5), ("target_length", True)])
+    ("budget", -1), ("budget", 2.5), ("budget", True)])
 def test_config_rejects_an_out_of_range_setting(field, value):
     with pytest.raises(ValueError, match=field):
         AgentConfig(**{field: value})
@@ -1529,13 +1553,13 @@ def test_a_session_refuses_an_index_without_an_embedder():
     ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME),
     ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.22.0"),
 ], ids=["length", "compile_time", "version"])
-def test_a_session_over_an_empty_bank_retrieves_nothing(objective):
+def test_a_session_over_an_empty_bank_retrieves_nothing(objective,
+                                                        monkeypatch):
     # The empty-bank baseline: the loop runs as scripted on no strategies.
     _, _, compiler, _ = _world()
     bank = Bank(strategies={}, registry=REGISTRY)
     index = StrategyIndex.build(bank, MockEmbedder(dimension=16, seed=3))
-    config = AgentConfig(target_length=5, max_debug_rounds=0,
-                         objective=objective)
+    config = _config(monkeypatch, target_length=5, objective=objective)
     llm = ScriptedLLM([_plan(2, 5), _candidate(SHORTER)])
     result = run_session(PROOF, "", config, bank, index, llm, compiler)
     assert result.termination == Termination.TARGET_REACHED
@@ -1559,7 +1583,8 @@ def test_config_rejects_two_target_versions():
 
 def _shared_world_session(bank, index, i: int) -> str:
     """Session ``i`` of 48 over a shared bank and index, with its own
-    LLM and compiler: three objectives, four scripts, four budgets."""
+    LLM and compiler: three objectives, four scripts, four budgets; its
+    caller patches one debug round."""
     objective = (ObjectiveSpec(),
                  ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME),
                  ObjectiveSpec(mode=ObjectiveMode.VERSION,
@@ -1567,14 +1592,15 @@ def _shared_world_session(bank, index, i: int) -> str:
     script = (SCRIPT, ADOPT_THEN_UNCOVERED,
               [_plan(2, 5), _candidate(FAILING), _candidate(SHORTER)],
               [_plan(2, 5), _candidate(NATIVE_ONLY), EMPTY_PLAN])[i // 3 % 4]
-    config = AgentConfig(budget=(1, 3, 5, 30)[i // 12], target_length=1,
-                         max_debug_rounds=1, objective=objective)
+    config = AgentConfig(budget=(1, 3, 5, 30)[i // 12], objective=objective)
     _, _, compiler, _ = _world()
     return run_session(PROOF, "", config, bank, index, ScriptedLLM(script),
                        compiler).to_json()
 
 
-def test_parallel_sessions_over_one_bank_and_index_match_a_sequential_run():
+def test_parallel_sessions_over_one_bank_and_index_match_a_sequential_run(
+        monkeypatch):
+    monkeypatch.setattr(agent, "MAX_DEBUG_ROUNDS", 1)
     bank, index, _, _ = _world()
     # The parallel run goes first, so its threads also race on the
     # index's cold per-bank columns; a short switch interval makes them
@@ -1667,25 +1693,27 @@ def sessions(draw):
         modes.append(ObjectiveSpec(mode=ObjectiveMode.VERSION,
                                    target_version=target))
     config = AgentConfig(budget=budget,
-                         target_length=draw(st.sampled_from([2, 5, 17])),
-                         max_debug_rounds=draw(st.integers(0, 2)),
                          objective=draw(st.sampled_from(modes)),
                          toolchain_version=target)
-    return script, config
+    constants = {"TARGET_LENGTH": draw(st.sampled_from([2, 5, 17])),
+                 "MAX_DEBUG_ROUNDS": draw(st.integers(0, 2))}
+    return script, config, constants
 
 
-def _run(script, config):
+def _run(script, config, constants):
+    """The session, with the agent's ``constants`` patched for its run."""
     bank, index, compiler, _ = _world()
     llm = ScriptedLLM(script)
-    result = run_session(PROOF, "", config, bank, index, llm, compiler)
+    with mock.patch.multiple(agent, **constants):
+        result = run_session(PROOF, "", config, bank, index, llm, compiler)
     return result, llm, compiler
 
 
 @given(sessions())
 @settings(max_examples=200, deadline=None)
 def test_session_keeps_its_five_promises(drawn):
-    script, config = drawn
-    result, llm, compiler = _run(script, config)
+    script, config, constants = drawn
+    result, llm, compiler = _run(script, config, constants)
     target = config.toolchain_version or compiler.default_version
     # 1. The final proof compiles on the target; so did every check.
     _, _, replay, _ = _world()
@@ -1709,4 +1737,4 @@ def test_session_keeps_its_five_promises(drawn):
                for e in result.trace.of_kind("retrieval"))
     _assert_each_attempted_step_is_asked(result, llm)
     # 5. A re-run is byte-identical.
-    assert _run(script, config)[0].to_json() == result.to_json()
+    assert _run(script, config, constants)[0].to_json() == result.to_json()

@@ -165,8 +165,9 @@ def test_agent_renders_every_template_with_exactly_its_placeholders(monkeypatch)
     bank, index, compiler, _ = _world()
     # Plan, a failing candidate, its repair: one render of each role.
     script = [_plan(2, 5), _candidate(FAILING), _candidate(SHORTER)]
-    config = AgentConfig(target_length=5, max_debug_rounds=1)
-    run_session(PROOF, "", config, bank, index, ScriptedLLM(script), compiler)
+    monkeypatch.setattr(agent, "MAX_DEBUG_ROUNDS", 1)
+    run_session(PROOF, "", AgentConfig(), bank, index, ScriptedLLM(script),
+                compiler)
     shipped = {path.name.removesuffix(".txt")
                for path in resources.files("prooftidy.templates").iterdir()
                if path.name.endswith(".txt")}

@@ -13,6 +13,7 @@ import struct
 import sys
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,22 +279,26 @@ def test_top_k_matches_exhaustive_sort():
 
 # --- the compile-time rerank and the version filter, through retrieve ---------
 
+def sized(k, pool_size):
+    """Patch ``ObjectiveSpec``'s class constants ``k`` and ``pool_size``."""
+    return mock.patch.multiple(ObjectiveSpec, k=k, pool_size=pool_size)
+
+
 def retrieve_from(strategies, sims, objective):
     """``retrieve`` over ``strategies``, in the given order, whose cosines
-    to the query are ``sims``."""
+    to the query are ``sims``, with k and the pool size both their count."""
     vectors = [[sim, math.sqrt(1.0 - sim * sim)] for sim in sims]
     index = make_index(vectors, ids=[s.id for s in strategies])
-    return retrieve(index, make_bank_with(strategies), np.array([1.0, 0.0]),
-                    objective)
+    with sized(len(sims), len(sims)):
+        return retrieve(index, make_bank_with(strategies),
+                        np.array([1.0, 0.0]), objective)
 
 
-def compile_time(n):
-    return ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, pool_size=n, k=n)
+COMPILE_TIME = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME)
 
 
-def version(target, n):
-    return ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version=target,
-                         pool_size=n, k=n)
+def version(target):
+    return ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version=target)
 
 
 def test_rerank_orders_by_metadata_descending():
@@ -302,7 +307,7 @@ def test_rerank_orders_by_metadata_descending():
         make_strategy(1, median_compile_reduction=0.5),
         make_strategy(2, median_compile_reduction=0.3),
     ]
-    result = retrieve_from(strategies, [0.9, 0.8, 0.7], compile_time(3))
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], COMPILE_TIME)
     assert [r.strategy_id for r in result] == ["s0001", "s0002", "s0000"]
     assert [r.rank for r in result] == [1, 2, 3]
 
@@ -312,21 +317,21 @@ def test_rerank_places_absent_metadata_last():
         make_strategy(0, median_compile_reduction=None),
         make_strategy(1, median_compile_reduction=0.05),
     ]
-    result = retrieve_from(strategies, [0.9, 0.8], compile_time(2))
+    result = retrieve_from(strategies, [0.9, 0.8], COMPILE_TIME)
     assert [r.strategy_id for r in result] == ["s0001", "s0000"]
 
 
 def test_rerank_is_stable_on_ties():
     strategies = [make_strategy(i, median_compile_reduction=0.2)
                   for i in (2, 0, 1)]
-    result = retrieve_from(strategies, [0.9, 0.8, 0.7], compile_time(3))
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], COMPILE_TIME)
     assert [r.strategy_id for r in result] == ["s0002", "s0000", "s0001"]
 
 
 def test_rerank_preserves_multiset():
     strategies = [make_strategy(i, median_compile_reduction=0.1 * i)
                   for i in range(5)]
-    result = retrieve_from(strategies, [0.5] * 5, compile_time(5))
+    result = retrieve_from(strategies, [0.5] * 5, COMPILE_TIME)
     assert [r.strategy_id for r in result] == [f"s{i:04d}" for i in range(4, -1, -1)]
     assert [r.similarity for r in result] == pytest.approx([0.5] * 5)
 
@@ -338,7 +343,7 @@ def test_rerank_keeps_similarity_order_in_a_wide_tie_group():
     strategies = [make_strategy(i, median_compile_reduction=median)
                   for i, median in enumerate(medians)]
     result = retrieve_from(strategies, [0.99 - 0.01 * i for i in range(20)],
-                           compile_time(20))
+                           COMPILE_TIME)
     assert [r.strategy_id for r in result] == (
         [f"s{i:04d}" for i in range(1, 20, 2)]
         + [f"s{i:04d}" for i in range(0, 20, 2)])
@@ -350,7 +355,7 @@ def test_filter_keeps_compatible_in_order():
         make_strategy(1, compatibility_set=frozenset()),
         make_strategy(2, compatibility_set=frozenset({"v4.16.0", "v4.22.0"})),
     ]
-    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.16.0", 3))
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.16.0"))
     assert [r.strategy_id for r in result] == ["s0000", "s0002"]
     assert [r.rank for r in result] == [1, 2]
 
@@ -358,18 +363,18 @@ def test_filter_keeps_compatible_in_order():
 def test_filter_all_compatible_is_identity_order():
     strategies = [make_strategy(i, compatibility_set=frozenset({"v4.22.0"}))
                   for i in range(3)]
-    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.22.0", 3))
+    result = retrieve_from(strategies, [0.9, 0.8, 0.7], version("v4.22.0"))
     assert [r.strategy_id for r in result] == ["s0000", "s0001", "s0002"]
 
 
 def test_filter_none_compatible_is_empty():
     strategies = [make_strategy(0, compatibility_set=frozenset())]
-    assert retrieve_from(strategies, [0.9], version("v4.14.0", 1)) == []
+    assert retrieve_from(strategies, [0.9], version("v4.14.0")) == []
 
 
 def test_filter_unknown_version():
     with pytest.raises(UnknownVersion):
-        retrieve_from([make_strategy(0)], [0.9], version("v0.0.0", 1))
+        retrieve_from([make_strategy(0)], [0.9], version("v0.0.0"))
 
 
 # --- retrieve (objective composition) ------------------------------------------
@@ -392,39 +397,39 @@ def objective_fixture():
 
 def test_retrieve_length_mode_is_top_k():
     bank, index, query, _ = objective_fixture()
-    spec = ObjectiveSpec(mode=ObjectiveMode.LENGTH, k=3)
-    assert retrieve(index, bank, query, spec) == ranked(index, query, 3)
+    spec = ObjectiveSpec(mode=ObjectiveMode.LENGTH)
+    with sized(3, 50):
+        assert retrieve(index, bank, query, spec) == ranked(index, query, 3)
 
 
 def test_retrieve_length_mode_ignores_the_target_version():
     # The unfiltered baseline: a target that would filter the version
     # objective's result leaves the length objective's unchanged.
     bank, index, query, _ = objective_fixture()
-    plain = ObjectiveSpec(mode=ObjectiveMode.LENGTH, pool_size=10, k=5)
-    want = retrieve(index, bank, query, plain)
-    for target in VERSIONS:
-        targeted = ObjectiveSpec(mode=ObjectiveMode.LENGTH,
-                                 target_version=target, pool_size=10, k=5)
-        assert retrieve(index, bank, query, targeted) == want
-    filtered = ObjectiveSpec(mode=ObjectiveMode.VERSION,
-                             target_version="v4.16.0", pool_size=10, k=5)
-    assert retrieve(index, bank, query, filtered) != want
+    with sized(5, 10):
+        want = retrieve(index, bank, query, ObjectiveSpec())
+        for target in VERSIONS:
+            targeted = ObjectiveSpec(mode=ObjectiveMode.LENGTH,
+                                     target_version=target)
+            assert retrieve(index, bank, query, targeted) == want
+        filtered = version("v4.16.0")
+        assert retrieve(index, bank, query, filtered) != want
 
 
 def test_retrieve_compile_mode_reranks_the_pool():
     bank, index, query, vectors = objective_fixture()
-    spec = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME, pool_size=10, k=3)
-    got = retrieve(index, bank, query, spec)
-    want = brute_force_retrieve(list(bank.strategies), vectors,
-                                list(bank.strategies.values()), query, spec)
+    with sized(3, 10):
+        got = retrieve(index, bank, query, COMPILE_TIME)
+        want = brute_force_retrieve(list(bank.strategies), vectors,
+                                    list(bank.strategies.values()), query,
+                                    COMPILE_TIME)
     assert [r.strategy_id for r in got] == [r.strategy_id for r in want]
 
 
 def test_retrieve_version_mode_filters():
     bank, index, query, _ = objective_fixture()
-    spec = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.16.0",
-                         pool_size=10, k=5)
-    got = retrieve(index, bank, query, spec)
+    with sized(5, 10):
+        got = retrieve(index, bank, query, version("v4.16.0"))
     for r in got:
         assert "v4.16.0" in bank.strategies[r.strategy_id].compatibility_set
     pool_ids = {r.strategy_id for r in ranked(index, query, 10)}
@@ -435,9 +440,9 @@ def test_retrieve_version_mode_can_be_empty():
     strategies = [make_strategy(i, compatibility_set=frozenset()) for i in range(3)]
     bank = make_bank_with(strategies)
     index = make_index([[1, 0], [0, 1], [1, 1]], ids=[s.id for s in strategies])
-    spec = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.14.0",
-                         pool_size=3, k=2)
-    assert retrieve(index, bank, np.array([1.0, 0.5]), spec) == []
+    with sized(2, 3):
+        assert retrieve(index, bank, np.array([1.0, 0.5]),
+                        version("v4.14.0")) == []
 
 
 @pytest.mark.parametrize("spec", [
@@ -455,10 +460,12 @@ def test_retrieve_over_an_empty_index_is_empty(spec):
 def test_retrieve_composed_filter_then_rerank():
     bank, index, query, vectors = objective_fixture()
     spec = ObjectiveSpec(mode=ObjectiveMode.COMPILE_TIME,
-                         target_version="v4.16.0", pool_size=12, k=4)
-    got = retrieve(index, bank, query, spec)
-    want = brute_force_retrieve(list(bank.strategies), vectors,
-                                list(bank.strategies.values()), query, spec)
+                         target_version="v4.16.0")
+    with sized(4, 12):
+        got = retrieve(index, bank, query, spec)
+        want = brute_force_retrieve(list(bank.strategies), vectors,
+                                    list(bank.strategies.values()), query,
+                                    spec)
     assert [r.strategy_id for r in got] == [r.strategy_id for r in want]
     for r in got:
         assert "v4.16.0" in bank.strategies[r.strategy_id].compatibility_set
@@ -466,25 +473,23 @@ def test_retrieve_composed_filter_then_rerank():
 
 def test_retrieve_version_subset_of_length_at_same_pool():
     bank, index, query, _ = objective_fixture()
-    pool_size = 10
-    version = ObjectiveSpec(mode=ObjectiveMode.VERSION, target_version="v4.16.0",
-                            pool_size=pool_size, k=pool_size)
-    length = ObjectiveSpec(mode=ObjectiveMode.LENGTH, k=pool_size,
-                           pool_size=pool_size)
-    got_version = {r.strategy_id for r in retrieve(index, bank, query, version)}
-    got_length = {r.strategy_id for r in retrieve(index, bank, query, length)}
+    with sized(10, 10):
+        got_version = {r.strategy_id for r in retrieve(index, bank, query,
+                                                       version("v4.16.0"))}
+        got_length = {r.strategy_id for r in retrieve(index, bank, query,
+                                                      ObjectiveSpec())}
     assert got_version <= got_length
 
 
 @pytest.mark.parametrize("objective", [
-    ObjectiveSpec(k=2, pool_size=2),
-    compile_time(2),
-    version("v4.16.0", 2),
+    ObjectiveSpec(),
+    COMPILE_TIME,
+    version("v4.16.0"),
 ], ids=["length", "compile_time", "version"])
 def test_retrieve_rejects_an_index_id_missing_from_the_bank(objective):
     bank = make_bank_with([make_strategy(0)])
     index = make_index([[1, 0], [0, 1]], ids=["s0000", "zzz"])
-    with pytest.raises(IndexBankMismatch, match="zzz"):
+    with sized(2, 2), pytest.raises(IndexBankMismatch, match="zzz"):
         retrieve(index, bank, np.array([1.0, 0.0]), objective)
 
 
@@ -504,8 +509,9 @@ def test_retrieve_follows_the_bank_it_is_given():
     ])
     query = np.array([1.0, 0.0])
     for bank, best in [(first, "s0001"), (second, "s0000"), (first, "s0001")]:
-        for objective in (compile_time(2), version("v4.22.0", 2)):
-            got = retrieve(index, bank, query, objective)
+        for objective in (COMPILE_TIME, version("v4.22.0")):
+            with sized(2, 2):
+                got = retrieve(index, bank, query, objective)
             assert got[0].strategy_id == best
 
 
@@ -513,14 +519,7 @@ def test_objective_spec_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec(mode=ObjectiveMode.VERSION)
     with pytest.raises(ValueError):
-        ObjectiveSpec(k=10, pool_size=5)
-    with pytest.raises(ValueError):
         ObjectiveSpec(mode="fast")
-    # A count must be an integer, and a bool is none.
-    for field, value in (("k", 2.5), ("pool_size", 8.5), ("k", True),
-                         ("pool_size", True)):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            ObjectiveSpec(**{field: value})
     # A mode's string value is read as the member it names.
     assert ObjectiveSpec(mode="compile_time").mode is ObjectiveMode.COMPILE_TIME
 
@@ -613,14 +612,13 @@ def test_top_k_and_retrieve_match_brute_force(data):
         (ObjectiveMode.VERSION, version),
         (ObjectiveMode.COMPILE_TIME, version),
     ]))
-    objective = ObjectiveSpec(mode=mode, target_version=target,
-                              pool_size=pool_size, k=k)
-    length = ObjectiveSpec(k=k, pool_size=pool_size)
+    objective = ObjectiveSpec(mode=mode, target_version=target)
 
-    assert ranked(index, query, k) == brute_force_retrieve(
-        ids, vectors, strategies, query, length)
-    assert retrieve(index, bank, query, objective) == brute_force_retrieve(
-        ids, vectors, strategies, query, objective)
+    with sized(k, pool_size):
+        assert ranked(index, query, k) == brute_force_retrieve(
+            ids, vectors, strategies, query, ObjectiveSpec())
+        assert retrieve(index, bank, query, objective) == brute_force_retrieve(
+            ids, vectors, strategies, query, objective)
 
 
 # --- the two-stage scan ----------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The benchmark under ``sessionbench/`` calls the program's API from its own
 files, which tier-1 ``testpaths`` do not collect. These tests run its own
-tests, and its set-up and sessions on a small bank of each workload, so
-that a change to an API the benchmark calls, or to what it checks of each
-session, fails here.
+tests, and its set-up, retrieval check and sessions on a small bank of
+each workload, so that a change to an API the benchmark calls, or to what
+it checks of each session, fails here.
 """
 
 from __future__ import annotations
@@ -83,6 +83,22 @@ def test_the_benchmarks_sessions_run_on_each_workload(bench_modules, tmp_path,
     for i in range(len(bench.theorems)):
         for _ in range(2):
             assert bench.session(i)["problems"] == [], (name, i)
+    assert bench.problems == []
+
+
+@pytest.mark.parametrize("name", ["bank10k_length", "longproof_compile",
+                                  "repair_version"])
+def test_the_benchmarks_retrieval_check_passes_on_each_workload(
+        bench_modules, tmp_path, monkeypatch, name):
+    # The benchmark compares retrieve with its brute force, which reads
+    # the objective's k and pool_size; only a full run calls it otherwise.
+    gen, _ = bench_modules
+    monkeypatch.syspath_prepend(str(SESSIONBENCH))
+    run = importlib.import_module("run")
+    w = write_small(gen, name, tmp_path)
+    bench = run.Bench(w, 1, tmp_path)
+    bench.setup()
+    bench.check_retrieval()
     assert bench.problems == []
 
 
